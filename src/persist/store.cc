@@ -171,8 +171,7 @@ SessionStore::addQuarantineLocked(const std::string &file, StoreErr err,
 std::vector<uint8_t>
 SessionStore::encodeManifestLocked() const
 {
-    std::vector<uint8_t> b;
-    b.insert(b.end(), kManMagic, kManMagic + sizeof kManMagic);
+    std::vector<uint8_t> b(kManMagic, kManMagic + sizeof kManMagic);
     putU32(b, kManVersion);
     putU64(b, seq_);
     putU32(b, static_cast<uint32_t>(table_.size()));

@@ -348,128 +348,50 @@ TimeTravel::replayPendingInterventions()
 }
 
 StopInfo
-TimeTravel::travelToTime(uint64_t targetTime, int eventIndex)
-{
-    if (targetTime < time_)
-        restoreTo(checkpointAtOrBefore(targetTime));
-    while (time_ < targetTime) {
-        replayPendingInterventions();
-        bool fired = false;
-        uint64_t bulk = bulkStep(targetTime, 0, fired);
-        if (bulk) {
-            stats_.replayedUops += bulk;
-        } else if (stepUop(fired)) {
-            ++stats_.replayedUops;
-        } else {
-            break;
-        }
-        maybeCheckpoint();
-    }
-    replayPendingInterventions();
-    DISE_ASSERT(time_ == targetTime,
-                "replay fell short of its target position (halted at t=",
-                time_, ", wanted t=", targetTime, ")");
-    return stopHere(eventIndex >= 0 ? StopReason::Event : StopReason::Step,
-                    eventIndex);
-}
-
-StopInfo
-TimeTravel::runForward(uint64_t stopAppInsts, bool stopOnEvent)
-{
-    TRACE_SPAN("travel", "travel.run");
-    for (;;) {
-        if (halted_)
-            return stopHere(haltReason_ == HaltReason::Fault
-                                ? StopReason::Fault
-                                : StopReason::Halted);
-        if (cfg_.maxAppInsts && appInsts_ >= cfg_.maxAppInsts)
-            return stopHere(StopReason::InstLimit);
-        if (stopAppInsts && appInsts_ >= stopAppInsts && atBoundary())
-            return stopHere(StopReason::Step);
-        replayPendingInterventions();
-        bool fired = false;
-        if (!bulkStep(0, stopAppInsts, fired))
-            stepUop(fired);
-        maybeCheckpoint();
-        if (fired && stopOnEvent)
-            return stopHere(StopReason::Event,
-                            static_cast<int>(curEvents_) - 1);
-    }
-}
-
-StopInfo
-TimeTravel::cont()
-{
-    travel_.active = false; // a new verb abandons any sliced travel
-    // A future already explored is replayed to its next known event;
-    // fresh territory is discovered live.
-    if (curEvents_ < log_.marks.size())
-        return travelToTime(log_.marks[curEvents_].time,
-                            static_cast<int>(curEvents_));
-    return runForward(0, true);
-}
-
-StopInfo
-TimeTravel::contTo(uint64_t maxAppInsts)
-{
-    travel_.active = false;
-    // Unlike cont(), always discovers step-by-step: in replayed
-    // territory the re-fired events are verified against the recorded
-    // marks as usual, so the bound applies uniformly.
-    return runForward(maxAppInsts, true);
-}
-
-StopInfo
-TimeTravel::runToEnd()
-{
-    travel_.active = false;
-    return runForward(0, false);
-}
-
-StopInfo
-TimeTravel::stepi(uint64_t n)
-{
-    travel_.active = false;
-    return runForward(appInsts_ + n, false);
-}
-
-StopInfo
-TimeTravel::reverseContinue()
+TimeTravel::travel(TravelVerb verb, uint64_t count)
 {
     bool done = false;
-    StopInfo s = travelBegin(TravelVerb::ReverseContinue, 0, done);
+    StopInfo s = travelBegin(verb, count, done);
     while (!done)
         s = travelStep(0, done);
     return s;
 }
 
-StopInfo
-TimeTravel::reverseStep(uint64_t n)
-{
-    bool done = false;
-    StopInfo s = travelBegin(TravelVerb::ReverseStep, n, done);
-    while (!done)
-        s = travelStep(0, done);
-    return s;
-}
+// -------------------------------------------------------------- travel
 
-StopInfo
-TimeTravel::runToEvent(size_t n)
+void
+TimeTravel::replayToTime(uint64_t targetTime, int eventIndex,
+                         StopReason reach)
 {
-    bool done = false;
-    StopInfo s = travelBegin(TravelVerb::RunToEvent, n, done);
-    while (!done)
-        s = travelStep(0, done);
-    return s;
+    travel_.replay = true;
+    travel_.byTime = true;
+    travel_.targetTime = targetTime;
+    travel_.eventIndex = eventIndex;
+    travel_.reachReason = reach;
 }
-
-// ------------------------------------------------------- sliced travel
 
 StopInfo
 TimeTravel::travelBegin(TravelVerb verb, uint64_t count, bool &done)
 {
     travel_ = TravelState{};
     switch (verb) {
+      case TravelVerb::Cont:
+        // An unbounded cont into an already-explored future replays
+        // straight to the next known mark; fresh territory (or a
+        // bounded cont) is discovered live.
+        if (!count && curEvents_ < log_.marks.size()) {
+            replayToTime(log_.marks[curEvents_].time,
+                         static_cast<int>(curEvents_), StopReason::Event);
+        } else {
+            travel_.stopOnEvent = true;
+            travel_.targetInsts = count;
+        }
+        break;
+      case TravelVerb::Stepi:
+        travel_.targetInsts = appInsts_ + count;
+        break;
+      case TravelVerb::RunToEnd:
+        break;
       case TravelVerb::ReverseContinue: {
         int target = static_cast<int>(curEvents_) - 1;
         // Stopped exactly on an event: travel to the one before it —
@@ -479,178 +401,139 @@ TimeTravel::travelBegin(TravelVerb verb, uint64_t count, bool &done)
         // no progress.
         while (target >= 0 && log_.marks[target].time == time_)
             --target;
-        travel_.byTime = true;
-        if (target < 0) {
-            travel_.targetTime = 0;
-            travel_.eventIndex = -1;
-            travel_.reachReason = StopReason::Start;
-        } else {
-            travel_.targetTime = log_.marks[target].time;
-            travel_.eventIndex = target;
-            travel_.reachReason = StopReason::Event;
-        }
+        replayToTime(target < 0 ? 0 : log_.marks[target].time, target,
+                     target < 0 ? StopReason::Start : StopReason::Event);
         break;
       }
       case TravelVerb::ReverseStep:
-        travel_.targetInsts =
-            count >= appInsts_ ? 0 : appInsts_ - count;
-        travel_.reachReason = StopReason::Step;
+        travel_.replay = true;
+        travel_.targetInsts = count >= appInsts_ ? 0 : appInsts_ - count;
         break;
       case TravelVerb::RunToEvent:
         if (count < log_.marks.size()) {
-            travel_.byTime = true;
-            travel_.targetTime = log_.marks[count].time;
-            travel_.eventIndex = static_cast<int>(count);
-            travel_.reachReason = StopReason::Event;
+            replayToTime(log_.marks[count].time, static_cast<int>(count),
+                         StopReason::Event);
         } else {
-            travel_.discover = true;
+            // Forward discovery toward global event #count; known
+            // marks crossed on the way are verified as usual.
+            travel_.stopOnEvent = true;
             travel_.eventGoal = count;
         }
         break;
+      case TravelVerb::Seek:
+        replayToTime(count, -1, StopReason::Step);
+        break;
     }
+    travel_.active = true;
+    done = false;
+    if (!travel_.replay)
+        return stopHere(StopReason::Step);
 
     // The restore is the cheap part (cost ∝ pages dirtied since the
     // target checkpoint); the replay that follows is what travelStep
     // meters out in quanta.
     if (travel_.byTime && travel_.targetTime < time_) {
         restoreTo(checkpointAtOrBefore(travel_.targetTime));
-    } else if (!travel_.byTime && !travel_.discover &&
-               travel_.targetInsts < appInsts_) {
+    } else if (!travel_.byTime && travel_.targetInsts < appInsts_) {
         size_t idx = cps_.size() - 1;
         while (idx > 0 && cps_[idx].appInsts > travel_.targetInsts)
             --idx;
         restoreTo(idx);
     }
-    travel_.active = true;
-    done = false;
     // The restore may land exactly on the goal (it often does for
     // reverse-continue: the target event sits at a checkpoint).
-    bool arrived =
-        !travel_.discover &&
-        (travel_.byTime
-             ? time_ == travel_.targetTime
-             : !(appInsts_ < travel_.targetInsts || !atBoundary()));
-    if (arrived) {
-        replayPendingInterventions();
-        return travelFinish(done);
-    }
-    return stopHere(StopReason::Step);
+    return replayArrived() ? replayFinish(done) : stopHere(StopReason::Step);
 }
 
-StopInfo
-TimeTravel::seekBegin(uint64_t targetTime, bool &done)
+/** A replay goal is reached at its µop position, or (reverse-step) at
+ *  the first instruction boundary at or past its target. */
+bool
+TimeTravel::replayArrived() const
 {
-    travel_ = TravelState{};
-    travel_.byTime = true;
-    travel_.targetTime = targetTime;
-    travel_.reachReason = StopReason::Step;
-    if (targetTime < time_)
-        restoreTo(checkpointAtOrBefore(targetTime));
-    travel_.active = true;
-    done = false;
-    if (time_ == targetTime) {
-        replayPendingInterventions();
-        return travelFinish(done);
-    }
-    return stopHere(StopReason::Step);
+    if (travel_.byTime)
+        return time_ >= travel_.targetTime;
+    return halted_ || (appInsts_ >= travel_.targetInsts && atBoundary());
 }
 
+/**
+ * The one execution loop. Forward goals discover (or re-verify) the
+ * timeline µop by µop and stop on events, halts, faults, the
+ * instruction cap, or their instruction target; a quantum expires at
+ * an instruction boundary. Replay goals re-execute the explored
+ * timeline to a µop position or an instruction boundary and may pause
+ * mid-instruction.
+ */
 StopInfo
 TimeTravel::travelStep(uint64_t maxAppInsts, bool &done)
 {
-    TRACE_SPAN("travel", "travel.replay");
     DISE_ASSERT(travel_.active, "travelStep() without an active travel");
+    TRACE_SPAN("travel", travel_.replay ? "travel.replay" : "travel.run");
     done = false;
+    const TravelState &g = travel_;
     uint64_t budgetEnd = maxAppInsts ? appInsts_ + maxAppInsts : 0;
+    // Absolute app-instruction cap for bulk execution (0 = none).
+    uint64_t stopApp = g.byTime ? 0 : g.targetInsts;
+    if (budgetEnd && (!stopApp || budgetEnd < stopApp))
+        stopApp = budgetEnd;
 
-    if (travel_.discover) {
-        // Forward discovery toward global event #eventGoal; known
-        // marks crossed on the way are verified by stepUop as usual.
-        for (;;) {
-            StopInfo s = runForward(budgetEnd, true);
-            if (s.reason == StopReason::Event &&
-                static_cast<size_t>(s.eventIndex) !=
-                    travel_.eventGoal)
-                continue; // an earlier event: keep going
-            if (s.reason == StopReason::Step && budgetEnd &&
-                appInsts_ >= budgetEnd)
-                return s; // quantum expired; travel stays active
-            // The goal event — or halt/fault/inst-limit, meaning the
-            // timeline never reaches the requested event.
-            done = true;
-            travel_.active = false;
-            return s;
-        }
-    }
-
-    if (travel_.byTime) {
-        while (time_ < travel_.targetTime &&
-               (!budgetEnd || appInsts_ < budgetEnd)) {
-            replayPendingInterventions();
-            bool fired = false;
-            uint64_t bulk = bulkStep(travel_.targetTime, budgetEnd,
-                                     fired);
-            if (bulk) {
-                stats_.replayedUops += bulk;
-            } else if (stepUop(fired)) {
-                ++stats_.replayedUops;
-            } else {
-                break;
+    for (;;) {
+        if (g.replay) {
+            if (replayArrived())
+                return replayFinish(done);
+            DISE_ASSERT(!halted_, "replay fell short of its target "
+                                  "position (halted at t=", time_,
+                        ", wanted t=", g.targetTime, ")");
+            if (budgetEnd && appInsts_ >= budgetEnd)
+                return stopHere(StopReason::Step); // quantum expired
+        } else {
+            if (halted_)
+                return stopFinal(haltReason_ == HaltReason::Fault
+                                     ? StopReason::Fault
+                                     : StopReason::Halted,
+                                 done);
+            if (cfg_.maxAppInsts && appInsts_ >= cfg_.maxAppInsts)
+                return stopFinal(StopReason::InstLimit, done);
+            if (stopApp && appInsts_ >= stopApp && atBoundary()) {
+                if (g.targetInsts && appInsts_ >= g.targetInsts)
+                    return stopFinal(StopReason::Step, done);
+                return stopHere(StopReason::Step); // quantum expired
             }
-            maybeCheckpoint();
         }
-        if (time_ < travel_.targetTime) {
-            DISE_ASSERT(!halted_,
-                        "replay fell short of its target position "
-                        "(halted at t=", time_, ", wanted t=",
-                        travel_.targetTime, ")");
-            return stopHere(StopReason::Step);
-        }
-        replayPendingInterventions();
-        DISE_ASSERT(time_ == travel_.targetTime,
-                    "replay overshot its target position (at t=",
-                    time_, ", wanted t=", travel_.targetTime, ")");
-        return travelFinish(done);
-    }
 
-    // App-instruction goal (reverse-step): land on the first
-    // inter-instruction boundary at or past the target.
-    while ((appInsts_ < travel_.targetInsts || !atBoundary()) &&
-           (!budgetEnd || appInsts_ < budgetEnd)) {
         replayPendingInterventions();
         bool fired = false;
-        uint64_t stopApp = travel_.targetInsts;
-        if (budgetEnd && (!stopApp || budgetEnd < stopApp))
-            stopApp = budgetEnd;
-        uint64_t bulk = bulkStep(0, stopApp, fired);
-        if (bulk) {
-            stats_.replayedUops += bulk;
-        } else if (stepUop(fired)) {
-            ++stats_.replayedUops;
-        } else {
-            break;
-        }
+        uint64_t n = bulkStep(g.byTime ? g.targetTime : 0, stopApp, fired);
+        if (!n && stepUop(fired))
+            n = 1;
+        if (g.replay)
+            stats_.replayedUops += n; // 0 once halted: see the loop top
         maybeCheckpoint();
+        // Discovery toward a specific event runs past earlier ones.
+        if (fired && g.stopOnEvent &&
+            (g.eventGoal == NoEventGoal || curEvents_ - 1 == g.eventGoal))
+            return stopFinal(StopReason::Event, done,
+                             static_cast<int>(curEvents_) - 1);
     }
-    if (!halted_ && (appInsts_ < travel_.targetInsts || !atBoundary()))
-        return stopHere(StopReason::Step);
-    replayPendingInterventions();
-    return travelFinish(done);
 }
 
-/** Close out the active travel and build its final stop. */
+/** Close out the active travel with a stop built here. */
 StopInfo
-TimeTravel::travelFinish(bool &done)
+TimeTravel::stopFinal(StopReason reason, bool &done, int eventIndex)
 {
     done = true;
     travel_.active = false;
-    StopInfo s = stopHere(travel_.reachReason == StopReason::Event
-                              ? StopReason::Event
-                              : StopReason::Step,
-                          travel_.eventIndex);
-    if (travel_.reachReason == StopReason::Start)
-        s.reason = StopReason::Start;
-    return s;
+    return stopHere(reason, eventIndex);
+}
+
+/** Close out a reached replay goal at the position it aimed for. */
+StopInfo
+TimeTravel::replayFinish(bool &done)
+{
+    replayPendingInterventions();
+    DISE_ASSERT(!travel_.byTime || time_ == travel_.targetTime,
+                "replay overshot its target position (at t=", time_,
+                ", wanted t=", travel_.targetTime, ")");
+    return stopFinal(travel_.reachReason, done, travel_.eventIndex);
 }
 
 uint64_t

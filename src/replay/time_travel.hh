@@ -11,14 +11,16 @@
  * via MainMemory's copy-on-write undo log — only the pages dirtied
  * since the previous checkpoint.
  *
- * Reverse operations (reverseContinue / reverseStep / runToEvent) are
- * restore-and-replay: roll memory back through the undo intervals to
- * the nearest earlier checkpoint, then re-execute forward to the exact
- * target position. Because the simulator is deterministic and the
- * checkpoint restores every input the stream consumes (registers,
- * memory, backend shadow state, engine match caches invalidated),
- * replay reproduces the identical micro-op and event sequence — which
- * the controller asserts against the recorded timeline as it goes.
+ * Every verb — forward or reverse, a resurrection's seek included — is
+ * one travel goal (TravelVerb) driven by one execution loop in bounded
+ * quanta. Reverse goals are restore-and-replay: roll memory back
+ * through the undo intervals to the nearest earlier checkpoint, then
+ * re-execute forward to the exact target position. Because the
+ * simulator is deterministic and the checkpoint restores every input
+ * the stream consumes (registers, memory, backend shadow state, engine
+ * match caches invalidated), replay reproduces the identical micro-op
+ * and event sequence — which the controller asserts against the
+ * recorded timeline as it goes.
  *
  * Debugger interventions (memory/register pokes, DISE pattern-table
  * mutations) are the nondeterministic inputs: each is stamped into the
@@ -70,11 +72,16 @@ enum class StopReason : uint8_t {
 const char *stopReasonName(StopReason reason);
 const char *eventKindName(EventKind kind);
 
-/** Travel goals the sliced (preemptible) travel API accepts. */
+/** The goals travelBegin() accepts: every way the controller moves. */
 enum class TravelVerb : uint8_t {
+    Cont,            ///< to the next event; count = absolute app-inst
+                     ///< bound (0 = none), reached with reason Step
+    Stepi,           ///< forward count application instructions
+    RunToEnd,        ///< to the halt, passing events
     ReverseContinue, ///< back to the previous user-visible event
     ReverseStep,     ///< back count application instructions
     RunToEvent,      ///< position just after timeline event #count
+    Seek,            ///< to the absolute µop position count
 };
 
 struct StopInfo
@@ -113,73 +120,65 @@ class TimeTravel
     TimeTravel(const TimeTravel &) = delete;
     TimeTravel &operator=(const TimeTravel &) = delete;
 
-    /** @name Forward execution */
-    ///@{
-    /** Run to the next user-visible event (or halt/fault/limit). */
-    StopInfo cont();
-    /**
-     * cont() bounded by an absolute instruction position: stop on the
-     * next event OR once @p maxAppInsts application instructions have
-     * retired (reason Step), whichever comes first. The job scheduler's
-     * slicing primitive — a server worker can hand the session back
-     * after a bounded quantum even when no event fires.
+    /** @name Travel
+     * travelBegin() sets a goal (performing the cheap restore when it
+     * lies in the past) and travelStep() advances toward it in bounded
+     * quanta; the typed verbs below run one to completion. A travel
+     * abandoned mid-way leaves the session at a valid intermediate
+     * position. Forward goals discover events live, re-verifying the
+     * recorded marks they cross, and report the last event of the
+     * stopping µop. Replay goals (reverse verbs, run-to-event to a
+     * known mark, seek, an unbounded cont into an explored future)
+     * re-execute the recorded timeline to an exact position and report
+     * the mark they aimed at.
      */
-    StopInfo contTo(uint64_t maxAppInsts);
-    /** Run to program end (reporting the halt, not each event). */
-    StopInfo runToEnd();
-    /** Execute @p n application instructions. */
-    StopInfo stepi(uint64_t n = 1);
-    ///@}
-
-    /** @name Reverse execution */
     ///@{
-    /** Travel back to the previous user-visible event. */
-    StopInfo reverseContinue();
-    /** Travel back @p n application instructions. */
-    StopInfo reverseStep(uint64_t n = 1);
-    ///@}
+    /**
+     * Set the goal (count: the verb's distance, bound, event number or
+     * µop position). @p done is set when it was reached outright (the
+     * returned stop is final); otherwise the caller must travelStep()
+     * until done.
+     */
+    StopInfo travelBegin(TravelVerb verb, uint64_t count, bool &done);
+    /**
+     * Advance toward the goal by up to @p maxAppInsts application
+     * instructions (0 = unbounded). Sets @p done (and finishes the
+     * travel) when the goal is reached; otherwise returns the interim
+     * position with reason Step.
+     */
+    StopInfo travelStep(uint64_t maxAppInsts, bool &done);
+    bool travelActive() const { return travel_.active; }
+    /** travelBegin + travelStep(0) until done. */
+    StopInfo travel(TravelVerb verb, uint64_t count);
 
+    /** Run to the next user-visible event (or halt/fault/limit). */
+    StopInfo cont() { return travel(TravelVerb::Cont, 0); }
+    /** Run to program end (reporting the halt, not each event). */
+    StopInfo runToEnd() { return travel(TravelVerb::RunToEnd, 0); }
+    /** Execute @p n application instructions. */
+    StopInfo stepi(uint64_t n = 1) { return travel(TravelVerb::Stepi, n); }
+    /** Travel back to the previous user-visible event. */
+    StopInfo
+    reverseContinue()
+    {
+        return travel(TravelVerb::ReverseContinue, 0);
+    }
+    /** Travel back @p n application instructions. */
+    StopInfo
+    reverseStep(uint64_t n = 1)
+    {
+        return travel(TravelVerb::ReverseStep, n);
+    }
     /**
      * Position the session just after event @p n fired — traveling
      * backward to a known mark, or forward (discovering new events) if
      * the timeline has not reached it yet.
      */
-    StopInfo runToEvent(size_t n);
-
-    /** @name Sliced travel (preemptible reverse execution)
-     * A reverse verb decomposes into one cheap restore (travelBegin)
-     * plus a replay the caller drives in bounded quanta (travelStep),
-     * so a scheduler can interleave other sessions' work between
-     * slices instead of parking a worker for the whole replay. The
-     * one-shot verbs above are travelBegin + travelStep(0) loops. */
-    ///@{
-    /**
-     * Prepare a sliced travel toward @p verb's goal (count carries the
-     * step distance / event number). Performs the restore when the
-     * goal lies in the past; never replays. @p done is set when the
-     * goal was reached outright (the returned stop is final);
-     * otherwise the return value is the interim position and the
-     * caller must travelStep() until done.
-     */
-    StopInfo travelBegin(TravelVerb verb, uint64_t count, bool &done);
-    /**
-     * Replay up to @p maxAppInsts application instructions toward the
-     * active goal (0 = unbounded). Sets @p done (and finishes the
-     * travel) when the goal is reached; otherwise returns the interim
-     * position with reason Step.
-     */
-    StopInfo travelStep(uint64_t maxAppInsts, bool &done);
-    /**
-     * Prepare a sliced travel to the absolute µop position
-     * @p targetTime. The resurrection primitive: a session restored
-     * from its on-disk image (whose ReplayLog was injected into this
-     * controller's log) seeks from time zero to its persisted position,
-     * re-taking checkpoints and re-verifying recorded marks as the
-     * replay crosses them. Also valid mid-life, forward or backward.
-     * Same contract as travelBegin: drive travelStep() until @p done.
-     */
-    StopInfo seekBegin(uint64_t targetTime, bool &done);
-    bool travelActive() const { return travel_.active; }
+    StopInfo
+    runToEvent(size_t n)
+    {
+        return travel(TravelVerb::RunToEvent, n);
+    }
     ///@}
 
     /** @name Logged debugger interventions */
@@ -250,10 +249,13 @@ class TimeTravel
     void maybeCheckpoint();
     size_t checkpointAtOrBefore(uint64_t time) const;
     void restoreTo(size_t cpIdx);
-    StopInfo travelToTime(uint64_t targetTime, int eventIndex);
-    StopInfo runForward(uint64_t stopAppInsts, bool stopOnEvent);
+    void replayToTime(uint64_t targetTime, int eventIndex,
+                      StopReason reach);
     StopInfo stopHere(StopReason reason, int eventIndex = -1);
-    StopInfo travelFinish(bool &done);
+    StopInfo stopFinal(StopReason reason, bool &done,
+                       int eventIndex = -1);
+    bool replayArrived() const;
+    StopInfo replayFinish(bool &done);
     void applyIntervention(Intervention &iv);
     void unwindIntervention(Intervention &iv);
     void recordIntervention(Intervention iv);
@@ -284,17 +286,23 @@ class TimeTravel
     /** Next intervention to re-apply while replaying forward. */
     size_t nextIntervention_ = 0;
 
-    /** The sliced-travel goal. A travel abandoned mid-way (a new verb
-     *  issued, or an interrupted job) simply leaves the session at a
-     *  valid intermediate replay position; the next verb cancels it. */
+    static constexpr size_t NoEventGoal = ~size_t{0};
+
+    /** The active travel goal (see travelBegin). */
     struct TravelState
     {
         bool active = false;
-        bool byTime = false;   ///< goal in µops; else app-instructions
-        bool discover = false; ///< forward discovery past known marks
+        /** Re-executing the explored timeline: counts replayedUops,
+         *  and a quantum may end mid-instruction. */
+        bool replay = false;
+        bool byTime = false; ///< replay goal in µops (targetTime)
         uint64_t targetTime = 0;
+        /** Replay: the reverse-step goal. Forward: the instruction
+         *  position that ends the travel (0 = none). */
         uint64_t targetInsts = 0;
-        size_t eventGoal = 0;  ///< discover: wanted global event index
+        bool stopOnEvent = false;
+        /** Forward discovery runs past events before this index. */
+        size_t eventGoal = NoEventGoal;
         int eventIndex = -1;
         StopReason reachReason = StopReason::Step;
     };

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +21,10 @@ RspClient::connectTo(uint16_t port, unsigned timeoutSeconds)
         return false;
     timeval tv{static_cast<time_t>(timeoutSeconds), 0};
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    // Like gdb's ser-tcp: the `+` ack and the next packet are two small
+    // writes, which Nagle would hold for the peer's delayed ACK.
+    int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);

@@ -71,29 +71,12 @@ RspConnection::AsyncState::notify(const std::string &payload)
 // ------------------------------------------------------------ protocol
 
 bool
-RspConnection::exec(RequestKind kind, uint64_t count, StopInfo &out,
-                    std::string *err)
+RspConnection::exec(const Request &req, Response &out, std::string *err)
 {
     if (execFn_)
-        return execFn_(kind, count, out, err);
-    switch (kind) {
-      case RequestKind::Cont:
-        out = session_.cont();
-        return true;
-      case RequestKind::Stepi:
-        out = session_.stepi(count);
-        return true;
-      case RequestKind::ReverseContinue:
-        out = session_.reverseContinue();
-        return true;
-      case RequestKind::ReverseStep:
-        out = session_.reverseStep(count);
-        return true;
-      default:
-        if (err)
-            *err = "not an execution verb";
-        return false;
-    }
+        return execFn_(req, out, err);
+    out = session_.run(req);
+    return true;
 }
 
 std::string
@@ -285,6 +268,26 @@ RspConnection::execAsync(RequestKind kind, uint64_t count)
 }
 
 std::string
+RspConnection::execReply(RequestKind kind, uint64_t count)
+{
+    if (nonStop_ && asyncExecFn_)
+        return execAsync(kind, count);
+    Request req;
+    req.kind = kind;
+    req.count = count;
+    Response resp;
+    std::string err;
+    if (!exec(req, resp, &err) || !resp.ok()) {
+        if (verbose_)
+            std::fprintf(stderr, "rsp: exec failed: %s\n",
+                         (err.empty() ? resp.error : err).c_str());
+        wantClose_ = true;
+        return "E04"; // session gone: hang up
+    }
+    return stopReply(resp.stop);
+}
+
+std::string
 RspConnection::handleVPacket(const std::string &p)
 {
     if (p.rfind("vMustReplyEmpty", 0) == 0)
@@ -303,25 +306,11 @@ RspConnection::handleVPacket(const std::string &p)
         if (p.size() < 7 || p[5] != ';')
             return "E01";
         char action = p[6];
-        RequestKind kind;
-        uint64_t count = 0;
-        if (action == 'c' || action == 'C') {
-            kind = RequestKind::Cont;
-        } else if (action == 's' || action == 'S') {
-            kind = RequestKind::Stepi;
-            count = 1;
-        } else {
-            return "E01"; // t/r: not supported by this stub
-        }
-        if (nonStop_ && asyncExecFn_)
-            return execAsync(kind, count);
-        StopInfo stop;
-        std::string err;
-        if (!exec(kind, count, stop, &err)) {
-            wantClose_ = true;
-            return "E04";
-        }
-        return stopReply(stop);
+        if (action == 'c' || action == 'C')
+            return execReply(RequestKind::Cont, 0);
+        if (action == 's' || action == 'S')
+            return execReply(RequestKind::Stepi, 1);
+        return "E01"; // t/r: not supported by this stub
     }
     return ""; // unknown v-packets get the empty reply
 }
@@ -354,10 +343,12 @@ RspConnection::handleInsert(const std::string &p, bool insert)
                       kindStr;
     if (type == 2 || type == 4) {
         if (insert) {
-            WatchSpec w = WatchSpec::scalar(
+            Request req;
+            req.kind = RequestKind::SetWatch;
+            req.watch = WatchSpec::scalar(
                 "rsp@" + addrStr, addr,
                 static_cast<unsigned>(kind ? kind : 8));
-            int idx = session_.setWatch(w);
+            int idx = insertSpec(req);
             if (idx < 0)
                 return "E02";
             zWatches_[key] = idx;
@@ -370,10 +361,11 @@ RspConnection::handleInsert(const std::string &p, bool insert)
     }
     if (type == 0 || type == 1) {
         if (insert) {
-            BreakSpec b;
-            b.pc = addr;
-            b.name = "rsp@" + addrStr;
-            int idx = session_.setBreak(b);
+            Request req;
+            req.kind = RequestKind::SetBreak;
+            req.brk.pc = addr;
+            req.brk.name = "rsp@" + addrStr;
+            int idx = insertSpec(req);
             if (idx < 0)
                 return "E02";
             zBreaks_[key] = idx;
@@ -385,6 +377,20 @@ RspConnection::handleInsert(const std::string &p, bool insert)
         return session_.removeBreak(it->second) ? "OK" : "E03";
     }
     return "";
+}
+
+/** Register a Z-packet spec through the exec hook (a spec that needs
+ *  no rebuild never reaches the scheduler) or, beside a running
+ *  non-stop job, in place at the job's slice boundary. */
+int
+RspConnection::insertSpec(const Request &req)
+{
+    Response resp;
+    if (beside_)
+        resp = session_.runBeside(req);
+    else if (!exec(req, resp, nullptr))
+        return -1;
+    return resp.ok() ? static_cast<int>(resp.index) : -1;
 }
 
 std::string
@@ -467,21 +473,6 @@ RspConnection::handlePacket(const std::string &p)
     if (p.empty())
         return "";
 
-    auto execReply = [&](RequestKind kind, uint64_t count) {
-        if (nonStop_ && asyncExecFn_)
-            return execAsync(kind, count);
-        StopInfo stop;
-        std::string err;
-        if (!exec(kind, count, stop, &err)) {
-            if (verbose_)
-                std::fprintf(stderr, "rsp: exec failed: %s\n",
-                             err.c_str());
-            wantClose_ = true;
-            return std::string("E04"); // session gone: hang up
-        }
-        return stopReply(stop);
-    };
-
     // While a non-stop job is in flight the session belongs to the
     // scheduler worker driving it: resume packets are refused until
     // the %Stop lands (queries, stop polls, and detach stay available
@@ -493,8 +484,8 @@ RspConnection::handlePacket(const std::string &p)
     // AND plant a breakpoint or patch memory while the target runs,
     // exactly like stock gdbserver's non-stop mode.
     std::unique_lock<std::mutex> peek; // held across the dispatch below
+    bool busy = false;
     if (nonStop_) {
-        bool busy = false;
         {
             std::lock_guard<std::mutex> lk(async_->mu);
             busy = async_->running;
@@ -530,6 +521,7 @@ RspConnection::handlePacket(const std::string &p)
                 peek = peekLockFn_();
         }
     }
+    beside_ = busy;
 
     try {
         switch (p[0]) {

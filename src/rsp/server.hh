@@ -21,10 +21,10 @@
  *
  * Two layers:
  *  - RspConnection: one client's protocol state (Z-packet maps, last
- *    stop) over one DebugSession. Execution verbs go through an
- *    optional ExecFn hook, which the multi-session server
- *    (src/server/) uses to route `c`/`s`/`bc`/`bs` onto its job scheduler
- *    so many sessions share a bounded worker pool.
+ *    stop) over one DebugSession. Long verbs go through an optional
+ *    ExecFn hook, which the multi-session server (src/server/) uses to
+ *    route `c`/`s`/`bc`/`bs` and `Z` onto its job scheduler so many
+ *    sessions share a bounded worker pool.
  *  - RspServer: the classic single-session listener (bind, accept one
  *    client, serve) used by the smoke tools and tests.
  *
@@ -32,9 +32,11 @@
  *  - `Z2`/`Z4` (write/access watchpoint) and `Z0`/`Z1` (breakpoints)
  *    register specs on the session; the machinery installs at the
  *    first resume, and a `Z` after the target ran rebuilds + replays
- *    (DebugSession::setWatch), so post-attach insertion just works.
- *    Re-inserting an identical spec re-arms it and `z` mutes it,
- *    which matches gdb's remove/insert cycle around every continue.
+ *    as a scheduler job, so post-attach insertion just works without
+ *    freezing the server. Re-inserting an identical spec re-arms it
+ *    and `z` mutes it — answered on the connection thread, with no
+ *    scheduler round trip — which matches gdb's remove/insert cycle
+ *    around every continue.
  *  - A watchpoint stop replies `T05watch:<addr>;` with the trapped
  *    data address and the PC as register 0x20, so the client sees the
  *    identical stop location the in-process session reports.
@@ -62,14 +64,13 @@ class RspConnection
 {
   public:
     /**
-     * Execution hook: run @p kind (Cont / Stepi / ReverseContinue /
-     * ReverseStep) for @p count instructions, filling @p out. Returns
-     * false (with @p err) when the session cannot run — e.g. it was
-     * destroyed mid-request. When empty, verbs execute directly on
-     * the session in the calling thread.
+     * Execution hook: run the long verb @p req (a resume, or a `Z`),
+     * filling @p out. Returns false (with @p err) when the session
+     * cannot run — e.g. it was destroyed mid-request. When empty,
+     * verbs execute directly on the session in the calling thread.
      */
-    using ExecFn = std::function<bool(RequestKind kind, uint64_t count,
-                                      StopInfo &out, std::string *err)>;
+    using ExecFn = std::function<bool(const Request &req, Response &out,
+                                      std::string *err)>;
 
     /**
      * Async completion of a non-stop execution verb: @p interrupted
@@ -144,8 +145,11 @@ class RspConnection
         bool notify(const std::string &payload);
     };
 
-    bool exec(RequestKind kind, uint64_t count, StopInfo &out,
-              std::string *err);
+    bool exec(const Request &req, Response &out, std::string *err);
+    /** Run a resume verb; returns its stop reply (or, non-stop, the
+     *  immediate reply). */
+    std::string execReply(RequestKind kind, uint64_t count);
+    int insertSpec(const Request &req);
     /** Start a non-stop job for @p kind; returns the immediate reply
      *  ("OK", or an error). */
     std::string execAsync(RequestKind kind, uint64_t count);
@@ -171,6 +175,9 @@ class RspConnection
     bool verbose_ = false;
     bool wantClose_ = false;
     bool nonStop_ = false;
+    /** The packet being handled holds the peek lock beside a running
+     *  non-stop job: spec edits apply in place (runBeside). */
+    bool beside_ = false;
     uint64_t packetsHandled_ = 0;
     std::shared_ptr<AsyncState> async_;
 

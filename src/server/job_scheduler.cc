@@ -1,6 +1,7 @@
 #include "server/job_scheduler.hh"
 
 #include <algorithm>
+#include <future>
 #include <stdexcept>
 
 #include "obs/metrics.hh"
@@ -23,22 +24,6 @@ JobScheduler::JobScheduler(JobSchedulerOptions opts)
 JobScheduler::~JobScheduler()
 {
     stop();
-}
-
-bool
-JobScheduler::isExecVerb(RequestKind kind)
-{
-    switch (kind) {
-      case RequestKind::Cont:
-      case RequestKind::Stepi:
-      case RequestKind::RunToEnd:
-      case RequestKind::ReverseContinue:
-      case RequestKind::ReverseStep:
-      case RequestKind::RunToEvent:
-        return true;
-      default:
-        return false;
-    }
 }
 
 // ------------------------------------------------------------ lifecycle
@@ -71,7 +56,6 @@ JobScheduler::finalize(std::unique_lock<std::mutex> &lk,
 {
     t->finished = true;
     t->result = std::move(res);
-    jobsDone_.fetch_add(1, std::memory_order_relaxed);
     doneCv_.notify_all();
     if (t->onDone) {
         DoneFn done = std::move(t->onDone);
@@ -178,119 +162,128 @@ JobScheduler::cancel(const TicketPtr &t)
         t->cancelled.store(true, std::memory_order_release);
 }
 
+// ------------------------------------------------------ session ops
+
+namespace {
+
+/** The long verbs that resume execution (drive()'s stop form). */
 bool
-JobScheduler::run(SliceFn fn, std::string *err)
+isResume(RequestKind kind)
 {
-    return wait(submit(std::move(fn)), err);
+    return DebugSession::isLongVerb(kind) &&
+           kind != RequestKind::SetWatch && kind != RequestKind::SetBreak;
 }
 
-// -------------------------------------------------------- resume verbs
-
-struct JobScheduler::ExecState
+/** One slice of a session's in-flight op. The slice is the exclusion
+ *  unit: an RSP peek waiting on sliceMu gets the session at this
+ *  boundary, never mid-µop. With @p stop, a finished op's stop is
+ *  taken inside the slice too. */
+bool
+stepSlice(ManagedSession &s, uint64_t slice, StopInfo *stop = nullptr)
 {
-    StopInfo stop;
-    uint64_t remaining = 0;
-    bool begun = false;
-};
+    if (s.closing.load(std::memory_order_acquire))
+        throw std::runtime_error("session destroyed");
+    std::lock_guard<std::mutex> sliceLk(s.sliceMu);
+    bool done = s.session.step(slice);
+    if (done && stop)
+        *stop = s.session.finish().stop;
+    s.slices.fetch_add(1, std::memory_order_relaxed);
+    s.publishProgress();
+    s.pushEvents();
+    return done;
+}
+
+} // namespace
 
 bool
-JobScheduler::precheck(ManagedSession &s, RequestKind kind,
-                       std::string *err)
+JobScheduler::complete(ManagedSession &s, std::string *err)
 {
-    if (!isExecVerb(kind)) {
-        if (err)
-            *err = "not a resume verb";
+    if (!wait(submit([&s](uint64_t slice) { return stepSlice(s, slice); }),
+              err))
         return false;
-    }
-    // Attach is the capability gate ("no experiment" cells): fail it
-    // cleanly on the submitting thread before queueing any work.
-    try {
-        if (!s.session.attached() && !s.session.attach()) {
-            if (err)
-                *err = std::string("the ") +
-                       backendName(s.session.backendKind()) +
-                       " backend cannot implement this session's "
-                       "requests";
-            return false;
-        }
-    } catch (const std::exception &e) {
-        if (err)
-            *err = e.what();
-        return false;
-    }
+    s.jobs.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 
-JobScheduler::SliceFn
-JobScheduler::makeExecSlice(ManagedSessionPtr sp, RequestKind kind,
-                            uint64_t count,
-                            std::shared_ptr<ExecState> st)
+bool
+JobScheduler::completeHere(ManagedSession &s, std::string *err)
 {
-    st->remaining = count;
-    return [sp = std::move(sp), kind, count,
-            st = std::move(st)](uint64_t slice) {
-        ManagedSession &s = *sp;
-        if (s.closing.load(std::memory_order_acquire))
-            throw std::runtime_error("session destroyed");
-        // The slice is the exclusion unit: an RSP peek waiting on
-        // sliceMu gets the session at this boundary, never mid-µop.
-        std::lock_guard<std::mutex> sliceLk(s.sliceMu);
-        bool done = false;
-        switch (kind) {
-          case RequestKind::Cont:
-            st->stop = s.session.contSlice(slice);
-            done = st->stop.reason != StopReason::Step;
-            break;
-          case RequestKind::RunToEnd:
-            st->stop = s.session.stepi(slice);
-            done = st->stop.reason != StopReason::Step;
-            break;
-          case RequestKind::Stepi: {
-            uint64_t n = std::min(st->remaining, slice);
-            st->stop = s.session.stepi(n);
-            st->remaining -= n;
-            done = st->remaining == 0 ||
-                   st->stop.reason != StopReason::Step;
-            break;
-          }
-          // The reverse verbs: one cheap restore, then bounded replay
-          // quanta — no more slot-pinning for the whole replay.
-          case RequestKind::ReverseContinue:
-          case RequestKind::ReverseStep:
-          case RequestKind::RunToEvent:
-            if (!st->begun) {
-                st->begun = true;
-                st->stop = s.session.reverseBegin(kind, count, done);
-            } else {
-                st->stop = s.session.reverseSlice(slice, done);
-            }
-            break;
-          default:
-            throw std::runtime_error("not a resume verb");
-        }
-        s.slices.fetch_add(1, std::memory_order_relaxed);
-        s.publishProgress();
-        s.pushEvents();
-        return done;
+    // The worker running a slice posts it here and waits for it.
+    struct Inbox
+    {
+        std::mutex mu;
+        std::condition_variable cv;
+        std::packaged_task<bool()> *slice = nullptr;
+        bool closed = false;
     };
+    auto box = std::make_shared<Inbox>();
+    TicketPtr t = submit(
+        [&s, box](uint64_t n) {
+            std::packaged_task<bool()> slice(
+                [&s, n] { return stepSlice(s, n); });
+            std::future<bool> done = slice.get_future();
+            {
+                std::lock_guard<std::mutex> lk(box->mu);
+                box->slice = &slice;
+            }
+            box->cv.notify_all();
+            return done.get(); // rethrows what the step threw
+        },
+        [box](const JobResult &) {
+            std::lock_guard<std::mutex> lk(box->mu);
+            box->closed = true;
+            box->cv.notify_all();
+        });
+    for (;;) {
+        std::packaged_task<bool()> *slice = nullptr;
+        {
+            std::unique_lock<std::mutex> lk(box->mu);
+            box->cv.wait(lk, [&] { return box->slice || box->closed; });
+            std::swap(slice, box->slice);
+        }
+        if (!slice)
+            break;
+        (*slice)();
+    }
+    if (!wait(t, err))
+        return false;
+    s.jobs.fetch_add(1, std::memory_order_relaxed);
+    return true;
+}
+
+bool
+JobScheduler::drive(ManagedSession &s, const Request &req, Response &out,
+                    std::string *err)
+{
+    if (!s.session.begin(req) && !complete(s, err))
+        return false;
+    out = s.session.finish();
+    s.publishProgress();
+    s.pushEvents();
+    return true;
 }
 
 bool
 JobScheduler::drive(ManagedSession &s, RequestKind kind, uint64_t count,
                     StopInfo &out, std::string *err)
 {
-    if (!precheck(s, kind, err))
+    if (!isResume(kind)) {
+        if (err)
+            *err = "not a resume verb";
         return false;
-    auto st = std::make_shared<ExecState>();
-    // drive() is called with exclusive session access held by the
-    // caller; the bare shared_ptr aliasing trick is safe because the
-    // caller outlives the synchronous wait.
-    ManagedSessionPtr alias(ManagedSessionPtr{}, &s);
-    TicketPtr t = submit(makeExecSlice(alias, kind, count, st));
-    if (!wait(t, err))
+    }
+    Request req;
+    req.kind = kind;
+    req.count = count;
+    Response resp;
+    if (!drive(s, req, resp, err))
         return false;
-    s.jobs.fetch_add(1, std::memory_order_relaxed);
-    out = st->stop;
+    if (!resp.ok()) {
+        if (err)
+            *err = resp.error;
+        return false;
+    }
+    out = resp.stop;
     return true;
 }
 
@@ -299,31 +292,43 @@ JobScheduler::driveAsync(ManagedSessionPtr sp, RequestKind kind,
                          uint64_t count, ExecDoneFn done,
                          std::string *err)
 {
-    if (!sp) {
+    if (!sp || !isResume(kind)) {
         if (err)
-            *err = "no session";
+            *err = sp ? "not a resume verb" : "no session";
         return nullptr;
     }
-    if (!precheck(*sp, kind, err))
+    Request req;
+    req.kind = kind;
+    req.count = count;
+    if (sp->session.begin(req)) {
+        // Resume verbs only complete outright when refused.
+        Response resp = sp->session.finish();
+        if (err)
+            *err = resp.error;
         return nullptr;
-    auto st = std::make_shared<ExecState>();
-    ManagedSessionPtr keep = sp;
+    }
+    // The completion runs outside any slice, where a non-stop peek may
+    // hold the session: it reads the session only under sliceMu.
+    auto stop = std::make_shared<StopInfo>();
     return submit(
-        makeExecSlice(sp, kind, count, st),
-        [keep, st, done = std::move(done)](const JobResult &res) {
-            keep->jobs.fetch_add(1, std::memory_order_relaxed);
+        [sp, stop](uint64_t slice) {
+            return stepSlice(*sp, slice, stop.get());
+        },
+        [sp, stop, done = std::move(done)](const JobResult &res) {
+            sp->jobs.fetch_add(1, std::memory_order_relaxed);
             if (res.ok) {
-                done(true, false, st->stop, "");
+                done(true, false, *stop, "");
                 return;
             }
-            if (res.interrupted()) {
-                // The job stopped at a slice boundary: the session
-                // sits at a valid, deterministic intermediate
-                // position. Report it as the stop.
-                done(true, true, keep->session.currentStop(), "");
-                return;
+            // An interrupted job stopped at a slice boundary: the
+            // session sits at a valid, deterministic intermediate
+            // position. Report it as the stop.
+            {
+                std::lock_guard<std::mutex> lk(sp->sliceMu);
+                *stop = sp->session.currentStop();
             }
-            done(false, false, st->stop, res.error);
+            done(res.interrupted(), res.interrupted(), *stop,
+                 res.interrupted() ? "" : res.error);
         });
 }
 

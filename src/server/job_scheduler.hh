@@ -1,37 +1,33 @@
 /**
  * @file
- * The execution scheduler of the multi-session server, generalized
- * from the old RunQueue into a preemptible **Job** model.
+ * The execution scheduler of the multi-session server: a preemptible
+ * **Job** model over a pool of W worker threads.
  *
- * Every long-running operation — a forward resume, a reverse replay
- * (reverse-continue / reverse-step / run-to-event), a post-attach
- * rebuild-replay, an interval-parallel replay worker — is a Job: a
- * closure the scheduler calls one bounded µop-slice at a time. A pool
- * of W worker threads pops jobs from a FIFO ready queue, runs exactly
- * one slice, and requeues unfinished jobs at the back, so S contending
- * jobs round-robin — each advances one slice per scheduling round and
- * no job occupies a worker end-to-end. A reverse verb that replays a
- * million instructions therefore interleaves with a forward-stepping
- * session even on a single worker, which is the property that keeps
- * the server interactive under heavy replay load.
+ * A Job is a closure the scheduler calls one bounded slice at a time.
+ * Workers pop jobs from a FIFO ready queue, run exactly one slice, and
+ * requeue unfinished jobs at the back, so S contending jobs
+ * round-robin and no job occupies a worker end to end. Every long
+ * session verb is the session's one in-flight op
+ * (DebugSession::begin/step/finish) — resumes, reverse replays,
+ * post-attach rebuild-replays (a wire set-watch, a gdb `Z` after `c`),
+ * resurrection and shard adopt — and the scheduler runs each the same
+ * way: one step(sliceInsts) per slice. Interval-replay workers are
+ * jobs too. A reverse verb that replays a million instructions thus
+ * interleaves with a forward-stepping session even on one worker.
  *
- * Submission is either synchronous (drive(): submit + wait — the shape
- * every blocking protocol verb uses) or asynchronous (driveAsync():
- * completion callback, powering RSP non-stop `%Stop` notifications and
- * wire event push). Jobs are interruptible between slices: cancel()
- * finalizes the job with the "interrupted" error at its next
- * scheduling point, which the server layers translate into a stop at
- * the session's current (valid, deterministic) intermediate position —
- * a gdb Ctrl-C against a runaway continue.
+ * Submission is synchronous (drive(): the blocking protocol verbs) or
+ * asynchronous (driveAsync(): RSP non-stop `%Stop` notifications and
+ * wire event push). cancel() finalizes a job with the "interrupted"
+ * error at its next scheduling point; the session then sits at a
+ * valid, deterministic intermediate position — a gdb Ctrl-C against a
+ * runaway continue.
  *
  * Sessions are share-nothing; a job needs no lock but its caller's
- * exclusive session access, which the submitting connection delegates
- * to the scheduler for the job's lifetime (the old RunQueue pinned the
- * session to its connection thread instead — with a worker pool the
- * session migrates between workers at slice boundaries, each handoff
- * ordered by the scheduler mutex). Teardown mid-run stays a
- * slice-boundary affair: session jobs re-check the closing flag before
- * every slice.
+ * exclusive session access, which the submitter delegates to the
+ * scheduler for the job's lifetime (each handoff between workers is
+ * ordered by the scheduler mutex). Session jobs re-check the closing
+ * flag before every slice, so teardown mid-run is a slice-boundary
+ * affair.
  */
 
 #ifndef DISE_SERVER_JOB_SCHEDULER_HH
@@ -114,9 +110,6 @@ class JobScheduler
     JobScheduler(const JobScheduler &) = delete;
     JobScheduler &operator=(const JobScheduler &) = delete;
 
-    /** Is @p kind a resume verb drive() accepts? */
-    static bool isExecVerb(RequestKind kind);
-
     /** @name Generic preemptible jobs */
     ///@{
     TicketPtr submit(SliceFn fn, DoneFn onDone = {});
@@ -125,21 +118,25 @@ class JobScheduler
     /** Finalize @p t with the "interrupted" result at its next
      *  scheduling point (a job mid-slice finishes the slice first). */
     void cancel(const TicketPtr &t);
-    /** submit + wait. */
-    bool run(SliceFn fn, std::string *err = nullptr);
     ///@}
 
-    /** @name Session resume verbs */
+    /** @name Session ops
+     * Every long session verb is the session's one in-flight op
+     * (DebugSession::begin/step/finish); the scheduler runs any of
+     * them the same way. The caller must have exclusive use of the
+     * session (hold s.mu for shared sessions) and delegates it to the
+     * scheduler until the op completes. */
     ///@{
     /**
-     * Run @p kind to completion on @p s as a preemptible job,
-     * blocking the calling thread. The caller must have exclusive use
-     * of the session (hold s.mu for shared sessions) and delegates it
-     * to the scheduler until this returns. False with @p err when the
-     * session is destroyed mid-run, the backend cannot attach, or the
-     * verb is not a resume verb; @p out holds the final stop
-     * otherwise.
+     * Run @p req on @p s: begin() on the calling thread (an op that
+     * completes outright never touches the queue), then step the op
+     * as a preemptible job until it completes. False with @p err when
+     * the job fails (session destroyed, interrupted, injected fault,
+     * scheduler stopped); @p out holds the op's Response otherwise.
      */
+    bool drive(ManagedSession &s, const Request &req, Response &out,
+               std::string *err = nullptr);
+    /** The resume-verb form: false also when the verb is refused. */
     bool drive(ManagedSession &s, RequestKind kind, uint64_t count,
                StopInfo &out, std::string *err = nullptr);
     /**
@@ -153,6 +150,15 @@ class JobScheduler
     TicketPtr driveAsync(ManagedSessionPtr sp, RequestKind kind,
                          uint64_t count, ExecDoneFn done,
                          std::string *err = nullptr);
+    /** Step @p s's already-begun op to completion as a job. */
+    bool complete(ManagedSession &s, std::string *err = nullptr);
+    /** complete(), with each slice run on the calling thread while a
+     *  worker holds its slot: the same queue order and worker bound,
+     *  but the op's heap comes from the caller's malloc arena. For
+     *  ops that build a whole session (resurrection, adopt): on
+     *  rotating workers each rebuild fragments another arena. */
+    bool completeHere(ManagedSession &s, std::string *err = nullptr);
+
     ///@}
 
     /** Fail every queued job and join the workers (idempotent). */
@@ -164,20 +170,8 @@ class JobScheduler
     {
         return slices_.load(std::memory_order_relaxed);
     }
-    uint64_t jobsCompleted() const
-    {
-        return jobsDone_.load(std::memory_order_relaxed);
-    }
 
   private:
-    /** Shared state of one in-flight exec verb. */
-    struct ExecState;
-
-    SliceFn makeExecSlice(ManagedSessionPtr sp, RequestKind kind,
-                          uint64_t count,
-                          std::shared_ptr<ExecState> st);
-    bool precheck(ManagedSession &s, RequestKind kind,
-                  std::string *err);
     void workerLoop();
     void finalize(std::unique_lock<std::mutex> &lk, const TicketPtr &t,
                   JobResult res);
@@ -193,7 +187,6 @@ class JobScheduler
     uint64_t slice_;
     persist::FaultInjector *faults_;
     std::atomic<uint64_t> slices_{0};
-    std::atomic<uint64_t> jobsDone_{0};
 };
 
 } // namespace dise::server

@@ -116,6 +116,11 @@ DebugServer::DebugServer(DebugServerOptions opts,
                std::move(factory)),
       sched_({opts.slots, opts.sliceInsts, opts.faults})
 {
+    // Resurrection and shard adopt replay whole histories: run them as
+    // scheduler jobs like every other long op.
+    manager_.setRunner([this](ManagedSession &s, std::string *err) {
+        return sched_.completeHere(s, err);
+    });
 }
 
 DebugServer::~DebugServer()
@@ -320,26 +325,19 @@ DebugServer::serveRsp(int fd)
                      static_cast<unsigned long long>(ms->id));
 
     // Exclusive sessions are single-client by construction, so only
-    // the resume verbs need scheduling. The synchronous hook serves
+    // the long verbs need scheduling. The synchronous hook serves
     // all-stop gdb; the async hook powers non-stop mode (`vCont` OK'd
     // immediately, `%Stop` notification when the job lands) and lets
     // a Ctrl-C interrupt the job between slices.
-    auto exec = [this, ms](RequestKind kind, uint64_t count,
-                           StopInfo &out, std::string *e) {
-        return sched_.drive(*ms, kind, count, out, e);
+    auto exec = [this, ms](const Request &req, Response &out,
+                           std::string *e) {
+        return sched_.drive(*ms, req, out, e);
     };
     auto asyncExec = [this, ms](RequestKind kind, uint64_t count,
                                 rsp::RspConnection::AsyncDoneFn done)
         -> std::function<void()> {
-        std::string err;
-        JobScheduler::TicketPtr t = sched_.driveAsync(
-            ms, kind, count,
-            [done = std::move(done)](bool ok, bool interrupted,
-                                     const StopInfo &stop,
-                                     const std::string &e) {
-                done(ok, interrupted, stop, e);
-            },
-            &err);
+        JobScheduler::TicketPtr t =
+            sched_.driveAsync(ms, kind, count, std::move(done));
         if (!t)
             return {};
         return [this, t] { sched_.cancel(t); };
@@ -351,61 +349,6 @@ DebugServer::serveRsp(int fd)
     });
     conn.serve(fd);
     manager_.destroy(ms->id);
-}
-
-/**
- * A post-attach watch/break change can trigger a rebuild-replay —
- * O(timeline) work — so it runs as a preemptible job: the first slice
- * plans and commits the new machinery, subsequent slices advance the
- * replay by bounded quanta, round-robining with every other session's
- * jobs.
- */
-Response
-DebugServer::driveSpecJob(ManagedSession &s, const Request &req)
-{
-    Response resp;
-    resp.seq = req.seq;
-    resp.inReplyTo = req.kind;
-    bool isWatch = req.kind == RequestKind::SetWatch;
-    auto idx = std::make_shared<int>(-1);
-    auto begun = std::make_shared<bool>(false);
-    std::string err;
-    bool ok = sched_.run(
-        [&s, isWatch, watch = req.watch, brk = req.brk, idx,
-         begun](uint64_t slice) {
-            if (s.closing.load(std::memory_order_acquire))
-                throw std::runtime_error("session destroyed");
-            if (!*begun) {
-                *begun = true;
-                bool done = false;
-                *idx = isWatch ? s.session.setWatchBegin(watch, done)
-                               : s.session.setBreakBegin(brk, done);
-                return *idx < 0 || done;
-            }
-            return s.session.rebuildStep(slice);
-        },
-        &err);
-    if (!ok) {
-        resp.status = ResponseStatus::Error;
-        resp.error = err;
-        return resp;
-    }
-    s.jobs.fetch_add(1, std::memory_order_relaxed);
-    s.publishProgress();
-    s.pushEvents();
-    if (*idx < 0) {
-        resp.status = ResponseStatus::Unsupported;
-        // The session records exactly why it refused (which journal
-        // entry blocks the rebuild, or which capability is missing).
-        resp.error = !s.session.lastRefusal().empty()
-                         ? s.session.lastRefusal()
-                         : "the backend cannot implement the enlarged "
-                           "set, or the target advanced through a "
-                           "non-replayable batch run";
-        return resp;
-    }
-    resp.index = *idx;
-    return resp;
 }
 
 /**
@@ -513,6 +456,18 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
         return resp;
     };
 
+    // The session a hibernate / persist / export verb addresses. Our
+    // selection would count it busy: a move out deselects it first.
+    uint64_t target = req.session ? req.session : (sel ? sel->id : 0);
+    auto moveOut = [&](const std::function<bool()> &move) {
+        bool wasSelected = sel && sel->id == target;
+        if (wasSelected)
+            sel.reset();
+        bool ok = move();
+        if (!ok && wasSelected)
+            sel = manager_.find(target);
+        return ok;
+    };
     switch (req.kind) {
       case RequestKind::SessionCreate: {
         std::string err;
@@ -590,32 +545,20 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
         return resp;
       }
       case RequestKind::SessionHibernate: {
-        uint64_t id = req.session ? req.session : (sel ? sel->id : 0);
-        if (!id)
+        if (!target)
             return errorOut("no session selected");
-        // Our own selection reference would count the session busy;
-        // hibernating it implies deselecting it.
-        bool wasSelected = sel && sel->id == id;
-        if (wasSelected)
-            sel.reset();
         std::string err;
-        if (!manager_.hibernate(id, &err)) {
-            if (wasSelected)
-                sel = manager_.find(id); // restore the selection
+        if (!moveOut([&] { return manager_.hibernate(target, &err); }))
             return errorOut(err);
-        }
-        resp.value = id;
+        resp.value = target;
         return resp;
       }
       case RequestKind::SessionPersist: {
-        uint64_t id = req.session ? req.session : (sel ? sel->id : 0);
-        if (!id)
+        if (!target)
             return errorOut("no session selected");
         std::string err;
-        uint64_t digest = 0;
-        if (!manager_.persist(id, &err, &digest))
+        if (!manager_.persist(target, &err, &resp.value))
             return errorOut(err);
-        resp.value = digest;
         return resp;
       }
       case RequestKind::SessionExport: {
@@ -623,24 +566,16 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
         // image (hex in text=) and forget it. The digest rides in
         // value= so the adopting shard's replay can be cross-checked
         // end to end.
-        uint64_t id = req.session ? req.session : (sel ? sel->id : 0);
-        if (!id)
+        if (!target)
             return errorOut("no session selected");
         if (opts_.faults &&
             opts_.faults->shouldFail(
                 persist::FaultInjector::Site::MigrateExport))
             return errorOut("injected fault: migrate-export");
-        // Our own selection reference would count the session busy.
-        bool wasSelected = sel && sel->id == id;
-        if (wasSelected)
-            sel.reset();
         persist::SessionImage img;
         std::string err;
-        if (!manager_.extract(id, img, &err)) {
-            if (wasSelected)
-                sel = manager_.find(id);
+        if (!moveOut([&] { return manager_.extract(target, img, &err); }))
             return errorOut(err);
-        }
         resp.value = img.digest;
         resp.text = bytesToHex(persist::encodeImage(img));
         return resp;
@@ -759,30 +694,12 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
     bool dropSelection = false;
     {
         std::lock_guard<std::mutex> lk(sel->mu);
-        if (JobScheduler::isExecVerb(req.kind)) {
-            // Mirror DebugSession::dispatch's capability gate so
-            // remote clients still see "unsupported" for
-            // no-experiment cells.
-            if (!sel->session.attached() && !sel->session.attach()) {
-                resp.status = ResponseStatus::Unsupported;
-                resp.error = std::string("the ") +
-                             backendName(sel->session.backendKind()) +
-                             " backend cannot implement the requested "
-                             "watchpoints";
-                return resp;
-            }
-            StopInfo stop;
+        if (DebugSession::isLongVerb(req.kind)) {
             std::string err;
-            if (!sched_.drive(*sel, req.kind, req.count, stop, &err))
+            if (!sched_.drive(*sel, req, out, &err))
                 return errorOut(err);
-            resp.hasStop = true;
-            resp.stop = stop;
-            return resp;
+            return out;
         }
-        if ((req.kind == RequestKind::SetWatch ||
-             req.kind == RequestKind::SetBreak) &&
-            sel->session.attached())
-            return driveSpecJob(*sel, req);
         if (req.kind == RequestKind::ReplayVerify)
             return driveReplayVerify(*sel, req);
         out = sel->session.handle(req);

@@ -17,8 +17,9 @@
  *    enumerates, and server-stats reports the rolled-up aggregates.
  *
  * Every long-running operation from either protocol — forward resumes,
- * reverse replays, post-attach rebuild-replays, interval-parallel
- * replay workers — runs as a preemptible Job on the JobScheduler,
+ * reverse replays, post-attach rebuild-replays (wire set-watch, RSP
+ * `Z`), resurrection and shard adopt, interval-parallel replay
+ * workers — runs as a preemptible Job on the JobScheduler,
  * which bounds concurrent simulation and round-robins runnable jobs in
  * µop slices; everything else touches the session directly (under its
  * lock for shared wire sessions — exclusive RSP sessions are
@@ -126,7 +127,6 @@ class DebugServer
     /** One typed-wire request → one response, with connection-local
      *  session selection. */
     Response handleWire(const Request &req, WireConn &conn);
-    Response driveSpecJob(ManagedSession &s, const Request &req);
     Response driveReplayVerify(ManagedSession &s, const Request &req);
 
     DebugServerOptions opts_;

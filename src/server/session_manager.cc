@@ -68,19 +68,34 @@ SessionManager::adoptStore(persist::SessionStore *store)
     }
 }
 
+namespace {
+
+/** Why @p ms cannot leave the table now; nullptr when it is idle: not
+ *  connection-bound, no live event subscriptions, and the table holds
+ *  the only reference (no connection has it selected, no job is
+ *  driving it). */
+const char *
+busyReason(const ManagedSessionPtr &ms)
+{
+    if (ms->exclusive)
+        return "session is connection-bound (RSP target)";
+    if (ms->subscriberCount() > 0)
+        return "session has live event subscriptions";
+    if (ms.use_count() > 1)
+        return "session is busy (selected by a connection or running a "
+               "job)";
+    return nullptr;
+}
+
+} // namespace
+
 uint64_t
 SessionManager::victimLocked(const std::set<uint64_t> &tried) const
 {
     const ManagedSessionPtr *best = nullptr;
     for (const auto &kv : sessions_) {
         const ManagedSessionPtr &ms = kv.second;
-        // Evictable = idle: not connection-bound, no live event
-        // subscriptions, and the table holds the only reference (no
-        // connection has it selected, no job is driving it).
-        if (ms->exclusive || ms->subscriberCount() > 0 ||
-            ms.use_count() > 1)
-            continue;
-        if (tried.count(kv.first))
+        if (busyReason(ms) || tried.count(kv.first))
             continue;
         if (!best ||
             ms->lastTouch.load(std::memory_order_relaxed) <
@@ -91,17 +106,14 @@ SessionManager::victimLocked(const std::set<uint64_t> &tried) const
 }
 
 bool
-SessionManager::exportToStore(ManagedSession &ms, std::string *err)
+SessionManager::exportToStore(ManagedSession &ms, std::string *err,
+                              uint64_t *digest)
 {
     persist::SessionImage img;
     img.id = ms.id;
     img.workload = ms.workload;
-    std::string why;
-    if (!ms.session.exportImage(img, &why)) {
-        if (err)
-            *err = why;
+    if (!ms.session.exportImage(img, err))
         return false;
-    }
     persist::StoreResult res = store_->put(img);
     if (!res.ok) {
         if (err)
@@ -109,6 +121,8 @@ SessionManager::exportToStore(ManagedSession &ms, std::string *err)
                    res.detail;
         return false;
     }
+    if (digest)
+        *digest = img.digest;
     return true;
 }
 
@@ -129,47 +143,21 @@ SessionManager::create(const std::string &workload, BackendKind backend,
     SessionOptions sopts = opts_.session;
     sopts.debugger.backend = backend;
 
-    // Admission loop: at the cap, hibernate the LRU idle session and
-    // retry; a victim that turns busy (or whose persistence fails) is
-    // skipped, and only when nothing is evictable does the create
-    // reject. Eviction runs outside mu_ (it serializes on the victim,
-    // not the table).
-    std::set<uint64_t> tried;
-    for (;;) {
-        uint64_t victim = 0;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!opts_.maxSessions ||
-                sessions_.size() < opts_.maxSessions) {
-                uint64_t id = nextId_;
-                nextId_ += opts_.idStride;
-                auto ms = std::make_shared<ManagedSession>(
-                    id,
-                    workload.empty() ? std::string("demo") : workload,
-                    std::move(prog), std::move(sopts), exclusive);
-                sessions_.emplace(id, ms);
-                ++created_;
-                peak_ = std::max<uint64_t>(peak_, sessions_.size());
-                touch(*ms);
-                return ms;
-            }
-            if (store_)
-                victim = victimLocked(tried);
-            if (!victim) {
-                ++rejected_;
-                if (err)
-                    *err = "session cap reached (" +
-                           std::to_string(opts_.maxSessions) + ")" +
-                           (store_ ? " and no idle session to "
-                                     "hibernate"
-                                   : "");
-                return nullptr;
-            }
-        }
-        std::string hibErr;
-        if (!hibernate(victim, &hibErr))
-            tried.insert(victim); // victim got busy / store failure
+    ManagedSessionPtr ms = admit(
+        [&] {
+            uint64_t id = nextId_;
+            nextId_ += opts_.idStride;
+            ++created_;
+            return std::make_shared<ManagedSession>(
+                id, workload.empty() ? std::string("demo") : workload,
+                std::move(prog), std::move(sopts), exclusive);
+        },
+        err);
+    if (!ms) {
+        std::lock_guard<std::mutex> lk(mu_);
+        ++rejected_;
     }
+    return ms;
 }
 
 ManagedSessionPtr
@@ -205,56 +193,13 @@ SessionManager::hibernate(uint64_t id, std::string *err)
             *err = "the server has no session store (--store-dir)";
         return false;
     }
-    ManagedSessionPtr ms;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = sessions_.find(id);
-        if (it == sessions_.end()) {
-            if (err)
-                *err = hibernated_.count(id)
-                           ? "session is already hibernated"
-                           : "no such session";
-            return false;
-        }
-        if (it->second->exclusive) {
-            if (err)
-                *err = "session is connection-bound (RSP target)";
-            return false;
-        }
-        if (it->second->subscriberCount() > 0) {
-            if (err)
-                *err = "session has live event subscriptions";
-            return false;
-        }
-        if (it->second.use_count() > 1) {
-            if (err)
-                *err = "session is busy (selected by a connection or "
-                       "running a job)";
-            return false;
-        }
-        ms = it->second;
-        // Out of the table: no find() can hand it out while the
-        // export runs, so this reference is exclusive without
-        // touching the session lock.
-        sessions_.erase(it);
-    }
-    std::string why;
-    if (!exportToStore(*ms, &why)) {
-        std::lock_guard<std::mutex> lk(mu_);
-        sessions_.emplace(id, ms); // intact, exactly as it was
-        if (err)
-            *err = why;
-        return false;
-    }
+    ManagedSessionPtr ms = takeIdle(id, err);
+    if (!ms || !exportToStore(*ms, err))
+        return putBack(ms);
     std::lock_guard<std::mutex> lk(mu_);
     hibernated_[id] = ms->workload;
     ++evictions_;
-    retiredUops_ += ms->uops.load(std::memory_order_relaxed);
-    retiredInsts_ += ms->appInsts.load(std::memory_order_relaxed);
-    retiredEvents_ += ms->events.load(std::memory_order_relaxed);
-    retiredJobs_ += ms->jobs.load(std::memory_order_relaxed);
-    retiredPushed_ += ms->eventsPushed.load(std::memory_order_relaxed);
-    retiredDropped_ += ms->droppedSinks.load(std::memory_order_relaxed);
+    retireLocked(*ms);
     return true;
 }
 
@@ -270,67 +215,23 @@ SessionManager::persist(uint64_t id, std::string *err, uint64_t *digest)
     if (!ms)
         return false;
     std::lock_guard<std::mutex> slk(ms->mu);
-    persist::SessionImage img;
-    img.id = ms->id;
-    img.workload = ms->workload;
-    std::string why;
-    if (!ms->session.exportImage(img, &why)) {
-        if (err)
-            *err = why;
-        return false;
-    }
-    persist::StoreResult res = store_->put(img);
-    if (!res.ok) {
-        if (err)
-            *err = std::string(persist::storeErrName(res.err)) + ": " +
-                   res.detail;
-        return false;
-    }
-    if (digest)
-        *digest = img.digest;
-    return true;
+    return exportToStore(*ms, err, digest);
 }
 
 bool
 SessionManager::extract(uint64_t id, persist::SessionImage &img,
                         std::string *err)
 {
-    ManagedSessionPtr ms;
+    bool stored = false;
     {
+        // A hibernated session migrates as its stored image.
         std::lock_guard<std::mutex> lk(mu_);
-        auto it = sessions_.find(id);
-        if (it == sessions_.end()) {
-            // A hibernated session migrates as its stored image.
-            auto h = hibernated_.find(id);
-            if (h == hibernated_.end() || !store_) {
-                if (err)
-                    *err = "no such session";
-                return false;
-            }
-        } else {
-            if (it->second->exclusive) {
-                if (err)
-                    *err = "session is connection-bound (RSP target)";
-                return false;
-            }
-            if (it->second->subscriberCount() > 0) {
-                if (err)
-                    *err = "session has live event subscriptions";
-                return false;
-            }
-            if (it->second.use_count() > 1) {
-                if (err)
-                    *err = "session is busy (selected by a connection "
-                           "or running a job)";
-                return false;
-            }
-            ms = it->second;
-            // Out of the table: no find() can hand it out while the
-            // export runs, so this reference is exclusive.
-            sessions_.erase(it);
-        }
+        stored = !sessions_.count(id) && hibernated_.count(id) && store_;
     }
-    if (!ms) {
+    ManagedSessionPtr ms;
+    if (!stored && !(ms = takeIdle(id, err)))
+        return false;
+    if (stored) {
         persist::StoreResult res = store_->load(id, img);
         if (!res.ok) {
             if (err)
@@ -348,28 +249,144 @@ SessionManager::extract(uint64_t id, persist::SessionImage &img,
     img = persist::SessionImage{};
     img.id = ms->id;
     img.workload = ms->workload;
-    std::string why;
-    if (!ms->session.exportImage(img, &why)) {
-        std::lock_guard<std::mutex> lk(mu_);
-        sessions_.emplace(id, ms); // intact, exactly as it was
-        if (err)
-            *err = why;
-        return false;
-    }
+    if (!ms->session.exportImage(img, err))
+        return putBack(ms);
     std::lock_guard<std::mutex> lk(mu_);
     // The session now lives on another shard: fold its counters into
     // the retired totals and drop any on-disk artifact so a crash
     // here cannot resurrect a zombie copy.
-    retiredUops_ += ms->uops.load(std::memory_order_relaxed);
-    retiredInsts_ += ms->appInsts.load(std::memory_order_relaxed);
-    retiredEvents_ += ms->events.load(std::memory_order_relaxed);
-    retiredJobs_ += ms->jobs.load(std::memory_order_relaxed);
-    retiredPushed_ += ms->eventsPushed.load(std::memory_order_relaxed);
-    retiredDropped_ += ms->droppedSinks.load(std::memory_order_relaxed);
+    retireLocked(*ms);
     if (store_)
         store_->erase(id);
     ++migratedOut_;
     return true;
+}
+
+/**
+ * The one build-from-image path behind resurrect() and adopt(): a fresh
+ * session begins the resurrection op and the runner steps it to
+ * completion. On failure @p rejected tells the image's own failure (a
+ * refused spec set, replay divergence, a digest mismatch) from a run
+ * that merely did not finish.
+ */
+ManagedSessionPtr
+SessionManager::buildFromImage(const persist::SessionImage &img,
+                               const std::string &workload,
+                               const char *span, std::string *err,
+                               bool &rejected)
+{
+    rejected = false;
+    Program prog;
+    if (!factory_(workload, prog)) {
+        rejected = true;
+        if (err)
+            *err = "workload '" + workload + "' is not buildable";
+        return nullptr;
+    }
+    SessionOptions sopts = opts_.session;
+    sopts.debugger.backend = img.backend;
+    auto ms = std::make_shared<ManagedSession>(
+        img.id, workload, std::move(prog), std::move(sopts), false);
+
+    TRACE_SPAN("session", span);
+    uint64_t t0 = obs::nowNs();
+    if (!ms->session.begin(img)) {
+        if (runner_) {
+            if (!runner_(*ms, err))
+                return nullptr;
+        } else {
+            while (!ms->session.step(0)) {
+            }
+        }
+    }
+    Response resp = ms->session.finish();
+    if (!resp.ok()) {
+        rejected = true;
+        if (err)
+            *err = resp.error;
+        return nullptr;
+    }
+    obs::metrics().resurrectReplayUs.observe(obs::usSince(t0));
+    ms->publishProgress();
+    return ms;
+}
+
+/** Take live session @p id out of the table for an export, unless it is
+ *  busy. Out of the table no find() can hand it out, so the reference
+ *  is exclusive while the export runs without the session lock. */
+ManagedSessionPtr
+SessionManager::takeIdle(uint64_t id, std::string *err)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = sessions_.find(id);
+    const char *why = it == sessions_.end()
+                          ? (hibernated_.count(id)
+                                 ? "session is already hibernated"
+                                 : "no such session")
+                          : busyReason(it->second);
+    if (why) {
+        if (err)
+            *err = why;
+        return nullptr;
+    }
+    ManagedSessionPtr ms = std::move(it->second);
+    sessions_.erase(it);
+    return ms;
+}
+
+/** Return a session whose export failed to the table, intact. */
+bool
+SessionManager::putBack(const ManagedSessionPtr &ms)
+{
+    if (ms) {
+        std::lock_guard<std::mutex> lk(mu_);
+        sessions_.emplace(ms->id, ms);
+    }
+    return false;
+}
+
+ManagedSessionPtr
+SessionManager::admit(const std::function<ManagedSessionPtr()> &make,
+                      std::string *err)
+{
+    std::set<uint64_t> tried;
+    for (;;) {
+        uint64_t victim = 0;
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            if (!opts_.maxSessions ||
+                sessions_.size() < opts_.maxSessions) {
+                ManagedSessionPtr ms = make();
+                sessions_.emplace(ms->id, ms);
+                peak_ = std::max<uint64_t>(peak_, sessions_.size());
+                touch(*ms);
+                return ms;
+            }
+            victim = store_ ? victimLocked(tried) : 0;
+            if (!victim) {
+                if (err)
+                    *err = "session cap reached (" +
+                           std::to_string(opts_.maxSessions) + ")" +
+                           (store_ ? " and no idle session to hibernate"
+                                   : "");
+                return nullptr;
+            }
+        }
+        std::string hibErr;
+        if (!hibernate(victim, &hibErr))
+            tried.insert(victim); // victim got busy / store failure
+    }
+}
+
+void
+SessionManager::retireLocked(const ManagedSession &ms)
+{
+    retiredUops_ += ms.uops.load(std::memory_order_relaxed);
+    retiredInsts_ += ms.appInsts.load(std::memory_order_relaxed);
+    retiredEvents_ += ms.events.load(std::memory_order_relaxed);
+    retiredJobs_ += ms.jobs.load(std::memory_order_relaxed);
+    retiredPushed_ += ms.eventsPushed.load(std::memory_order_relaxed);
+    retiredDropped_ += ms.droppedSinks.load(std::memory_order_relaxed);
 }
 
 ManagedSessionPtr
@@ -387,38 +404,15 @@ SessionManager::adopt(const persist::SessionImage &img, std::string *err)
             return nullptr;
         }
     }
-    Program prog;
-    if (!factory_(img.workload, prog)) {
+    std::string why;
+    bool rejected = false;
+    ManagedSessionPtr ms =
+        buildFromImage(img, img.workload, "session.adopt", &why, rejected);
+    if (!ms) {
         if (err)
-            *err = "workload '" + img.workload + "' is not buildable "
-                   "on this shard";
+            *err = "adopt replay failed: " + why;
         return nullptr;
     }
-    SessionOptions sopts = opts_.session;
-    sopts.debugger.backend = img.backend;
-    auto ms = std::make_shared<ManagedSession>(
-        img.id, img.workload, std::move(prog), std::move(sopts), false);
-
-    {
-        TRACE_SPAN("session", "session.adopt");
-        uint64_t t0 = obs::nowNs();
-        bool done = false;
-        std::string serr;
-        if (!ms->session.resurrectBegin(img, done, &serr)) {
-            if (err)
-                *err = "adopt replay failed: " + serr;
-            return nullptr;
-        }
-        while (!done) {
-            if (!ms->session.resurrectStep(0, done, &serr)) {
-                if (err)
-                    *err = "adopt replay failed: " + serr;
-                return nullptr;
-            }
-        }
-        obs::metrics().resurrectReplayUs.observe(obs::usSince(t0));
-    }
-    ms->publishProgress();
 
     // Make the migration durable on this shard before admitting: a
     // crash from here on recovers the session from this store.
@@ -432,38 +426,17 @@ SessionManager::adopt(const persist::SessionImage &img, std::string *err)
             return nullptr;
         }
     }
-
-    // Admit under the cap, evicting an LRU idle victim if needed
-    // (mirroring create()).
-    std::set<uint64_t> tried;
-    for (;;) {
-        uint64_t victim = 0;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!opts_.maxSessions ||
-                sessions_.size() < opts_.maxSessions) {
-                sessions_.emplace(img.id, ms);
+    if (admit(
+            [&] {
                 reserveIdLocked(img.id);
                 ++migratedIn_;
-                peak_ = std::max<uint64_t>(peak_, sessions_.size());
-                touch(*ms);
                 return ms;
-            }
-            victim = store_ ? victimLocked(tried) : 0;
-            if (!victim) {
-                if (store_)
-                    store_->erase(img.id);
-                if (err)
-                    *err = "session cap reached (" +
-                           std::to_string(opts_.maxSessions) +
-                           ") and no idle session to hibernate";
-                return nullptr;
-            }
-        }
-        std::string hibErr;
-        if (!hibernate(victim, &hibErr))
-            tried.insert(victim);
-    }
+            },
+            err))
+        return ms;
+    if (store_)
+        store_->erase(img.id);
+    return nullptr;
 }
 
 ManagedSessionPtr
@@ -487,15 +460,6 @@ SessionManager::resurrect(uint64_t id, std::string *err)
         workload = h->second;
     }
 
-    auto quarantined = [&](const std::string &why) -> ManagedSessionPtr {
-        store_->quarantine(id, why);
-        std::lock_guard<std::mutex> lk(mu_);
-        hibernated_.erase(id);
-        if (err)
-            *err = "resurrection failed (image quarantined): " + why;
-        return nullptr;
-    };
-
     persist::SessionImage img;
     persist::StoreResult res = store_->load(id, img);
     if (!res.ok) {
@@ -510,58 +474,36 @@ SessionManager::resurrect(uint64_t id, std::string *err)
         return nullptr;
     }
 
-    Program prog;
-    if (!factory_(workload, prog))
-        return quarantined("workload '" + workload +
-                           "' is no longer buildable");
-    SessionOptions sopts = opts_.session;
-    sopts.debugger.backend = img.backend;
-    auto ms = std::make_shared<ManagedSession>(
-        id, workload, std::move(prog), std::move(sopts), false);
-
-    {
-        TRACE_SPAN("session", "session.resurrect");
-        uint64_t t0 = obs::nowNs();
-        bool done = false;
-        std::string serr;
-        if (!ms->session.resurrectBegin(img, done, &serr))
-            return quarantined(serr);
-        while (!done)
-            if (!ms->session.resurrectStep(0, done, &serr))
-                return quarantined(serr);
-        obs::metrics().resurrectReplayUs.observe(obs::usSince(t0));
-    }
-    ms->publishProgress();
-
-    // Admit the resurrected session under the cap; at the cap an LRU
-    // idle victim hibernates to make room (mirroring create()).
-    std::set<uint64_t> tried;
-    for (;;) {
-        uint64_t victim = 0;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!opts_.maxSessions ||
-                sessions_.size() < opts_.maxSessions) {
-                hibernated_.erase(id);
-                sessions_.emplace(id, ms);
-                ++resurrections_;
-                peak_ = std::max<uint64_t>(peak_, sessions_.size());
-                touch(*ms);
-                return ms;
-            }
-            victim = victimLocked(tried);
-            if (!victim) {
-                if (err)
-                    *err = "session cap reached (" +
-                           std::to_string(opts_.maxSessions) +
-                           ") and no idle session to hibernate";
-                return nullptr; // stays hibernated; retry later
-            }
+    std::string why;
+    bool rejected = false;
+    ManagedSessionPtr ms =
+        buildFromImage(img, workload, "session.resurrect", &why, rejected);
+    if (!ms) {
+        if (!rejected) {
+            // The run itself failed (interrupted, injected fault,
+            // scheduler stopped): the image is fine and stays
+            // hibernated for the next attempt.
+            if (err)
+                *err = "resurrection failed: " + why;
+            return nullptr;
         }
-        std::string hibErr;
-        if (!hibernate(victim, &hibErr))
-            tried.insert(victim);
+        store_->quarantine(id, why);
+        std::lock_guard<std::mutex> lk(mu_);
+        hibernated_.erase(id);
+        if (err)
+            *err = "resurrection failed (image quarantined): " + why;
+        return nullptr;
     }
+
+    // At the cap with nothing evictable the image stays hibernated;
+    // retry later.
+    return admit(
+        [&] {
+            hibernated_.erase(id);
+            ++resurrections_;
+            return ms;
+        },
+        err);
 }
 
 bool
@@ -587,12 +529,7 @@ SessionManager::destroy(uint64_t id)
     // still in flight publishes once more, but its session no longer
     // appears in either the live list or (beyond this snapshot) the
     // totals — a bounded, documented undercount at teardown.
-    retiredUops_ += ms->uops.load(std::memory_order_relaxed);
-    retiredInsts_ += ms->appInsts.load(std::memory_order_relaxed);
-    retiredEvents_ += ms->events.load(std::memory_order_relaxed);
-    retiredJobs_ += ms->jobs.load(std::memory_order_relaxed);
-    retiredPushed_ += ms->eventsPushed.load(std::memory_order_relaxed);
-    retiredDropped_ += ms->droppedSinks.load(std::memory_order_relaxed);
+    retireLocked(*ms);
     // The on-disk image (if any) dies with the session.
     if (store_)
         store_->erase(id);

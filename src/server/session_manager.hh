@@ -299,13 +299,36 @@ class SessionManager
                             std::string *err = nullptr);
     ///@}
 
+    /** Steps a session's begun op to completion; false (with @p err)
+     *  when the run itself fails (interrupted, injected fault,
+     *  scheduler stopped). The server's runs it as a scheduler job;
+     *  without one, resurrection and adopt step inline. */
+    using OpRunner =
+        std::function<bool(ManagedSession &s, std::string *err)>;
+    void setRunner(OpRunner runner) { runner_ = std::move(runner); }
+
     /** Admission counters + per-session rollups (live + retired).
      *  Never blocks on a running session. */
     ServerStats stats() const;
 
   private:
     ManagedSessionPtr resurrect(uint64_t id, std::string *err);
-    bool exportToStore(ManagedSession &ms, std::string *err);
+    ManagedSessionPtr buildFromImage(const persist::SessionImage &img,
+                                     const std::string &workload,
+                                     const char *span, std::string *err,
+                                     bool &rejected);
+    ManagedSessionPtr takeIdle(uint64_t id, std::string *err);
+    bool putBack(const ManagedSessionPtr &ms);
+    /** Admit the session @p make returns (called under mu_ once there
+     *  is room). At the cap LRU idle victims hibernate, outside mu_, to
+     *  make room; nullptr (with @p err) when nothing is evictable. */
+    ManagedSessionPtr admit(const std::function<ManagedSessionPtr()> &make,
+                            std::string *err);
+    /** Fold @p ms's published counters into the retired totals. Call
+     *  with mu_ held. */
+    void retireLocked(const ManagedSession &ms);
+    bool exportToStore(ManagedSession &ms, std::string *err,
+                       uint64_t *digest = nullptr);
     /** Bump nextId_ past @p id, preserving the idStart residue. Call
      *  with mu_ held. */
     void reserveIdLocked(uint64_t id);
@@ -315,6 +338,7 @@ class SessionManager
 
     SessionManagerOptions opts_;
     ProgramFactory factory_;
+    OpRunner runner_;
 
     persist::SessionStore *store_ = nullptr;
     /** Serializes resurrections (so two selects of one hibernated id

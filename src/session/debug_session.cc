@@ -1,6 +1,7 @@
 #include "session/debug_session.hh"
 
 #include <cstdlib>
+#include <utility>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -26,6 +27,15 @@ sameBreak(const BreakSpec &a, const BreakSpec &b)
            a.condConst == b.condConst;
 }
 
+/** The stable session index of a backend-installed spec index. */
+int
+ownerOf(const std::vector<int> &owners, int installed)
+{
+    return installed >= 0 && static_cast<size_t>(installed) < owners.size()
+               ? owners[installed]
+               : installed;
+}
+
 } // namespace
 
 DebugSession::DebugSession(Program program, SessionOptions opts)
@@ -43,99 +53,27 @@ DebugSession::selectBackend(BackendKind kind)
     if (attached())
         return false;
     opts_.debugger.backend = kind;
-    attachFailed_ = false; // a different technique may succeed
     return true;
-}
-
-int
-DebugSession::setWatchBegin(const WatchSpec &spec, bool &done)
-{
-    done = true;
-    for (size_t i = 0; i < pendingWatches_.size(); ++i) {
-        if (sameWatch(pendingWatches_[i], spec)) {
-            int idx = static_cast<int>(i);
-            // A spec muted before attach was never installed; arming
-            // it now takes a machinery rebuild like any new spec.
-            if (attached() && watchInstalled_[i] < 0) {
-                mutedWatches_.erase(idx);
-                if (!rebuildBegin()) {
-                    mutedWatches_.insert(idx);
-                    return -1;
-                }
-                done = !rebuild_.active;
-                return idx;
-            }
-            mutedWatches_.erase(idx);
-            return idx;
-        }
-    }
-    if (attached()) {
-        // Post-attach addition: rebuild from the initial state with
-        // the enlarged set and replay to the current position. On
-        // failure the original session is untouched.
-        pendingWatches_.push_back(spec);
-        if (!rebuildBegin()) {
-            pendingWatches_.pop_back();
-            return -1;
-        }
-        done = !rebuild_.active;
-        return static_cast<int>(pendingWatches_.size()) - 1;
-    }
-    pendingWatches_.push_back(spec);
-    return static_cast<int>(pendingWatches_.size()) - 1;
 }
 
 int
 DebugSession::setWatch(const WatchSpec &spec)
 {
-    bool done = false;
-    int idx = setWatchBegin(spec, done);
-    while (idx >= 0 && !done)
-        done = rebuildStep(0);
-    return idx;
-}
-
-int
-DebugSession::setBreakBegin(const BreakSpec &spec, bool &done)
-{
-    done = true;
-    for (size_t i = 0; i < pendingBreaks_.size(); ++i) {
-        if (sameBreak(pendingBreaks_[i], spec)) {
-            int idx = static_cast<int>(i);
-            if (attached() && breakInstalled_[i] < 0) {
-                mutedBreaks_.erase(idx);
-                if (!rebuildBegin()) {
-                    mutedBreaks_.insert(idx);
-                    return -1;
-                }
-                done = !rebuild_.active;
-                return idx;
-            }
-            mutedBreaks_.erase(idx);
-            return idx;
-        }
-    }
-    if (attached()) {
-        pendingBreaks_.push_back(spec);
-        if (!rebuildBegin()) {
-            pendingBreaks_.pop_back();
-            return -1;
-        }
-        done = !rebuild_.active;
-        return static_cast<int>(pendingBreaks_.size()) - 1;
-    }
-    pendingBreaks_.push_back(spec);
-    return static_cast<int>(pendingBreaks_.size()) - 1;
+    Request req;
+    req.kind = RequestKind::SetWatch;
+    req.watch = spec;
+    Response resp = run(req);
+    return resp.ok() ? static_cast<int>(resp.index) : -1;
 }
 
 int
 DebugSession::setBreak(const BreakSpec &spec)
 {
-    bool done = false;
-    int idx = setBreakBegin(spec, done);
-    while (idx >= 0 && !done)
-        done = rebuildStep(0);
-    return idx;
+    Request req;
+    req.kind = RequestKind::SetBreak;
+    req.brk = spec;
+    Response resp = run(req);
+    return resp.ok() ? static_cast<int>(resp.index) : -1;
 }
 
 bool
@@ -175,18 +113,21 @@ DebugSession::ensurePeekTarget()
     if (!preview_) {
         preview_ = std::make_unique<DebugTarget>(program_);
         preview_->load();
-        for (const PendingPoke &p : pendingPokes_) {
-            if (p.isReg) {
-                if (p.reg == PcRegIndex)
-                    preview_->arch.pc = p.value;
-                else
-                    preview_->arch.write(ir(p.reg), p.value);
-            } else {
-                preview_->mem.write(p.addr, p.size, p.value);
-            }
-        }
+        for (const PendingPoke &p : pendingPokes_)
+            applyPoke(*preview_, p);
     }
     return *preview_;
+}
+
+void
+DebugSession::applyPoke(DebugTarget &t, const PendingPoke &p)
+{
+    if (!p.isReg)
+        t.mem.write(p.addr, p.size, p.value);
+    else if (p.reg == PcRegIndex)
+        t.arch.pc = p.value;
+    else
+        t.arch.write(ir(p.reg), p.value);
 }
 
 bool
@@ -220,16 +161,8 @@ DebugSession::buildMachinery(Machinery &m)
     // checkpoint). Kept across rebuilds: every re-attach re-applies
     // the same initial state.
     auto applyPokes = [this](DebugTarget &t) {
-        for (const PendingPoke &p : pendingPokes_) {
-            if (p.isReg) {
-                if (p.reg == PcRegIndex)
-                    t.arch.pc = p.value;
-                else
-                    t.arch.write(ir(p.reg), p.value);
-            } else {
-                t.mem.write(p.addr, p.size, p.value);
-            }
-        }
+        for (const PendingPoke &p : pendingPokes_)
+            applyPoke(t, p);
     };
     return m.debugger->attach(applyPokes);
 }
@@ -245,7 +178,6 @@ DebugSession::commitMachinery(Machinery &m)
     breakInstalled_ = std::move(m.breakInstalled);
     installedWatchOwner_ = std::move(m.installedWatchOwner);
     installedBreakOwner_ = std::move(m.installedBreakOwner);
-    attachFailed_ = false;
     preview_.reset();
 
     // The fresh backend has empty event lists; everything re-crossed
@@ -270,10 +202,8 @@ DebugSession::attach()
     DISE_ASSERT(!detached_, "session already detached");
 
     Machinery m;
-    if (!buildMachinery(m)) {
-        attachFailed_ = true;
+    if (!buildMachinery(m))
         return false;
-    }
     commitMachinery(m);
     return true;
 }
@@ -300,23 +230,14 @@ DebugSession::markDetail(const EventMark &mk, int &sessIdx,
       case EventKind::Watch:
         if (i < backend.watchEvents().size()) {
             const WatchEvent &we = backend.watchEvents()[i];
-            sessIdx = we.wpIndex >= 0 &&
-                              static_cast<size_t>(we.wpIndex) <
-                                  installedWatchOwner_.size()
-                          ? installedWatchOwner_[we.wpIndex]
-                          : we.wpIndex;
+            sessIdx = ownerOf(installedWatchOwner_, we.wpIndex);
             addr = we.addr;
         }
         break;
       case EventKind::Break:
-        if (i < backend.breakEvents().size()) {
-            const BreakEvent &be = backend.breakEvents()[i];
-            sessIdx = be.bpIndex >= 0 &&
-                              static_cast<size_t>(be.bpIndex) <
-                                  installedBreakOwner_.size()
-                          ? installedBreakOwner_[be.bpIndex]
-                          : be.bpIndex;
-        }
+        if (i < backend.breakEvents().size())
+            sessIdx = ownerOf(installedBreakOwner_,
+                              backend.breakEvents()[i].bpIndex);
         break;
       case EventKind::Protection:
         if (i < backend.protectionEvents().size())
@@ -381,24 +302,14 @@ DebugSession::applyJournalEntry(const Intervention &iv)
  * part: capture the current position's instrumentation-invariant
  * identity and the intervention journal, build fresh machinery with
  * the enlarged spec set, and commit it. The replay back to the
- * captured position is metered out by rebuildStep(). Returns false —
- * leaving the live session untouched — when the target advanced
- * through a non-replayable batch run or the backend cannot implement
- * the enlarged set.
+ * captured position is metered out by replayRebuild(). Returns false —
+ * leaving the live session untouched — when the backend cannot
+ * implement the enlarged set.
  */
 bool
 DebugSession::rebuildBegin()
 {
     refusal_.clear();
-    // A batch cycle-level/functional run advanced the target outside
-    // the replayable timeline: there is no position to rebuild to.
-    if (batchRan_) {
-        refusal_ = "rebuild refused: a batch cycle-level/functional "
-                   "run advanced the target outside the replayable "
-                   "timeline";
-        return false;
-    }
-
     rebuild_ = RebuildPlan{};
     rebuild_.hadTravel = debugger_->timeTraveling();
     if (rebuild_.hadTravel) {
@@ -474,16 +385,12 @@ DebugSession::rebuildBegin()
         refusal_ = std::string("rebuild refused: the ") +
                    backendName(backendKind()) +
                    " backend cannot implement the enlarged spec set";
-        rebuild_ = RebuildPlan{};
         return false;
     }
     commitMachinery(m);
 
-    if (!rebuild_.hadTravel)
-        return true; // nothing to replay; rebuild_ stays inactive
-
-    debugger_->timeTravel(opts_.timeTravel);
-    rebuild_.active = true;
+    if (rebuild_.hadTravel)
+        debugger_->timeTravel(opts_.timeTravel);
     return true;
 }
 
@@ -501,10 +408,8 @@ DebugSession::rebuildBegin()
  * is back at its position.
  */
 bool
-DebugSession::rebuildStep(uint64_t maxInsts)
+DebugSession::replayRebuild(uint64_t maxInsts)
 {
-    if (!rebuild_.active)
-        return true;
     TimeTravel &tt = debugger_->timeTravel();
     uint64_t used = 0;
     auto budgetLeft = [&]() -> uint64_t {
@@ -512,10 +417,11 @@ DebugSession::rebuildStep(uint64_t maxInsts)
             return ~uint64_t{0};
         return maxInsts > used ? maxInsts - used : 0;
     };
-    // Run exactly @p need instructions (bounded by the budget);
-    // returns false when the budget expired first.
-    auto boundedStepi = [&](uint64_t need) {
-        while (need) {
+    // Run exactly @p need instructions (or, @p toHalt, until the
+    // target halts) within the budget; returns false when the budget
+    // expired first.
+    auto boundedStepi = [&](uint64_t need, bool toHalt = false) {
+        while (need && !(toHalt && tt.halted())) {
             uint64_t n = std::min(need, budgetLeft());
             if (n == 0)
                 return false;
@@ -567,7 +473,8 @@ DebugSession::rebuildStep(uint64_t maxInsts)
             if (chunk == 0)
                 return false;
             uint64_t before = tt.appInsts();
-            StopInfo stop = tt.contTo(tt.appInsts() + chunk);
+            StopInfo stop =
+                tt.travel(TravelVerb::Cont, tt.appInsts() + chunk);
             used += tt.appInsts() - before;
             scanMarks();
             DISE_ASSERT(goal.reached ||
@@ -604,17 +511,8 @@ DebugSession::rebuildStep(uint64_t maxInsts)
 
     // Phase 2: navigate back to the captured position.
     if (rebuild_.parkedAtHalt) {
-        while (!tt.halted()) {
-            uint64_t chunk =
-                std::min<uint64_t>(budgetLeft(), uint64_t{1} << 30);
-            if (chunk == 0)
-                return false;
-            uint64_t before = tt.appInsts();
-            tt.stepi(chunk);
-            DISE_ASSERT(tt.halted() || tt.appInsts() > before,
-                        "rebuild replay made no progress toward halt");
-            used += tt.appInsts() - before;
-        }
+        if (!boundedStepi(uint64_t{1} << 62, true))
+            return false;
     } else if (rebuild_.parkedAtEvent) {
         // Run to the final park's occurrence; the new spec's own hits
         // pass by (and get announced) on the way. (The owner
@@ -635,31 +533,13 @@ DebugSession::rebuildStep(uint64_t maxInsts)
                 "rebuild replay fell short: at ", tt.appInsts(),
                 " insts, wanted ", rebuild_.targetInsts);
     pumpEvents();
-    rebuild_.active = false;
     return true;
-}
-
-/** The one-shot rebuild: plan, then replay to completion. */
-bool
-DebugSession::reattachAndReplay()
-{
-    if (!rebuildBegin())
-        return false;
-    while (!rebuildStep(0)) {
-    }
-    return true;
-}
-
-bool
-DebugSession::ensureAttached()
-{
-    return attach();
 }
 
 TimeTravel &
 DebugSession::ensureTravel()
 {
-    DISE_ASSERT(ensureAttached(), "the ", backendName(backendKind()),
+    DISE_ASSERT(attach(), "the ", backendName(backendKind()),
                 " backend cannot implement this session's requests");
     return debugger_->timeTravel(opts_.timeTravel);
 }
@@ -723,33 +603,23 @@ DebugSession::pumpEvents()
     // stream position; the backend's detection sequence is the best
     // per-event stamp.
     bool hasTravel = debugger_->timeTraveling();
-    auto sessionWatchIdx = [&](int installed) {
-        return installed >= 0 &&
-                       static_cast<size_t>(installed) <
-                           installedWatchOwner_.size()
-                   ? installedWatchOwner_[installed]
-                   : installed;
-    };
-    auto sessionBreakIdx = [&](int installed) {
-        return installed >= 0 &&
-                       static_cast<size_t>(installed) <
-                           installedBreakOwner_.size()
-                   ? installedBreakOwner_[installed]
-                   : installed;
+    auto stamp = [&](SessionEventKind kind, EventKind mk, size_t i,
+                     uint64_t seq) {
+        const EventMark *mark =
+            hasTravel ? findMark(mk, static_cast<int>(i)) : nullptr;
+        SessionEvent ev;
+        ev.kind = kind;
+        ev.time = mark ? mark->time : (hasTravel ? now : seq);
+        ev.appInsts = mark ? mark->appInsts : insts;
+        return ev;
     };
     for (; announcedWatch_ < ws.size(); ++announcedWatch_) {
         const WatchEvent &we = ws[announcedWatch_];
-        int idx = sessionWatchIdx(we.wpIndex);
+        int idx = ownerOf(installedWatchOwner_, we.wpIndex);
         if (mutedWatches_.count(idx))
             continue; // muted: consume the position, deliver nothing
-        const EventMark *mark =
-            hasTravel ? findMark(EventKind::Watch,
-                                 static_cast<int>(announcedWatch_))
-                      : nullptr;
-        SessionEvent ev;
-        ev.kind = SessionEventKind::Watch;
-        ev.time = mark ? mark->time : (hasTravel ? now : we.seq);
-        ev.appInsts = mark ? mark->appInsts : insts;
+        SessionEvent ev = stamp(SessionEventKind::Watch, EventKind::Watch,
+                                announcedWatch_, we.seq);
         ev.pc = we.pc;
         ev.index = idx;
         ev.addr = we.addr;
@@ -759,33 +629,20 @@ DebugSession::pumpEvents()
     }
     for (; announcedBreak_ < bs.size(); ++announcedBreak_) {
         const BreakEvent &be = bs[announcedBreak_];
-        int idx = sessionBreakIdx(be.bpIndex);
+        int idx = ownerOf(installedBreakOwner_, be.bpIndex);
         if (mutedBreaks_.count(idx))
             continue;
-        const EventMark *mark =
-            hasTravel ? findMark(EventKind::Break,
-                                 static_cast<int>(announcedBreak_))
-                      : nullptr;
-        SessionEvent ev;
-        ev.kind = SessionEventKind::Break;
-        ev.time = mark ? mark->time : (hasTravel ? now : be.seq);
-        ev.appInsts = mark ? mark->appInsts : insts;
+        SessionEvent ev = stamp(SessionEventKind::Break, EventKind::Break,
+                                announcedBreak_, be.seq);
         ev.pc = be.pc;
         ev.index = idx;
         events_.push(ev);
     }
     for (; announcedProt_ < ps.size(); ++announcedProt_) {
-        const ProtectionEvent &pe = ps[announcedProt_];
-        const EventMark *mark =
-            hasTravel ? findMark(EventKind::Protection,
-                                 static_cast<int>(announcedProt_))
-                      : nullptr;
-        SessionEvent ev;
-        ev.kind = SessionEventKind::Protection;
-        ev.time = mark ? mark->time : now;
-        ev.appInsts = mark ? mark->appInsts : insts;
-        ev.pc = pe.pc;
-        ev.addr = pe.addr;
+        SessionEvent ev = stamp(SessionEventKind::Protection,
+                                EventKind::Protection, announcedProt_, now);
+        ev.pc = ps[announcedProt_].pc;
+        ev.addr = ps[announcedProt_].addr;
         events_.push(ev);
     }
 
@@ -860,167 +717,332 @@ DebugSession::stopIsMuted(const StopInfo &stop) const
 {
     if (stop.reason != StopReason::Event || !debugger_)
         return false;
-    const DebugBackend &backend =
-        const_cast<Debugger &>(*debugger_).backend();
-    // Backend event records carry installed indices; translate to the
-    // stable session index before consulting the mute set.
-    size_t i = static_cast<size_t>(stop.mark.index);
-    switch (stop.mark.kind) {
-      case EventKind::Watch:
-        if (i < backend.watchEvents().size()) {
-            int installed = backend.watchEvents()[i].wpIndex;
-            int idx = installed >= 0 &&
-                              static_cast<size_t>(installed) <
-                                  installedWatchOwner_.size()
-                          ? installedWatchOwner_[installed]
-                          : installed;
-            return mutedWatches_.count(idx) > 0;
-        }
-        return false;
-      case EventKind::Break:
-        if (i < backend.breakEvents().size()) {
-            int installed = backend.breakEvents()[i].bpIndex;
-            int idx = installed >= 0 &&
-                              static_cast<size_t>(installed) <
-                                  installedBreakOwner_.size()
-                          ? installedBreakOwner_[installed]
-                          : installed;
-            return mutedBreaks_.count(idx) > 0;
-        }
-        return false;
-      case EventKind::Protection:
+    int idx = -1;
+    Addr addr = 0;
+    markDetail(stop.mark, idx, addr);
+    return stop.mark.kind == EventKind::Watch   ? mutedWatches_.count(idx)
+           : stop.mark.kind == EventKind::Break ? mutedBreaks_.count(idx)
+                                                : false;
+}
+
+// ------------------------------------------------------ the in-flight op
+
+bool
+DebugSession::isLongVerb(RequestKind kind)
+{
+    using K = RequestKind;
+    return kind == K::Cont || kind == K::Stepi || kind == K::RunToEnd ||
+           kind == K::ReverseContinue || kind == K::ReverseStep ||
+           kind == K::RunToEvent || kind == K::SetWatch ||
+           kind == K::SetBreak;
+}
+
+bool
+DebugSession::opPinned() const
+{
+    return !op_.done && op_.started &&
+           (op_.req.kind == RequestKind::SetWatch ||
+            op_.req.kind == RequestKind::SetBreak ||
+            op_.req.kind == RequestKind::SessionAdopt);
+}
+
+bool
+DebugSession::opFail(ResponseStatus status, const std::string &msg)
+{
+    op_.resp.status = status;
+    op_.resp.error = msg;
+    op_.done = true;
+    return true;
+}
+
+bool
+DebugSession::begin(const Request &req)
+{
+    DISE_ASSERT(isLongVerb(req.kind), requestKindName(req.kind),
+                " is not a long verb");
+    // A started rebuild or resurrection owns the machinery until it
+    // lands: the new verb waits behind it (see step()).
+    if (opPinned()) {
+        queued_ = req;
         return false;
     }
+    queued_.reset();
+    return startOp(req);
+}
+
+bool
+DebugSession::startOp(const Request &req)
+{
+    op_ = Op{};
+    op_.req = req;
+    if (req.kind == RequestKind::RunToEnd)
+        op_.req.count = uint64_t{1} << 62; // a stepi that ends at the halt
+    op_.done = false;
+    op_.resp.seq = req.seq;
+    op_.resp.inReplyTo = req.kind;
+    if (detached_)
+        return opFail(ResponseStatus::Error, "session is detached");
+    if (req.kind == RequestKind::SetWatch ||
+        req.kind == RequestKind::SetBreak)
+        return beginSpec(req);
+    // Attach is the capability gate ("no experiment" cells).
+    bool ok = false;
+    try {
+        ok = attach();
+    } catch (const std::exception &e) {
+        return opFail(ResponseStatus::Error, e.what());
+    }
+    if (!ok)
+        return opFail(ResponseStatus::Unsupported,
+                      std::string("the ") + backendName(backendKind()) +
+                          " backend cannot implement the requested "
+                          "watchpoints");
     return false;
 }
 
-// ----------------------------------------------------------- execution
-
-StopInfo
-DebugSession::cont()
+/** Index of the registered spec identical to @p req's, or -1. */
+int
+DebugSession::findSpec(const Request &req) const
 {
-    TimeTravel &tt = ensureTravel();
-    StopInfo stop;
-    do {
-        stop = tt.cont();
-        pumpEvents();
-    } while (stop.reason == StopReason::Event && stopIsMuted(stop));
-    return stop;
+    bool isWatch = req.kind == RequestKind::SetWatch;
+    size_t n = isWatch ? pendingWatches_.size() : pendingBreaks_.size();
+    for (size_t i = 0; i < n; ++i)
+        if (isWatch ? sameWatch(pendingWatches_[i], req.watch)
+                    : sameBreak(pendingBreaks_[i], req.brk))
+            return static_cast<int>(i);
+    return -1;
 }
 
-StopInfo
-DebugSession::contSlice(uint64_t maxInsts)
+/** Register or re-arm a spec outright, unless it needs a machinery
+ *  rebuild: a new post-attach spec, or one muted before attach (hence
+ *  never installed). */
+bool
+DebugSession::beginSpec(const Request &req)
 {
-    TimeTravel &tt = ensureTravel();
-    uint64_t limit = tt.appInsts() + maxInsts;
-    StopInfo stop;
-    do {
-        stop = tt.contTo(limit);
-        pumpEvents();
-    } while (stop.reason == StopReason::Event && stopIsMuted(stop));
-    return stop;
+    bool isWatch = req.kind == RequestKind::SetWatch;
+    int found = findSpec(req);
+    std::set<int> &muted = isWatch ? mutedWatches_ : mutedBreaks_;
+    const std::vector<int> &installed =
+        isWatch ? watchInstalled_ : breakInstalled_;
+    if (found >= 0 && (!attached() || installed[found] >= 0)) {
+        muted.erase(found);
+    } else if (!attached()) {
+        found = registerSpec(req);
+    } else if (batchRan_) {
+        // A batch cycle-level/functional run advanced the target
+        // outside the replayable timeline: no position to rebuild to.
+        refusal_ = "rebuild refused: a batch cycle-level/functional "
+                   "run advanced the target outside the replayable "
+                   "timeline";
+        return opFail(ResponseStatus::Unsupported, refusal_);
+    } else {
+        return false;
+    }
+    op_.resp.index = found;
+    op_.done = true;
+    return true;
 }
 
-StopInfo
-DebugSession::stepi(uint64_t n)
+/** Append @p req's spec; returns its session index. */
+int
+DebugSession::registerSpec(const Request &req)
 {
-    TimeTravel &tt = ensureTravel();
-    StopInfo stop = tt.stepi(n);
-    pumpEvents();
-    return stop;
+    if (req.kind == RequestKind::SetWatch) {
+        pendingWatches_.push_back(req.watch);
+        return static_cast<int>(pendingWatches_.size()) - 1;
+    }
+    pendingBreaks_.push_back(req.brk);
+    return static_cast<int>(pendingBreaks_.size()) - 1;
 }
 
-StopInfo
-DebugSession::runToEnd()
+/** The rebuild's first step: register the spec, plan the replay, and
+ *  commit the enlarged machinery (or refuse, session untouched). */
+bool
+DebugSession::startRebuild()
 {
-    TimeTravel &tt = ensureTravel();
-    StopInfo stop = tt.runToEnd();
-    pumpEvents();
-    return stop;
+    bool isWatch = op_.req.kind == RequestKind::SetWatch;
+    std::set<int> &muted = isWatch ? mutedWatches_ : mutedBreaks_;
+    // Re-arming a spec muted before attach, or adding a new one.
+    int idx = findSpec(op_.req);
+    bool rearm = idx >= 0;
+    if (rearm)
+        muted.erase(idx);
+    else
+        idx = registerSpec(op_.req);
+    if (!rebuildBegin()) {
+        if (rearm)
+            muted.insert(idx);
+        else if (isWatch)
+            pendingWatches_.pop_back();
+        else
+            pendingBreaks_.pop_back();
+        return opFail(ResponseStatus::Unsupported, refusal_);
+    }
+    op_.resp.index = idx;
+    op_.done = !rebuild_.hadTravel; // nothing to replay
+    return op_.done;
+}
+
+bool
+DebugSession::step(uint64_t budget)
+{
+    if (op_.done)
+        return true;
+    if (!advance(budget, !std::exchange(op_.started, true)))
+        return false;
+    if (!queued_)
+        return true;
+    // The pinned op landed; now the verb that waited behind it.
+    Request next = std::move(*queued_);
+    queued_.reset();
+    return startOp(next);
+}
+
+bool
+DebugSession::advance(uint64_t budget, bool first)
+{
+    switch (op_.req.kind) {
+      case RequestKind::SetWatch:
+      case RequestKind::SetBreak:
+        if (first)
+            return startRebuild();
+        try {
+            op_.done = replayRebuild(budget);
+            return op_.done;
+        } catch (...) {
+            // A rebuild that lost its way back leaves machinery no
+            // verb may run on.
+            op_.done = true;
+            queued_.reset();
+            detach();
+            throw;
+        }
+      case RequestKind::SessionAdopt:
+        return stepResurrect(budget, first);
+      default:
+        return stepTravel(budget, first);
+    }
 }
 
 /**
- * Muted events must not surface from a reverse-continue: when a sliced
- * travel finishes on one, transparently begin another travel further
- * into the past (the non-sliced verbs relied on a retry loop; the
- * sliced form restarts inside the same job).
+ * Resume verbs (see begin()). Muted events never surface: a forward
+ * run passes over them within its bound, and a reverse-continue
+ * begins another travel further into the past.
  */
-StopInfo
-DebugSession::restartMutedReverse(StopInfo stop, bool &done)
+bool
+DebugSession::stepTravel(uint64_t budget, bool first)
 {
-    if (sliceVerb_ != RequestKind::ReverseContinue)
-        return stop;
-    TimeTravel &tt = debugger_->timeTravel();
-    while (done && stop.reason == StopReason::Event &&
-           stopIsMuted(stop)) {
-        stop = tt.travelBegin(TravelVerb::ReverseContinue, 0, done);
-        pumpEvents();
-    }
-    return stop;
-}
-
-StopInfo
-DebugSession::reverseBegin(RequestKind kind, uint64_t count, bool &done)
-{
-    DISE_ASSERT(kind == RequestKind::ReverseContinue ||
-                    kind == RequestKind::ReverseStep ||
-                    kind == RequestKind::RunToEvent,
-                "not a sliced reverse verb");
     TimeTravel &tt = ensureTravel();
-    sliceVerb_ = kind;
-    TravelVerb verb = kind == RequestKind::ReverseContinue
-                          ? TravelVerb::ReverseContinue
-                          : kind == RequestKind::ReverseStep
-                                ? TravelVerb::ReverseStep
-                                : TravelVerb::RunToEvent;
-    StopInfo stop = tt.travelBegin(verb, count, done);
-    pumpEvents();
-    if (done)
-        stop = restartMutedReverse(stop, done);
-    return stop;
-}
-
-StopInfo
-DebugSession::reverseSlice(uint64_t maxInsts, bool &done)
-{
-    DISE_ASSERT(debugger_ && debugger_->timeTraveling(),
-                "reverseSlice() without reverseBegin()");
-    TimeTravel &tt = debugger_->timeTravel();
-    StopInfo stop = tt.travelStep(maxInsts, done);
-    pumpEvents();
-    if (done)
-        stop = restartMutedReverse(stop, done);
-    return stop;
-}
-
-StopInfo
-DebugSession::reverseContinue()
-{
+    StopInfo stop;
     bool done = false;
-    StopInfo stop = reverseBegin(RequestKind::ReverseContinue, 0, done);
-    while (!done)
-        stop = reverseSlice(0, done);
-    return stop;
+    switch (op_.req.kind) {
+      case RequestKind::Cont: {
+        uint64_t limit = budget ? tt.appInsts() + budget : 0;
+        do {
+            stop = tt.travel(TravelVerb::Cont, limit);
+            pumpEvents();
+        } while (stop.reason == StopReason::Event && stopIsMuted(stop));
+        done = stop.reason != StopReason::Step;
+        break;
+      }
+      case RequestKind::Stepi:
+      case RequestKind::RunToEnd: {
+        uint64_t &left = op_.req.count;
+        uint64_t n = budget ? std::min(left, budget) : left;
+        stop = tt.travel(TravelVerb::Stepi, n);
+        pumpEvents();
+        left -= n;
+        done = left == 0 || stop.reason != StopReason::Step;
+        break;
+      }
+      default: {
+        if (first) {
+            TravelVerb verb = op_.req.kind == RequestKind::ReverseStep
+                                  ? TravelVerb::ReverseStep
+                              : op_.req.kind == RequestKind::RunToEvent
+                                  ? TravelVerb::RunToEvent
+                                  : TravelVerb::ReverseContinue;
+            stop = tt.travelBegin(verb, op_.req.count, done);
+        } else {
+            stop = tt.travelStep(budget, done);
+        }
+        pumpEvents();
+        while (done && op_.req.kind == RequestKind::ReverseContinue &&
+               stop.reason == StopReason::Event && stopIsMuted(stop)) {
+            stop = tt.travelBegin(TravelVerb::ReverseContinue, 0, done);
+            pumpEvents();
+        }
+      }
+    }
+    if (!done)
+        return false;
+    op_.resp.hasStop = true;
+    op_.resp.stop = stop;
+    op_.done = true;
+    return true;
+}
+
+bool
+DebugSession::begin(const persist::SessionImage &img)
+{
+    op_ = Op{};
+    queued_.reset();
+    op_.req.kind = RequestKind::SessionAdopt;
+    op_.done = false;
+    op_.resp.inReplyTo = RequestKind::SessionAdopt;
+    if (attached() || detached_ || !pendingWatches_.empty() ||
+        !pendingBreaks_.empty() || !pendingPokes_.empty())
+        return opFail(ResponseStatus::Error,
+                      "resurrection requires a freshly constructed "
+                      "session");
+    resurrect_ = img;
+    return false;
+}
+
+Response
+DebugSession::finish()
+{
+    DISE_ASSERT(op_.done, "finish() before the op completed");
+    return std::move(op_.resp);
+}
+
+Response
+DebugSession::run(const Request &req)
+{
+    if (!begin(req))
+        while (!step(0)) {
+        }
+    return finish();
+}
+
+Response
+DebugSession::runBeside(const Request &req)
+{
+    Op saved = std::exchange(op_, Op{});
+    std::optional<Request> savedQueue = std::exchange(queued_, {});
+    auto resume = [&] {
+        op_ = std::move(saved);
+        queued_ = std::move(savedQueue);
+    };
+    try {
+        Response resp = run(req);
+        resume();
+        return resp;
+    } catch (...) {
+        resume();
+        throw;
+    }
 }
 
 StopInfo
-DebugSession::reverseStep(uint64_t n)
+DebugSession::runStop(RequestKind kind, uint64_t count)
 {
-    bool done = false;
-    StopInfo stop = reverseBegin(RequestKind::ReverseStep, n, done);
-    while (!done)
-        stop = reverseSlice(0, done);
-    return stop;
-}
-
-StopInfo
-DebugSession::runToEvent(uint64_t n)
-{
-    bool done = false;
-    StopInfo stop = reverseBegin(RequestKind::RunToEvent, n, done);
-    while (!done)
-        stop = reverseSlice(0, done);
-    return stop;
+    Request req;
+    req.kind = kind;
+    req.count = count;
+    Response resp = run(req);
+    DISE_ASSERT(resp.ok(), resp.error);
+    return resp.stop;
 }
 
 std::unique_ptr<IntervalReplay>
@@ -1083,7 +1105,7 @@ DebugSession::currentStop()
 RunStats
 DebugSession::runCycles(TimingConfig cfg, RunLimits limits)
 {
-    DISE_ASSERT(ensureAttached(), "the ", backendName(backendKind()),
+    DISE_ASSERT(attach(), "the ", backendName(backendKind()),
                 " backend cannot implement this session's requests");
     batchRan_ = true;
     RunStats stats = debugger_->run(cfg, limits);
@@ -1101,7 +1123,7 @@ DebugSession::runCycles(TimingConfig cfg, RunLimits limits)
 FuncResult
 DebugSession::runFunctional(uint64_t maxAppInsts)
 {
-    DISE_ASSERT(ensureAttached(), "the ", backendName(backendKind()),
+    DISE_ASSERT(attach(), "the ", backendName(backendKind()),
                 " backend cannot implement this session's requests");
     batchRan_ = true;
     FuncResult res = debugger_->runFunctional(maxAppInsts);
@@ -1138,41 +1160,32 @@ DebugSession::writeRegister(unsigned index, uint64_t value)
 {
     if (index >= NumSessionRegs)
         return false;
-    if (!attached()) {
-        PendingPoke p;
-        p.isReg = true;
-        p.reg = index;
-        p.value = value;
-        pendingPokes_.push_back(p);
-        if (preview_) {
-            if (index == PcRegIndex)
-                preview_->arch.pc = value;
-            else
-                preview_->arch.write(ir(index), value);
-        }
-        return true;
-    }
-    if (debugger_->timeTraveling()) {
+    if (attached() && debugger_->timeTraveling()) {
         if (index == PcRegIndex)
             return false; // the PC is not a loggable intervention
         debugger_->timeTravel().pokeRegister(ir(index), value);
         return true;
     }
-    // Attached but not yet resumed: the target sits at its initial
-    // state, so the poke is part of that initial state — record it
-    // with the configuration-phase pokes so a machinery rebuild
-    // (post-attach spec addition) re-applies it instead of silently
-    // reverting the write.
     PendingPoke p;
     p.isReg = true;
     p.reg = index;
     p.value = value;
-    pendingPokes_.push_back(p);
-    if (index == PcRegIndex)
-        target_->arch.pc = value;
-    else
-        target_->arch.write(ir(index), value);
+    recordPoke(p);
     return true;
+}
+
+/**
+ * Before the first resume the target sits at its initial state, so a
+ * poke is part of that initial state: it joins the configuration-phase
+ * pokes, which attach and every machinery rebuild (post-attach spec
+ * addition) re-apply instead of silently reverting the write.
+ */
+void
+DebugSession::recordPoke(const PendingPoke &p)
+{
+    pendingPokes_.push_back(p);
+    if (DebugTarget *t = attached() ? target_.get() : preview_.get())
+        applyPoke(*t, p);
 }
 
 std::vector<uint8_t>
@@ -1189,28 +1202,15 @@ DebugSession::writeMemory(Addr addr, unsigned size, uint64_t value)
 {
     if (size == 0 || size > 8)
         return false;
-    if (!attached()) {
-        PendingPoke p;
-        p.addr = addr;
-        p.size = size;
-        p.value = value;
-        pendingPokes_.push_back(p);
-        if (preview_)
-            preview_->mem.write(addr, size, value);
-        return true;
-    }
-    if (debugger_->timeTraveling()) {
+    if (attached() && debugger_->timeTraveling()) {
         debugger_->timeTravel().pokeMemory(addr, size, value);
         return true;
     }
-    // See writeRegister: pre-resume pokes belong to the initial state
-    // and must survive a machinery rebuild.
     PendingPoke p;
     p.addr = addr;
     p.size = size;
     p.value = value;
-    pendingPokes_.push_back(p);
-    target_->mem.write(addr, size, value);
+    recordPoke(p);
     return true;
 }
 
@@ -1295,7 +1295,7 @@ DebugSession::toolEnable(
             *err = "session is detached";
         return false;
     }
-    if (!ensureAttached()) {
+    if (!attach()) {
         if (err)
             *err = std::string("the ") + backendName(backendKind()) +
                    " backend cannot attach this session";
@@ -1373,161 +1373,123 @@ DebugSession::exportImage(persist::SessionImage &img, std::string *err)
         return fail("a batch cycle-level/functional run advanced the "
                     "target outside the replayable timeline; the "
                     "session cannot be reconstructed from its log");
-    if (rebuild_.active)
-        return fail("a rebuild-replay is in flight; drive it to "
-                    "completion before persisting");
-    if (resurrect_.active)
-        return fail("a resurrection replay is in flight");
+    if (opPinned())
+        return fail(op_.req.kind == RequestKind::SessionAdopt
+                        ? "a resurrection replay is in flight"
+                        : "a rebuild-replay is in flight; drive it to "
+                          "completion before persisting");
 
-    img.backend = opts_.debugger.backend;
-    img.attached = attached();
-    img.watches = pendingWatches_;
-    img.breaks = pendingBreaks_;
-    img.mutedWatches.assign(mutedWatches_.begin(), mutedWatches_.end());
-    img.mutedBreaks.assign(mutedBreaks_.begin(), mutedBreaks_.end());
-    img.pokes.clear();
+    persist::SessionImage out;
+    out.id = img.id;
+    out.workload = img.workload;
+    out.backend = opts_.debugger.backend;
+    out.attached = attached();
+    out.watches = pendingWatches_;
+    out.breaks = pendingBreaks_;
+    out.mutedWatches.assign(mutedWatches_.begin(), mutedWatches_.end());
+    out.mutedBreaks.assign(mutedBreaks_.begin(), mutedBreaks_.end());
     for (const PendingPoke &p : pendingPokes_)
-        img.pokes.push_back({p.isReg, p.reg, p.addr, p.size, p.value});
+        out.pokes.push_back({p.isReg, p.reg, p.addr, p.size, p.value});
 
-    img.hasTravel = attached() && debugger_->timeTraveling();
-    img.seed = 0;
-    img.programName.clear();
-    img.interventions.clear();
-    img.marks.clear();
-    img.time = 0;
-    img.appInsts = 0;
-    img.digest = 0;
-    img.checkpoints.clear();
-    if (img.hasTravel) {
+    out.hasTravel = attached() && debugger_->timeTraveling();
+    if (out.hasTravel) {
         TimeTravel &tt = debugger_->timeTravel();
         if (tt.travelActive())
             return fail("a sliced travel is in flight; drive it to "
                         "completion before persisting");
         const ReplayLog &log = debugger_->replayLog();
-        img.seed = log.seed;
-        img.programName = log.programName;
-        img.interventions = log.interventions;
-        img.marks = log.marks;
-        img.time = tt.time();
-        img.appInsts = tt.appInsts();
-        img.digest = tt.digest();
+        out.seed = log.seed;
+        out.programName = log.programName;
+        out.interventions = log.interventions;
+        out.marks = log.marks;
+        out.time = tt.time();
+        out.appInsts = tt.appInsts();
+        out.digest = tt.digest();
         for (const Checkpoint &cp : tt.checkpoints())
-            img.checkpoints.push_back({cp.time, cp.appInsts});
+            out.checkpoints.push_back({cp.time, cp.appInsts});
     } else if (attached()) {
-        img.digest = digest();
+        out.digest = digest();
     }
-    img.toolDigests.clear();
     if (attached()) {
         const tools::ToolSet &ts = debugger_->backend().tools();
         for (const std::string &n : ts.enabledNames())
-            img.toolDigests.push_back({n, ts.digest(n)});
+            out.toolDigests.push_back({n, ts.digest(n)});
     }
+    img = std::move(out);
     return true;
 }
 
+/** The resurrection's first step: adopt the image's configuration,
+ *  re-attach identical machinery, inject the recorded log, and aim a
+ *  seek at the persisted µop position. */
 bool
-DebugSession::resurrectBegin(const persist::SessionImage &img,
-                             bool &done, std::string *err)
+DebugSession::startResurrect()
 {
-    done = true;
-    auto fail = [&](const std::string &why) {
-        if (err)
-            *err = why;
-        return false;
-    };
-    if (attached() || detached_ || !pendingWatches_.empty() ||
-        !pendingBreaks_.empty() || !pendingPokes_.empty())
-        return fail("resurrection requires a freshly constructed "
-                    "session");
-
+    persist::SessionImage &img = resurrect_;
     opts_.debugger.backend = img.backend;
     pendingWatches_ = img.watches;
     pendingBreaks_ = img.breaks;
-    mutedWatches_.clear();
-    mutedBreaks_.clear();
-    for (int32_t i : img.mutedWatches)
-        mutedWatches_.insert(i);
-    for (int32_t i : img.mutedBreaks)
-        mutedBreaks_.insert(i);
+    mutedWatches_ = {img.mutedWatches.begin(), img.mutedWatches.end()};
+    mutedBreaks_ = {img.mutedBreaks.begin(), img.mutedBreaks.end()};
     for (const persist::SessionImage::Poke &p : img.pokes)
         pendingPokes_.push_back({p.isReg, p.reg, p.addr, p.size,
                                  p.value});
 
-    if (!img.attached)
-        return true; // config-only image: nothing to replay
-
-    // Divergence during the replay (a mark that does not re-fire at
-    // its recorded position, a production removal that cannot
-    // re-target) surfaces as an assertion; convert it into a typed
-    // failure with the session safely detached rather than admitting
-    // half-replayed state.
-    try {
-        if (!attach())
-            return fail(std::string("the ") + backendName(img.backend) +
-                        " backend refused the persisted spec set");
-        if (!img.hasTravel) {
-            uint64_t live = digest();
-            if (live != img.digest) {
-                detach();
-                return fail("re-attach digest mismatch: live " +
-                            std::to_string(live) + ", image says " +
-                            std::to_string(img.digest));
-            }
-            return true;
-        }
-        // Create the controller FIRST (it holds a reference to the
-        // debugger's log), then inject the recorded log underneath it:
-        // the seek below replays the interventions at their stamps and
-        // verifies every recorded mark as it crosses it.
-        TimeTravel &tt = ensureTravel();
-        ReplayLog &log = debugger_->replayLog();
-        log.seed = img.seed;
-        log.programName = img.programName;
-        log.interventions = img.interventions;
-        log.marks = img.marks;
-
-        resurrect_.active = true;
-        resurrect_.time = img.time;
-        resurrect_.appInsts = img.appInsts;
-        resurrect_.digest = img.digest;
-        resurrect_.checkpoints = img.checkpoints;
-        for (const persist::ToolDigest &td : img.toolDigests)
-            resurrect_.toolDigests.push_back({td.name, td.digest});
-
-        tt.seekBegin(img.time, done);
-        pumpEvents();
-        if (done)
-            return resurrectFinish(err);
+    if (!img.attached) {
+        op_.done = true; // config-only image: nothing to replay
         return true;
-    } catch (const std::exception &e) {
-        resurrect_ = ResurrectPlan{};
-        detach();
-        return fail(std::string("resurrection replay diverged: ") +
-                    e.what());
     }
+    if (!attach())
+        return opFail(ResponseStatus::Error,
+                      std::string("the ") + backendName(img.backend) +
+                          " backend refused the persisted spec set");
+    if (!img.hasTravel) {
+        uint64_t live = digest();
+        if (live != img.digest) {
+            detach();
+            return opFail(ResponseStatus::Error,
+                          "re-attach digest mismatch: live " +
+                              std::to_string(live) + ", image says " +
+                              std::to_string(img.digest));
+        }
+        op_.done = true;
+        return true;
+    }
+    // Create the controller FIRST (it holds a reference to the
+    // debugger's log), then inject the recorded log underneath it: the
+    // seek replays the interventions at their stamps and verifies
+    // every recorded mark as it crosses it.
+    TimeTravel &tt = ensureTravel();
+    ReplayLog &log = debugger_->replayLog();
+    log.seed = img.seed;
+    log.programName = img.programName;
+    log.interventions = std::move(img.interventions);
+    log.marks = std::move(img.marks);
+    bool done = false;
+    tt.travelBegin(TravelVerb::Seek, img.time, done);
+    pumpEvents();
+    return done && resurrectFinish();
 }
 
+/** Divergence during the replay (a mark that does not re-fire at its
+ *  recorded position, a production removal that cannot re-target)
+ *  surfaces as an assertion; it becomes a typed failure with the
+ *  session safely detached rather than half-replayed state. */
 bool
-DebugSession::resurrectStep(uint64_t maxInsts, bool &done,
-                            std::string *err)
+DebugSession::stepResurrect(uint64_t budget, bool first)
 {
-    done = true;
-    if (!resurrect_.active)
-        return true;
     try {
-        TimeTravel &tt = debugger_->timeTravel();
-        tt.travelStep(maxInsts, done);
+        if (first)
+            return startResurrect();
+        bool done = false;
+        debugger_->timeTravel().travelStep(budget, done);
         pumpEvents();
-        if (!done)
-            return true;
-        return resurrectFinish(err);
+        return done && resurrectFinish();
     } catch (const std::exception &e) {
-        resurrect_ = ResurrectPlan{};
         detach();
-        if (err)
-            *err = std::string("resurrection replay diverged: ") +
-                   e.what();
-        return false;
+        return opFail(ResponseStatus::Error,
+                      std::string("resurrection replay diverged: ") +
+                          e.what());
     }
 }
 
@@ -1535,15 +1497,12 @@ DebugSession::resurrectStep(uint64_t maxInsts, bool &done,
  *  anchors; any mismatch detaches the session (typed error, no
  *  divergent state admitted). */
 bool
-DebugSession::resurrectFinish(std::string *err)
+DebugSession::resurrectFinish()
 {
-    ResurrectPlan plan = std::move(resurrect_);
-    resurrect_ = ResurrectPlan{};
+    const persist::SessionImage &plan = resurrect_;
     auto fail = [&](const std::string &why) {
         detach();
-        if (err)
-            *err = why;
-        return false;
+        return opFail(ResponseStatus::Error, why);
     };
     TimeTravel &tt = debugger_->timeTravel();
     if (tt.time() != plan.time || tt.appInsts() != plan.appInsts)
@@ -1578,14 +1537,15 @@ DebugSession::resurrectFinish(std::string *err)
     // it separately: the replayed tool state must serialize to the
     // exact bytes the image was taken from.
     const tools::ToolSet &ts = debugger_->backend().tools();
-    for (const auto &td : plan.toolDigests) {
-        uint64_t live = ts.digest(td.first);
-        if (live != td.second)
-            return fail("resurrection tool '" + td.first +
+    for (const persist::ToolDigest &td : plan.toolDigests) {
+        uint64_t live = ts.digest(td.name);
+        if (live != td.digest)
+            return fail("resurrection tool '" + td.name +
                         "' digest mismatch: replay produced " +
                         std::to_string(live) + ", image says " +
-                        std::to_string(td.second));
+                        std::to_string(td.digest));
     }
+    op_.done = true;
     return true;
 }
 
@@ -1609,18 +1569,14 @@ DebugSession::dispatch(const Request &req)
         resp.error = msg;
         return resp;
     };
-    auto stopOut = [&](StopInfo stop) {
-        resp.hasStop = true;
-        resp.stop = stop;
-        return resp;
-    };
-    auto needAttach = [&]() -> bool { return ensureAttached(); };
     std::string cantAttach =
         std::string("the ") + backendName(backendKind()) +
         " backend cannot implement the requested watchpoints";
 
     if (detached_ && req.kind != RequestKind::Ping)
         return errorOut("session is detached");
+    if (isLongVerb(req.kind))
+        return run(req);
 
     switch (req.kind) {
       case RequestKind::Ping:
@@ -1629,28 +1585,6 @@ DebugSession::dispatch(const Request &req)
         if (!selectBackend(req.backend))
             return errorOut("backend is fixed once attached");
         return resp;
-      case RequestKind::SetWatch: {
-        int idx = setWatch(req.watch);
-        if (idx < 0)
-            return unsupportedOut(
-                !refusal_.empty()
-                    ? refusal_
-                    : "the backend cannot implement the enlarged "
-                      "watchpoint set");
-        resp.index = idx;
-        return resp;
-      }
-      case RequestKind::SetBreak: {
-        int idx = setBreak(req.brk);
-        if (idx < 0)
-            return unsupportedOut(
-                !refusal_.empty()
-                    ? refusal_
-                    : "the backend cannot implement the enlarged "
-                      "breakpoint set");
-        resp.index = idx;
-        return resp;
-      }
       case RequestKind::RemoveWatch:
         if (!removeWatch(req.index))
             return errorOut("no such watchpoint");
@@ -1663,30 +1597,6 @@ DebugSession::dispatch(const Request &req)
         if (!attach())
             return unsupportedOut(cantAttach);
         return resp;
-      case RequestKind::Cont:
-        if (!needAttach())
-            return unsupportedOut(cantAttach);
-        return stopOut(cont());
-      case RequestKind::Stepi:
-        if (!needAttach())
-            return unsupportedOut(cantAttach);
-        return stopOut(stepi(req.count));
-      case RequestKind::RunToEnd:
-        if (!needAttach())
-            return unsupportedOut(cantAttach);
-        return stopOut(runToEnd());
-      case RequestKind::ReverseContinue:
-        if (!needAttach())
-            return unsupportedOut(cantAttach);
-        return stopOut(reverseContinue());
-      case RequestKind::ReverseStep:
-        if (!needAttach())
-            return unsupportedOut(cantAttach);
-        return stopOut(reverseStep(req.count));
-      case RequestKind::RunToEvent:
-        if (!needAttach())
-            return unsupportedOut(cantAttach);
-        return stopOut(runToEvent(req.count));
       case RequestKind::ReadRegisters:
         resp.regs = readRegisters();
         return resp;
@@ -1723,7 +1633,7 @@ DebugSession::dispatch(const Request &req)
         return resp;
       }
       case RequestKind::ToolEnable: {
-        if (!needAttach())
+        if (!attach())
             return unsupportedOut(cantAttach);
         std::string terr;
         if (!toolEnable(req.name, req.toolConfig, &terr))
@@ -1745,28 +1655,10 @@ DebugSession::dispatch(const Request &req)
             return errorOut(terr);
         return resp;
       }
-      case RequestKind::SessionCreate:
-      case RequestKind::SessionSelect:
-      case RequestKind::SessionDestroy:
-      case RequestKind::SessionList:
-      case RequestKind::ServerStats:
-      case RequestKind::Subscribe:
-      case RequestKind::Unsubscribe:
-      case RequestKind::SessionHibernate:
-      case RequestKind::SessionPersist:
-      case RequestKind::StoreStats:
-      case RequestKind::TraceStart:
-      case RequestKind::TraceStop:
-      case RequestKind::TraceDump:
-      case RequestKind::Metrics:
-      case RequestKind::SessionMigrate:
-      case RequestKind::ShardStats:
-      case RequestKind::SessionExport:
-      case RequestKind::SessionAdopt:
+      default:
         return errorOut("session management verbs are handled by the "
                         "multi-session server, not a session");
     }
-    return errorOut("unhandled request kind");
 }
 
 Response

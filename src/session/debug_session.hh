@@ -21,6 +21,12 @@
  * exactly the insert/remove cycle stock GDB performs around every
  * continue.
  *
+ * Every long verb (the resumes, a post-attach spec addition that
+ * rebuilds the machinery, resurrection from an image) is the session's
+ * one in-flight op: begin() / step(budget) / finish(). The job
+ * scheduler slices any op the same way, and the typed one-shot verbs
+ * run one to completion.
+ *
  * All user-visible occurrences are delivered through the ordered
  * EventQueue (watch hits, break hits, protection faults,
  * checkpoint/restore notices, attach/halt), replacing the pull-style
@@ -34,6 +40,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -102,47 +109,69 @@ class DebugSession
      *  false when the technique cannot implement the request. */
     bool attach();
     bool attached() const { return target_ != nullptr; }
-    bool attachFailed() const { return attachFailed_; }
     ///@}
 
-    /** @name Execution (checkpointed functional session) */
+    /** @name Execution (checkpointed functional session)
+     * Typed one-shot verbs: each runs its op (below) to completion. */
     ///@{
-    StopInfo cont();
-    /** cont() bounded to @p maxInsts application instructions: stops
-     *  with reason Step when the quantum expires before any unmuted
-     *  event. The job scheduler's forward slicing primitive. */
-    StopInfo contSlice(uint64_t maxInsts);
-    StopInfo stepi(uint64_t n = 1);
-    StopInfo runToEnd();
-    StopInfo reverseContinue();
-    StopInfo reverseStep(uint64_t n = 1);
-    StopInfo runToEvent(uint64_t n);
+    StopInfo cont() { return runStop(RequestKind::Cont, 0); }
+    StopInfo stepi(uint64_t n = 1) { return runStop(RequestKind::Stepi, n); }
+    StopInfo runToEnd() { return runStop(RequestKind::RunToEnd, 0); }
+    StopInfo
+    reverseContinue()
+    {
+        return runStop(RequestKind::ReverseContinue, 0);
+    }
+    StopInfo
+    reverseStep(uint64_t n = 1)
+    {
+        return runStop(RequestKind::ReverseStep, n);
+    }
+    StopInfo
+    runToEvent(uint64_t n)
+    {
+        return runStop(RequestKind::RunToEvent, n);
+    }
     ///@}
 
-    /** @name Sliced reverse execution (job-scheduler primitives)
-     * A reverse verb as a preemptible job: reverseBegin() performs the
-     * cheap restore; reverseSlice() replays bounded quanta until done.
-     * Mute filtering matches the one-shot verbs (a muted event restarts
-     * the travel transparently). The one-shot verbs above are
-     * begin + slice(0) loops. */
+    /** @name The in-flight operation
+     * Forward verbs (cont, stepi, run-to-end) advance one bounded
+     * travel per step; the reverse verbs and run-to-event drive one
+     * TimeTravel goal whose restore is the first step. A post-attach
+     * set-watch / set-break that needs a rebuild commits the new
+     * machinery in its first step, then replays back to the session's
+     * position by instrumentation-invariant coordinates (instruction
+     * stamps, re-found event parks), because new instrumentation
+     * shifts µop times. Resurrection re-attaches in its first step,
+     * then seeks µop-exactly along the injected log, keeping the
+     * explored future's marks.
+     *
+     * A travel in flight is abandoned by the next begin(). A started
+     * rebuild or resurrection never is: a verb begun behind one waits,
+     * and step() lands the leftover first, so no verb ever runs on
+     * half-rebuilt machinery. */
     ///@{
-    StopInfo reverseBegin(RequestKind kind, uint64_t count, bool &done);
-    StopInfo reverseSlice(uint64_t maxInsts, bool &done);
-    ///@}
-
-    /** @name Sliced post-attach spec addition (rebuild-replay job)
-     * setWatchBegin/setBreakBegin validate, rebuild the machinery with
-     * the enlarged set, and prepare the deterministic replay back to
-     * the current position; rebuildStep() advances that replay in
-     * bounded quanta. Returns the spec index (or -1: refused, session
-     * untouched); when @p done comes back false, drive rebuildStep()
-     * to completion before issuing other verbs. setWatch()/setBreak()
-     * are begin + step(0) loops. */
-    ///@{
-    int setWatchBegin(const WatchSpec &spec, bool &done);
-    int setBreakBegin(const BreakSpec &spec, bool &done);
-    bool rebuildStep(uint64_t maxInsts);
-    bool rebuildActive() const { return rebuild_.active; }
+    /** Is @p kind a verb begin() accepts (the exec verbs plus
+     *  set-watch / set-break)? */
+    static bool isLongVerb(RequestKind kind);
+    /** Start @p req (never throws). True when it completed outright (a
+     *  spec collected or re-armed without a rebuild, or a typed
+     *  refusal): finish() is ready without any step(). */
+    bool begin(const Request &req);
+    /** Start resurrecting this freshly constructed session from
+     *  @p img (see Durable sessions). */
+    bool begin(const persist::SessionImage &img);
+    /** Advance the op by up to @p budget application instructions
+     *  (0 = to completion). True when it is done. */
+    bool step(uint64_t budget);
+    /** The finished op's Response: a stop, an index, or a typed
+     *  refusal / error. */
+    Response finish();
+    /** begin + step(0) until done + finish. */
+    Response run(const Request &req);
+    /** run() with the in-flight op set aside and resumed afterwards:
+     *  a spec edit landing at a slice boundary of a running job. */
+    Response runBeside(const Request &req);
     ///@}
 
     /**
@@ -170,14 +199,14 @@ class DebugSession
     /** @name Durable sessions (hibernation / resurrection)
      * exportImage() captures everything persist::SessionImage records —
      * the spec set and the replay log, not memory pages. A fresh
-     * session resurrects from such an image by re-attaching identical
-     * machinery, injecting the recorded log, and seek-replaying from
-     * time zero to the persisted µop position (checkpoints re-taken,
-     * marks re-verified on the way); resurrectBegin/resurrectStep is
-     * the sliced form of that replay. Completion verifies the landing
-     * position, the state digest, and the checkpoint-chain positions
-     * against the image — any mismatch detaches the session and
-     * reports a typed error rather than admitting divergent state. */
+     * session resurrects from such an image (begin(img) + step()) by
+     * re-attaching identical machinery, injecting the recorded log,
+     * and seek-replaying from time zero to the persisted µop position
+     * (checkpoints re-taken, marks re-verified on the way). Completion
+     * verifies the landing position, the state digest, and the
+     * checkpoint-chain positions against the image — any mismatch
+     * detaches the session and finishes with a typed error rather
+     * than admitting divergent state. */
     ///@{
     /** Fill @p img from the live session (id/workload left to the
      *  caller). Refuses — with a reason in @p err — while a rebuild,
@@ -185,13 +214,6 @@ class DebugSession
      *  non-replayable batch run. */
     bool exportImage(persist::SessionImage &img,
                      std::string *err = nullptr);
-    /** Start resurrecting this (freshly constructed) session from
-     *  @p img. On true with @p done unset, drive resurrectStep(). */
-    bool resurrectBegin(const persist::SessionImage &img, bool &done,
-                        std::string *err = nullptr);
-    bool resurrectStep(uint64_t maxInsts, bool &done,
-                       std::string *err = nullptr);
-    bool resurrectActive() const { return resurrect_.active; }
     ///@}
 
     /** Why the last refused verb (setWatch/setBreak rebuild) was
@@ -305,7 +327,6 @@ class DebugSession
     /** Resumable state of a post-attach rebuild-replay. */
     struct RebuildPlan
     {
-        bool active = false;
         bool hadTravel = false;
         bool parkedAtEvent = false;
         bool parkedAtHalt = false;
@@ -325,29 +346,42 @@ class DebugSession
         size_t scanned = 0;
     };
 
-    /** Position/digest anchors of an in-flight resurrection replay. */
-    struct ResurrectPlan
+    /** The one in-flight op. */
+    struct Op
     {
-        bool active = false;
-        uint64_t time = 0;
-        uint64_t appInsts = 0;
-        uint64_t digest = 0;
-        std::vector<persist::CheckpointMeta> checkpoints;
-        /** Per-tool state digests the replay must reproduce. */
-        std::vector<std::pair<std::string, uint64_t>> toolDigests;
+        /** The verb (kind SessionAdopt: a resurrection). A stepi's or
+         *  run-to-end's count is the instructions still to run. */
+        Request req;
+        bool started = false;
+        bool done = true;
+        Response resp;
     };
 
+    bool startOp(const Request &req);
+    bool beginSpec(const Request &req);
+    int findSpec(const Request &req) const;
+    int registerSpec(const Request &req);
+    bool advance(uint64_t budget, bool first);
+    bool stepTravel(uint64_t budget, bool first);
+    bool startRebuild();
+    bool startResurrect();
+    bool stepResurrect(uint64_t budget, bool first);
+    bool opFail(ResponseStatus status, const std::string &msg);
+    /** A started rebuild or resurrection that must land before
+     *  another verb runs. */
+    bool opPinned() const;
+    StopInfo runStop(RequestKind kind, uint64_t count);
     DebugTarget &ensurePeekTarget();
-    bool resurrectFinish(std::string *err);
-    bool ensureAttached();
+    static void applyPoke(DebugTarget &t, const PendingPoke &p);
+    void recordPoke(const PendingPoke &p);
+    bool resurrectFinish();
     TimeTravel &ensureTravel();
     bool buildMachinery(Machinery &m);
     void commitMachinery(Machinery &m);
-    bool reattachAndReplay();
     bool rebuildBegin();
+    bool replayRebuild(uint64_t maxInsts);
     void applyJournalEntry(const Intervention &iv);
     void markDetail(const EventMark &mk, int &sessIdx, Addr &addr) const;
-    StopInfo restartMutedReverse(StopInfo stop, bool &done);
     void pumpEvents();
     const EventMark *findMark(EventKind kind, int index);
     bool stopIsMuted(const StopInfo &stop) const;
@@ -366,7 +400,6 @@ class DebugSession
     std::unique_ptr<Debugger> debugger_;
     /** Loaded-but-undebugged image for pre-attach peeks. */
     std::unique_ptr<DebugTarget> preview_;
-    bool attachFailed_ = false;
     bool detached_ = false;
     /** A cycle-level / functional batch run advanced the target
      *  outside the replayable timeline: no post-attach rebuild. */
@@ -382,12 +415,14 @@ class DebugSession
     std::vector<int> installedWatchOwner_;
     std::vector<int> installedBreakOwner_;
 
+    Op op_;
+    /** A verb begun while a pinned op was unfinished (see begin()). */
+    std::optional<Request> queued_;
     RebuildPlan rebuild_;
-    ResurrectPlan resurrect_;
+    /** The image an in-flight resurrection replays and checks. */
+    persist::SessionImage resurrect_;
     /** See lastRefusal(). */
     std::string refusal_;
-    /** Verb of the in-flight sliced reverse (mute-restart policy). */
-    RequestKind sliceVerb_ = RequestKind::Ping;
 
     EventQueue events_;
     /** Circular-scan hint into the replay log's mark list (used to

@@ -49,12 +49,14 @@ TEST_P(ParityTest, BackendsAgreeOnEvents)
     EXPECT_EQ(dise, sstep) << name << "/" << watchSelName(sel);
 
     auto vm = eventsFor(w, spec, BackendKind::VirtualMemory, cap);
-    if (!(vm.size() == 1 && vm[0].first == ~0ull))
+    if (!(vm.size() == 1 && vm[0].first == ~0ull)) {
         EXPECT_EQ(dise, vm) << name << "/" << watchSelName(sel);
+    }
 
     auto hw = eventsFor(w, spec, BackendKind::HardwareReg, cap);
-    if (!(hw.size() == 1 && hw[0].first == ~0ull))
+    if (!(hw.size() == 1 && hw[0].first == ~0ull)) {
         EXPECT_EQ(dise, hw) << name << "/" << watchSelName(sel);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

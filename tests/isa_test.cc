@@ -22,8 +22,9 @@ TEST(Opcodes, MetadataConsistent)
         const OpInfo &info = opInfo(op);
         EXPECT_NE(info.name, nullptr);
         if (info.cls == OpClass::Load || info.cls == OpClass::Store) {
-            if (op != Opcode::LDA && op != Opcode::LDAH)
+            if (op != Opcode::LDA && op != Opcode::LDAH) {
                 EXPECT_GT(info.memBytes, 0u) << info.name;
+            }
         } else {
             EXPECT_EQ(info.memBytes, 0u) << info.name;
         }

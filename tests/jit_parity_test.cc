@@ -103,6 +103,14 @@ runScenario(BackendKind kind, JitMode mode, uint64_t *tracedUops)
         log.push_back(os.str());
     };
 
+    // One bounded slice of a cont: its stop, or the interim position.
+    auto contSlice = [&](uint64_t n) {
+        Request req;
+        req.kind = RequestKind::Cont;
+        bool done = session.begin(req) || session.step(n);
+        return done ? session.finish().stop : session.currentStop();
+    };
+
     rec("cont1", session.cont());
     flip();
     rec("stepi", session.stepi(7));
@@ -111,7 +119,7 @@ runScenario(BackendKind kind, JitMode mode, uint64_t *tracedUops)
     flip();
     rec("rstep", session.reverseStep(40));
     flip();
-    rec("slice", session.contSlice(123));
+    rec("slice", contSlice(123));
     flip();
     rec("cont3", session.cont());
     flip();

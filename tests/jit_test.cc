@@ -163,8 +163,9 @@ TEST(TraceJit, PatchedTraceBodyIsInvalidated)
         ASSERT_EQ(r.halt, HaltReason::Exited);
         ASSERT_EQ(target.sink.marks.size(), 1u);
         marks[jit] = target.sink.marks[0];
-        if (jit)
+        if (jit) {
             EXPECT_GT(target.jit()->stats().invalidated, 0u);
+        }
     }
     EXPECT_EQ(marks[0], 30u + 30u * 7u);
     EXPECT_EQ(marks[1], marks[0]);
@@ -267,8 +268,9 @@ TEST(TraceJit, ProductionAddMidRunStalesTraces)
         FuncResult r2 = cpu.run();
         ASSERT_EQ(r2.halt, HaltReason::Exited);
         counts[jit] = target.arch.readDise(0);
-        if (jit)
+        if (jit) {
             EXPECT_GT(target.jit()->stats().invalidated, 0u);
+        }
     }
     EXPECT_GT(counts[0], 0u);
     EXPECT_EQ(counts[1], counts[0]);
@@ -357,8 +359,9 @@ TEST(TraceJit, SuppressionElidesIdempotentChecks)
         FuncCpu cpu(target.arch, target.mem, &target.engine, env);
         res[jit] = cpu.run();
         ASSERT_EQ(res[jit].halt, HaltReason::Exited);
-        if (jit)
+        if (jit) {
             EXPECT_GT(target.jit()->stats().suppressedExecs, 0u);
+        }
     }
     EXPECT_EQ(res[1].appInsts, res[0].appInsts);
     EXPECT_EQ(res[1].microOps, res[0].microOps);

@@ -145,8 +145,9 @@ TEST(Cache, PropertyNoFalseHits)
         Addr addr = rng.below(1 << 20);
         uint64_t line = addr / 64;
         bool hit = c.access(addr, rng.chance(1, 4)).hit;
-        if (hit)
+        if (hit) {
             EXPECT_TRUE(touched.count(line));
+        }
         touched.insert(line);
     }
 }

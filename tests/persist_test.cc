@@ -58,21 +58,6 @@ scratchDir(const std::string &name)
     return dir;
 }
 
-/** Little-endian u32/u64 writers matching the store/image format. */
-void
-putU32(std::vector<uint8_t> &b, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        b.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &b, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        b.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 /** Rewrite the trailing FNV-1a 64 so a deliberate field mutation is
  *  NOT masked by the checksum check (version-skew tests). */
 void
@@ -547,8 +532,9 @@ TEST(SessionStore, FaultBatteryEveryVfsSite)
         }
         SessionImage out;
         StoreResult load = store.load(1, out);
-        if (load.ok)
+        if (load.ok) {
             EXPECT_EQ(out.id, 1u);
+        }
     }
     EXPECT_GT(failures, 0u) << "storm injected nothing — seed drift?";
     faults.disarm();
@@ -621,13 +607,13 @@ sessionOptions(BackendKind kind)
 bool
 resurrectAll(DebugSession &s, const SessionImage &img, std::string *err)
 {
-    bool done = false;
-    if (!s.resurrectBegin(img, done, err))
-        return false;
-    while (!done)
-        if (!s.resurrectStep(0, done, err))
-            return false;
-    return true;
+    if (!s.begin(img))
+        while (!s.step(0)) {
+        }
+    Response resp = s.finish();
+    if (!resp.ok() && err)
+        *err = resp.error;
+    return resp.ok();
 }
 
 TEST(SessionResurrect, RoundTripEveryBackend)
@@ -807,8 +793,7 @@ TEST(SessionResurrect, RefusalsAreTypedAndStateSafe)
     SessionImage cfg;
     DebugSession donor(prog, sessionOptions(BackendKind::Dise));
     ASSERT_TRUE(donor.exportImage(cfg, &err)) << err;
-    bool done = false;
-    EXPECT_FALSE(used.resurrectBegin(cfg, done, &err));
+    EXPECT_FALSE(resurrectAll(used, cfg, &err));
     EXPECT_NE(err.find("fresh"), std::string::npos) << err;
 
     // A tampered position anchor must be caught by verification and

@@ -212,8 +212,9 @@ TEST_P(AllBackendsReverse, ReverseContinueLandsOnCorruptingStore)
     // Backends that detect at the store itself pinpoint the culprit.
     if (GetParam() == BackendKind::Dise ||
         GetParam() == BackendKind::VirtualMemory ||
-        GetParam() == BackendKind::HardwareReg)
+        GetParam() == BackendKind::HardwareReg) {
         EXPECT_EQ(hit.mark.pc, s.target.symbol("the_store"));
+    }
 
     // Again: the previous hit, strictly earlier.
     StopInfo prev = s.tt().reverseContinue();
@@ -569,9 +570,10 @@ TEST_P(AllBackendsIntervalReplay, ParallelDigestsMatchSerialAndLive)
         EXPECT_GE(par.intervals.size(), serial.intervals.size());
         for (const IntervalReplay::Interval &iv : par.intervals) {
             auto it = serialStarts.find(iv.cpFrom);
-            if (it != serialStarts.end())
+            if (it != serialStarts.end()) {
                 EXPECT_EQ(iv.startDigest, it->second)
                     << "chunk starting at checkpoint " << iv.cpFrom;
+            }
         }
     }
 }

@@ -98,8 +98,9 @@ TEST(RspPacket, RunLengthEncodeRoundTrip)
         ASSERT_TRUE(decodeFrame(frameRaw(encoded), payload))
             << "len=" << len << " encoded='" << encoded << "'";
         EXPECT_EQ(payload, raw) << "len=" << len;
-        if (len >= 4)
+        if (len >= 4) {
             EXPECT_LT(encoded.size(), raw.size()) << "len=" << len;
+        }
     }
 
     // Mixed content round-trips through the full framer with RLE on.
@@ -618,9 +619,8 @@ TEST(RspNonStop, AsyncContinueNotifiesStopAndStaysResponsive)
         mgr.create("demo", BackendKind::Dise, /*exclusive=*/true);
     ASSERT_TRUE(ms);
 
-    auto exec = [&](RequestKind kind, uint64_t count, StopInfo &out,
-                    std::string *err) {
-        return sched.drive(*ms, kind, count, out, err);
+    auto exec = [&](const Request &req, Response &out, std::string *err) {
+        return sched.drive(*ms, req, out, err);
     };
     rsp::RspConnection conn(ms->session, exec);
     conn.setAsyncExec(
@@ -684,9 +684,8 @@ TEST(RspNonStop, WritePacketsLandAtSliceBoundariesWhileRunning)
         mgr.create("demo", BackendKind::Dise, /*exclusive=*/true);
     ASSERT_TRUE(ms);
 
-    auto exec = [&](RequestKind kind, uint64_t count, StopInfo &out,
-                    std::string *err) {
-        return sched.drive(*ms, kind, count, out, err);
+    auto exec = [&](const Request &req, Response &out, std::string *err) {
+        return sched.drive(*ms, req, out, err);
     };
     rsp::RspConnection conn(ms->session, exec);
     conn.setAsyncExec(

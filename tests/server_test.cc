@@ -15,6 +15,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <mutex>
 #include <random>
 #include <thread>
 
@@ -22,7 +24,9 @@
 #include "persist/fault_injector.hh"
 #include "persist/store.hh"
 #include "persist/vfs.hh"
+#include "obs/metrics.hh"
 #include "rsp/client.hh"
+#include "rsp/server.hh"
 #include "server/server.hh"
 #include "workloads/workload.hh"
 
@@ -39,6 +43,20 @@ smallSessions()
     SessionOptions o;
     o.timeTravel.checkpointInterval = 512;
     return o;
+}
+
+/** Fresh per-test store directory under the build tree (ctest cwd). */
+std::string
+storeScratch(const std::string &name)
+{
+    std::string dir = "server_test_store_" + name + "_" +
+                      std::to_string(static_cast<long>(::getpid()));
+    persist::RealVfs vfs;
+    std::vector<std::string> names;
+    if (vfs.list(dir, names))
+        for (const std::string &n : names)
+            vfs.remove(dir + "/" + n);
+    return dir;
 }
 
 /** Minimal line-oriented wire client for the typed protocol. */
@@ -284,64 +302,353 @@ TEST(JobScheduler, UnsupportedBackendFailsCleanly)
     EXPECT_NE(err.find("cannot implement"), std::string::npos) << err;
 }
 
+/**
+ * The order one scheduler worker ran slices in, recorded without any
+ * clock: every slice start and finish, and every submit, appended
+ * under one mutex. Fairness is checked from this order alone.
+ */
+class OrderLog
+{
+  public:
+    enum Kind : uint8_t { Submit, Start, Finish };
+    struct Entry
+    {
+        char who; ///< 'R': the long op, 'F': a forward job
+        int job;
+        Kind kind;
+    };
+
+    /** Submit @p step as a job whose slices append to the log. The
+     *  submit is logged under the same mutex, before any slice of the
+     *  job can start. */
+    JobScheduler::TicketPtr
+    submit(JobScheduler &sched, char who, int job,
+           std::function<bool(uint64_t)> step)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        entries_.push_back({who, job, Submit});
+        return sched.submit([this, who, job,
+                             step = std::move(step)](uint64_t slice) {
+            add(who, job, Start);
+            bool done = step(slice);
+            if (done)
+                add(who, job, Finish);
+            return done;
+        });
+    }
+
+    /** Step @p s's begun op to completion as one logged 'R' job (a
+     *  SessionManager runner). */
+    bool
+    runOp(JobScheduler &sched, ManagedSession &s, std::string *err)
+    {
+        return sched.wait(submit(sched, 'R', 0,
+                                 [&s](uint64_t slice) {
+                                     return s.session.step(slice);
+                                 }),
+                          err);
+    }
+
+    size_t
+    count(char who, Kind kind)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        size_t n = 0;
+        for (const Entry &e : entries_)
+            n += e.who == who && e.kind == kind;
+        return n;
+    }
+
+    std::vector<Entry>
+    entries()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return entries_;
+    }
+
+  private:
+    void
+    add(char who, int job, Kind kind)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        entries_.push_back({who, job, kind});
+    }
+
+    std::mutex mu_;
+    std::vector<Entry> entries_;
+};
+
+/**
+ * The acceptance scenario, with ONE worker slot: while the long op R
+ * (started by @p startR on its own thread) runs, session @p f steps
+ * forward in ten small jobs F0..F9. Because every job yields at
+ * bounded slice boundaries and the ready queue round-robins, the
+ * recorded order must show that
+ *  - after each F submit, at most one R slice starts before F's slice;
+ *  - R runs at least one slice between consecutive F jobs;
+ *  - all ten F jobs finish before R does.
+ */
+void
+expectForwardNotStarved(OrderLog &log, JobScheduler &sched,
+                        ManagedSession &f,
+                        const std::function<void()> &startR)
+{
+    std::atomic<bool> rReturned{false};
+    std::thread rDriver([&] {
+        startR();
+        rReturned = true;
+    });
+    // An R that never reaches the scheduler returns without a slice.
+    while (log.count('R', OrderLog::Start) < 1 && !rReturned.load())
+        std::this_thread::yield();
+    for (int i = 0; i < 10; ++i) {
+        Request req;
+        req.kind = RequestKind::Stepi;
+        req.count = 200;
+        EXPECT_FALSE(f.session.begin(req));
+        std::string err;
+        EXPECT_TRUE(sched.wait(
+            log.submit(sched, 'F', i,
+                       [&f](uint64_t slice) {
+                           return f.session.step(slice);
+                       }),
+            &err))
+            << err;
+        EXPECT_EQ(f.session.finish().stop.reason, StopReason::Step);
+    }
+    rDriver.join();
+
+    std::vector<OrderLog::Entry> order = log.entries();
+    auto at = [&](char who, int job, OrderLog::Kind kind) {
+        for (size_t i = 0; i < order.size(); ++i)
+            if (order[i].who == who && order[i].job == job &&
+                order[i].kind == kind)
+                return i;
+        ADD_FAILURE() << who << job << " kind " << int(kind)
+                      << " never logged";
+        return order.size();
+    };
+    auto rStarts = [&](size_t from, size_t to) {
+        size_t n = 0;
+        for (size_t i = from + 1; i < to && i < order.size(); ++i)
+            n += order[i].who == 'R' && order[i].kind == OrderLog::Start;
+        return n;
+    };
+    size_t rFinish = at('R', 0, OrderLog::Finish);
+    for (int i = 0; i < 10; ++i) {
+        size_t first = at('F', i, OrderLog::Start);
+        EXPECT_LE(rStarts(at('F', i, OrderLog::Submit), first), 1u)
+            << "F" << i << " waited behind more than one R slice";
+        if (i > 0) {
+            EXPECT_GE(rStarts(at('F', i - 1, OrderLog::Finish), first),
+                      1u)
+                << "R made no progress between F" << i - 1 << " and F"
+                << i;
+        }
+        EXPECT_LT(at('F', i, OrderLog::Finish), rFinish)
+            << "F" << i << " finished after R";
+    }
+}
+
 TEST(JobScheduler, ReverseReplayDoesNotStarveForwardSessions)
 {
-    // The acceptance scenario: ONE worker slot, two sessions. R runs a
-    // long replay-family verb (run-to-event discovery across the whole
-    // trace); F steps forward in small jobs. Because every job yields
-    // at bounded µop-slice boundaries and the ready queue round-robins,
-    // F must complete all its steps while R is still replaying — and R
-    // must advance between each of F's steps.
+    // R: a run-to-event hunt for an event number that never fires — a
+    // bounded O(trace) sliced replay ending in Halted.
     SessionManagerOptions mopts;
     mopts.maxSessions = 2;
     mopts.session.timeTravel.checkpointInterval = 1u << 20;
     SessionManager mgr(mopts);
     JobScheduler sched({1, 1000});
-
     ManagedSessionPtr r = mgr.create("mcf", BackendKind::Dise);
     ManagedSessionPtr f = mgr.create("demo", BackendKind::Dise);
     ASSERT_TRUE(r && f);
 
-    // R: a run-to-event hunt for an event number that never fires —
-    // a bounded O(trace) sliced replay ending in Halted.
-    std::atomic<bool> rDone{false};
-    std::atomic<bool> rOk{false};
-    std::thread rDriver([&] {
-        StopInfo stop;
+    OrderLog log;
+    StopInfo rStop;
+    expectForwardNotStarved(log, sched, *f, [&] {
+        Request req;
+        req.kind = RequestKind::RunToEvent;
+        req.count = 999999;
         std::string err;
-        bool ok = sched.drive(*r, RequestKind::RunToEvent, 999999,
-                              stop, &err);
-        rOk = ok && stop.reason == StopReason::Halted;
-        rDone = true;
+        if (!r->session.begin(req) && !log.runOp(sched, *r, &err))
+            ADD_FAILURE() << err;
+        rStop = r->session.finish().stop;
     });
+    EXPECT_EQ(rStop.reason, StopReason::Halted);
+    EXPECT_GT(log.count('R', OrderLog::Start), 50u)
+        << "replay should take many slices";
+}
+
+/** A long mcf history (recorded to its end) as an image. */
+persist::SessionImage
+longMcfImage(uint64_t id)
+{
+    SessionOptions o;
+    o.timeTravel.checkpointInterval = 1u << 20;
+    Workload w = buildWorkload("mcf");
+    DebugSession s(w.program, o);
+    s.setWatch(w.watch(WatchSel::WARM1));
+    s.runToEnd();
+    persist::SessionImage img;
+    std::string err;
+    EXPECT_TRUE(s.exportImage(img, &err)) << err;
+    img.id = id;
+    img.workload = "mcf";
+    return img;
+}
+
+TEST(JobScheduler, ResurrectionDoesNotStarveForwardSessions)
+{
+    std::string dir = storeScratch("fair_resurrect");
+    persist::RealVfs vfs;
+    persist::SessionStore store(dir, vfs);
+    ASSERT_TRUE(store.open().ok);
+    ASSERT_TRUE(store.put(longMcfImage(7)).ok);
+
+    SessionManagerOptions mopts;
+    mopts.session.timeTravel.checkpointInterval = 1u << 20;
+    SessionManager mgr(mopts);
+    mgr.adoptStore(&store); // id 7 is now a hibernated session
+    JobScheduler sched({1, 1000});
+    OrderLog log;
+    mgr.setRunner([&](ManagedSession &s, std::string *err) {
+        return log.runOp(sched, s, err);
+    });
+    ManagedSessionPtr f = mgr.create("demo", BackendKind::Dise);
+    ASSERT_TRUE(f);
+
+    ManagedSessionPtr r;
+    expectForwardNotStarved(log, sched, *f, [&] {
+        std::string err;
+        r = mgr.find(7, false, &err); // resurrects through the runner
+        if (!r)
+            ADD_FAILURE() << err;
+    });
+    ASSERT_TRUE(r);
+    EXPECT_GT(r->session.stats().appInsts, 0u);
+    EXPECT_EQ(mgr.stats().resurrections, 1u);
+}
+
+TEST(JobScheduler, AdoptDoesNotStarveForwardSessions)
+{
+    SessionManagerOptions mopts;
+    mopts.session.timeTravel.checkpointInterval = 1u << 20;
+    SessionManager mgr(mopts);
+    JobScheduler sched({1, 1000});
+    OrderLog log;
+    mgr.setRunner([&](ManagedSession &s, std::string *err) {
+        return log.runOp(sched, s, err);
+    });
+    ManagedSessionPtr f = mgr.create("demo", BackendKind::Dise);
+    ASSERT_TRUE(f);
+    persist::SessionImage img = longMcfImage(1000);
+
+    ManagedSessionPtr r;
+    expectForwardNotStarved(log, sched, *f, [&] {
+        std::string err;
+        r = mgr.adopt(img, &err);
+        if (!r)
+            ADD_FAILURE() << err;
+    });
+    ASSERT_TRUE(r);
+    EXPECT_EQ(r->session.stats().appInsts, img.appInsts);
+}
+
+TEST(JobScheduler, RspRebuildDoesNotStarveForwardSessions)
+{
+    // A gdb `Z` after the target ran rebuilds and replays the whole
+    // history: it goes through the connection's exec hook as a sliced
+    // job, not inline on the connection thread.
+    SessionManagerOptions mopts;
+    mopts.session.timeTravel.checkpointInterval = 1u << 20;
+    SessionManager mgr(mopts);
+    JobScheduler sched({1, 1000});
+    ManagedSessionPtr r =
+        mgr.create("mcf", BackendKind::Dise, /*exclusive=*/true);
+    ManagedSessionPtr f = mgr.create("demo", BackendKind::Dise);
+    ASSERT_TRUE(r && f);
+    Workload w = buildWorkload("mcf");
+    ASSERT_GE(r->session.setWatch(w.watch(WatchSel::WARM1)), 0);
+    ASSERT_EQ(r->session.runToEnd().reason, StopReason::Halted);
+
+    OrderLog log;
+    rsp::RspConnection conn(
+        r->session,
+        [&](const Request &req, Response &out, std::string *err) {
+            if (!r->session.begin(req) && !log.runOp(sched, *r, err))
+                return false;
+            out = r->session.finish();
+            return true;
+        });
+    char z2[64];
+    std::snprintf(z2, sizeof z2, "Z2,%llx,8",
+                  static_cast<unsigned long long>(w.hotAddr));
+    std::string reply;
+    expectForwardNotStarved(log, sched, *f,
+                            [&] { reply = conn.handlePacket(z2); });
+    EXPECT_EQ(reply, "OK");
+
+    // gdb's mute/re-arm cycle needs no rebuild: no job at all.
+    size_t jobs = log.count('R', OrderLog::Submit);
+    char z2off[64];
+    std::snprintf(z2off, sizeof z2off, "z2,%llx,8",
+                  static_cast<unsigned long long>(w.hotAddr));
+    EXPECT_EQ(conn.handlePacket(z2off), "OK");
+    EXPECT_EQ(conn.handlePacket(z2), "OK");
+    EXPECT_EQ(log.count('R', OrderLog::Submit), jobs);
+}
+
+TEST(JobScheduler, CallerRunSlicesKeepTheQueueOrderAndWorkerBound)
+{
+    // completeHere() (the server's resurrection / adopt runner) runs
+    // each slice on the calling thread while a worker holds the slot.
+    // With one worker its op must still interleave slice by slice with
+    // other jobs, and never run beside one.
+    SessionManagerOptions mopts;
+    mopts.session.timeTravel.checkpointInterval = 1u << 20;
+    SessionManager mgr(mopts);
+    JobScheduler sched({1, 1000});
+    ManagedSessionPtr r = mgr.create("mcf", BackendKind::Dise);
+    ManagedSessionPtr f = mgr.create("demo", BackendKind::Dise);
+    ASSERT_TRUE(r && f);
+    Request hunt;
+    hunt.kind = RequestKind::RunToEvent;
+    hunt.count = 999999;
+    ASSERT_FALSE(r->session.begin(hunt));
+    std::thread rDriver([&] { EXPECT_TRUE(sched.completeHere(*r)); });
     while (r->slices.load() < 1)
         std::this_thread::yield();
 
-    // F: ten small forward steps, each its own job.
-    uint64_t lastRSlices = r->slices.load();
-    int progressed = 0, beforeRDone = 0;
+    uint64_t prevEnd = 0;
     for (int i = 0; i < 10; ++i) {
-        StopInfo stop;
-        std::string err;
-        ASSERT_TRUE(
-            sched.drive(*f, RequestKind::Stepi, 200, stop, &err))
-            << err;
-        beforeRDone += !rDone.load();
-        uint64_t now = r->slices.load();
-        progressed += now > lastRSlices;
-        lastRSlices = now;
+        Request step;
+        step.kind = RequestKind::Stepi;
+        step.count = 200;
+        EXPECT_FALSE(f->session.begin(step));
+        uint64_t atStart = 0, atEnd = 0;
+        bool overlapped = false;
+        EXPECT_TRUE(sched.wait(sched.submit([&](uint64_t slice) {
+            // R's step holds its sliceMu: free here, or R ran beside F.
+            std::unique_lock<std::mutex> lk(r->sliceMu, std::try_to_lock);
+            overlapped |= !lk.owns_lock();
+            atStart = r->slices.load();
+            bool done = f->session.step(slice);
+            atEnd = r->slices.load();
+            return done;
+        })));
+        f->session.finish();
+        EXPECT_FALSE(overlapped) << "R's slice ran beside F" << i;
+        EXPECT_EQ(atStart, atEnd) << "R advanced during F" << i;
+        if (i > 0) {
+            EXPECT_GT(atStart, prevEnd)
+                << "R made no progress between F" << i - 1 << " and F"
+                << i;
+        }
+        prevEnd = atEnd;
     }
-    // Forward progress between replay slices, both directions: F was
-    // never starved behind R's replay (all 10 steps landed while R was
-    // still running), and R kept replaying between F's steps.
-    EXPECT_EQ(beforeRDone, 10)
-        << "the forward session was starved behind a replay";
-    EXPECT_GE(progressed, 9)
-        << "the replay made no progress between forward steps";
-
     rDriver.join();
-    EXPECT_TRUE(rOk.load());
-    EXPECT_GT(r->slices.load(), 50u) << "replay should take many slices";
+    EXPECT_GT(r->slices.load(), prevEnd) << "R finished before the F jobs";
+    EXPECT_EQ(r->session.finish().stop.reason, StopReason::Halted);
 }
 
 TEST(JobScheduler, InterruptedJobLandsAtSliceBoundaryAndResumes)
@@ -408,7 +715,7 @@ TEST(ServerConcurrency, DistinctSessionsCrossCheckedInParallel)
         StopInfo refHit1, refHit2, refBack;
     };
     std::vector<Scenario> scenarios;
-    for (const std::string &w : {"demo", "mcf", "bzip2", "twolf"}) {
+    for (std::string w : {"demo", "mcf", "bzip2", "twolf"}) {
         Scenario sc;
         sc.workload = w;
         Program prog;
@@ -775,8 +1082,9 @@ TEST(DebugServerTcp, SubscribePushesEventsWithoutPolling)
     uint64_t lastSeq = 0;
     bool first = true;
     for (const SessionEvent &ev : events) {
-        if (!first)
+        if (!first) {
             EXPECT_GT(ev.seq, lastSeq); // queue order preserved
+        }
         first = false;
         lastSeq = ev.seq;
         sawAttach |= ev.kind == SessionEventKind::Attached;
@@ -932,20 +1240,6 @@ TEST(DebugServerTcp, WireSelectSharesAndDestroyInforms)
 
 // ------------------------------------------------------ durable sessions
 
-/** Fresh per-test store directory under the build tree (ctest cwd). */
-std::string
-storeScratch(const std::string &name)
-{
-    std::string dir = "server_test_store_" + name + "_" +
-                      std::to_string(static_cast<long>(::getpid()));
-    persist::RealVfs vfs;
-    std::vector<std::string> names;
-    if (vfs.list(dir, names))
-        for (const std::string &n : names)
-            vfs.remove(dir + "/" + n);
-    return dir;
-}
-
 TEST(SessionManagerDurable, CapEvictsLruIdleAndResurrects)
 {
     std::string dir = storeScratch("lru");
@@ -1001,6 +1295,45 @@ TEST(SessionManagerDurable, CapEvictsLruIdleAndResurrects)
     EXPECT_FALSE(store.contains(bId));
     EXPECT_EQ(mgr.stats().hibernated, 0u);
     EXPECT_EQ(mgr.find(bId, false, &err), nullptr);
+}
+
+TEST(SessionManagerDurable, FailedResurrectionRunKeepsImageHibernated)
+{
+    // A resurrection job that fails for a scheduler reason (an injected
+    // slice fault, an interrupt, a stopping scheduler) says nothing
+    // about the image: it stays hibernated for the next attempt. Only
+    // the image's own failure (replay divergence) quarantines it.
+    std::string dir = storeScratch("runfail");
+    persist::RealVfs vfs;
+    persist::SessionStore store(dir, vfs);
+    ASSERT_TRUE(store.open().ok);
+    SessionManager mgr({2, smallSessions()});
+    mgr.adoptStore(&store);
+    ManagedSessionPtr ms = mgr.create("demo", BackendKind::Dise);
+    ASSERT_TRUE(ms);
+    uint64_t id = ms->id;
+    ms->session.setWatch(
+        WatchSpec::scalar("w", buildHeisenbugDemo().symbol("directory"), 8));
+    ASSERT_EQ(ms->session.cont().reason, StopReason::Event);
+    ms.reset();
+    std::string err;
+    ASSERT_TRUE(mgr.hibernate(id, &err)) << err;
+
+    mgr.setRunner([](ManagedSession &s, std::string *e) {
+        EXPECT_FALSE(s.session.step(1)); // a slice ran, then the fault
+        *e = "injected scheduler fault at slice boundary";
+        return false;
+    });
+    EXPECT_EQ(mgr.find(id, false, &err), nullptr);
+    EXPECT_NE(err.find("injected"), std::string::npos) << err;
+    EXPECT_EQ(mgr.stats().hibernated, 1u);
+    EXPECT_EQ(store.counters().quarantined, 0u);
+    EXPECT_TRUE(store.contains(id));
+
+    mgr.setRunner({}); // step inline
+    ManagedSessionPtr back = mgr.find(id, false, &err);
+    ASSERT_TRUE(back) << err;
+    EXPECT_EQ(mgr.stats().resurrections, 1u);
 }
 
 TEST(SessionManagerDurable, HibernateRefusalsKeepSessionIntact)
@@ -1129,7 +1462,10 @@ TEST(DebugServerTcp, HibernateResurrectOverWireWithDigestMatch)
     char sel[64];
     std::snprintf(sel, sizeof sel, "session-select seq=8 session=%llu",
                   static_cast<unsigned long long>(id));
+    // The resurrection replay is a scheduler job like any other.
+    uint64_t queued = obs::metrics().schedQueueWaitUs.count();
     ASSERT_TRUE(wire.roundTripOk(sel, resp));
+    EXPECT_GT(obs::metrics().schedQueueWaitUs.count(), queued);
     ASSERT_TRUE(wire.roundTripOk("stats seq=9", resp));
     EXPECT_EQ(resp.stats.appInsts, posInsts); // position restored
 

@@ -13,6 +13,7 @@
 #include "asm/assembler.hh"
 #include "cpu/loader.hh"
 #include "session/debug_session.hh"
+#include "workloads/workload.hh"
 
 namespace dise {
 namespace {
@@ -83,8 +84,9 @@ TEST(SessionProtocol, RequestRoundTripsEveryKind)
         ASSERT_TRUE(decodeRequest(encodeRequest(req), back))
             << requestKindName(kind);
         EXPECT_EQ(back.kind, kind);
-        if (kind == RequestKind::SelectBackend)
+        if (kind == RequestKind::SelectBackend) {
             EXPECT_EQ(back.backend, BackendKind::Rewrite);
+        }
     }
 }
 
@@ -581,13 +583,16 @@ TEST(DebugSession, ContSliceHonorsQuantum)
 
     DebugSession sliced(prog, sessionOptions());
     sliced.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
-    StopInfo stop;
+    Request req;
+    req.kind = RequestKind::Cont;
     unsigned slices = 0;
-    do {
-        stop = sliced.contSlice(2);
+    bool done = sliced.begin(req);
+    while (!done) {
+        done = sliced.step(2);
         ++slices;
         ASSERT_LT(slices, 1000u);
-    } while (stop.reason == StopReason::Step);
+    }
+    StopInfo stop = sliced.finish().stop;
     EXPECT_EQ(stop.reason, StopReason::Event);
     EXPECT_EQ(stop.time, oneShot.time);
     EXPECT_EQ(stop.pc, oneShot.pc);
@@ -833,7 +838,7 @@ TEST(DebugSession, PokeAtWatchStopWithoutStepping)
 TEST(DebugSession, PostAttachAdditionReplaysProductionMutations)
 {
     // Satellite of the rebuild path: DISE-table interventions used to
-    // refuse reattachAndReplay outright. Now the rebuild replays them
+    // refuse the rebuild outright. Now the rebuild replays them
     // at their stamps — including a removal of a pre-session
     // (prepare-hook) production, re-targeted by its stable slot.
     Program prog = doublerProgram();
@@ -895,7 +900,7 @@ TEST(DebugSession, PostAttachAdditionReplaysProductionMutations)
 TEST(DebugSession, SlicedRebuildMatchesOneShot)
 {
     // The server drives post-attach spec changes as preemptible jobs:
-    // begin + bounded rebuildStep() quanta must land exactly where the
+    // begin + bounded step() quanta must land exactly where the
     // one-shot setWatch() does.
     Program prog = doublerProgram();
     DebugSession a(prog, sessionOptions());
@@ -909,19 +914,61 @@ TEST(DebugSession, SlicedRebuildMatchesOneShot)
     int refIdx = a.setWatch(w4);
     ASSERT_GE(refIdx, 0);
 
-    bool done = false;
-    int idx = b.setWatchBegin(w4, done);
-    ASSERT_GE(idx, 0);
+    Request add;
+    add.kind = RequestKind::SetWatch;
+    add.watch = w4;
+    bool done = b.begin(add);
     unsigned steps = 0;
     while (!done) {
-        done = b.rebuildStep(3); // tiny quanta
+        done = b.step(3); // tiny quanta
         ++steps;
     }
-    EXPECT_EQ(idx, refIdx);
+    Response added = b.finish();
+    ASSERT_TRUE(added.ok()) << added.error;
+    EXPECT_EQ(added.index, refIdx);
     EXPECT_GE(steps, 2u) << "rebuild should take several quanta";
     EXPECT_EQ(a.stats().appInsts, b.stats().appInsts);
     EXPECT_EQ(a.stats().time, b.stats().time);
     EXPECT_EQ(a.digest(), b.digest());
+}
+
+TEST(DebugSession, VerbAfterInterruptedRebuildLandsTheRebuildFirst)
+{
+    // A set-watch job stopped after its first slices (an injected slice
+    // fault, a scheduler stop) leaves the rebuild half done. The next
+    // verb must land the rebuild before it runs: same position and
+    // digest as a session whose rebuild ran whole, and exportable.
+    Workload w = buildWorkload("mcf");
+    SessionOptions o;
+    o.debugger.backend = BackendKind::Dise;
+    o.timeTravel.checkpointInterval = 1024;
+    DebugSession ref(w.program, o);
+    DebugSession cut(w.program, o);
+    for (DebugSession *s : {&ref, &cut}) {
+        ASSERT_GE(s->setWatch(w.watch(WatchSel::WARM1)), 0);
+        s->stepi(20000);
+        ASSERT_TRUE(s->writeMemory(w.hotAddr, 8, 0x77));
+        s->stepi(20000);
+    }
+    WatchSpec hot = WatchSpec::scalar("hot", w.hotAddr, 8);
+    ASSERT_GE(ref.setWatch(hot), 0);
+    Request add;
+    add.kind = RequestKind::SetWatch;
+    add.watch = hot;
+    ASSERT_FALSE(cut.begin(add));
+    ASSERT_FALSE(cut.step(1000)); // commits the enlarged machinery
+    ASSERT_FALSE(cut.step(1000)); // 1000 instructions of the replay
+    persist::SessionImage img;
+    std::string err;
+    EXPECT_FALSE(cut.exportImage(img, &err)); // half rebuilt
+
+    StopInfo want = ref.stepi(5000);
+    StopInfo got = cut.stepi(5000);
+    EXPECT_EQ(want.appInsts, 45000u);
+    EXPECT_EQ(got.appInsts, want.appInsts);
+    EXPECT_EQ(got.time, want.time);
+    EXPECT_EQ(cut.digest(), ref.digest());
+    EXPECT_TRUE(cut.exportImage(img, &err)) << err;
 }
 
 TEST(DebugSession, SlicedReverseMatchesOneShot)
@@ -934,11 +981,12 @@ TEST(DebugSession, SlicedReverseMatchesOneShot)
         s->runToEnd();
     }
     StopInfo ref = a.reverseContinue();
-    bool done = false;
-    StopInfo got = b.reverseBegin(RequestKind::ReverseContinue, 0,
-                                  done);
+    Request rc;
+    rc.kind = RequestKind::ReverseContinue;
+    bool done = b.begin(rc);
     while (!done)
-        got = b.reverseSlice(2, done);
+        done = b.step(2);
+    StopInfo got = b.finish().stop;
     EXPECT_EQ(got.reason, ref.reason);
     EXPECT_EQ(got.time, ref.time);
     EXPECT_EQ(got.eventIndex, ref.eventIndex);
@@ -948,9 +996,10 @@ TEST(DebugSession, SlicedReverseMatchesOneShot)
     ASSERT_TRUE(a.removeWatch(0));
     ASSERT_TRUE(b.removeWatch(0));
     StopInfo refBack = a.reverseContinue(); // start-of-history
-    got = b.reverseBegin(RequestKind::ReverseContinue, 0, done);
+    done = b.begin(rc);
     while (!done)
-        got = b.reverseSlice(2, done);
+        done = b.step(2);
+    got = b.finish().stop;
     EXPECT_EQ(got.reason, refBack.reason);
     EXPECT_EQ(got.time, refBack.time);
 }

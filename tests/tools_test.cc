@@ -81,8 +81,9 @@ TEST(ToolDemo, AllFiveToolsFindTheirSeededBugs)
     // The oob finding names the seeded store.
     Program demo = buildToolDemo();
     for (const tools::ToolFinding &f : fs)
-        if (f.tool == "asan" && f.kind == "heap-oob")
+        if (f.tool == "asan" && f.kind == "heap-oob") {
             EXPECT_EQ(f.pc, demo.symbol("oob_store"));
+        }
 
     // Coverage saw the loops; memtrace's suppression actually elided
     // redundant same-granule work from the hammer loop.
