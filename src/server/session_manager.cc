@@ -602,20 +602,8 @@ SessionManager::stats() const
         if (!slk.owns_lock() || !ms.session.attached())
             continue;
         for (const tools::ToolStatsRow &row :
-             ms.session.debugger().backend().tools().statsRows()) {
-            tools::ToolStatsRow *agg = nullptr;
-            for (tools::ToolStatsRow &t : s.tools)
-                if (t.name == row.name)
-                    agg = &t;
-            if (!agg) {
-                s.tools.push_back(row);
-            } else {
-                agg->uopsSeen += row.uopsSeen;
-                agg->checks += row.checks;
-                agg->suppressed += row.suppressed;
-                agg->findings += row.findings;
-            }
-        }
+             ms.session.debugger().backend().tools().statsRows())
+            tools::mergeToolStats(s.tools, row);
     }
     return s;
 }

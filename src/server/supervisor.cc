@@ -530,44 +530,7 @@ ShardSupervisor::fleetStats()
         Response resp;
         if (!ctlCall(k, req, resp) || !resp.ok())
             continue;
-        const ServerStats &s = resp.server;
-        fleet.activeSessions += s.activeSessions;
-        fleet.peakSessions += s.peakSessions;
-        fleet.created += s.created;
-        fleet.destroyed += s.destroyed;
-        fleet.rejected += s.rejected;
-        fleet.maxSessions += s.maxSessions;
-        fleet.workers += s.workers;
-        fleet.slices += s.slices;
-        fleet.jobs += s.jobs;
-        fleet.totalUops += s.totalUops;
-        fleet.totalAppInsts += s.totalAppInsts;
-        fleet.totalEvents += s.totalEvents;
-        fleet.eventsPushed += s.eventsPushed;
-        fleet.subscribers += s.subscribers;
-        fleet.dropped += s.dropped;
-        fleet.hibernated += s.hibernated;
-        fleet.evictions += s.evictions;
-        fleet.resurrections += s.resurrections;
-        fleet.quarantined += s.quarantined;
-        fleet.faultsInjected += s.faultsInjected;
-        fleet.migratedIn += s.migratedIn;
-        fleet.migratedOut += s.migratedOut;
-        obs::mergeHistogramSnapshots(fleet.hists, s.hists);
-        for (const tools::ToolStatsRow &row : s.tools) {
-            tools::ToolStatsRow *agg = nullptr;
-            for (tools::ToolStatsRow &t : fleet.tools)
-                if (t.name == row.name)
-                    agg = &t;
-            if (!agg) {
-                fleet.tools.push_back(row);
-            } else {
-                agg->uopsSeen += row.uopsSeen;
-                agg->checks += row.checks;
-                agg->suppressed += row.suppressed;
-                agg->findings += row.findings;
-            }
-        }
+        mergeServerStats(fleet, resp.server);
     }
     if (opts_.faults)
         fleet.faultsInjected = opts_.faults->injected();

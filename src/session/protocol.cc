@@ -1,11 +1,17 @@
 #include "session/protocol.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
-#include <map>
+#include <limits>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/hex.hh"
+#include "obs/metrics.hh"
 
 namespace dise {
 
@@ -13,178 +19,120 @@ namespace {
 
 // ------------------------------------------------------------- tokens
 
-struct KindToken
+/** An enum's wire tokens, indexed by value (every protocol enum is a
+ *  uint8_t counting from 0). @p err is the decode error for a token
+ *  outside the set ("%s" stands for the token); without one, decode
+ *  ignores unknown tokens and keeps the default. */
+struct TokenSet
 {
-    RequestKind kind;
-    const char *name;
+    std::span<const char *const> names;
+    const char *err;
 };
 
-constexpr KindToken kRequestTokens[] = {
-    {RequestKind::Ping, "ping"},
-    {RequestKind::SelectBackend, "select-backend"},
-    {RequestKind::SetWatch, "set-watch"},
-    {RequestKind::SetBreak, "set-break"},
-    {RequestKind::RemoveWatch, "remove-watch"},
-    {RequestKind::RemoveBreak, "remove-break"},
-    {RequestKind::Attach, "attach"},
-    {RequestKind::Cont, "cont"},
-    {RequestKind::Stepi, "stepi"},
-    {RequestKind::RunToEnd, "run-to-end"},
-    {RequestKind::ReverseContinue, "reverse-continue"},
-    {RequestKind::ReverseStep, "reverse-step"},
-    {RequestKind::RunToEvent, "run-to-event"},
-    {RequestKind::ReadRegisters, "read-registers"},
-    {RequestKind::WriteRegister, "write-register"},
-    {RequestKind::ReadMemory, "read-memory"},
-    {RequestKind::WriteMemory, "write-memory"},
-    {RequestKind::Stats, "stats"},
-    {RequestKind::Detach, "detach"},
-    {RequestKind::ReplayVerify, "replay-verify"},
-    {RequestKind::SessionCreate, "session-create"},
-    {RequestKind::SessionSelect, "session-select"},
-    {RequestKind::SessionDestroy, "session-destroy"},
-    {RequestKind::SessionList, "session-list"},
-    {RequestKind::ServerStats, "server-stats"},
-    {RequestKind::Subscribe, "subscribe"},
-    {RequestKind::Unsubscribe, "unsubscribe"},
-    {RequestKind::SessionHibernate, "session-hibernate"},
-    {RequestKind::SessionPersist, "session-persist"},
-    {RequestKind::StoreStats, "store-stats"},
-    {RequestKind::TraceStart, "trace-start"},
-    {RequestKind::TraceStop, "trace-stop"},
-    {RequestKind::TraceDump, "trace-dump"},
-    {RequestKind::Metrics, "metrics"},
-    {RequestKind::ToolEnable, "tool-enable"},
-    {RequestKind::ToolDisable, "tool-disable"},
-    {RequestKind::ToolList, "tool-list"},
-    {RequestKind::ToolReport, "tool-report"},
-    {RequestKind::SessionMigrate, "session-migrate"},
-    {RequestKind::ShardStats, "shard-stats"},
-    {RequestKind::SessionExport, "session-export"},
-    {RequestKind::SessionAdopt, "session-adopt"},
-};
+constexpr const char *kRequestNames[] = {
+    "ping", "select-backend", "set-watch", "set-break", "remove-watch",
+    "remove-break", "attach", "cont", "stepi", "run-to-end",
+    "reverse-continue", "reverse-step", "run-to-event", "read-registers",
+    "write-register", "read-memory", "write-memory", "stats", "detach",
+    "replay-verify", "session-create", "session-select", "session-destroy",
+    "session-list", "server-stats", "subscribe", "unsubscribe",
+    "session-hibernate", "session-persist", "store-stats", "trace-start",
+    "trace-stop", "trace-dump", "metrics", "tool-enable", "tool-disable",
+    "tool-list", "tool-report", "session-migrate", "shard-stats",
+    "session-export", "session-adopt"};
+static_assert(std::size(kRequestNames) ==
+              size_t(RequestKind::SessionAdopt) + 1);
+constexpr const char *kBackendNames[] = {"dise", "single-step", "vm",
+                                         "hwreg", "rewrite"};
+constexpr const char *kWatchKindNames[] = {"scalar", "indirect", "range"};
+constexpr const char *kStopReasonNames[] = {
+    "start", "event", "step", "halted", "fault", "inst-limit"};
+constexpr const char *kEventKindNames[] = {"watch", "break", "protection"};
+constexpr const char *kSessionEventNames[] = {
+    "watch",    "break",  "protection",         "checkpoint",  "restore",
+    "attached", "halted", "subscriber-dropped", "tool-finding"};
+static_assert(std::size(kSessionEventNames) ==
+              size_t(SessionEventKind::ToolFinding) + 1);
+constexpr const char *kStatusNames[] = {"ok", "error", "unsupported"};
 
-struct BackendToken
-{
-    BackendKind kind;
-    const char *name;
-};
-
-constexpr BackendToken kBackendTokens[] = {
-    {BackendKind::Dise, "dise"},
-    {BackendKind::SingleStep, "single-step"},
-    {BackendKind::VirtualMemory, "vm"},
-    {BackendKind::HardwareReg, "hwreg"},
-    {BackendKind::Rewrite, "rewrite"},
-};
+template <typename E> constexpr TokenSet kTokens{};
+template <>
+constexpr TokenSet kTokens<RequestKind>{kRequestNames, nullptr};
+template <>
+constexpr TokenSet kTokens<BackendKind>{kBackendNames,
+                                        "unknown backend '%s'"};
+template <>
+constexpr TokenSet kTokens<WatchKind>{kWatchKindNames,
+                                      "bad watch kind '%s'"};
+template <>
+constexpr TokenSet kTokens<StopReason>{kStopReasonNames, "bad stop reason"};
+template <>
+constexpr TokenSet kTokens<EventKind>{kEventKindNames, nullptr};
+template <>
+constexpr TokenSet kTokens<SessionEventKind>{kSessionEventNames,
+                                             "unknown event kind '%s'"};
+template <>
+constexpr TokenSet kTokens<ResponseStatus>{kStatusNames,
+                                           "unknown response verb '%s'"};
 
 const char *
-watchKindToken(WatchKind kind)
+tokenName(const TokenSet &set, uint8_t value)
 {
-    switch (kind) {
-      case WatchKind::Scalar: return "scalar";
-      case WatchKind::Indirect: return "indirect";
-      case WatchKind::Range: return "range";
-    }
-    return "?";
+    return value < set.names.size() ? set.names[value] : "?";
 }
 
 bool
-parseWatchKind(const std::string &tok, WatchKind &kind)
+tokenValue(const TokenSet &set, std::string_view name, uint8_t &value)
 {
-    for (WatchKind k : {WatchKind::Scalar, WatchKind::Indirect,
-                        WatchKind::Range}) {
-        if (tok == watchKindToken(k)) {
-            kind = k;
+    for (size_t i = 0; i < set.names.size(); ++i) {
+        if (name == set.names[i]) {
+            value = static_cast<uint8_t>(i);
             return true;
         }
     }
     return false;
-}
-
-const char *
-stopReasonToken(StopReason reason)
-{
-    switch (reason) {
-      case StopReason::Start: return "start";
-      case StopReason::Event: return "event";
-      case StopReason::Step: return "step";
-      case StopReason::Halted: return "halted";
-      case StopReason::Fault: return "fault";
-      case StopReason::InstLimit: return "inst-limit";
-    }
-    return "?";
-}
-
-bool
-parseStopReason(const std::string &tok, StopReason &reason)
-{
-    for (StopReason r :
-         {StopReason::Start, StopReason::Event, StopReason::Step,
-          StopReason::Halted, StopReason::Fault, StopReason::InstLimit}) {
-        if (tok == stopReasonToken(r)) {
-            reason = r;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-eventKindToken(EventKind kind)
-{
-    switch (kind) {
-      case EventKind::Watch: return "watch";
-      case EventKind::Break: return "break";
-      case EventKind::Protection: return "protection";
-    }
-    return "?";
-}
-
-bool
-parseEventKind(const std::string &tok, EventKind &kind)
-{
-    for (EventKind k :
-         {EventKind::Watch, EventKind::Break, EventKind::Protection}) {
-        if (tok == eventKindToken(k)) {
-            kind = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-// ---------------------------------------------------- string escaping
-
-bool
-needsEscape(char c)
-{
-    // Everything the tokenizer treats as whitespace must be escaped,
-    // or encode/decode would not round-trip.
-    return c == ' ' || c == '%' || c == '=' || c == '\n' ||
-           c == '\r' || c == '\t' || c == '\v' || c == '\f';
 }
 
 std::string
-escape(const std::string &s)
+tokenError(const TokenSet &set, std::string_view token)
 {
-    std::string out;
-    out.reserve(s.size());
+    std::string msg = set.err;
+    size_t at = msg.find("%s");
+    if (at != std::string::npos)
+        msg.replace(at, 2, token);
+    return msg;
+}
+
+// ---------------------------------------------------- strings, numbers
+
+/** The token separators: the whitespace isspace() knows. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
+           c == '\f' || c == '\r';
+}
+
+void
+escapeInto(std::string &out, const std::string &s)
+{
+    static constexpr char digits[] = "0123456789abcdef";
     for (char c : s) {
-        if (needsEscape(c)) {
-            char buf[4];
-            std::snprintf(buf, sizeof buf, "%%%02x",
-                          static_cast<unsigned char>(c));
-            out += buf;
+        // Separators, '%' and '=' are escaped, or encode/decode would
+        // not round-trip.
+        if (isSpace(c) || c == '%' || c == '=') {
+            unsigned char u = static_cast<unsigned char>(c);
+            out += '%';
+            out += digits[u >> 4];
+            out += digits[u & 15];
         } else {
             out += c;
         }
     }
-    return out;
 }
 
 bool
-unescape(const std::string &s, std::string &out)
+unescape(std::string_view s, std::string &out)
 {
     out.clear();
     for (size_t i = 0; i < s.size(); ++i) {
@@ -203,160 +151,650 @@ unescape(const std::string &s, std::string &out)
     return true;
 }
 
-// -------------------------------------------------- line (de)tokenizer
+/** Reads @p s as strtoull (@p base 0: decimal, 0x hex, leading-zero
+ *  octal) does; the number must be the whole token. */
+bool
+parseNumber(std::string_view s, int base, uint64_t &v)
+{
+    std::string t(s);
+    char *end = nullptr;
+    uint64_t x = std::strtoull(t.c_str(), &end, base);
+    if (end == t.c_str() || *end != '\0')
+        return false;
+    v = x;
+    return true;
+}
 
-/** Emits "key=value" tokens onto a line. */
-class LineWriter
+void
+putNumber(std::string &out, uint64_t v, int base)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v, base).ptr);
+}
+
+// ------------------------------------------------------------ field rows
+
+/** Row flags: how encode writes a row, and what decode demands of it
+ *  (an empty value counts as a missing key). */
+constexpr uint8_t Hex = 1;      ///< 0x-hex scalars, bare hex list items
+constexpr uint8_t IfSet = 2;    ///< emit only a nonzero or non-empty value
+constexpr uint8_t NonNeg = 4;   ///< emit only a value >= 0
+constexpr uint8_t NotOne = 8;   ///< emit only a value != 1
+constexpr uint8_t Required = 16; ///< decode fails on a missing key
+constexpr uint8_t Zero = 32;    ///< a missing key decodes as 0
+
+/** One prefix.<name>=<list> key family: a key per element of a vector
+ *  member, the element's name after the prefix, its fields
+ *  ':'-separated in the value. */
+struct Family
+{
+    const char *err; ///< decode error for any malformed key
+    void (*put)(std::string &out, const char *prefix, const void *vec);
+    bool (*add)(void *vec, std::string_view name, std::string_view list);
+};
+
+template <typename E> constexpr const Family *kFamily = nullptr;
+
+template <typename T>
+void
+putAs(std::string &out, const void *p, bool hex)
+{
+    const T &v = *static_cast<const T *>(p);
+    int base = hex ? 16 : 10;
+    if constexpr (std::is_enum_v<T>) {
+        out += tokenName(kTokens<T>, static_cast<uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out += v ? '1' : '0';
+    } else if constexpr (std::is_signed_v<T>) {
+        if (v < 0)
+            out += '-';
+        putNumber(out, v < 0 ? 0 - uint64_t(v) : uint64_t(v), 10);
+    } else if constexpr (std::is_integral_v<T>) {
+        if (hex)
+            out += "0x";
+        putNumber(out, v, base);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        escapeInto(out, v);
+    } else if constexpr (std::is_same_v<T, std::vector<uint8_t>>) {
+        out += bytesToHex(v);
+    } else {
+        for (size_t i = 0; i < v.size(); ++i) {
+            if (i)
+                out += ',';
+            putNumber(out, v[i], base);
+        }
+    }
+}
+
+/** Parses @p s into the member at @p p: false when it does not parse.
+ *  Scalars read in @p base (0: as strtoull does); list items in hex or
+ *  decimal.
+ *  A token outside an enum's set is ignored when the set has no error
+ *  text. */
+template <typename T>
+bool
+getAs(std::string_view s, void *p, bool hex, int base)
+{
+    T &v = *static_cast<T *>(p);
+    if constexpr (std::is_enum_v<T>) {
+        uint8_t x;
+        if (!tokenValue(kTokens<T>, s, x))
+            return !kTokens<T>.err;
+        v = static_cast<T>(x);
+    } else if constexpr (std::is_integral_v<T>) {
+        uint64_t x;
+        if (!parseNumber(s, base, x))
+            return false;
+        v = static_cast<T>(x);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return unescape(s, v);
+    } else {
+        std::string text;
+        if (!unescape(s, text))
+            return false;
+        if constexpr (std::is_same_v<T, std::vector<uint8_t>>) {
+            return hexToBytes(text, v);
+        } else {
+            v.clear();
+            uint64_t x;
+            for (std::string_view rest = text; !rest.empty();) {
+                size_t comma = std::min(rest.find(','), rest.size());
+                if (!parseNumber(rest.substr(0, comma), hex ? 16 : 10, x))
+                    return false;
+                v.push_back(x);
+                rest.remove_prefix(std::min(comma + 1, rest.size()));
+            }
+        }
+    }
+    return true;
+}
+
+/** A scalar's value, or a string's or list's length (for IfSet). */
+template <typename T>
+int64_t
+numAs(const void *p)
+{
+    const T &v = *static_cast<const T *>(p);
+    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>)
+        return static_cast<int64_t>(v);
+    else
+        return static_cast<int64_t>(v.size());
+}
+
+/** How rows write, read and test one member type. */
+struct Member
+{
+    void (*put)(std::string &out, const void *p, bool hex);
+    bool (*get)(std::string_view s, void *p, bool hex, int base);
+    int64_t (*num)(const void *p);
+    const TokenSet *tokens = nullptr; ///< an enum's tokens
+    const Family *family = nullptr;   ///< a vector of family elements
+};
+
+template <typename T> struct ElementOf { using type = void; };
+template <typename E> struct ElementOf<std::vector<E>> { using type = E; };
+
+template <typename T>
+constexpr Member
+memberOf()
+{
+    using E = typename ElementOf<T>::type;
+    if constexpr (std::is_class_v<E>)
+        return {nullptr, nullptr, nullptr, nullptr, kFamily<E>};
+    else if constexpr (std::is_enum_v<T>)
+        return {&putAs<T>, &getAs<T>, &numAs<T>, &kTokens<T>};
+    else
+        return {&putAs<T>, &getAs<T>, &numAs<T>};
+}
+
+/** Where a row's value lives in an S. */
+template <typename S>
+struct Slot : Member
+{
+    void *(*ref)(S &);
+};
+
+/** The slot of the member reached from an S through @p Path. */
+template <typename S, auto... Path>
+constexpr Slot<S>
+at()
+{
+    using T = std::remove_reference_t<decltype(
+        (std::declval<S &>().*....*Path))>;
+    return {memberOf<T>(), [](S &s) -> void * { return &(s.*....*Path); }};
+}
+
+template <typename S>
+struct Row
+{
+    const char *key; ///< for a family, the key prefix
+    Slot<S> slot;
+    uint8_t flags = 0;
+    /** Decode error when the value is bad, or required and missing (an
+     *  enum row reports its token set's error instead). Without one, a
+     *  bad optional value is ignored. */
+    const char *err = nullptr;
+};
+
+template <typename S>
+using Rows = std::type_identity_t<std::span<const Row<S>>>;
+
+bool
+emits(uint8_t flags, int64_t v)
+{
+    return !((flags & IfSet && v == 0) || (flags & NonNeg && v < 0) ||
+             (flags & NotOne && v == 1));
+}
+
+// ------------------------------------------------------------ families
+
+/** A family over vector<E>: Name names each element after the prefix (a
+ *  string verbatim, or a decimal number), Fields are the list in order.
+ *  The last field takes the rest of the list; numbers are decimal. */
+template <typename E, auto Name, const auto &Fields>
+constexpr Family
+familyOf(const char *err)
+{
+    using NameT = std::remove_cvref_t<decltype(std::declval<E &>().*Name)>;
+    return {
+        err,
+        [](std::string &out, const char *prefix, const void *vec) {
+            for (const E &c : *static_cast<const std::vector<E> *>(vec)) {
+                E &e = const_cast<E &>(c);
+                out += ' ';
+                out += prefix;
+                if constexpr (std::is_same_v<NameT, std::string>)
+                    out += e.*Name;
+                else
+                    putNumber(out, e.*Name, 10);
+                for (size_t i = 0; i < std::size(Fields); ++i) {
+                    out += i ? ':' : '=';
+                    Fields[i].put(out, Fields[i].ref(e), false);
+                }
+            }
+        },
+        [](void *vec, std::string_view name, std::string_view list) {
+            E e;
+            if (name.empty())
+                return false;
+            if constexpr (std::is_same_v<NameT, std::string>)
+                e.*Name = name;
+            else if (!parseNumber(name, 10, e.*Name))
+                return false;
+            for (size_t i = 0; i < std::size(Fields); ++i) {
+                bool last = i + 1 == std::size(Fields);
+                size_t end = last ? list.size() : list.find(':');
+                if (end == std::string_view::npos)
+                    return false;
+                // Only the value that ends the list must parse.
+                if (!Fields[i].get(list.substr(0, end), Fields[i].ref(e),
+                                   false, 10) &&
+                    last)
+                    return false;
+                list.remove_prefix(std::min(end + 1, list.size()));
+            }
+            static_cast<std::vector<E> *>(vec)->push_back(std::move(e));
+            return true;
+        }};
+}
+
+using Hist = HistogramSnapshot;
+using Tool = tools::ToolStatsRow;
+using Shard = ShardStatsRow;
+using Cfg = std::pair<std::string, std::string>;
+
+constexpr Slot<Hist> kHistFields[] = {at<Hist, &Hist::count>(),
+                                      at<Hist, &Hist::sum>(),
+                                      at<Hist, &Hist::buckets>()};
+constexpr Slot<Tool> kToolFields[] = {
+    at<Tool, &Tool::uopsSeen>(), at<Tool, &Tool::checks>(),
+    at<Tool, &Tool::suppressed>(), at<Tool, &Tool::findings>()};
+constexpr Slot<Shard> kShardFields[] = {
+    at<Shard, &Shard::pid>(),        at<Shard, &Shard::sessions>(),
+    at<Shard, &Shard::hibernated>(), at<Shard, &Shard::jobs>(),
+    at<Shard, &Shard::totalUops>(),  at<Shard, &Shard::appInsts>(),
+    at<Shard, &Shard::queueWaitMeanUs>(), at<Shard, &Shard::restarts>(),
+    at<Shard, &Shard::migratedIn>(), at<Shard, &Shard::migratedOut>()};
+constexpr Slot<Cfg> kCfgFields[] = {at<Cfg, &Cfg::second>()};
+
+constexpr Family kHists = familyOf<Hist, &Hist::name, kHistFields>(
+    "bad histogram encoding");
+constexpr Family kTools = familyOf<Tool, &Tool::name, kToolFields>(
+    "bad tool-stats encoding");
+constexpr Family kShards = familyOf<Shard, &Shard::index, kShardFields>(
+    "bad shard-stats encoding");
+constexpr Family kCfgs = familyOf<Cfg, &Cfg::first, kCfgFields>(
+    "bad tool configuration key");
+template <> constexpr const Family *kFamily<Hist> = &kHists;
+template <> constexpr const Family *kFamily<Tool> = &kTools;
+template <> constexpr const Family *kFamily<Shard> = &kShards;
+template <> constexpr const Family *kFamily<Cfg> = &kCfgs;
+
+// ---------------------------------------------------------- the rows
+
+using Q = Request;
+using WS = WatchSpec;
+using BS = BreakSpec;
+constexpr auto W = &Request::watch;
+constexpr auto B = &Request::brk;
+
+constexpr Row<Q> kSeqRows[] = {{"seq", at<Q, &Q::seq>()}};
+constexpr Row<Q> kSelectBackendRows[] = {
+    {"backend", at<Q, &Q::backend>(), Required}};
+constexpr Row<Q> kSetWatchRows[] = {
+    {"wkind", at<Q, W, &WS::kind>(), Required},
+    {"name", at<Q, W, &WS::name>()},
+    {"addr", at<Q, W, &WS::addr>(), Hex | Required, "set-watch needs addr="},
+    {"size", at<Q, W, &WS::size>()},
+    {"length", at<Q, W, &WS::length>()},
+    {"cond", at<Q, W, &WS::conditional>()},
+    {"pred", at<Q, W, &WS::predConst>(), Hex}};
+constexpr Row<Q> kSetBreakRows[] = {
+    {"pc", at<Q, B, &BS::pc>(), Hex | Required, "set-break needs pc="},
+    {"name", at<Q, B, &BS::name>()},
+    {"cond", at<Q, B, &BS::conditional>()},
+    {"caddr", at<Q, B, &BS::condAddr>(), Hex},
+    {"csize", at<Q, B, &BS::condSize>()},
+    {"cconst", at<Q, B, &BS::condConst>(), Hex}};
+constexpr Row<Q> kRemoveRows[] = {
+    {"index", at<Q, &Q::index>(), Required, "remove needs index="}};
+constexpr Row<Q> kCountRows[] = {{"count", at<Q, &Q::count>()}};
+constexpr Row<Q> kMemoryRows[] = {
+    {"addr", at<Q, &Q::addr>(), Hex | Required, "memory access needs addr="},
+    {"size", at<Q, &Q::size>()},
+    {"value", at<Q, &Q::value>(), Hex}};
+constexpr Row<Q> kWriteRegisterRows[] = {
+    {"reg", at<Q, &Q::reg>(), Required, "write-register needs reg="},
+    {"value", at<Q, &Q::value>(), Hex | Required,
+     "write-register needs value="}};
+constexpr Row<Q> kSessionCreateRows[] = {
+    {"name", at<Q, &Q::name>()},
+    {"backend", at<Q, &Q::backend>()},
+    {"shard", at<Q, &Q::shard>(), NonNeg}};
+constexpr Row<Q> kSessionRows[] = {
+    {"session", at<Q, &Q::session>(), Required, "session verb needs session="}};
+constexpr Row<Q> kSessionMigrateRows[] = {
+    {"session", at<Q, &Q::session>(), Required,
+     "session-migrate needs session="},
+    {"shard", at<Q, &Q::shard>(), NonNeg}};
+constexpr Row<Q> kSessionAdoptRows[] = {
+    {"data", at<Q, &Q::data>(), Required, "session-adopt needs data="}};
+constexpr Row<Q> kOptionalSessionRows[] = {
+    {"session", at<Q, &Q::session>(), IfSet}};
+constexpr Row<Q> kTraceStartRows[] = {
+    {"count", at<Q, &Q::count>(), NotOne | Zero}};
+constexpr Row<Q> kTraceDumpRows[] = {{"count", at<Q, &Q::count>(), Zero},
+                                     {"value", at<Q, &Q::value>()}};
+constexpr Row<Q> kToolEnableRows[] = {
+    {"name", at<Q, &Q::name>(), Required, "tool verb needs name="},
+    {"cfg.", at<Q, &Q::toolConfig>()},
+    {"session", at<Q, &Q::session>(), IfSet}};
+constexpr Row<Q> kToolRows[] = {
+    {"name", at<Q, &Q::name>(), Required, "tool verb needs name="},
+    {"session", at<Q, &Q::session>(), IfSet}};
+
+/** Each verb's rows after seq=; verbs not listed carry none. */
+constexpr std::pair<RequestKind, std::span<const Row<Q>>> kVerbRows[] = {
+    {RequestKind::SelectBackend, kSelectBackendRows},
+    {RequestKind::SetWatch, kSetWatchRows},
+    {RequestKind::SetBreak, kSetBreakRows},
+    {RequestKind::RemoveWatch, kRemoveRows},
+    {RequestKind::RemoveBreak, kRemoveRows},
+    {RequestKind::Stepi, kCountRows},
+    {RequestKind::ReverseStep, kCountRows},
+    {RequestKind::RunToEvent, kCountRows},
+    {RequestKind::ReplayVerify, kCountRows},
+    {RequestKind::ReadMemory, std::span(kMemoryRows).first(2)},
+    {RequestKind::WriteMemory, kMemoryRows},
+    {RequestKind::WriteRegister, kWriteRegisterRows},
+    {RequestKind::SessionCreate, kSessionCreateRows},
+    {RequestKind::SessionSelect, kSessionRows},
+    {RequestKind::SessionDestroy, kSessionRows},
+    {RequestKind::SessionExport, kSessionRows},
+    {RequestKind::SessionMigrate, kSessionMigrateRows},
+    {RequestKind::SessionAdopt, kSessionAdoptRows},
+    {RequestKind::SessionHibernate, kOptionalSessionRows},
+    {RequestKind::SessionPersist, kOptionalSessionRows},
+    {RequestKind::ToolList, kOptionalSessionRows},
+    {RequestKind::TraceStart, kTraceStartRows},
+    {RequestKind::TraceDump, kTraceDumpRows},
+    {RequestKind::ToolEnable, kToolEnableRows},
+    {RequestKind::ToolDisable, kToolRows},
+    {RequestKind::ToolReport, kToolRows},
+};
+
+std::span<const Row<Q>>
+verbRows(RequestKind kind)
+{
+    for (const auto &[k, rows] : kVerbRows)
+        if (k == kind)
+            return rows;
+    return {};
+}
+
+using R = Response;
+constexpr Row<R> kReplyHeadRows[] = {
+    {"seq", at<R, &R::seq>()},
+    {"re", at<R, &R::inReplyTo>()},
+    {"msg", at<R, &R::error>(), IfSet},
+    {"index", at<R, &R::index>(), NonNeg},
+    {"stop", at<R, &R::hasStop>(), IfSet}};
+constexpr Row<R> kReplyBodyRows[] = {
+    {"regs", at<R, &R::regs>(), Hex | IfSet, "bad register list"},
+    {"bytes", at<R, &R::bytes>(), IfSet, "bad byte string"},
+    {"value", at<R, &R::value>(), Hex | IfSet},
+    {"text", at<R, &R::text>(), IfSet}};
+constexpr Row<R> kShardRows[] = {{"shard.", at<R, &R::shards>()}};
+
+using SI = StopInfo;
+constexpr Row<SI> kStopRows[] = {
+    {"sreason", at<SI, &SI::reason>(), Required},
+    {"sevent", at<SI, &SI::eventIndex>()},
+    {"stime", at<SI, &SI::time>()},
+    {"sinsts", at<SI, &SI::appInsts>()},
+    {"spc", at<SI, &SI::pc>(), Hex}};
+constexpr Row<SI> kMarkRows[] = {
+    {"skind", at<SI, &SI::mark, &EventMark::kind>()},
+    {"sindex", at<SI, &SI::mark, &EventMark::index>()},
+    {"smarkpc", at<SI, &SI::mark, &EventMark::pc>(), Hex}};
+
+using SS = SessionStats;
+constexpr Row<SS> kSessionStatsRows[] = {
+    {"st.time", at<SS, &SS::time>()},
+    {"st.insts", at<SS, &SS::appInsts>()},
+    {"st.events", at<SS, &SS::events>()},
+    {"st.cps", at<SS, &SS::checkpoints>()},
+    {"st.pages", at<SS, &SS::pagesCopied>()},
+    {"st.restores", at<SS, &SS::restores>()},
+    {"st.replayed", at<SS, &SS::replayedUops>()}};
+
+using SV = ServerStats;
+constexpr Row<SV> kServerStatsRows[] = {
+    {"sv.active", at<SV, &SV::activeSessions>()},
+    {"sv.peak", at<SV, &SV::peakSessions>()},
+    {"sv.created", at<SV, &SV::created>()},
+    {"sv.destroyed", at<SV, &SV::destroyed>()},
+    {"sv.rejected", at<SV, &SV::rejected>()},
+    {"sv.max", at<SV, &SV::maxSessions>()},
+    {"sv.workers", at<SV, &SV::workers>()},
+    {"sv.slices", at<SV, &SV::slices>()},
+    {"sv.jobs", at<SV, &SV::jobs>()},
+    {"sv.uops", at<SV, &SV::totalUops>()},
+    {"sv.insts", at<SV, &SV::totalAppInsts>()},
+    {"sv.events", at<SV, &SV::totalEvents>()},
+    {"sv.pushed", at<SV, &SV::eventsPushed>()},
+    {"sv.subs", at<SV, &SV::subscribers>()},
+    {"sv.dropped", at<SV, &SV::dropped>()},
+    {"sv.hibernated", at<SV, &SV::hibernated>()},
+    {"sv.evictions", at<SV, &SV::evictions>()},
+    {"sv.resurrections", at<SV, &SV::resurrections>()},
+    {"sv.quarantined", at<SV, &SV::quarantined>()},
+    {"sv.faults", at<SV, &SV::faultsInjected>()},
+    {"sv.migin", at<SV, &SV::migratedIn>()},
+    {"sv.migout", at<SV, &SV::migratedOut>()},
+    {"hist.", at<SV, &SV::hists>()},
+    {"tool.", at<SV, &SV::tools>()}};
+
+using PS = StoreStats;
+constexpr Row<PS> kStoreStatsRows[] = {
+    {"ps.images", at<PS, &PS::images>()},
+    {"ps.bytes", at<PS, &PS::bytes>()},
+    {"ps.puts", at<PS, &PS::puts>()},
+    {"ps.loads", at<PS, &PS::loads>()},
+    {"ps.erases", at<PS, &PS::erases>()},
+    {"ps.quarantined", at<PS, &PS::quarantined>()},
+    {"ps.orphans", at<PS, &PS::orphansRemoved>()}};
+
+using EV = SessionEvent;
+constexpr Row<EV> kEventRows[] = {
+    {"kind", at<EV, &EV::kind>(), Required},
+    {"seq", at<EV, &EV::seq>()},
+    {"time", at<EV, &EV::time>()},
+    {"insts", at<EV, &EV::appInsts>()},
+    {"pc", at<EV, &EV::pc>(), Hex},
+    {"index", at<EV, &EV::index>()},
+    {"addr", at<EV, &EV::addr>(), Hex},
+    {"old", at<EV, &EV::oldValue>(), Hex},
+    {"new", at<EV, &EV::newValue>(), Hex},
+    {"value", at<EV, &EV::value>()},
+    {"tool", at<EV, &EV::tool>(), IfSet},
+    {"detail", at<EV, &EV::detail>(), IfSet}};
+
+// -------------------------------------------------- line writer/reader
+
+/** Emits rows as "key=value" tokens onto one line. */
+class Writer
 {
   public:
-    explicit LineWriter(std::string verb) : line_(std::move(verb)) {}
-
-    void
-    num(const char *key, uint64_t v)
+    explicit Writer(const char *verb)
     {
-        line_ += ' ';
-        line_ += key;
-        line_ += '=';
-        line_ += std::to_string(v);
+        line_.reserve(192);
+        line_ = verb;
     }
 
-    void
-    hex(const char *key, uint64_t v)
+    template <typename S>
+    bool
+    rows(const S &s, Rows<S> rows)
     {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "0x%llx",
-                      static_cast<unsigned long long>(v));
-        line_ += ' ';
-        line_ += key;
-        line_ += '=';
-        line_ += buf;
+        for (const Row<S> &row : rows) {
+            const void *p = row.slot.ref(const_cast<S &>(s));
+            if (row.slot.family) {
+                row.slot.family->put(line_, row.key, p);
+            } else if (emits(row.flags, row.slot.num(p))) {
+                line_ += ' ';
+                line_ += row.key;
+                line_ += '=';
+                row.slot.put(line_, p, row.flags & Hex);
+            }
+        }
+        return true;
     }
 
-    void
-    snum(const char *key, int64_t v)
-    {
-        line_ += ' ';
-        line_ += key;
-        line_ += '=';
-        line_ += std::to_string(v);
-    }
-
-    void
-    str(const char *key, const std::string &v)
-    {
-        line_ += ' ';
-        line_ += key;
-        line_ += '=';
-        line_ += escape(v);
-    }
-
-    const std::string &str() const { return line_; }
+    std::string take() { return std::move(line_); }
 
   private:
     std::string line_;
 };
 
-/** Parsed "verb key=value ..." line; unknown keys are ignored by the
- *  typed getters, preserving forward compatibility. */
-class LineReader
+/** A parsed "verb key=value ..." line that fills members from rows.
+ *  Unknown keys are ignored, so the encoding can grow; a repeated key's
+ *  last value wins. */
+class Reader
 {
   public:
+    Reader(std::string *err) : err_(err) {}
+
     bool
-    parse(const std::string &line, std::string *err)
+    parse(std::string_view line)
     {
-        std::istringstream in(line);
-        if (!(in >> verb_)) {
-            if (err)
-                *err = "empty line";
-            return false;
-        }
-        std::string tok;
-        while (in >> tok) {
+        for (size_t b = 0, e = 0; b < line.size(); b = e) {
+            while (b < line.size() && isSpace(line[b]))
+                ++b;
+            for (e = b; e < line.size() && !isSpace(line[e]);)
+                ++e;
+            std::string_view tok = line.substr(b, e - b);
             size_t eq = tok.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                if (err)
-                    *err = "malformed token '" + tok + "'";
-                return false;
-            }
-            kv_[tok.substr(0, eq)] = tok.substr(eq + 1);
-        }
-        return true;
-    }
-
-    const std::string &verb() const { return verb_; }
-
-    bool has(const char *key) const { return kv_.count(key) > 0; }
-
-    bool
-    num(const char *key, uint64_t &out) const
-    {
-        auto it = kv_.find(key);
-        if (it == kv_.end())
-            return false;
-        const char *s = it->second.c_str();
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 0);
-        if (end == s || *end != '\0')
-            return false;
-        out = v;
-        return true;
-    }
-
-    bool
-    snum(const char *key, int64_t &out) const
-    {
-        auto it = kv_.find(key);
-        if (it == kv_.end())
-            return false;
-        const char *s = it->second.c_str();
-        char *end = nullptr;
-        long long v = std::strtoll(s, &end, 0);
-        if (end == s || *end != '\0')
-            return false;
-        out = v;
-        return true;
-    }
-
-    bool
-    str(const char *key, std::string &out) const
-    {
-        auto it = kv_.find(key);
-        if (it == kv_.end())
-            return false;
-        return unescape(it->second, out);
-    }
-
-    std::string
-    raw(const char *key) const
-    {
-        auto it = kv_.find(key);
-        return it == kv_.end() ? std::string() : it->second;
-    }
-
-    /** Visit every key=value whose key starts with @p prefix, in key
-     *  order (raw values; the caller unescapes if needed). */
-    template <typename Fn>
-    void
-    forEachWithPrefix(const std::string &prefix, Fn fn) const
-    {
-        for (auto it = kv_.lower_bound(prefix); it != kv_.end(); ++it) {
-            if (it->first.compare(0, prefix.size(), prefix) != 0)
+            if (tok.empty())
                 break;
-            fn(it->first, it->second);
+            if (verb_.empty())
+                verb_ = tok;
+            else if (eq == std::string_view::npos || eq == 0)
+                return fail("malformed token '" + std::string(tok) + "'");
+            else
+                kv_.push_back({tok.substr(0, eq), tok.substr(eq + 1),
+                               kv_.size()});
         }
+        if (verb_.empty())
+            return fail("empty line");
+        std::sort(kv_.begin(), kv_.end(), [](const KV &a, const KV &b) {
+            return a.key != b.key ? a.key < b.key : a.pos < b.pos;
+        });
+        return true;
+    }
+
+    std::string_view verb() const { return verb_; }
+
+    template <typename S>
+    bool
+    rows(S &s, Rows<S> rows)
+    {
+        for (const Row<S> &row : rows) {
+            void *p = row.slot.ref(s);
+            if (row.slot.family) {
+                if (!family(*row.slot.family, row.key, p))
+                    return false;
+                continue;
+            }
+            const KV *kv = find(row.key);
+            std::string_view v = kv ? kv->value : std::string_view();
+            if (v.empty()) {
+                if (row.flags & Zero)
+                    row.slot.get("0", p, false, 0);
+                if (!(row.flags & Required))
+                    continue;
+            } else if (row.slot.get(v, p, row.flags & Hex, 0)) {
+                continue;
+            }
+            if (row.slot.tokens)
+                return fail(tokenError(*row.slot.tokens, v));
+            if (row.err)
+                return fail(row.err);
+            // Otherwise a bad optional value is ignored.
+        }
+        return true;
+    }
+
+    bool
+    fail(const std::string &msg)
+    {
+        if (err_)
+            *err_ = msg;
+        return false;
     }
 
   private:
-    std::string verb_;
-    std::map<std::string, std::string> kv_;
+    struct KV
+    {
+        std::string_view key, value;
+        size_t pos;
+    };
+
+    const KV *
+    find(std::string_view key) const
+    {
+        auto it = std::upper_bound(
+            kv_.begin(), kv_.end(), key,
+            [](std::string_view k, const KV &kv) { return k < kv.key; });
+        return it != kv_.begin() && (it - 1)->key == key ? &*(it - 1)
+                                                         : nullptr;
+    }
+
+    /** Every prefix.<name> key, in key order. */
+    bool
+    family(const Family &f, std::string_view prefix, void *vec)
+    {
+        auto it = std::lower_bound(
+            kv_.begin(), kv_.end(), prefix,
+            [](const KV &kv, std::string_view k) { return kv.key < k; });
+        for (; it != kv_.end() && it->key.starts_with(prefix); ++it) {
+            if (it + 1 != kv_.end() && (it + 1)->key == it->key)
+                continue; // a later duplicate wins
+            if (!f.add(vec, it->key.substr(prefix.size()), it->value))
+                return fail(f.err);
+        }
+        return true;
+    }
+
+    std::string *err_;
+    std::string_view verb_;
+    std::vector<KV> kv_;
 };
 
+/** The response layout, shared by encode and decode: head, stop and
+ *  its mark, payloads, the stats block of the verb replied to, shard
+ *  rows. Decode reads each gate (hasStop, eventIndex, inReplyTo) after
+ *  the rows that set it. */
+template <typename V, typename Resp>
 bool
-fail(std::string *err, const std::string &msg)
+walkResponse(V &v, Resp &r)
 {
-    if (err)
-        *err = msg;
-    return false;
+    if (!v.rows(r, kReplyHeadRows))
+        return false;
+    if (r.hasStop && !(v.rows(r.stop, kStopRows) &&
+                       (r.stop.eventIndex < 0 || v.rows(r.stop, kMarkRows))))
+        return false;
+    if (!v.rows(r, kReplyBodyRows))
+        return false;
+    if (r.inReplyTo == RequestKind::Stats &&
+        !v.rows(r.stats, kSessionStatsRows))
+        return false;
+    if (r.inReplyTo == RequestKind::ServerStats &&
+        !v.rows(r.server, kServerStatsRows))
+        return false;
+    if (r.inReplyTo == RequestKind::StoreStats &&
+        !v.rows(r.store, kStoreStatsRows))
+        return false;
+    return v.rows(r, kShardRows);
 }
 
 } // namespace
@@ -364,312 +802,68 @@ fail(std::string *err, const std::string &msg)
 const char *
 requestKindName(RequestKind kind)
 {
-    for (const auto &t : kRequestTokens)
-        if (t.kind == kind)
-            return t.name;
-    return "?";
+    return tokenName(kTokens<RequestKind>, static_cast<uint8_t>(kind));
 }
 
 const char *
 backendToken(BackendKind kind)
 {
-    for (const auto &t : kBackendTokens)
-        if (t.kind == kind)
-            return t.name;
-    return "?";
+    return tokenName(kTokens<BackendKind>, static_cast<uint8_t>(kind));
 }
 
 bool
 parseBackendToken(const std::string &token, BackendKind &kind)
 {
-    for (const auto &t : kBackendTokens) {
-        if (token == t.name) {
-            kind = t.kind;
-            return true;
-        }
-    }
-    return false;
+    uint8_t v;
+    if (!tokenValue(kTokens<BackendKind>, token, v))
+        return false;
+    kind = static_cast<BackendKind>(v);
+    return true;
 }
 
 const char *
 sessionEventKindName(SessionEventKind kind)
 {
-    switch (kind) {
-      case SessionEventKind::Watch: return "watch";
-      case SessionEventKind::Break: return "break";
-      case SessionEventKind::Protection: return "protection";
-      case SessionEventKind::Checkpoint: return "checkpoint";
-      case SessionEventKind::Restore: return "restore";
-      case SessionEventKind::Attached: return "attached";
-      case SessionEventKind::Halted: return "halted";
-      case SessionEventKind::SubscriberDropped:
-        return "subscriber-dropped";
-      case SessionEventKind::ToolFinding: return "tool-finding";
-    }
-    return "?";
+    return tokenName(kTokens<SessionEventKind>,
+                     static_cast<uint8_t>(kind));
 }
 
-// ------------------------------------------------------------ request
+void
+mergeServerStats(ServerStats &into, const ServerStats &from)
+{
+    for (const Row<ServerStats> &row : kServerStatsRows)
+        if (!row.slot.family)
+            *static_cast<uint64_t *>(row.slot.ref(into)) +=
+                *static_cast<const uint64_t *>(
+                    row.slot.ref(const_cast<ServerStats &>(from)));
+    obs::mergeHistogramSnapshots(into.hists, from.hists);
+    for (const tools::ToolStatsRow &row : from.tools)
+        tools::mergeToolStats(into.tools, row);
+}
+
+// ------------------------------------------------------------- codecs
 
 std::string
 encodeRequest(const Request &req)
 {
-    LineWriter w(requestKindName(req.kind));
-    w.num("seq", req.seq);
-    switch (req.kind) {
-      case RequestKind::SelectBackend:
-        w.str("backend", backendToken(req.backend));
-        break;
-      case RequestKind::SetWatch:
-        w.str("wkind", watchKindToken(req.watch.kind));
-        w.str("name", req.watch.name);
-        w.hex("addr", req.watch.addr);
-        w.num("size", req.watch.size);
-        w.num("length", req.watch.length);
-        w.num("cond", req.watch.conditional ? 1 : 0);
-        w.hex("pred", req.watch.predConst);
-        break;
-      case RequestKind::SetBreak:
-        w.hex("pc", req.brk.pc);
-        w.str("name", req.brk.name);
-        w.num("cond", req.brk.conditional ? 1 : 0);
-        w.hex("caddr", req.brk.condAddr);
-        w.num("csize", req.brk.condSize);
-        w.hex("cconst", req.brk.condConst);
-        break;
-      case RequestKind::RemoveWatch:
-      case RequestKind::RemoveBreak:
-        w.snum("index", req.index);
-        break;
-      case RequestKind::Stepi:
-      case RequestKind::ReverseStep:
-      case RequestKind::RunToEvent:
-      case RequestKind::ReplayVerify:
-        w.num("count", req.count);
-        break;
-      case RequestKind::ReadMemory:
-        w.hex("addr", req.addr);
-        w.num("size", req.size);
-        break;
-      case RequestKind::WriteMemory:
-        w.hex("addr", req.addr);
-        w.num("size", req.size);
-        w.hex("value", req.value);
-        break;
-      case RequestKind::WriteRegister:
-        w.num("reg", req.reg);
-        w.hex("value", req.value);
-        break;
-      case RequestKind::SessionCreate:
-        w.str("name", req.name);
-        w.str("backend", backendToken(req.backend));
-        if (req.shard >= 0)
-            w.snum("shard", req.shard);
-        break;
-      case RequestKind::SessionSelect:
-      case RequestKind::SessionDestroy:
-      case RequestKind::SessionExport:
-        w.num("session", req.session);
-        break;
-      case RequestKind::SessionMigrate:
-        w.num("session", req.session);
-        if (req.shard >= 0)
-            w.snum("shard", req.shard);
-        break;
-      case RequestKind::SessionAdopt:
-        w.str("data", req.data);
-        break;
-      case RequestKind::SessionHibernate:
-      case RequestKind::SessionPersist:
-        if (req.session)
-            w.num("session", req.session);
-        break;
-      case RequestKind::TraceStart:
-        if (req.count != 1)
-            w.num("count", req.count); // ring KiB per thread (0=default)
-        break;
-      case RequestKind::TraceDump:
-        w.num("count", req.count); // max chunk bytes (0 = server pick)
-        w.num("value", req.value); // byte offset into the rendered JSON
-        break;
-      case RequestKind::ToolEnable:
-        w.str("name", req.name);
-        for (const auto &kv : req.toolConfig)
-            w.str(("cfg." + kv.first).c_str(), kv.second);
-        if (req.session)
-            w.num("session", req.session);
-        break;
-      case RequestKind::ToolDisable:
-      case RequestKind::ToolReport:
-        w.str("name", req.name);
-        if (req.session)
-            w.num("session", req.session);
-        break;
-      case RequestKind::ToolList:
-        if (req.session)
-            w.num("session", req.session);
-        break;
-      default:
-        break;
-    }
-    return w.str();
+    Writer w(requestKindName(req.kind));
+    w.rows(req, kSeqRows);
+    w.rows(req, verbRows(req.kind));
+    return w.take();
 }
 
 bool
 decodeRequest(const std::string &line, Request &req, std::string *err)
 {
-    LineReader r;
-    if (!r.parse(line, err))
+    Reader r(err);
+    if (!r.parse(line))
         return false;
-
     req = Request{};
-    bool known = false;
-    for (const auto &t : kRequestTokens) {
-        if (r.verb() == t.name) {
-            req.kind = t.kind;
-            known = true;
-            break;
-        }
-    }
-    if (!known)
-        return fail(err, "unknown request '" + r.verb() + "'");
-    r.num("seq", req.seq);
-
-    switch (req.kind) {
-      case RequestKind::SelectBackend: {
-        std::string tok = r.raw("backend");
-        if (!parseBackendToken(tok, req.backend))
-            return fail(err, "unknown backend '" + tok + "'");
-        break;
-      }
-      case RequestKind::SetWatch: {
-        if (!parseWatchKind(r.raw("wkind"), req.watch.kind))
-            return fail(err, "bad watch kind '" + r.raw("wkind") + "'");
-        r.str("name", req.watch.name);
-        uint64_t v = 0;
-        if (!r.num("addr", req.watch.addr))
-            return fail(err, "set-watch needs addr=");
-        if (r.num("size", v))
-            req.watch.size = static_cast<unsigned>(v);
-        r.num("length", req.watch.length);
-        if (r.num("cond", v))
-            req.watch.conditional = v != 0;
-        r.num("pred", req.watch.predConst);
-        break;
-      }
-      case RequestKind::SetBreak: {
-        uint64_t v = 0;
-        if (!r.num("pc", req.brk.pc))
-            return fail(err, "set-break needs pc=");
-        r.str("name", req.brk.name);
-        if (r.num("cond", v))
-            req.brk.conditional = v != 0;
-        r.num("caddr", req.brk.condAddr);
-        if (r.num("csize", v))
-            req.brk.condSize = static_cast<unsigned>(v);
-        r.num("cconst", req.brk.condConst);
-        break;
-      }
-      case RequestKind::RemoveWatch:
-      case RequestKind::RemoveBreak: {
-        int64_t idx = -1;
-        if (!r.snum("index", idx))
-            return fail(err, "remove needs index=");
-        req.index = static_cast<int>(idx);
-        break;
-      }
-      case RequestKind::Stepi:
-      case RequestKind::ReverseStep:
-      case RequestKind::RunToEvent:
-      case RequestKind::ReplayVerify:
-        r.num("count", req.count);
-        break;
-      case RequestKind::ReadMemory:
-      case RequestKind::WriteMemory: {
-        uint64_t v = 0;
-        if (!r.num("addr", req.addr))
-            return fail(err, "memory access needs addr=");
-        if (r.num("size", v))
-            req.size = static_cast<unsigned>(v);
-        r.num("value", req.value);
-        break;
-      }
-      case RequestKind::WriteRegister: {
-        uint64_t v = 0;
-        if (!r.num("reg", v))
-            return fail(err, "write-register needs reg=");
-        req.reg = static_cast<unsigned>(v);
-        if (!r.num("value", req.value))
-            return fail(err, "write-register needs value=");
-        break;
-      }
-      case RequestKind::SessionCreate: {
-        r.str("name", req.name);
-        std::string tok = r.raw("backend");
-        if (!tok.empty() && !parseBackendToken(tok, req.backend))
-            return fail(err, "unknown backend '" + tok + "'");
-        r.snum("shard", req.shard); // optional: balancer picks
-        break;
-      }
-      case RequestKind::SessionSelect:
-      case RequestKind::SessionDestroy:
-      case RequestKind::SessionExport:
-        if (!r.num("session", req.session))
-            return fail(err, "session verb needs session=");
-        break;
-      case RequestKind::SessionMigrate:
-        if (!r.num("session", req.session))
-            return fail(err, "session-migrate needs session=");
-        r.snum("shard", req.shard); // optional: balancer picks
-        break;
-      case RequestKind::SessionAdopt:
-        if (!r.str("data", req.data) || req.data.empty())
-            return fail(err, "session-adopt needs data=");
-        break;
-      case RequestKind::SessionHibernate:
-      case RequestKind::SessionPersist:
-        r.num("session", req.session); // optional: default selected
-        break;
-      case RequestKind::TraceStart:
-        req.count = 0;
-        r.num("count", req.count);
-        break;
-      case RequestKind::TraceDump:
-        req.count = 0;
-        r.num("count", req.count);
-        r.num("value", req.value);
-        break;
-      case RequestKind::ToolEnable:
-      case RequestKind::ToolDisable:
-      case RequestKind::ToolReport: {
-        if (!r.str("name", req.name) || req.name.empty())
-            return fail(err, "tool verb needs name=");
-        r.num("session", req.session); // optional: default selected
-        if (req.kind == RequestKind::ToolEnable) {
-            bool cfgOk = true;
-            r.forEachWithPrefix(
-                "cfg.",
-                [&](const std::string &key, const std::string &raw) {
-                    std::string k = key.substr(4), v;
-                    if (k.empty() || !unescape(raw, v)) {
-                        cfgOk = false;
-                        return;
-                    }
-                    req.toolConfig.emplace_back(std::move(k),
-                                                std::move(v));
-                });
-            if (!cfgOk)
-                return fail(err, "bad tool configuration key");
-        }
-        break;
-      }
-      case RequestKind::ToolList:
-        r.num("session", req.session); // optional: default selected
-        break;
-      default:
-        break;
-    }
-    return true;
+    uint8_t kind;
+    if (!tokenValue(kTokens<RequestKind>, r.verb(), kind))
+        return r.fail("unknown request '" + std::string(r.verb()) + "'");
+    req.kind = static_cast<RequestKind>(kind);
+    return r.rows(req, kSeqRows) && r.rows(req, verbRows(req.kind));
 }
 
 std::string
@@ -678,361 +872,60 @@ Request::describe() const
     return encodeRequest(*this);
 }
 
-// ----------------------------------------------------------- response
-
-namespace {
-
-void
-encodeStop(LineWriter &w, const StopInfo &stop)
-{
-    w.num("stop", 1);
-    w.str("sreason", stopReasonToken(stop.reason));
-    w.snum("sevent", stop.eventIndex);
-    w.num("stime", stop.time);
-    w.num("sinsts", stop.appInsts);
-    w.hex("spc", stop.pc);
-    if (stop.eventIndex >= 0) {
-        w.str("skind", eventKindToken(stop.mark.kind));
-        w.snum("sindex", stop.mark.index);
-        w.hex("smarkpc", stop.mark.pc);
-    }
-}
-
-bool
-decodeStop(const LineReader &r, StopInfo &stop, std::string *err)
-{
-    if (!parseStopReason(r.raw("sreason"), stop.reason))
-        return fail(err, "bad stop reason");
-    int64_t sv = -1;
-    r.snum("sevent", sv);
-    stop.eventIndex = static_cast<int>(sv);
-    r.num("stime", stop.time);
-    r.num("sinsts", stop.appInsts);
-    r.num("spc", stop.pc);
-    if (stop.eventIndex >= 0) {
-        parseEventKind(r.raw("skind"), stop.mark.kind);
-        int64_t mi = 0;
-        r.snum("sindex", mi);
-        stop.mark.index = static_cast<int>(mi);
-        r.num("smarkpc", stop.mark.pc);
-        stop.mark.time = stop.time;
-        stop.mark.appInsts = stop.appInsts;
-    }
-    return true;
-}
-
-} // namespace
-
 std::string
 encodeResponse(const Response &resp)
 {
-    const char *verb = resp.status == ResponseStatus::Ok ? "ok"
-                       : resp.status == ResponseStatus::Error
-                           ? "error"
-                           : "unsupported";
-    LineWriter w(verb);
-    w.num("seq", resp.seq);
-    w.str("re", requestKindName(resp.inReplyTo));
-    if (!resp.error.empty())
-        w.str("msg", resp.error);
-    if (resp.index >= 0)
-        w.snum("index", resp.index);
-    if (resp.hasStop)
-        encodeStop(w, resp.stop);
-    if (!resp.regs.empty()) {
-        std::string list;
-        for (size_t i = 0; i < resp.regs.size(); ++i) {
-            char buf[24];
-            std::snprintf(buf, sizeof buf, "%s%llx", i ? "," : "",
-                          static_cast<unsigned long long>(resp.regs[i]));
-            list += buf;
-        }
-        w.str("regs", list);
-    }
-    if (!resp.bytes.empty())
-        w.str("bytes", bytesToHex(resp.bytes));
-    if (resp.value)
-        w.hex("value", resp.value);
-    if (!resp.text.empty())
-        w.str("text", resp.text);
-    if (resp.inReplyTo == RequestKind::Stats) {
-        w.num("st.time", resp.stats.time);
-        w.num("st.insts", resp.stats.appInsts);
-        w.num("st.events", resp.stats.events);
-        w.num("st.cps", resp.stats.checkpoints);
-        w.num("st.pages", resp.stats.pagesCopied);
-        w.num("st.restores", resp.stats.restores);
-        w.num("st.replayed", resp.stats.replayedUops);
-    }
-    if (resp.inReplyTo == RequestKind::ServerStats) {
-        w.num("sv.active", resp.server.activeSessions);
-        w.num("sv.peak", resp.server.peakSessions);
-        w.num("sv.created", resp.server.created);
-        w.num("sv.destroyed", resp.server.destroyed);
-        w.num("sv.rejected", resp.server.rejected);
-        w.num("sv.max", resp.server.maxSessions);
-        w.num("sv.workers", resp.server.workers);
-        w.num("sv.slices", resp.server.slices);
-        w.num("sv.jobs", resp.server.jobs);
-        w.num("sv.uops", resp.server.totalUops);
-        w.num("sv.insts", resp.server.totalAppInsts);
-        w.num("sv.events", resp.server.totalEvents);
-        w.num("sv.pushed", resp.server.eventsPushed);
-        w.num("sv.subs", resp.server.subscribers);
-        w.num("sv.dropped", resp.server.dropped);
-        w.num("sv.hibernated", resp.server.hibernated);
-        w.num("sv.evictions", resp.server.evictions);
-        w.num("sv.resurrections", resp.server.resurrections);
-        w.num("sv.quarantined", resp.server.quarantined);
-        w.num("sv.faults", resp.server.faultsInjected);
-        w.num("sv.migin", resp.server.migratedIn);
-        w.num("sv.migout", resp.server.migratedOut);
-        // One key per latency family: hist.<name>=count:sum:b0,b1,...
-        // (digits, ':' and ',' pass the escaper untouched; unknown
-        // keys are ignored by older decoders).
-        for (const HistogramSnapshot &h : resp.server.hists) {
-            std::string key = "hist." + h.name;
-            std::string val = std::to_string(h.count) + ':' +
-                              std::to_string(h.sum) + ':';
-            for (size_t i = 0; i < h.buckets.size(); ++i) {
-                if (i)
-                    val += ',';
-                val += std::to_string(h.buckets[i]);
-            }
-            w.str(key.c_str(), val);
-        }
-        // One key per tool, same dotted-family scheme:
-        // tool.<name>=<uops>:<checks>:<suppressed>:<findings>.
-        for (const tools::ToolStatsRow &t : resp.server.tools) {
-            std::string key = "tool." + t.name;
-            std::string val = std::to_string(t.uopsSeen) + ':' +
-                              std::to_string(t.checks) + ':' +
-                              std::to_string(t.suppressed) + ':' +
-                              std::to_string(t.findings);
-            w.str(key.c_str(), val);
-        }
-    }
-    if (resp.inReplyTo == RequestKind::StoreStats) {
-        w.num("ps.images", resp.store.images);
-        w.num("ps.bytes", resp.store.bytes);
-        w.num("ps.puts", resp.store.puts);
-        w.num("ps.loads", resp.store.loads);
-        w.num("ps.erases", resp.store.erases);
-        w.num("ps.quarantined", resp.store.quarantined);
-        w.num("ps.orphans", resp.store.orphansRemoved);
-    }
-    // One key per shard, same dotted-family scheme as hist./tool.:
-    // shard.<index>=<pid>:<sessions>:<hibernated>:<jobs>:<uops>:
-    // <appInsts>:<queueWaitMeanUs>:<restarts>:<migratedIn>:
-    // <migratedOut>.
-    for (const ShardStatsRow &sh : resp.shards) {
-        std::string key = "shard." + std::to_string(sh.index);
-        std::string val =
-            std::to_string(sh.pid) + ':' +
-            std::to_string(sh.sessions) + ':' +
-            std::to_string(sh.hibernated) + ':' +
-            std::to_string(sh.jobs) + ':' +
-            std::to_string(sh.totalUops) + ':' +
-            std::to_string(sh.appInsts) + ':' +
-            std::to_string(sh.queueWaitMeanUs) + ':' +
-            std::to_string(sh.restarts) + ':' +
-            std::to_string(sh.migratedIn) + ':' +
-            std::to_string(sh.migratedOut);
-        w.str(key.c_str(), val);
-    }
-    return w.str();
+    Writer w(tokenName(kTokens<ResponseStatus>,
+                       static_cast<uint8_t>(resp.status)));
+    walkResponse(w, resp);
+    return w.take();
 }
 
 bool
 decodeResponse(const std::string &line, Response &resp, std::string *err)
 {
-    LineReader r;
-    if (!r.parse(line, err))
+    Reader r(err);
+    if (!r.parse(line))
         return false;
-
     resp = Response{};
-    if (r.verb() == "ok")
-        resp.status = ResponseStatus::Ok;
-    else if (r.verb() == "error")
-        resp.status = ResponseStatus::Error;
-    else if (r.verb() == "unsupported")
-        resp.status = ResponseStatus::Unsupported;
-    else
-        return fail(err, "unknown response verb '" + r.verb() + "'");
-
-    r.num("seq", resp.seq);
-    std::string re = r.raw("re");
-    for (const auto &t : kRequestTokens)
-        if (re == t.name)
-            resp.inReplyTo = t.kind;
-    r.str("msg", resp.error);
-    int64_t idx = -1;
-    if (r.snum("index", idx))
-        resp.index = static_cast<int>(idx);
-    uint64_t stop = 0;
-    if (r.num("stop", stop) && stop) {
-        resp.hasStop = true;
-        if (!decodeStop(r, resp.stop, err))
-            return false;
-    }
-    std::string list;
-    if (r.str("regs", list) && !list.empty()) {
-        std::istringstream in(list);
-        std::string item;
-        while (std::getline(in, item, ',')) {
-            char *end = nullptr;
-            resp.regs.push_back(std::strtoull(item.c_str(), &end, 16));
-            if (end == item.c_str() || *end != '\0')
-                return fail(err, "bad register list");
-        }
-    }
-    std::string hex;
-    if (r.str("bytes", hex) && !hexToBytes(hex, resp.bytes))
-        return fail(err, "bad byte string");
-    r.num("value", resp.value);
-    r.str("text", resp.text);
-    if (resp.inReplyTo == RequestKind::Stats) {
-        r.num("st.time", resp.stats.time);
-        r.num("st.insts", resp.stats.appInsts);
-        uint64_t v = 0;
-        if (r.num("st.events", v))
-            resp.stats.events = v;
-        if (r.num("st.cps", v))
-            resp.stats.checkpoints = v;
-        r.num("st.pages", resp.stats.pagesCopied);
-        r.num("st.restores", resp.stats.restores);
-        r.num("st.replayed", resp.stats.replayedUops);
-    }
-    if (resp.inReplyTo == RequestKind::ServerStats) {
-        r.num("sv.active", resp.server.activeSessions);
-        r.num("sv.peak", resp.server.peakSessions);
-        r.num("sv.created", resp.server.created);
-        r.num("sv.destroyed", resp.server.destroyed);
-        r.num("sv.rejected", resp.server.rejected);
-        r.num("sv.max", resp.server.maxSessions);
-        r.num("sv.workers", resp.server.workers);
-        r.num("sv.slices", resp.server.slices);
-        r.num("sv.jobs", resp.server.jobs);
-        r.num("sv.uops", resp.server.totalUops);
-        r.num("sv.insts", resp.server.totalAppInsts);
-        r.num("sv.events", resp.server.totalEvents);
-        r.num("sv.pushed", resp.server.eventsPushed);
-        r.num("sv.subs", resp.server.subscribers);
-        r.num("sv.dropped", resp.server.dropped);
-        r.num("sv.hibernated", resp.server.hibernated);
-        r.num("sv.evictions", resp.server.evictions);
-        r.num("sv.resurrections", resp.server.resurrections);
-        r.num("sv.quarantined", resp.server.quarantined);
-        r.num("sv.faults", resp.server.faultsInjected);
-        r.num("sv.migin", resp.server.migratedIn);
-        r.num("sv.migout", resp.server.migratedOut);
-        bool histsOk = true;
-        r.forEachWithPrefix(
-            "hist.", [&](const std::string &key, const std::string &raw) {
-                HistogramSnapshot h;
-                h.name = key.substr(5);
-                size_t c1 = raw.find(':');
-                size_t c2 = c1 == std::string::npos
-                                ? std::string::npos
-                                : raw.find(':', c1 + 1);
-                if (c2 == std::string::npos) {
-                    histsOk = false;
-                    return;
-                }
-                char *end = nullptr;
-                h.count = std::strtoull(raw.c_str(), &end, 10);
-                h.sum = std::strtoull(raw.c_str() + c1 + 1, &end, 10);
-                std::istringstream in(raw.substr(c2 + 1));
-                std::string item;
-                while (std::getline(in, item, ',')) {
-                    end = nullptr;
-                    uint64_t b = std::strtoull(item.c_str(), &end, 10);
-                    if (end == item.c_str() || *end != '\0') {
-                        histsOk = false;
-                        return;
-                    }
-                    h.buckets.push_back(b);
-                }
-                resp.server.hists.push_back(std::move(h));
-            });
-        if (!histsOk)
-            return fail(err, "bad histogram encoding");
-        bool toolsOk = true;
-        r.forEachWithPrefix(
-            "tool.", [&](const std::string &key, const std::string &raw) {
-                tools::ToolStatsRow t;
-                t.name = key.substr(5);
-                uint64_t *fields[] = {&t.uopsSeen, &t.checks,
-                                      &t.suppressed, &t.findings};
-                size_t pos = 0;
-                for (size_t i = 0; i < 4; ++i) {
-                    char *end = nullptr;
-                    *fields[i] =
-                        std::strtoull(raw.c_str() + pos, &end, 10);
-                    if (end == raw.c_str() + pos ||
-                        (i < 3 && *end != ':') ||
-                        (i == 3 && *end != '\0')) {
-                        toolsOk = false;
-                        return;
-                    }
-                    pos = end - raw.c_str() + 1;
-                }
-                resp.server.tools.push_back(std::move(t));
-            });
-        if (!toolsOk)
-            return fail(err, "bad tool-stats encoding");
-    }
-    if (resp.inReplyTo == RequestKind::StoreStats) {
-        r.num("ps.images", resp.store.images);
-        r.num("ps.bytes", resp.store.bytes);
-        r.num("ps.puts", resp.store.puts);
-        r.num("ps.loads", resp.store.loads);
-        r.num("ps.erases", resp.store.erases);
-        r.num("ps.quarantined", resp.store.quarantined);
-        r.num("ps.orphans", resp.store.orphansRemoved);
-    }
-    bool shardsOk = true;
-    r.forEachWithPrefix(
-        "shard.", [&](const std::string &key, const std::string &raw) {
-            ShardStatsRow sh;
-            char *end = nullptr;
-            const char *idx = key.c_str() + 6;
-            sh.index = std::strtoull(idx, &end, 10);
-            if (end == idx || *end != '\0') {
-                shardsOk = false;
-                return;
-            }
-            uint64_t *fields[] = {&sh.pid, &sh.sessions,
-                                  &sh.hibernated, &sh.jobs,
-                                  &sh.totalUops, &sh.appInsts,
-                                  &sh.queueWaitMeanUs, &sh.restarts,
-                                  &sh.migratedIn, &sh.migratedOut};
-            constexpr size_t n = sizeof fields / sizeof fields[0];
-            size_t pos = 0;
-            for (size_t i = 0; i < n; ++i) {
-                end = nullptr;
-                *fields[i] = std::strtoull(raw.c_str() + pos, &end, 10);
-                if (end == raw.c_str() + pos ||
-                    (i + 1 < n && *end != ':') ||
-                    (i + 1 == n && *end != '\0')) {
-                    shardsOk = false;
-                    return;
-                }
-                pos = end - raw.c_str() + 1;
-            }
-            resp.shards.push_back(sh);
-        });
-    if (!shardsOk)
-        return fail(err, "bad shard-stats encoding");
+    uint8_t status;
+    if (!tokenValue(kTokens<ResponseStatus>, r.verb(), status))
+        return r.fail(tokenError(kTokens<ResponseStatus>, r.verb()));
+    resp.status = static_cast<ResponseStatus>(status);
+    if (!walkResponse(r, resp))
+        return false;
+    resp.stop.mark.time = resp.stop.time;
+    resp.stop.mark.appInsts = resp.stop.appInsts;
     return true;
 }
+
+std::string
+encodeEvent(const SessionEvent &ev)
+{
+    Writer w("event");
+    w.rows(ev, kEventRows);
+    return w.take();
+}
+
+bool
+decodeEvent(const std::string &line, SessionEvent &ev, std::string *err)
+{
+    Reader r(err);
+    if (!r.parse(line))
+        return false;
+    if (r.verb() != "event")
+        return r.fail("not an event line");
+    ev = SessionEvent{};
+    return r.rows(ev, kEventRows);
+}
+
+// ------------------------------------------------------------ describe
 
 std::string
 Response::describe() const
 {
     std::ostringstream os;
-    os << (status == ResponseStatus::Ok ? "ok"
-           : status == ResponseStatus::Error ? "error" : "unsupported")
+    os << tokenName(kTokens<ResponseStatus>, static_cast<uint8_t>(status))
        << " [" << requestKindName(inReplyTo) << "]";
     if (!error.empty())
         os << ": " << error;
@@ -1062,71 +955,6 @@ std::ostream &
 operator<<(std::ostream &os, const Response &resp)
 {
     return os << resp.describe();
-}
-
-// -------------------------------------------------------------- event
-
-std::string
-encodeEvent(const SessionEvent &ev)
-{
-    LineWriter w("event");
-    w.str("kind", sessionEventKindName(ev.kind));
-    w.num("seq", ev.seq);
-    w.num("time", ev.time);
-    w.num("insts", ev.appInsts);
-    w.hex("pc", ev.pc);
-    w.snum("index", ev.index);
-    w.hex("addr", ev.addr);
-    w.hex("old", ev.oldValue);
-    w.hex("new", ev.newValue);
-    w.num("value", ev.value);
-    if (!ev.tool.empty())
-        w.str("tool", ev.tool);
-    if (!ev.detail.empty())
-        w.str("detail", ev.detail);
-    return w.str();
-}
-
-bool
-decodeEvent(const std::string &line, SessionEvent &ev, std::string *err)
-{
-    LineReader r;
-    if (!r.parse(line, err))
-        return false;
-    if (r.verb() != "event")
-        return fail(err, "not an event line");
-
-    ev = SessionEvent{};
-    std::string tok = r.raw("kind");
-    bool found = false;
-    for (SessionEventKind k :
-         {SessionEventKind::Watch, SessionEventKind::Break,
-          SessionEventKind::Protection, SessionEventKind::Checkpoint,
-          SessionEventKind::Restore, SessionEventKind::Attached,
-          SessionEventKind::Halted,
-          SessionEventKind::SubscriberDropped,
-          SessionEventKind::ToolFinding}) {
-        if (tok == sessionEventKindName(k)) {
-            ev.kind = k;
-            found = true;
-        }
-    }
-    if (!found)
-        return fail(err, "unknown event kind '" + tok + "'");
-    r.num("seq", ev.seq);
-    r.num("time", ev.time);
-    r.num("insts", ev.appInsts);
-    r.num("pc", ev.pc);
-    int64_t idx = -1;
-    if (r.snum("index", idx))
-        ev.index = static_cast<int>(idx);
-    r.num("addr", ev.addr);
-    r.num("old", ev.oldValue);
-    r.num("new", ev.newValue);
-    r.num("value", ev.value);
-    r.str("tool", ev.tool);
-    r.str("detail", ev.detail);
-    return true;
 }
 
 std::string

@@ -196,6 +196,10 @@ struct ServerStats
     std::vector<tools::ToolStatsRow> tools;
 };
 
+/** Adds every counter of @p from into @p into, merges its histograms
+ *  and tool rows (a fleet-wide view over several servers). */
+void mergeServerStats(ServerStats &into, const ServerStats &from);
+
 /** On-disk store aggregates (StoreStats request). */
 struct StoreStats
 {

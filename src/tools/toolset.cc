@@ -214,6 +214,21 @@ ToolSet::emit(Tool &tool, ToolFinding f)
     findings_.push_back(std::move(f));
 }
 
+void
+mergeToolStats(std::vector<ToolStatsRow> &rows, const ToolStatsRow &row)
+{
+    for (ToolStatsRow &t : rows) {
+        if (t.name == row.name) {
+            t.uopsSeen += row.uopsSeen;
+            t.checks += row.checks;
+            t.suppressed += row.suppressed;
+            t.findings += row.findings;
+            return;
+        }
+    }
+    rows.push_back(row);
+}
+
 std::vector<ToolStatsRow>
 ToolSet::statsRows() const
 {

@@ -43,6 +43,11 @@ struct ToolStatsRow
     uint64_t findings = 0;
 };
 
+/** Adds @p row's counters to the row of the same tool in @p rows (or
+ *  appends it): the one roll-up of per-tool counters. */
+void mergeToolStats(std::vector<ToolStatsRow> &rows,
+                    const ToolStatsRow &row);
+
 class ToolSet : public UopObserver
 {
   public:
