@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <limits>
 #include <ostream>
 #include <span>
@@ -67,7 +66,8 @@ constexpr TokenSet kTokens<WatchKind>{kWatchKindNames,
 template <>
 constexpr TokenSet kTokens<StopReason>{kStopReasonNames, "bad stop reason"};
 template <>
-constexpr TokenSet kTokens<EventKind>{kEventKindNames, nullptr};
+constexpr TokenSet kTokens<EventKind>{kEventKindNames,
+                                      "bad mark kind '%s'"};
 template <>
 constexpr TokenSet kTokens<SessionEventKind>{kSessionEventNames,
                                              "unknown event kind '%s'"};
@@ -151,18 +151,32 @@ unescape(std::string_view s, std::string &out)
     return true;
 }
 
-/** Reads @p s as strtoull (@p base 0: decimal, 0x hex, leading-zero
- *  octal) does; the number must be the whole token. */
+/** Reads @p s as strtoull/strtoll read it in @p base (0: decimal, 0x
+ *  hex, leading-zero octal; an optional sign), except that the number
+ *  must be the whole token and its magnitude must fit 64 bits. */
 bool
-parseNumber(std::string_view s, int base, uint64_t &v)
+parseNumber(std::string_view s, int base, bool &neg, uint64_t &mag)
 {
-    std::string t(s);
-    char *end = nullptr;
-    uint64_t x = std::strtoull(t.c_str(), &end, base);
-    if (end == t.c_str() || *end != '\0')
-        return false;
-    v = x;
-    return true;
+    neg = !s.empty() && s[0] == '-';
+    if (!s.empty() && (s[0] == '+' || s[0] == '-'))
+        s.remove_prefix(1);
+    if (s.size() > 1 && s[0] == '0' && (s[1] | 0x20) == 'x' &&
+        base % 16 == 0) {
+        base = 16;
+        s.remove_prefix(2);
+    } else if (base == 0) {
+        base = s.size() > 1 && s[0] == '0' ? 8 : 10;
+    }
+    auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), mag,
+                                     base);
+    return !s.empty() && ec == std::errc() && end == s.data() + s.size();
+}
+
+bool
+parseUnsigned(std::string_view s, int base, uint64_t &v)
+{
+    bool neg;
+    return parseNumber(s, base, neg, v) && !neg;
 }
 
 void
@@ -226,9 +240,9 @@ putAs(std::string &out, const void *p, bool hex)
     }
 }
 
-/** Parses @p s into the member at @p p: false when it does not parse.
- *  Scalars read in @p base (0: as strtoull does); list items in hex or
- *  decimal.
+/** Parses @p s into the member at @p p: false when it does not parse
+ *  or does not fit. Scalars read in @p base (0: as strtoull does); list
+ *  items in hex or decimal.
  *  A token outside an enum's set is ignored when the set has no error
  *  text. */
 template <typename T>
@@ -242,10 +256,14 @@ getAs(std::string_view s, void *p, bool hex, int base)
             return !kTokens<T>.err;
         v = static_cast<T>(x);
     } else if constexpr (std::is_integral_v<T>) {
-        uint64_t x;
-        if (!parseNumber(s, base, x))
+        // The value must fit the member: no sign on an unsigned one.
+        using L = std::numeric_limits<T>;
+        bool neg;
+        uint64_t mag;
+        if (!parseNumber(s, base, neg, mag) || (neg && !L::is_signed) ||
+            mag > uint64_t(L::max()) + neg)
             return false;
-        v = static_cast<T>(x);
+        v = static_cast<T>(neg ? 0 - mag : mag);
     } else if constexpr (std::is_same_v<T, std::string>) {
         return unescape(s, v);
     } else {
@@ -259,7 +277,7 @@ getAs(std::string_view s, void *p, bool hex, int base)
             uint64_t x;
             for (std::string_view rest = text; !rest.empty();) {
                 size_t comma = std::min(rest.find(','), rest.size());
-                if (!parseNumber(rest.substr(0, comma), hex ? 16 : 10, x))
+                if (!parseUnsigned(rest.substr(0, comma), hex ? 16 : 10, x))
                     return false;
                 v.push_back(x);
                 rest.remove_prefix(std::min(comma + 1, rest.size()));
@@ -331,8 +349,7 @@ struct Row
     Slot<S> slot;
     uint8_t flags = 0;
     /** Decode error when the value is bad, or required and missing (an
-     *  enum row reports its token set's error instead). Without one, a
-     *  bad optional value is ignored. */
+     *  enum row reports its token set's error instead). */
     const char *err = nullptr;
 };
 
@@ -379,17 +396,14 @@ familyOf(const char *err)
                 return false;
             if constexpr (std::is_same_v<NameT, std::string>)
                 e.*Name = name;
-            else if (!parseNumber(name, 10, e.*Name))
+            else if (!parseUnsigned(name, 10, e.*Name))
                 return false;
             for (size_t i = 0; i < std::size(Fields); ++i) {
-                bool last = i + 1 == std::size(Fields);
-                size_t end = last ? list.size() : list.find(':');
-                if (end == std::string_view::npos)
-                    return false;
-                // Only the value that ends the list must parse.
-                if (!Fields[i].get(list.substr(0, end), Fields[i].ref(e),
-                                   false, 10) &&
-                    last)
+                size_t end = i + 1 == std::size(Fields) ? list.size()
+                                                        : list.find(':');
+                if (end == std::string_view::npos ||
+                    !Fields[i].get(list.substr(0, end), Fields[i].ref(e),
+                                   false, 10))
                     return false;
                 list.remove_prefix(std::min(end + 1, list.size()));
             }
@@ -717,9 +731,9 @@ class Reader
             }
             if (row.slot.tokens)
                 return fail(tokenError(*row.slot.tokens, v));
-            if (row.err)
-                return fail(row.err);
-            // Otherwise a bad optional value is ignored.
+            return fail(row.err ? std::string(row.err)
+                                : "bad value '" + std::string(v) +
+                                      "' for " + row.key + "=");
         }
         return true;
     }

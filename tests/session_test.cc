@@ -239,10 +239,23 @@ TEST(SessionProtocol, MalformedLinesRejected)
         "select-backend backend=quantum",     // bad backend
         "cont =bare",                // malformed token
         "write-register seq=1",      // missing fields
+        // Present values that do not parse or do not fit their member.
+        "remove-watch index=4294967296",
+        "remove-watch index=99999999999999999999",
+        "write-register reg=4294967328 value=1",
+        "write-memory addr=0x10 size=4294967297 value=1",
+        "read-memory addr=0x10 size=4294967304",
+        "reverse-step count=18446744073709551616",
+        "stepi count=-1",
+        "stepi count=banana",
+        "set-watch wkind=scalar addr=0x10 size=banana",
+        "set-watch wkind=scalar addr=0x10 name=%zz",
     };
     for (const char *line : bad)
         EXPECT_FALSE(decodeRequest(line, req, &err)) << line;
     EXPECT_FALSE(decodeResponse("yes stop=1", resp, &err));
+    EXPECT_FALSE(decodeResponse("ok seq=1 re=server-stats hist.x=a:b:1",
+                                resp, &err));
     EXPECT_FALSE(decodeEvent("ok kind=watch", ev, &err));
     EXPECT_FALSE(decodeEvent("event kind=mystery", ev, &err));
 }

@@ -10,7 +10,9 @@
  * every payload, and every SessionEventKind. A second section feeds
  * hand-written lines through the decoders — malformed values, repeated
  * and unknown keys, odd whitespace, error precedence — and records each
- * verdict with its error text.
+ * verdict with its error text. A per-key mutation test checks that
+ * every damaged key=value token is rejected, or decodes to a stable
+ * re-encoding.
  *
  * The transcript is compared byte for byte against
  * tests/golden/wire.txt. On a mismatch it is written next to the test
@@ -20,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "session/protocol.hh"
@@ -528,6 +531,129 @@ TEST(WireGolden, CorpusMatchesGoldenFile)
         FAIL() << "corpus differs from " << DISE_GOLDEN_FILE
                << " (rendered output written to wire.actual.txt)";
     }
+}
+
+/** Values no numeric key may accept, and other damage. */
+const char *const Overflows[] = {"18446744073709551616",
+                                 "-18446744073709551617"};
+const char *const Garbage[] = {"zz", "%", "%zz", "0x"};
+
+/** Keys whose values are strings, tokens or byte strings. */
+bool
+textKey(const std::string &key)
+{
+    for (const char *k : {"name", "data", "msg", "text", "detail", "tool",
+                          "bytes", "wkind", "backend", "re", "sreason",
+                          "skind", "kind"})
+        if (key == k)
+            return true;
+    return key.rfind("cfg.", 0) == 0;
+}
+
+/** A decoder and encoder for one message type, over wire lines. */
+struct Codec
+{
+    std::function<bool(const std::string &, std::string &,
+                       std::string *)> reencode;
+};
+
+template <typename T, typename Enc, typename Dec>
+Codec
+codecOf(Enc enc, Dec dec)
+{
+    return {[enc, dec](const std::string &line, std::string &out,
+                       std::string *err) {
+        T msg;
+        if (!dec(line, msg, err))
+            return false;
+        out = enc(msg);
+        return true;
+    }};
+}
+
+TEST(WireGolden, EveryKeyMutationIsRejectedOrStable)
+{
+    std::vector<std::pair<std::string, Codec>> inputs;
+    Codec req = codecOf<Request>(encodeRequest, decodeReq);
+    Codec resp = codecOf<Response>(encodeResponse, decodeResp);
+    Codec ev = codecOf<SessionEvent>(encodeEvent, decodeEv);
+    for (RequestKind kind : AllRequestKinds)
+        inputs.push_back({encodeRequest(populatedRequest(kind)), req});
+    for (RequestKind re :
+         {RequestKind::Stats, RequestKind::ServerStats,
+          RequestKind::StoreStats, RequestKind::ShardStats}) {
+        Response r;
+        r.seq = 42;
+        r.inReplyTo = re;
+        r.error = "e";
+        r.index = 1;
+        r.hasStop = true;
+        r.stop = stopWithMark(EventKind::Break);
+        r.regs = {1, 0xfeed};
+        r.bytes = {0xab, 0xcd};
+        r.value = 9;
+        r.text = "t";
+        fillStats(r);
+        r.shards = {shardRow(3)};
+        inputs.push_back({encodeResponse(r), resp});
+    }
+    for (const SessionEvent &e : eventCorpus())
+        inputs.push_back({encodeEvent(e), ev});
+
+    size_t mutants = 0;
+    for (const auto &[line, codec] : inputs) {
+        std::vector<std::string> toks;
+        std::istringstream in(line);
+        for (std::string t; in >> t;)
+            toks.push_back(t);
+        for (size_t i = 1; i < toks.size(); ++i) {
+            size_t eq = toks[i].find('=');
+            ASSERT_NE(eq, std::string::npos) << line;
+            std::string key = toks[i].substr(0, eq);
+            std::string value = toks[i].substr(eq + 1);
+            auto with = [&](const std::string *replacement,
+                            const std::string &extra) {
+                std::string out = toks[0];
+                for (size_t j = 1; j < toks.size(); ++j) {
+                    if (j == i && !replacement)
+                        continue;
+                    out += ' ';
+                    out += j == i ? key + "=" + *replacement : toks[j];
+                }
+                return out + extra;
+            };
+            std::vector<std::string> lines = {
+                with(nullptr, ""),
+                with(&value, " " + key + "=" + value + "7")};
+            for (const char *bad : Garbage) {
+                std::string v = bad;
+                lines.push_back(with(&v, ""));
+            }
+            for (const char *bad : Overflows) {
+                std::string v = bad;
+                std::string mutant = with(&v, "");
+                lines.push_back(mutant);
+                if (textKey(key))
+                    continue;
+                std::string out, err;
+                EXPECT_FALSE(codec.reencode(mutant, out, &err))
+                    << "numeric key " << key << " accepted " << bad
+                    << ": " << mutant;
+            }
+            for (const std::string &mutant : lines) {
+                ++mutants;
+                std::string once, twice, err;
+                if (!codec.reencode(mutant, once, &err)) {
+                    EXPECT_FALSE(err.empty()) << mutant;
+                    continue;
+                }
+                ASSERT_TRUE(codec.reencode(once, twice, &err))
+                    << mutant << " -> " << once << ": " << err;
+                EXPECT_EQ(once, twice) << mutant;
+            }
+        }
+    }
+    EXPECT_GT(mutants, 1000u);
 }
 
 TEST(WireGolden, DescribeMatchesEncodeRequest)
