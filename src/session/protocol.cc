@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <initializer_list>
 #include <limits>
 #include <ostream>
 #include <span>
@@ -19,99 +20,82 @@ namespace {
 // ------------------------------------------------------------- tokens
 
 /** An enum's wire tokens, indexed by value (every protocol enum is a
- *  uint8_t counting from 0). @p err is the decode error for a token
- *  outside the set ("%s" stands for the token); without one, decode
- *  ignores unknown tokens and keeps the default. */
+ *  uint8_t counting from 0), and the decode error for a token outside
+ *  the set ("%s" stands for the token). */
 struct TokenSet
 {
-    std::span<const char *const> names;
+    std::initializer_list<const char *> names;
     const char *err;
 };
 
-constexpr const char *kRequestNames[] = {
-    "ping", "select-backend", "set-watch", "set-break", "remove-watch",
-    "remove-break", "attach", "cont", "stepi", "run-to-end",
-    "reverse-continue", "reverse-step", "run-to-event", "read-registers",
-    "write-register", "read-memory", "write-memory", "stats", "detach",
-    "replay-verify", "session-create", "session-select", "session-destroy",
-    "session-list", "server-stats", "subscribe", "unsubscribe",
-    "session-hibernate", "session-persist", "store-stats", "trace-start",
-    "trace-stop", "trace-dump", "metrics", "tool-enable", "tool-disable",
-    "tool-list", "tool-report", "session-migrate", "shard-stats",
-    "session-export", "session-adopt"};
-static_assert(std::size(kRequestNames) ==
-              size_t(RequestKind::SessionAdopt) + 1);
-constexpr const char *kBackendNames[] = {"dise", "single-step", "vm",
-                                         "hwreg", "rewrite"};
-constexpr const char *kWatchKindNames[] = {"scalar", "indirect", "range"};
-constexpr const char *kStopReasonNames[] = {
-    "start", "event", "step", "halted", "fault", "inst-limit"};
-constexpr const char *kEventKindNames[] = {"watch", "break", "protection"};
-constexpr const char *kSessionEventNames[] = {
-    "watch",    "break",  "protection",         "checkpoint",  "restore",
-    "attached", "halted", "subscriber-dropped", "tool-finding"};
-static_assert(std::size(kSessionEventNames) ==
-              size_t(SessionEventKind::ToolFinding) + 1);
-constexpr const char *kStatusNames[] = {"ok", "error", "unsupported"};
-
 template <typename E> constexpr TokenSet kTokens{};
 template <>
-constexpr TokenSet kTokens<RequestKind>{kRequestNames, nullptr};
+constexpr TokenSet kTokens<RequestKind>{
+    {"ping", "select-backend", "set-watch", "set-break", "remove-watch",
+     "remove-break", "attach", "cont", "stepi", "run-to-end",
+     "reverse-continue", "reverse-step", "run-to-event", "read-registers",
+     "write-register", "read-memory", "write-memory", "stats", "detach",
+     "replay-verify", "session-create", "session-select", "session-destroy",
+     "session-list", "server-stats", "subscribe", "unsubscribe",
+     "session-hibernate", "session-persist", "store-stats", "trace-start",
+     "trace-stop", "trace-dump", "metrics", "tool-enable", "tool-disable",
+     "tool-list", "tool-report", "session-migrate", "shard-stats",
+     "session-export", "session-adopt"},
+    "unknown request '%s'"};
+static_assert(kTokens<RequestKind>.names.size() ==
+              size_t(RequestKind::SessionAdopt) + 1);
 template <>
-constexpr TokenSet kTokens<BackendKind>{kBackendNames,
-                                        "unknown backend '%s'"};
+constexpr TokenSet kTokens<BackendKind>{
+    {"dise", "single-step", "vm", "hwreg", "rewrite"},
+    "unknown backend '%s'"};
 template <>
-constexpr TokenSet kTokens<WatchKind>{kWatchKindNames,
+constexpr TokenSet kTokens<WatchKind>{{"scalar", "indirect", "range"},
                                       "bad watch kind '%s'"};
 template <>
-constexpr TokenSet kTokens<StopReason>{kStopReasonNames, "bad stop reason"};
+constexpr TokenSet kTokens<StopReason>{
+    {"start", "event", "step", "halted", "fault", "inst-limit"},
+    "bad stop reason"};
 template <>
-constexpr TokenSet kTokens<EventKind>{kEventKindNames,
+constexpr TokenSet kTokens<EventKind>{{"watch", "break", "protection"},
                                       "bad mark kind '%s'"};
 template <>
-constexpr TokenSet kTokens<SessionEventKind>{kSessionEventNames,
-                                             "unknown event kind '%s'"};
+constexpr TokenSet kTokens<SessionEventKind>{
+    {"watch", "break", "protection", "checkpoint", "restore", "attached",
+     "halted", "subscriber-dropped", "tool-finding"},
+    "unknown event kind '%s'"};
+static_assert(kTokens<SessionEventKind>.names.size() ==
+              size_t(SessionEventKind::ToolFinding) + 1);
 template <>
-constexpr TokenSet kTokens<ResponseStatus>{kStatusNames,
+constexpr TokenSet kTokens<ResponseStatus>{{"ok", "error", "unsupported"},
                                            "unknown response verb '%s'"};
 
+template <typename E>
 const char *
-tokenName(const TokenSet &set, uint8_t value)
+tokenName(E e)
 {
-    return value < set.names.size() ? set.names[value] : "?";
+    const TokenSet &set = kTokens<E>;
+    size_t v = static_cast<size_t>(e);
+    return v < set.names.size() ? set.names.begin()[v] : "?";
 }
 
+template <typename E>
 bool
-tokenValue(const TokenSet &set, std::string_view name, uint8_t &value)
+tokenValue(std::string_view name, E &e)
 {
+    const TokenSet &set = kTokens<E>;
     for (size_t i = 0; i < set.names.size(); ++i) {
-        if (name == set.names[i]) {
-            value = static_cast<uint8_t>(i);
+        if (name == set.names.begin()[i]) {
+            e = static_cast<E>(i);
             return true;
         }
     }
     return false;
 }
 
-std::string
-tokenError(const TokenSet &set, std::string_view token)
-{
-    std::string msg = set.err;
-    size_t at = msg.find("%s");
-    if (at != std::string::npos)
-        msg.replace(at, 2, token);
-    return msg;
-}
-
 // ---------------------------------------------------- strings, numbers
 
 /** The token separators: the whitespace isspace() knows. */
-bool
-isSpace(char c)
-{
-    return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
-           c == '\f' || c == '\r';
-}
+constexpr std::string_view kSpaces = " \t\n\v\f\r";
 
 void
 escapeInto(std::string &out, const std::string &s)
@@ -120,14 +104,12 @@ escapeInto(std::string &out, const std::string &s)
     for (char c : s) {
         // Separators, '%' and '=' are escaped, or encode/decode would
         // not round-trip.
-        if (isSpace(c) || c == '%' || c == '=') {
-            unsigned char u = static_cast<unsigned char>(c);
-            out += '%';
-            out += digits[u >> 4];
-            out += digits[u & 15];
-        } else {
+        unsigned char u = static_cast<unsigned char>(c);
+        if (kSpaces.find(c) != std::string_view::npos || c == '%' ||
+            c == '=')
+            out += {'%', digits[u >> 4], digits[u & 15]};
+        else
             out += c;
-        }
     }
 }
 
@@ -191,11 +173,12 @@ putNumber(std::string &out, uint64_t v, int base)
 /** Row flags: how encode writes a row, and what decode demands of it
  *  (an empty value counts as a missing key). */
 constexpr uint8_t Hex = 1;      ///< 0x-hex scalars, bare hex list items
-constexpr uint8_t IfSet = 2;    ///< emit only a nonzero or non-empty value
+constexpr uint8_t IfSet = 2;    ///< emit only a nonzero, non-empty value
 constexpr uint8_t NonNeg = 4;   ///< emit only a value >= 0
 constexpr uint8_t NotOne = 8;   ///< emit only a value != 1
 constexpr uint8_t Required = 16; ///< decode fails on a missing key
 constexpr uint8_t Zero = 32;    ///< a missing key decodes as 0
+constexpr uint8_t AnyToken = 64; ///< an unknown token keeps the default
 
 /** One prefix.<name>=<list> key family: a key per element of a vector
  *  member, the element's name after the prefix, its fields
@@ -214,47 +197,38 @@ void
 putAs(std::string &out, const void *p, bool hex)
 {
     const T &v = *static_cast<const T *>(p);
-    int base = hex ? 16 : 10;
     if constexpr (std::is_enum_v<T>) {
-        out += tokenName(kTokens<T>, static_cast<uint8_t>(v));
+        out += tokenName(v);
     } else if constexpr (std::is_same_v<T, bool>) {
         out += v ? '1' : '0';
     } else if constexpr (std::is_signed_v<T>) {
-        if (v < 0)
-            out += '-';
+        out += v < 0 ? "-" : "";
         putNumber(out, v < 0 ? 0 - uint64_t(v) : uint64_t(v), 10);
     } else if constexpr (std::is_integral_v<T>) {
-        if (hex)
-            out += "0x";
-        putNumber(out, v, base);
+        out += hex ? "0x" : "";
+        putNumber(out, v, hex ? 16 : 10);
     } else if constexpr (std::is_same_v<T, std::string>) {
         escapeInto(out, v);
     } else if constexpr (std::is_same_v<T, std::vector<uint8_t>>) {
         out += bytesToHex(v);
     } else {
         for (size_t i = 0; i < v.size(); ++i) {
-            if (i)
-                out += ',';
-            putNumber(out, v[i], base);
+            out += i ? "," : "";
+            putNumber(out, v[i], hex ? 16 : 10);
         }
     }
 }
 
 /** Parses @p s into the member at @p p: false when it does not parse
  *  or does not fit. Scalars read in @p base (0: as strtoull does); list
- *  items in hex or decimal.
- *  A token outside an enum's set is ignored when the set has no error
- *  text. */
+ *  items in hex or decimal. */
 template <typename T>
 bool
 getAs(std::string_view s, void *p, bool hex, int base)
 {
     T &v = *static_cast<T *>(p);
     if constexpr (std::is_enum_v<T>) {
-        uint8_t x;
-        if (!tokenValue(kTokens<T>, s, x))
-            return !kTokens<T>.err;
-        v = static_cast<T>(x);
+        return tokenValue(s, v);
     } else if constexpr (std::is_integral_v<T>) {
         // The value must fit the member: no sign on an unsigned one.
         using L = std::numeric_limits<T>;
@@ -264,6 +238,7 @@ getAs(std::string_view s, void *p, bool hex, int base)
             mag > uint64_t(L::max()) + neg)
             return false;
         v = static_cast<T>(neg ? 0 - mag : mag);
+        return true;
     } else if constexpr (std::is_same_v<T, std::string>) {
         return unescape(s, v);
     } else {
@@ -282,85 +257,54 @@ getAs(std::string_view s, void *p, bool hex, int base)
                 v.push_back(x);
                 rest.remove_prefix(std::min(comma + 1, rest.size()));
             }
+            return true;
         }
     }
-    return true;
 }
-
-/** A scalar's value, or a string's or list's length (for IfSet). */
-template <typename T>
-int64_t
-numAs(const void *p)
-{
-    const T &v = *static_cast<const T *>(p);
-    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>)
-        return static_cast<int64_t>(v);
-    else
-        return static_cast<int64_t>(v.size());
-}
-
-/** How rows write, read and test one member type. */
-struct Member
-{
-    void (*put)(std::string &out, const void *p, bool hex);
-    bool (*get)(std::string_view s, void *p, bool hex, int base);
-    int64_t (*num)(const void *p);
-    const TokenSet *tokens = nullptr; ///< an enum's tokens
-    const Family *family = nullptr;   ///< a vector of family elements
-};
 
 template <typename T> struct ElementOf { using type = void; };
 template <typename E> struct ElementOf<std::vector<E>> { using type = E; };
 
-template <typename T>
-constexpr Member
-memberOf()
-{
-    using E = typename ElementOf<T>::type;
-    if constexpr (std::is_class_v<E>)
-        return {nullptr, nullptr, nullptr, nullptr, kFamily<E>};
-    else if constexpr (std::is_enum_v<T>)
-        return {&putAs<T>, &getAs<T>, &numAs<T>, &kTokens<T>};
-    else
-        return {&putAs<T>, &getAs<T>, &numAs<T>};
-}
-
-/** Where a row's value lives in an S. */
-template <typename S>
-struct Slot : Member
-{
-    void *(*ref)(S &);
-};
-
-/** The slot of the member reached from an S through @p Path. */
-template <typename S, auto... Path>
-constexpr Slot<S>
-at()
-{
-    using T = std::remove_reference_t<decltype(
-        (std::declval<S &>().*....*Path))>;
-    return {memberOf<T>(), [](S &s) -> void * { return &(s.*....*Path); }};
-}
-
+/** One key: the member of an S it reads and writes, how, and when. */
 template <typename S>
 struct Row
 {
-    const char *key; ///< for a family, the key prefix
-    Slot<S> slot;
-    uint8_t flags = 0;
-    /** Decode error when the value is bad, or required and missing (an
-     *  enum row reports its token set's error instead). */
-    const char *err = nullptr;
+    const char *key; ///< "" for the verb; for a family, the key prefix
+    void *(*ref)(S &);
+    void (*put)(std::string &out, const void *p, bool hex);
+    bool (*get)(std::string_view s, void *p, bool hex, int base);
+    const Family *family; ///< a vector of family elements
+    uint8_t flags;
+    /** Decode error when the value is bad, or required and missing
+     *  (default: an enum's token error; "%s" stands for the value). */
+    const char *err;
 };
+
+/** The row for the member reached from an S through @p Path. */
+template <typename S, auto... Path>
+constexpr Row<S>
+at(const char *key = "", uint8_t flags = 0, const char *err = nullptr)
+{
+    using T = std::remove_reference_t<decltype(
+        (std::declval<S &>().*....*Path))>;
+    using E = typename ElementOf<T>::type;
+    auto ref = [](S &s) -> void * { return &(s.*....*Path); };
+    if constexpr (std::is_class_v<E>)
+        return {key, ref, nullptr, nullptr, kFamily<E>, flags, err};
+    else
+        return {key, ref, &putAs<T>, &getAs<T>, nullptr, flags,
+                err ? err : kTokens<T>.err};
+}
 
 template <typename S>
 using Rows = std::type_identity_t<std::span<const Row<S>>>;
 
+/** Whether a row whose value encodes as @p v is emitted. */
 bool
-emits(uint8_t flags, int64_t v)
+emits(uint8_t flags, std::string_view v)
 {
-    return !((flags & IfSet && v == 0) || (flags & NonNeg && v < 0) ||
-             (flags & NotOne && v == 1));
+    return !((flags & IfSet && (v.empty() || v == "0" || v == "0x0")) ||
+             (flags & NonNeg && v[0] == '-') || (flags & NotOne && v == "1"));
 }
 
 // ------------------------------------------------------------ families
@@ -417,19 +361,19 @@ using Tool = tools::ToolStatsRow;
 using Shard = ShardStatsRow;
 using Cfg = std::pair<std::string, std::string>;
 
-constexpr Slot<Hist> kHistFields[] = {at<Hist, &Hist::count>(),
-                                      at<Hist, &Hist::sum>(),
-                                      at<Hist, &Hist::buckets>()};
-constexpr Slot<Tool> kToolFields[] = {
+constexpr Row<Hist> kHistFields[] = {
+    at<Hist, &Hist::count>(), at<Hist, &Hist::sum>(),
+    at<Hist, &Hist::buckets>()};
+constexpr Row<Tool> kToolFields[] = {
     at<Tool, &Tool::uopsSeen>(), at<Tool, &Tool::checks>(),
     at<Tool, &Tool::suppressed>(), at<Tool, &Tool::findings>()};
-constexpr Slot<Shard> kShardFields[] = {
-    at<Shard, &Shard::pid>(),        at<Shard, &Shard::sessions>(),
+constexpr Row<Shard> kShardFields[] = {
+    at<Shard, &Shard::pid>(), at<Shard, &Shard::sessions>(),
     at<Shard, &Shard::hibernated>(), at<Shard, &Shard::jobs>(),
-    at<Shard, &Shard::totalUops>(),  at<Shard, &Shard::appInsts>(),
+    at<Shard, &Shard::totalUops>(), at<Shard, &Shard::appInsts>(),
     at<Shard, &Shard::queueWaitMeanUs>(), at<Shard, &Shard::restarts>(),
     at<Shard, &Shard::migratedIn>(), at<Shard, &Shard::migratedOut>()};
-constexpr Slot<Cfg> kCfgFields[] = {at<Cfg, &Cfg::second>()};
+constexpr Row<Cfg> kCfgFields[] = {at<Cfg, &Cfg::second>()};
 
 constexpr Family kHists = familyOf<Hist, &Hist::name, kHistFields>(
     "bad histogram encoding");
@@ -452,90 +396,77 @@ using BS = BreakSpec;
 constexpr auto W = &Request::watch;
 constexpr auto B = &Request::brk;
 
-constexpr Row<Q> kSeqRows[] = {{"seq", at<Q, &Q::seq>()}};
+constexpr Row<Q> kHeadRows[] = {at<Q, &Q::kind>("", Required),
+                                at<Q, &Q::seq>("seq")};
 constexpr Row<Q> kSelectBackendRows[] = {
-    {"backend", at<Q, &Q::backend>(), Required}};
+    at<Q, &Q::backend>("backend", Required)};
 constexpr Row<Q> kSetWatchRows[] = {
-    {"wkind", at<Q, W, &WS::kind>(), Required},
-    {"name", at<Q, W, &WS::name>()},
-    {"addr", at<Q, W, &WS::addr>(), Hex | Required, "set-watch needs addr="},
-    {"size", at<Q, W, &WS::size>()},
-    {"length", at<Q, W, &WS::length>()},
-    {"cond", at<Q, W, &WS::conditional>()},
-    {"pred", at<Q, W, &WS::predConst>(), Hex}};
+    at<Q, W, &WS::kind>("wkind", Required),
+    at<Q, W, &WS::name>("name"),
+    at<Q, W, &WS::addr>("addr", Hex | Required, "set-watch needs addr="),
+    at<Q, W, &WS::size>("size"),
+    at<Q, W, &WS::length>("length"),
+    at<Q, W, &WS::conditional>("cond"),
+    at<Q, W, &WS::predConst>("pred", Hex)};
 constexpr Row<Q> kSetBreakRows[] = {
-    {"pc", at<Q, B, &BS::pc>(), Hex | Required, "set-break needs pc="},
-    {"name", at<Q, B, &BS::name>()},
-    {"cond", at<Q, B, &BS::conditional>()},
-    {"caddr", at<Q, B, &BS::condAddr>(), Hex},
-    {"csize", at<Q, B, &BS::condSize>()},
-    {"cconst", at<Q, B, &BS::condConst>(), Hex}};
+    at<Q, B, &BS::pc>("pc", Hex | Required, "set-break needs pc="),
+    at<Q, B, &BS::name>("name"),
+    at<Q, B, &BS::conditional>("cond"),
+    at<Q, B, &BS::condAddr>("caddr", Hex),
+    at<Q, B, &BS::condSize>("csize"),
+    at<Q, B, &BS::condConst>("cconst", Hex)};
 constexpr Row<Q> kRemoveRows[] = {
-    {"index", at<Q, &Q::index>(), Required, "remove needs index="}};
-constexpr Row<Q> kCountRows[] = {{"count", at<Q, &Q::count>()}};
+    at<Q, &Q::index>("index", Required, "remove needs index=")};
+constexpr Row<Q> kCountRows[] = {at<Q, &Q::count>("count")};
 constexpr Row<Q> kMemoryRows[] = {
-    {"addr", at<Q, &Q::addr>(), Hex | Required, "memory access needs addr="},
-    {"size", at<Q, &Q::size>()},
-    {"value", at<Q, &Q::value>(), Hex}};
+    at<Q, &Q::addr>("addr", Hex | Required, "memory access needs addr="),
+    at<Q, &Q::size>("size"), at<Q, &Q::value>("value", Hex)};
 constexpr Row<Q> kWriteRegisterRows[] = {
-    {"reg", at<Q, &Q::reg>(), Required, "write-register needs reg="},
-    {"value", at<Q, &Q::value>(), Hex | Required,
-     "write-register needs value="}};
+    at<Q, &Q::reg>("reg", Required, "write-register needs reg="),
+    at<Q, &Q::value>("value", Hex | Required, "write-register needs value=")};
 constexpr Row<Q> kSessionCreateRows[] = {
-    {"name", at<Q, &Q::name>()},
-    {"backend", at<Q, &Q::backend>()},
-    {"shard", at<Q, &Q::shard>(), NonNeg}};
+    at<Q, &Q::name>("name"), at<Q, &Q::backend>("backend"),
+    at<Q, &Q::shard>("shard", NonNeg)};
 constexpr Row<Q> kSessionRows[] = {
-    {"session", at<Q, &Q::session>(), Required, "session verb needs session="}};
+    at<Q, &Q::session>("session", Required, "session verb needs session=")};
 constexpr Row<Q> kSessionMigrateRows[] = {
-    {"session", at<Q, &Q::session>(), Required,
-     "session-migrate needs session="},
-    {"shard", at<Q, &Q::shard>(), NonNeg}};
+    at<Q, &Q::session>("session", Required,
+                       "session-migrate needs session="),
+    at<Q, &Q::shard>("shard", NonNeg)};
 constexpr Row<Q> kSessionAdoptRows[] = {
-    {"data", at<Q, &Q::data>(), Required, "session-adopt needs data="}};
+    at<Q, &Q::data>("data", Required, "session-adopt needs data=")};
 constexpr Row<Q> kOptionalSessionRows[] = {
-    {"session", at<Q, &Q::session>(), IfSet}};
+    at<Q, &Q::session>("session", IfSet)};
 constexpr Row<Q> kTraceStartRows[] = {
-    {"count", at<Q, &Q::count>(), NotOne | Zero}};
-constexpr Row<Q> kTraceDumpRows[] = {{"count", at<Q, &Q::count>(), Zero},
-                                     {"value", at<Q, &Q::value>()}};
+    at<Q, &Q::count>("count", NotOne | Zero)};
+constexpr Row<Q> kTraceDumpRows[] = {at<Q, &Q::count>("count", Zero),
+                                     at<Q, &Q::value>("value")};
 constexpr Row<Q> kToolEnableRows[] = {
-    {"name", at<Q, &Q::name>(), Required, "tool verb needs name="},
-    {"cfg.", at<Q, &Q::toolConfig>()},
-    {"session", at<Q, &Q::session>(), IfSet}};
+    at<Q, &Q::name>("name", Required, "tool verb needs name="),
+    at<Q, &Q::toolConfig>("cfg."), at<Q, &Q::session>("session", IfSet)};
 constexpr Row<Q> kToolRows[] = {
-    {"name", at<Q, &Q::name>(), Required, "tool verb needs name="},
-    {"session", at<Q, &Q::session>(), IfSet}};
+    at<Q, &Q::name>("name", Required, "tool verb needs name="),
+    at<Q, &Q::session>("session", IfSet)};
 
 /** Each verb's rows after seq=; verbs not listed carry none. */
-constexpr std::pair<RequestKind, std::span<const Row<Q>>> kVerbRows[] = {
-    {RequestKind::SelectBackend, kSelectBackendRows},
-    {RequestKind::SetWatch, kSetWatchRows},
-    {RequestKind::SetBreak, kSetBreakRows},
-    {RequestKind::RemoveWatch, kRemoveRows},
-    {RequestKind::RemoveBreak, kRemoveRows},
-    {RequestKind::Stepi, kCountRows},
-    {RequestKind::ReverseStep, kCountRows},
-    {RequestKind::RunToEvent, kCountRows},
-    {RequestKind::ReplayVerify, kCountRows},
-    {RequestKind::ReadMemory, std::span(kMemoryRows).first(2)},
-    {RequestKind::WriteMemory, kMemoryRows},
-    {RequestKind::WriteRegister, kWriteRegisterRows},
-    {RequestKind::SessionCreate, kSessionCreateRows},
-    {RequestKind::SessionSelect, kSessionRows},
-    {RequestKind::SessionDestroy, kSessionRows},
-    {RequestKind::SessionExport, kSessionRows},
-    {RequestKind::SessionMigrate, kSessionMigrateRows},
-    {RequestKind::SessionAdopt, kSessionAdoptRows},
-    {RequestKind::SessionHibernate, kOptionalSessionRows},
-    {RequestKind::SessionPersist, kOptionalSessionRows},
-    {RequestKind::ToolList, kOptionalSessionRows},
-    {RequestKind::TraceStart, kTraceStartRows},
-    {RequestKind::TraceDump, kTraceDumpRows},
-    {RequestKind::ToolEnable, kToolEnableRows},
-    {RequestKind::ToolDisable, kToolRows},
-    {RequestKind::ToolReport, kToolRows},
-};
+using K = RequestKind;
+constexpr std::pair<K, std::span<const Row<Q>>> kVerbRows[] = {
+    {K::SelectBackend, kSelectBackendRows}, {K::SetWatch, kSetWatchRows},
+    {K::SetBreak, kSetBreakRows}, {K::RemoveWatch, kRemoveRows},
+    {K::RemoveBreak, kRemoveRows}, {K::Stepi, kCountRows},
+    {K::ReverseStep, kCountRows}, {K::RunToEvent, kCountRows},
+    {K::ReplayVerify, kCountRows},
+    {K::ReadMemory, std::span(kMemoryRows).first(2)},
+    {K::WriteMemory, kMemoryRows}, {K::WriteRegister, kWriteRegisterRows},
+    {K::SessionCreate, kSessionCreateRows}, {K::SessionSelect, kSessionRows},
+    {K::SessionDestroy, kSessionRows}, {K::SessionExport, kSessionRows},
+    {K::SessionMigrate, kSessionMigrateRows},
+    {K::SessionAdopt, kSessionAdoptRows},
+    {K::SessionHibernate, kOptionalSessionRows},
+    {K::SessionPersist, kOptionalSessionRows},
+    {K::ToolList, kOptionalSessionRows}, {K::TraceStart, kTraceStartRows},
+    {K::TraceDump, kTraceDumpRows}, {K::ToolEnable, kToolEnableRows},
+    {K::ToolDisable, kToolRows}, {K::ToolReport, kToolRows}};
 
 std::span<const Row<Q>>
 verbRows(RequestKind kind)
@@ -548,157 +479,126 @@ verbRows(RequestKind kind)
 
 using R = Response;
 constexpr Row<R> kReplyHeadRows[] = {
-    {"seq", at<R, &R::seq>()},
-    {"re", at<R, &R::inReplyTo>()},
-    {"msg", at<R, &R::error>(), IfSet},
-    {"index", at<R, &R::index>(), NonNeg},
-    {"stop", at<R, &R::hasStop>(), IfSet}};
+    at<R, &R::status>("", Required), at<R, &R::seq>("seq"),
+    // A reply to a verb this side does not know still decodes.
+    at<R, &R::inReplyTo>("re", AnyToken), at<R, &R::error>("msg", IfSet),
+    at<R, &R::index>("index", NonNeg), at<R, &R::hasStop>("stop", IfSet)};
 constexpr Row<R> kReplyBodyRows[] = {
-    {"regs", at<R, &R::regs>(), Hex | IfSet, "bad register list"},
-    {"bytes", at<R, &R::bytes>(), IfSet, "bad byte string"},
-    {"value", at<R, &R::value>(), Hex | IfSet},
-    {"text", at<R, &R::text>(), IfSet}};
-constexpr Row<R> kShardRows[] = {{"shard.", at<R, &R::shards>()}};
+    at<R, &R::regs>("regs", Hex | IfSet, "bad register list"),
+    at<R, &R::bytes>("bytes", IfSet, "bad byte string"),
+    at<R, &R::value>("value", Hex | IfSet), at<R, &R::text>("text", IfSet)};
+constexpr Row<R> kShardRows[] = {at<R, &R::shards>("shard.")};
 
 using SI = StopInfo;
 constexpr Row<SI> kStopRows[] = {
-    {"sreason", at<SI, &SI::reason>(), Required},
-    {"sevent", at<SI, &SI::eventIndex>()},
-    {"stime", at<SI, &SI::time>()},
-    {"sinsts", at<SI, &SI::appInsts>()},
-    {"spc", at<SI, &SI::pc>(), Hex}};
+    at<SI, &SI::reason>("sreason", Required),
+    at<SI, &SI::eventIndex>("sevent"), at<SI, &SI::time>("stime"),
+    at<SI, &SI::appInsts>("sinsts"), at<SI, &SI::pc>("spc", Hex)};
 constexpr Row<SI> kMarkRows[] = {
-    {"skind", at<SI, &SI::mark, &EventMark::kind>()},
-    {"sindex", at<SI, &SI::mark, &EventMark::index>()},
-    {"smarkpc", at<SI, &SI::mark, &EventMark::pc>(), Hex}};
+    at<SI, &SI::mark, &EventMark::kind>("skind"),
+    at<SI, &SI::mark, &EventMark::index>("sindex"),
+    at<SI, &SI::mark, &EventMark::pc>("smarkpc", Hex)};
 
 using SS = SessionStats;
 constexpr Row<SS> kSessionStatsRows[] = {
-    {"st.time", at<SS, &SS::time>()},
-    {"st.insts", at<SS, &SS::appInsts>()},
-    {"st.events", at<SS, &SS::events>()},
-    {"st.cps", at<SS, &SS::checkpoints>()},
-    {"st.pages", at<SS, &SS::pagesCopied>()},
-    {"st.restores", at<SS, &SS::restores>()},
-    {"st.replayed", at<SS, &SS::replayedUops>()}};
+    at<SS, &SS::time>("st.time"), at<SS, &SS::appInsts>("st.insts"),
+    at<SS, &SS::events>("st.events"), at<SS, &SS::checkpoints>("st.cps"),
+    at<SS, &SS::pagesCopied>("st.pages"), at<SS, &SS::restores>("st.restores"),
+    at<SS, &SS::replayedUops>("st.replayed")};
 
 using SV = ServerStats;
 constexpr Row<SV> kServerStatsRows[] = {
-    {"sv.active", at<SV, &SV::activeSessions>()},
-    {"sv.peak", at<SV, &SV::peakSessions>()},
-    {"sv.created", at<SV, &SV::created>()},
-    {"sv.destroyed", at<SV, &SV::destroyed>()},
-    {"sv.rejected", at<SV, &SV::rejected>()},
-    {"sv.max", at<SV, &SV::maxSessions>()},
-    {"sv.workers", at<SV, &SV::workers>()},
-    {"sv.slices", at<SV, &SV::slices>()},
-    {"sv.jobs", at<SV, &SV::jobs>()},
-    {"sv.uops", at<SV, &SV::totalUops>()},
-    {"sv.insts", at<SV, &SV::totalAppInsts>()},
-    {"sv.events", at<SV, &SV::totalEvents>()},
-    {"sv.pushed", at<SV, &SV::eventsPushed>()},
-    {"sv.subs", at<SV, &SV::subscribers>()},
-    {"sv.dropped", at<SV, &SV::dropped>()},
-    {"sv.hibernated", at<SV, &SV::hibernated>()},
-    {"sv.evictions", at<SV, &SV::evictions>()},
-    {"sv.resurrections", at<SV, &SV::resurrections>()},
-    {"sv.quarantined", at<SV, &SV::quarantined>()},
-    {"sv.faults", at<SV, &SV::faultsInjected>()},
-    {"sv.migin", at<SV, &SV::migratedIn>()},
-    {"sv.migout", at<SV, &SV::migratedOut>()},
-    {"hist.", at<SV, &SV::hists>()},
-    {"tool.", at<SV, &SV::tools>()}};
+    at<SV, &SV::activeSessions>("sv.active"),
+    at<SV, &SV::peakSessions>("sv.peak"), at<SV, &SV::created>("sv.created"),
+    at<SV, &SV::destroyed>("sv.destroyed"),
+    at<SV, &SV::rejected>("sv.rejected"), at<SV, &SV::maxSessions>("sv.max"),
+    at<SV, &SV::workers>("sv.workers"), at<SV, &SV::slices>("sv.slices"),
+    at<SV, &SV::jobs>("sv.jobs"), at<SV, &SV::totalUops>("sv.uops"),
+    at<SV, &SV::totalAppInsts>("sv.insts"),
+    at<SV, &SV::totalEvents>("sv.events"),
+    at<SV, &SV::eventsPushed>("sv.pushed"),
+    at<SV, &SV::subscribers>("sv.subs"), at<SV, &SV::dropped>("sv.dropped"),
+    at<SV, &SV::hibernated>("sv.hibernated"),
+    at<SV, &SV::evictions>("sv.evictions"),
+    at<SV, &SV::resurrections>("sv.resurrections"),
+    at<SV, &SV::quarantined>("sv.quarantined"),
+    at<SV, &SV::faultsInjected>("sv.faults"),
+    at<SV, &SV::migratedIn>("sv.migin"), at<SV, &SV::migratedOut>("sv.migout"),
+    at<SV, &SV::hists>("hist."), at<SV, &SV::tools>("tool.")};
 
 using PS = StoreStats;
 constexpr Row<PS> kStoreStatsRows[] = {
-    {"ps.images", at<PS, &PS::images>()},
-    {"ps.bytes", at<PS, &PS::bytes>()},
-    {"ps.puts", at<PS, &PS::puts>()},
-    {"ps.loads", at<PS, &PS::loads>()},
-    {"ps.erases", at<PS, &PS::erases>()},
-    {"ps.quarantined", at<PS, &PS::quarantined>()},
-    {"ps.orphans", at<PS, &PS::orphansRemoved>()}};
+    at<PS, &PS::images>("ps.images"), at<PS, &PS::bytes>("ps.bytes"),
+    at<PS, &PS::puts>("ps.puts"), at<PS, &PS::loads>("ps.loads"),
+    at<PS, &PS::erases>("ps.erases"),
+    at<PS, &PS::quarantined>("ps.quarantined"),
+    at<PS, &PS::orphansRemoved>("ps.orphans")};
 
 using EV = SessionEvent;
 constexpr Row<EV> kEventRows[] = {
-    {"kind", at<EV, &EV::kind>(), Required},
-    {"seq", at<EV, &EV::seq>()},
-    {"time", at<EV, &EV::time>()},
-    {"insts", at<EV, &EV::appInsts>()},
-    {"pc", at<EV, &EV::pc>(), Hex},
-    {"index", at<EV, &EV::index>()},
-    {"addr", at<EV, &EV::addr>(), Hex},
-    {"old", at<EV, &EV::oldValue>(), Hex},
-    {"new", at<EV, &EV::newValue>(), Hex},
-    {"value", at<EV, &EV::value>()},
-    {"tool", at<EV, &EV::tool>(), IfSet},
-    {"detail", at<EV, &EV::detail>(), IfSet}};
+    at<EV, &EV::kind>("kind", Required), at<EV, &EV::seq>("seq"),
+    at<EV, &EV::time>("time"), at<EV, &EV::appInsts>("insts"),
+    at<EV, &EV::pc>("pc", Hex), at<EV, &EV::index>("index"),
+    at<EV, &EV::addr>("addr", Hex), at<EV, &EV::oldValue>("old", Hex),
+    at<EV, &EV::newValue>("new", Hex), at<EV, &EV::value>("value"),
+    at<EV, &EV::tool>("tool", IfSet), at<EV, &EV::detail>("detail", IfSet)};
 
 // -------------------------------------------------- line writer/reader
 
-/** Emits rows as "key=value" tokens onto one line. */
-class Writer
+/** Emits rows as "key=value" tokens onto one line (a "" key: the
+ *  verb). */
+struct Writer
 {
-  public:
-    explicit Writer(const char *verb)
-    {
-        line_.reserve(192);
-        line_ = verb;
-    }
+    std::string line;
 
     template <typename S>
     bool
     rows(const S &s, Rows<S> rows)
     {
         for (const Row<S> &row : rows) {
-            const void *p = row.slot.ref(const_cast<S &>(s));
-            if (row.slot.family) {
-                row.slot.family->put(line_, row.key, p);
-            } else if (emits(row.flags, row.slot.num(p))) {
-                line_ += ' ';
-                line_ += row.key;
-                line_ += '=';
-                row.slot.put(line_, p, row.flags & Hex);
+            const void *p = row.ref(const_cast<S &>(s));
+            if (row.family) {
+                row.family->put(line, row.key, p);
+                continue;
             }
+            size_t start = line.size();
+            if (*row.key) {
+                line += ' ';
+                line += row.key;
+                line += '=';
+            }
+            size_t value = line.size();
+            row.put(line, p, row.flags & Hex);
+            if (!emits(row.flags, std::string_view(line).substr(value)))
+                line.resize(start);
         }
         return true;
     }
-
-    std::string take() { return std::move(line_); }
-
-  private:
-    std::string line_;
 };
 
-/** A parsed "verb key=value ..." line that fills members from rows.
- *  Unknown keys are ignored, so the encoding can grow; a repeated key's
- *  last value wins. */
+/** A parsed "verb key=value ..." line that fills members from rows (the
+ *  verb under the "" key). Unknown keys are ignored, so the encoding
+ *  can grow; a repeated key's last value wins. */
 class Reader
 {
   public:
-    Reader(std::string *err) : err_(err) {}
+    explicit Reader(std::string *err) : err_(err) {}
 
     bool
     parse(std::string_view line)
     {
-        for (size_t b = 0, e = 0; b < line.size(); b = e) {
-            while (b < line.size() && isSpace(line[b]))
-                ++b;
-            for (e = b; e < line.size() && !isSpace(line[e]);)
-                ++e;
+        for (size_t b = line.find_first_not_of(kSpaces), e;
+             b != std::string_view::npos;
+             b = line.find_first_not_of(kSpaces, e)) {
+            e = std::min(line.find_first_of(kSpaces, b), line.size());
             std::string_view tok = line.substr(b, e - b);
-            size_t eq = tok.find('=');
-            if (tok.empty())
-                break;
-            if (verb_.empty())
-                verb_ = tok;
-            else if (eq == std::string_view::npos || eq == 0)
+            size_t eq = kv_.empty() ? 0 : tok.find('=');
+            if (!kv_.empty() && (eq == std::string_view::npos || eq == 0))
                 return fail("malformed token '" + std::string(tok) + "'");
-            else
-                kv_.push_back({tok.substr(0, eq), tok.substr(eq + 1),
-                               kv_.size()});
+            kv_.push_back({tok.substr(0, eq), tok.substr(eq + !kv_.empty()),
+                           kv_.size()});
         }
-        if (verb_.empty())
+        if (kv_.empty())
             return fail("empty line");
         std::sort(kv_.begin(), kv_.end(), [](const KV &a, const KV &b) {
             return a.key != b.key ? a.key < b.key : a.pos < b.pos;
@@ -706,16 +606,16 @@ class Reader
         return true;
     }
 
-    std::string_view verb() const { return verb_; }
+    std::string_view verb() const { return find("")->value; }
 
     template <typename S>
     bool
     rows(S &s, Rows<S> rows)
     {
         for (const Row<S> &row : rows) {
-            void *p = row.slot.ref(s);
-            if (row.slot.family) {
-                if (!family(*row.slot.family, row.key, p))
+            void *p = row.ref(s);
+            if (row.family) {
+                if (!family(*row.family, row.key, p))
                     return false;
                 continue;
             }
@@ -723,17 +623,19 @@ class Reader
             std::string_view v = kv ? kv->value : std::string_view();
             if (v.empty()) {
                 if (row.flags & Zero)
-                    row.slot.get("0", p, false, 0);
+                    row.get("0", p, false, 0);
                 if (!(row.flags & Required))
                     continue;
-            } else if (row.slot.get(v, p, row.flags & Hex, 0)) {
+            } else if (row.get(v, p, row.flags & Hex, 0) ||
+                       row.flags & AnyToken) {
                 continue;
             }
-            if (row.slot.tokens)
-                return fail(tokenError(*row.slot.tokens, v));
-            return fail(row.err ? std::string(row.err)
-                                : "bad value '" + std::string(v) +
-                                      "' for " + row.key + "=");
+            std::string msg = row.err ? row.err
+                                      : "bad value '%s' for " +
+                                            std::string(row.key) + "=";
+            size_t at = msg.find("%s");
+            return fail(at == std::string::npos ? msg
+                                                : msg.replace(at, 2, v));
         }
         return true;
     }
@@ -780,7 +682,6 @@ class Reader
     }
 
     std::string *err_;
-    std::string_view verb_;
     std::vector<KV> kv_;
 };
 
@@ -792,23 +693,17 @@ template <typename V, typename Resp>
 bool
 walkResponse(V &v, Resp &r)
 {
-    if (!v.rows(r, kReplyHeadRows))
-        return false;
-    if (r.hasStop && !(v.rows(r.stop, kStopRows) &&
-                       (r.stop.eventIndex < 0 || v.rows(r.stop, kMarkRows))))
-        return false;
-    if (!v.rows(r, kReplyBodyRows))
-        return false;
-    if (r.inReplyTo == RequestKind::Stats &&
-        !v.rows(r.stats, kSessionStatsRows))
-        return false;
-    if (r.inReplyTo == RequestKind::ServerStats &&
-        !v.rows(r.server, kServerStatsRows))
-        return false;
-    if (r.inReplyTo == RequestKind::StoreStats &&
-        !v.rows(r.store, kStoreStatsRows))
-        return false;
-    return v.rows(r, kShardRows);
+    return v.rows(r, kReplyHeadRows) &&
+           (!r.hasStop ||
+            (v.rows(r.stop, kStopRows) &&
+             (r.stop.eventIndex < 0 || v.rows(r.stop, kMarkRows)))) &&
+           v.rows(r, kReplyBodyRows) &&
+           (r.inReplyTo != K::Stats || v.rows(r.stats, kSessionStatsRows)) &&
+           (r.inReplyTo != K::ServerStats ||
+            v.rows(r.server, kServerStatsRows)) &&
+           (r.inReplyTo != K::StoreStats ||
+            v.rows(r.store, kStoreStatsRows)) &&
+           v.rows(r, kShardRows);
 }
 
 } // namespace
@@ -816,40 +711,35 @@ walkResponse(V &v, Resp &r)
 const char *
 requestKindName(RequestKind kind)
 {
-    return tokenName(kTokens<RequestKind>, static_cast<uint8_t>(kind));
+    return tokenName(kind);
 }
 
 const char *
 backendToken(BackendKind kind)
 {
-    return tokenName(kTokens<BackendKind>, static_cast<uint8_t>(kind));
+    return tokenName(kind);
 }
 
 bool
 parseBackendToken(const std::string &token, BackendKind &kind)
 {
-    uint8_t v;
-    if (!tokenValue(kTokens<BackendKind>, token, v))
-        return false;
-    kind = static_cast<BackendKind>(v);
-    return true;
+    return tokenValue(token, kind);
 }
 
 const char *
 sessionEventKindName(SessionEventKind kind)
 {
-    return tokenName(kTokens<SessionEventKind>,
-                     static_cast<uint8_t>(kind));
+    return tokenName(kind);
 }
 
 void
 mergeServerStats(ServerStats &into, const ServerStats &from)
 {
     for (const Row<ServerStats> &row : kServerStatsRows)
-        if (!row.slot.family)
-            *static_cast<uint64_t *>(row.slot.ref(into)) +=
+        if (!row.family)
+            *static_cast<uint64_t *>(row.ref(into)) +=
                 *static_cast<const uint64_t *>(
-                    row.slot.ref(const_cast<ServerStats &>(from)));
+                    row.ref(const_cast<ServerStats &>(from)));
     obs::mergeHistogramSnapshots(into.hists, from.hists);
     for (const tools::ToolStatsRow &row : from.tools)
         tools::mergeToolStats(into.tools, row);
@@ -860,24 +750,19 @@ mergeServerStats(ServerStats &into, const ServerStats &from)
 std::string
 encodeRequest(const Request &req)
 {
-    Writer w(requestKindName(req.kind));
-    w.rows(req, kSeqRows);
+    Writer w;
+    w.rows(req, kHeadRows);
     w.rows(req, verbRows(req.kind));
-    return w.take();
+    return w.line;
 }
 
 bool
 decodeRequest(const std::string &line, Request &req, std::string *err)
 {
     Reader r(err);
-    if (!r.parse(line))
-        return false;
     req = Request{};
-    uint8_t kind;
-    if (!tokenValue(kTokens<RequestKind>, r.verb(), kind))
-        return r.fail("unknown request '" + std::string(r.verb()) + "'");
-    req.kind = static_cast<RequestKind>(kind);
-    return r.rows(req, kSeqRows) && r.rows(req, verbRows(req.kind));
+    return r.parse(line) && r.rows(req, kHeadRows) &&
+           r.rows(req, verbRows(req.kind));
 }
 
 std::string
@@ -889,24 +774,17 @@ Request::describe() const
 std::string
 encodeResponse(const Response &resp)
 {
-    Writer w(tokenName(kTokens<ResponseStatus>,
-                       static_cast<uint8_t>(resp.status)));
+    Writer w;
     walkResponse(w, resp);
-    return w.take();
+    return w.line;
 }
 
 bool
 decodeResponse(const std::string &line, Response &resp, std::string *err)
 {
     Reader r(err);
-    if (!r.parse(line))
-        return false;
     resp = Response{};
-    uint8_t status;
-    if (!tokenValue(kTokens<ResponseStatus>, r.verb(), status))
-        return r.fail(tokenError(kTokens<ResponseStatus>, r.verb()));
-    resp.status = static_cast<ResponseStatus>(status);
-    if (!walkResponse(r, resp))
+    if (!r.parse(line) || !walkResponse(r, resp))
         return false;
     resp.stop.mark.time = resp.stop.time;
     resp.stop.mark.appInsts = resp.stop.appInsts;
@@ -916,21 +794,19 @@ decodeResponse(const std::string &line, Response &resp, std::string *err)
 std::string
 encodeEvent(const SessionEvent &ev)
 {
-    Writer w("event");
+    Writer w{"event"};
     w.rows(ev, kEventRows);
-    return w.take();
+    return w.line;
 }
 
 bool
 decodeEvent(const std::string &line, SessionEvent &ev, std::string *err)
 {
     Reader r(err);
-    if (!r.parse(line))
-        return false;
-    if (r.verb() != "event")
-        return r.fail("not an event line");
     ev = SessionEvent{};
-    return r.rows(ev, kEventRows);
+    return r.parse(line) &&
+           (r.verb() == "event" || r.fail("not an event line")) &&
+           r.rows(ev, kEventRows);
 }
 
 // ------------------------------------------------------------ describe
@@ -939,8 +815,7 @@ std::string
 Response::describe() const
 {
     std::ostringstream os;
-    os << tokenName(kTokens<ResponseStatus>, static_cast<uint8_t>(status))
-       << " [" << requestKindName(inReplyTo) << "]";
+    os << tokenName(status) << " [" << requestKindName(inReplyTo) << "]";
     if (!error.empty())
         os << ": " << error;
     if (index >= 0)
