@@ -1,9 +1,9 @@
 /**
  * @file
  * A minimal blocking GDB-RSP client over one loopback TCP socket —
- * the counterpart of RspServer used by the scripted smoke job, the
- * protocol tests, and any in-tree tooling that needs to drive a
- * session the way a remote debugger would. One shared implementation
+ * the counterpart of DebugServer's RSP path, used by the scripted smoke
+ * job, the protocol tests, and any in-tree tooling that needs to drive
+ * a session the way a remote debugger would. One shared implementation
  * keeps the framing/ack/stop-reply conventions from drifting between
  * the test suite and the CI client.
  */

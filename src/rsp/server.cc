@@ -1,15 +1,9 @@
 #include "rsp/server.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
-
-#include "common/logging.hh"
 
 namespace dise::rsp {
 
@@ -616,9 +610,6 @@ RspConnection::handlePacket(const std::string &p)
 void
 RspConnection::serve(int fd)
 {
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-
     auto sendAll = [&](const std::string &data) {
         size_t off = 0;
         while (off < data.size()) {
@@ -702,63 +693,6 @@ RspConnection::serve(int fd)
         async_->open = false;
         async_->fd = -1;
     }
-}
-
-RspServer::RspServer(DebugSession &session, RspServerOptions opts)
-    : conn_(session, {}, opts.verbose), opts_(opts)
-{
-}
-
-RspServer::~RspServer()
-{
-    stop();
-}
-
-bool
-RspServer::start()
-{
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0)
-        return false;
-    int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opts_.port);
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) < 0 ||
-        ::listen(listenFd_, 1) < 0) {
-        stop();
-        return false;
-    }
-    socklen_t len = sizeof addr;
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) == 0)
-        port_ = ntohs(addr.sin_port);
-    return true;
-}
-
-void
-RspServer::stop()
-{
-    if (listenFd_ >= 0) {
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-}
-
-void
-RspServer::serveOne()
-{
-    DISE_ASSERT(listenFd_ >= 0, "start() the server before serving");
-    int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0)
-        return; // stop() closed the listener
-    conn_.serve(fd);
-    ::close(fd);
 }
 
 } // namespace dise::rsp

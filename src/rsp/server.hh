@@ -13,20 +13,18 @@
  * verbs reply OK immediately, run as preemptible scheduler jobs, and
  * report their landing via server-initiated `%Stop` notifications
  * (`vStopped` acknowledges; a Ctrl-C interrupt cancels the job at a
- * slice boundary and lands as `%Stop:T02`). The protocol work is transport-free
- * (RspConnection::handlePacket() maps one decoded payload to one reply
- * payload), so tests drive the full command set in-process;
- * RspConnection::serve() adds the TCP framing, ack handling, and
- * retransmit on NAK over any connected socket.
+ * slice boundary and lands as `%Stop:T02`). The protocol work is
+ * transport-free (RspConnection::handlePacket() maps one decoded
+ * payload to one reply payload), so tests drive the full command set
+ * in-process; RspConnection::serve() adds the framing, ack handling,
+ * and retransmit on NAK over any connected socket.
  *
- * Two layers:
- *  - RspConnection: one client's protocol state (Z-packet maps, last
- *    stop) over one DebugSession. Long verbs go through an optional
- *    ExecFn hook, which the multi-session server (src/server/) uses to
- *    route `c`/`s`/`bc`/`bs` and `Z` onto its job scheduler so many
- *    sessions share a bounded worker pool.
- *  - RspServer: the classic single-session listener (bind, accept one
- *    client, serve) used by the smoke tools and tests.
+ * An RspConnection holds one client's protocol state (Z-packet maps,
+ * last stop) over one DebugSession. Long verbs go through an optional
+ * ExecFn hook, which the multi-session server (src/server/) uses to
+ * route `c`/`s`/`bc`/`bs` and `Z` onto its job scheduler so many
+ * sessions share a bounded worker pool. That server's listener accepts
+ * the TCP connections and hands each RSP client its own session.
  *
  * Session mapping notes:
  *  - `Z2`/`Z4` (write/access watchpoint) and `Z0`/`Z1` (breakpoints)
@@ -188,58 +186,6 @@ class RspConnection
     /** Last stop, replayed by `?`. */
     bool haveStop_ = false;
     StopInfo lastStop_{};
-};
-
-struct RspServerOptions
-{
-    /** TCP port to bind on 127.0.0.1; 0 picks an ephemeral port. */
-    uint16_t port = 0;
-    /** Log every packet exchange to stderr. */
-    bool verbose = false;
-};
-
-/** The single-session listener: one port, one target, one client at a
- *  time. The multi-session daemon lives in src/server/. */
-class RspServer
-{
-  public:
-    RspServer(DebugSession &session, RspServerOptions opts = {});
-    ~RspServer();
-
-    RspServer(const RspServer &) = delete;
-    RspServer &operator=(const RspServer &) = delete;
-
-    /** @name TCP transport */
-    ///@{
-    /** Bind + listen on 127.0.0.1. Returns false on socket errors. */
-    bool start();
-    /** The bound port (valid after start()). */
-    uint16_t port() const { return port_; }
-    /**
-     * Accept one client and serve it until detach/kill/EOF. Blocking;
-     * call from a dedicated thread when the client lives in-process.
-     */
-    void serveOne();
-    /** Close the listening socket (unblocks a pending accept). */
-    void stop();
-    ///@}
-
-    /** @name Transport-free forwards (tests) */
-    ///@{
-    std::string
-    handlePacket(const std::string &payload)
-    {
-        return conn_.handlePacket(payload);
-    }
-    bool wantClose() const { return conn_.wantClose(); }
-    uint64_t packetsHandled() const { return conn_.packetsHandled(); }
-    ///@}
-
-  private:
-    RspConnection conn_;
-    RspServerOptions opts_;
-    int listenFd_ = -1;
-    uint16_t port_ = 0;
 };
 
 } // namespace dise::rsp

@@ -1,13 +1,9 @@
 #include "server/server.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -170,140 +166,27 @@ DebugServer::start()
         manager_.adoptStore(store_.get());
     }
 
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0)
-        return false;
-    int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opts_.port);
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) < 0 ||
-        ::listen(listenFd_, 16) < 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
-    socklen_t len = sizeof addr;
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) == 0)
-        port_ = ntohs(addr.sin_port);
-
-    // The loop gets its own copy of the fd: stop() clears listenFd_
-    // from the owner thread, and sharing the member would race.
-    acceptThread_ =
-        std::thread([this, fd = listenFd_] { acceptLoop(fd); });
-    return true;
+    return listener_.start(opts_.port, [this](int fd, bool rsp) {
+        rsp ? serveRsp(fd) : serveWire(fd);
+    });
 }
 
 void
 DebugServer::wait()
 {
-    if (acceptThread_.joinable())
-        acceptThread_.join();
+    listener_.wait();
 }
 
 void
 DebugServer::stop()
 {
-    if (stopping_.exchange(true))
-        return;
-    if (listenFd_ >= 0) {
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    {
-        std::lock_guard<std::mutex> lk(connMu_);
-        for (Conn &c : conns_)
-            if (c.fd >= 0)
-                ::shutdown(c.fd, SHUT_RDWR);
-    }
-    // Fail any queued/in-flight jobs so connection threads blocked in
-    // a synchronous drive() wake up and observe their dead sockets.
-    sched_.stop();
-    // No new entries can appear (the accept loop is gone); joining
-    // outside the lock lets each connection finish its epilogue.
-    for (Conn &c : conns_)
-        if (c.th.joinable())
-            c.th.join();
-    conns_.clear();
-}
-
-void
-DebugServer::acceptLoop(int listenFd)
-{
-    for (;;) {
-        int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0) {
-            if (stopping_.load())
-                return;
-            // Persistent failures (EMFILE under fd pressure) must not
-            // busy-spin a core; back off briefly and retry.
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            continue;
-        }
-        if (stopping_.load()) {
-            ::close(fd);
-            return;
-        }
-        connectionsServed_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(connMu_);
-        // Reap finished connections so a long-lived daemon does not
-        // accumulate one dead (joinable) thread per client. A done
-        // entry's thread has already left its epilogue's critical
-        // section, so joining under connMu_ cannot deadlock.
-        for (auto it = conns_.begin(); it != conns_.end();) {
-            if (it->done.load(std::memory_order_acquire)) {
-                it->th.join();
-                it = conns_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        conns_.emplace_back();
-        auto self = std::prev(conns_.end());
-        self->fd = fd;
-        self->th = std::thread([this, fd, self] {
-            serveConnection(fd);
-            {
-                // Retire the fd entry and close in one critical
-                // section: closing first would let the OS recycle
-                // the number while stop() still sees it and
-                // shutdown()s an unrelated descriptor.
-                std::lock_guard<std::mutex> done(connMu_);
-                self->fd = -1;
-                ::close(fd);
-            }
-            self->done.store(true, std::memory_order_release);
-        });
-    }
+    listener_.stopAccepting();
+    // Failing queued/in-flight jobs wakes connection threads blocked in
+    // a synchronous drive() so they observe their dead sockets.
+    listener_.hangUp([this] { sched_.stop(); });
 }
 
 // ---------------------------------------------------------- connections
-
-void
-DebugServer::serveConnection(int fd)
-{
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-
-    // Protocol sniff: RSP clients open with an ack, a packet, or an
-    // interrupt; the typed wire protocol opens with a verb letter.
-    char first = 0;
-    ssize_t n = ::recv(fd, &first, 1, MSG_PEEK);
-    if (n <= 0)
-        return;
-    if (first == '+' || first == '-' || first == '$' || first == '\x03')
-        serveRsp(fd);
-    else
-        serveWire(fd);
-}
 
 void
 DebugServer::serveRsp(int fd)
@@ -737,58 +620,31 @@ DebugServer::serveWire(int fd)
     conn.out = std::make_shared<WireOut>();
     conn.out->fd = fd;
 
-    std::string buf;
-    char chunk[4096];
-    for (;;) {
-        ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n <= 0)
-            break;
-        buf.append(chunk, static_cast<size_t>(n));
-        // A hostile peer must not grow the buffer without bound. The
-        // cap leaves room for a session-adopt payload (a hex-encoded
-        // SessionImage of a long-lived session runs to megabytes).
-        if (buf.size() > (8u << 20))
-            break;
-        size_t nl;
-        bool dead = false;
-        while ((nl = buf.find('\n')) != std::string::npos) {
-            std::string line = buf.substr(0, nl);
-            buf.erase(0, nl + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            if (line.empty())
-                continue;
-            if (opts_.verbose)
-                std::fprintf(stderr, "wire <- %s\n", line.c_str());
+    readLines(fd, [&](std::string &line) {
+        if (opts_.verbose)
+            std::fprintf(stderr, "wire <- %s\n", line.c_str());
 
-            uint64_t t0 = obs::nowNs();
-            Request req;
-            std::string err;
-            Response resp;
-            if (!decodeRequest(line, req, &err)) {
-                resp.status = ResponseStatus::Error;
-                resp.error = "decode: " + err;
-                size_t pos = line.find("seq=");
-                if (pos != std::string::npos)
-                    resp.seq = std::strtoull(line.c_str() + pos + 4,
-                                             nullptr, 0);
-            } else {
-                TRACE_SPAN("server", "server.verb");
-                resp = handleWire(req, conn);
-            }
-            std::string out = encodeResponse(resp);
-            if (opts_.verbose)
-                std::fprintf(stderr, "wire -> %s\n", out.c_str());
-            bool sent = conn.out->sendLine(out);
-            obs::metrics().verbLatencyUs.observe(obs::usSince(t0));
-            if (!sent) {
-                dead = true;
-                break;
-            }
+        uint64_t t0 = obs::nowNs();
+        Request req;
+        std::string err;
+        Response resp;
+        if (!decodeRequest(line, req, &err)) {
+            resp.status = ResponseStatus::Error;
+            resp.error = "decode: " + err;
+            size_t pos = line.find("seq=");
+            if (pos != std::string::npos)
+                resp.seq = std::strtoull(line.c_str() + pos + 4, nullptr, 0);
+        } else {
+            TRACE_SPAN("server", "server.verb");
+            resp = handleWire(req, conn);
         }
-        if (dead)
-            break;
-    }
+        std::string out = encodeResponse(resp);
+        if (opts_.verbose)
+            std::fprintf(stderr, "wire -> %s\n", out.c_str());
+        bool sent = conn.out->sendLine(out);
+        obs::metrics().verbLatencyUs.observe(obs::usSince(t0));
+        return sent;
+    });
     // Unregister the connection's sinks before the channel dies; a
     // worker mid-deliver holds its own shared_ptr to the channel, so
     // the write path stays valid (and merely fails) during teardown.

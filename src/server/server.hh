@@ -35,16 +35,14 @@
 #ifndef DISE_SERVER_SERVER_HH
 #define DISE_SERVER_SERVER_HH
 
-#include <atomic>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "persist/vfs.hh"
 #include "server/job_scheduler.hh"
+#include "server/listener.hh"
 #include "server/session_manager.hh"
 
 namespace dise::server {
@@ -94,7 +92,7 @@ class DebugServer
      *  background. Returns false on socket errors. */
     bool start();
     /** The bound port (valid after start()). */
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return listener_.port(); }
     /** Block until stop() (the daemon's foreground wait). */
     void wait();
     /** Close the listener, hang up every client, join all threads. */
@@ -106,10 +104,7 @@ class DebugServer
     persist::SessionStore *store() { return store_.get(); }
     /** Session rollups + scheduler counters, one snapshot. */
     ServerStats stats() const;
-    uint64_t connectionsServed() const
-    {
-        return connectionsServed_.load(std::memory_order_relaxed);
-    }
+    uint64_t connectionsServed() const { return listener_.accepted(); }
 
   private:
     /** Per-connection outbound line channel: responses and pushed
@@ -120,8 +115,6 @@ class DebugServer
     /** A wire connection's state: selected session + subscriptions. */
     struct WireConn;
 
-    void acceptLoop(int listenFd);
-    void serveConnection(int fd);
     void serveRsp(int fd);
     void serveWire(int fd);
     /** One typed-wire request → one response, with connection-local
@@ -140,26 +133,7 @@ class DebugServer
     std::unique_ptr<persist::FaultyVfs> faultyVfs_;
     std::unique_ptr<persist::SessionStore> store_;
 
-    int listenFd_ = -1;
-    uint16_t port_ = 0;
-    std::thread acceptThread_;
-    std::atomic<bool> stopping_{false};
-    std::atomic<uint64_t> connectionsServed_{0};
-
-    /** One live (or just-finished, awaiting reap) connection. */
-    struct Conn
-    {
-        int fd = -1; ///< -1 once the connection closed it
-        std::atomic<bool> done{false};
-        std::thread th;
-    };
-
-    std::mutex connMu_;
-    /** Stable-iterator storage: each connection thread holds an
-     *  iterator to its own entry. Finished entries are joined and
-     *  erased by the accept loop (and finally by stop()), so a
-     *  long-lived daemon does not accumulate dead threads. */
-    std::list<Conn> conns_;
+    Listener listener_;
 
     /** trace-dump render cache: chunked fetches re-read one rendered
      *  JSON string instead of re-walking the rings per chunk. The

@@ -124,30 +124,12 @@ ShardSupervisor::start()
                          shards_.back()->proc.port);
     }
 
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0) {
+    if (!listener_.start(opts_.port, [this](int fd, bool rsp) {
+            rsp ? serveRspProxy(fd) : serveWireProxy(fd);
+        })) {
         stop();
         return false;
     }
-    int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opts_.port);
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof addr) < 0 ||
-        ::listen(listenFd_, 16) < 0) {
-        stop();
-        return false;
-    }
-    socklen_t len = sizeof addr;
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) == 0)
-        port_ = ntohs(addr.sin_port);
-
-    acceptThread_ =
-        std::thread([this, fd = listenFd_] { acceptLoop(fd); });
     monitorThread_ = std::thread([this] { monitorLoop(); });
     if (opts_.balanceIntervalMs)
         balanceThread_ = std::thread([this] { balanceLoop(); });
@@ -162,28 +144,13 @@ ShardSupervisor::stop()
         // the first is mid-teardown; the joins below are the barrier.
         return;
     }
-    if (listenFd_ >= 0) {
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
+    listener_.stopAccepting();
     if (balanceThread_.joinable())
         balanceThread_.join();
     // Monitor goes before reaping: it also waitpids.
     if (monitorThread_.joinable())
         monitorThread_.join();
-    {
-        std::lock_guard<std::mutex> lk(connMu_);
-        for (Conn &c : conns_)
-            if (c.fd >= 0)
-                ::shutdown(c.fd, SHUT_RDWR);
-    }
-    for (Conn &c : conns_)
-        if (c.th.joinable())
-            c.th.join();
-    conns_.clear();
+    listener_.hangUp();
     for (auto &sh : shards_) {
         {
             std::lock_guard<std::mutex> lk(sh->ctlMu);
@@ -340,7 +307,7 @@ ShardSupervisor::leastLoadedShard(int excluding)
     if (!any)
         // Last resort: round-robin over the fleet.
         best = static_cast<unsigned>(
-                   connectionsServed_.load(std::memory_order_relaxed)) %
+                   listener_.accepted()) %
                static_cast<unsigned>(std::max<size_t>(1, shards_.size()));
     return best;
 }
@@ -540,62 +507,7 @@ ShardSupervisor::fleetStats()
 // ------------------------------------------------------------- routing
 
 void
-ShardSupervisor::acceptLoop(int listenFd)
-{
-    for (;;) {
-        int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0) {
-            if (stopping_.load())
-                return;
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            continue;
-        }
-        if (stopping_.load()) {
-            ::close(fd);
-            return;
-        }
-        connectionsServed_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(connMu_);
-        for (auto it = conns_.begin(); it != conns_.end();) {
-            if (it->done.load(std::memory_order_acquire)) {
-                it->th.join();
-                it = conns_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        conns_.emplace_back();
-        auto self = std::prev(conns_.end());
-        self->fd = fd;
-        self->th = std::thread([this, fd, self] {
-            serveConnection(fd);
-            {
-                std::lock_guard<std::mutex> done(connMu_);
-                self->fd = -1;
-                ::close(fd);
-            }
-            self->done.store(true, std::memory_order_release);
-        });
-    }
-}
-
-void
-ShardSupervisor::serveConnection(int fd)
-{
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    char first = 0;
-    ssize_t n = ::recv(fd, &first, 1, MSG_PEEK);
-    if (n <= 0)
-        return;
-    if (first == '+' || first == '-' || first == '$' || first == '\x03')
-        serveRspProxy(fd, first);
-    else
-        serveWireProxy(fd);
-}
-
-void
-ShardSupervisor::serveRspProxy(int fd, char)
+ShardSupervisor::serveRspProxy(int fd)
 {
     // gdb's one-target model: place the connection once, then pump
     // bytes blindly. The shard does all the RSP work.
@@ -700,215 +612,196 @@ ShardSupervisor::serveWireProxy(int fd)
         return out->sendLine(reply);
     };
 
-    std::string buf;
-    char chunk[4096];
     bool dead = false;
-    while (!dead) {
-        ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n <= 0)
-            break;
-        buf.append(chunk, static_cast<size_t>(n));
-        if (buf.size() > (8u << 20))
-            break;
-        size_t nl;
-        while (!dead && (nl = buf.find('\n')) != std::string::npos) {
-            std::string line = buf.substr(0, nl);
-            buf.erase(0, nl + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            if (line.empty())
-                continue;
-            if (opts_.verbose)
-                std::fprintf(stderr, "supervisor <- %s\n",
-                             line.c_str());
+    readLines(fd, [&](std::string &line) {
+        if (opts_.verbose)
+            std::fprintf(stderr, "supervisor <- %s\n", line.c_str());
 
-            Request req;
-            std::string derr;
-            if (!decodeRequest(line, req, &derr)) {
-                // Let a shard produce the canonical decode error.
-                unsigned k =
-                    cur >= 0 ? static_cast<unsigned>(cur) : 0u;
-                dead = !forward(req, k, line);
-                continue;
-            }
-
-            switch (req.kind) {
-              case RequestKind::SessionCreate: {
-                unsigned k =
-                    (req.shard >= 0 &&
-                     static_cast<size_t>(req.shard) < shards_.size())
-                        ? static_cast<unsigned>(req.shard)
-                        : leastLoadedShard();
-                if (cur >= 0 && cur != static_cast<int>(k))
-                    deselect(cur);
-                Response resp;
-                dead = !forward(req, k, line, &resp);
-                if (resp.ok()) {
-                    std::lock_guard<std::mutex> lk(routeMu_);
-                    route_[resp.value] = k;
-                    cur = static_cast<int>(k);
-                }
-                break;
-              }
-              case RequestKind::SessionSelect: {
-                if (!req.session) {
-                    if (cur >= 0)
-                        dead = !forward(
-                            req, static_cast<unsigned>(cur), line);
-                    else {
-                        Response resp;
-                        resp.seq = req.seq;
-                        resp.inReplyTo = req.kind;
-                        dead = !sendResp(resp);
-                    }
-                    break;
-                }
-                unsigned k = 0;
-                std::string lerr;
-                if (!locate(req.session, k, &lerr)) {
-                    dead = !sendErr(req, lerr);
-                    break;
-                }
-                if (cur >= 0 && cur != static_cast<int>(k))
-                    deselect(cur);
-                Response resp;
-                dead = !forward(req, k, line, &resp);
-                if (resp.ok())
-                    cur = static_cast<int>(k);
-                break;
-              }
-              case RequestKind::SessionDestroy:
-              case RequestKind::SessionHibernate:
-              case RequestKind::SessionPersist:
-              case RequestKind::SessionExport:
-              case RequestKind::ToolEnable:
-              case RequestKind::ToolDisable:
-              case RequestKind::ToolList:
-              case RequestKind::ToolReport: {
-                // Session-addressed (or selection-relative when
-                // session=0 — then the current leg already holds it).
-                if (!req.session) {
-                    if (cur < 0) {
-                        dead = !sendErr(req, "no session selected");
-                        break;
-                    }
-                    dead =
-                        !forward(req, static_cast<unsigned>(cur), line);
-                    break;
-                }
-                unsigned k = 0;
-                std::string lerr;
-                if (!locate(req.session, k, &lerr)) {
-                    dead = !sendErr(req, lerr);
-                    break;
-                }
-                bool selects = req.kind == RequestKind::ToolEnable ||
-                               req.kind == RequestKind::ToolDisable ||
-                               req.kind == RequestKind::ToolList ||
-                               req.kind == RequestKind::ToolReport;
-                if (selects && cur >= 0 && cur != static_cast<int>(k))
-                    deselect(cur);
-                Response resp;
-                dead = !forward(req, k, line, &resp);
-                if (resp.ok()) {
-                    if (selects)
-                        cur = static_cast<int>(k);
-                    if (req.kind == RequestKind::SessionDestroy ||
-                        req.kind == RequestKind::SessionExport) {
-                        std::lock_guard<std::mutex> lk(routeMu_);
-                        route_.erase(req.session);
-                    }
-                }
-                break;
-              }
-              case RequestKind::SessionAdopt: {
-                unsigned k =
-                    (req.shard >= 0 &&
-                     static_cast<size_t>(req.shard) < shards_.size())
-                        ? static_cast<unsigned>(req.shard)
-                        : leastLoadedShard();
-                Response resp;
-                dead = !forward(req, k, line, &resp);
-                if (resp.ok()) {
-                    std::lock_guard<std::mutex> lk(routeMu_);
-                    route_[resp.value] = k;
-                }
-                break;
-              }
-              case RequestKind::SessionMigrate: {
-                if (!req.session) {
-                    dead = !sendErr(req, "session-migrate needs "
-                                         "session=<id>");
-                    break;
-                }
-                std::string merr;
-                if (!migrate(req.session,
-                             static_cast<int>(req.shard), &merr)) {
-                    dead = !sendErr(req, merr);
-                    break;
-                }
-                Response resp;
-                resp.seq = req.seq;
-                resp.inReplyTo = req.kind;
-                resp.value = req.session;
-                {
-                    std::lock_guard<std::mutex> lk(routeMu_);
-                    auto it = route_.find(req.session);
-                    if (it != route_.end())
-                        resp.index = static_cast<int>(it->second);
-                }
-                dead = !sendResp(resp);
-                break;
-              }
-              case RequestKind::SessionList: {
-                Request list;
-                list.kind = RequestKind::SessionList;
-                Response merged;
-                merged.seq = req.seq;
-                merged.inReplyTo = req.kind;
-                for (unsigned k = 0; k < shards_.size(); ++k) {
-                    Response resp;
-                    if (!ctlCall(k, list, resp) || !resp.ok())
-                        continue;
-                    std::lock_guard<std::mutex> lk(routeMu_);
-                    for (uint64_t id : resp.regs) {
-                        merged.regs.push_back(id);
-                        route_[id] = k;
-                    }
-                }
-                std::sort(merged.regs.begin(), merged.regs.end());
-                dead = !sendResp(merged);
-                break;
-              }
-              case RequestKind::ServerStats: {
-                Response resp;
-                resp.seq = req.seq;
-                resp.inReplyTo = req.kind;
-                resp.server = fleetStats();
-                dead = !sendResp(resp);
-                break;
-              }
-              case RequestKind::ShardStats: {
-                Response resp;
-                resp.seq = req.seq;
-                resp.inReplyTo = req.kind;
-                resp.shards = shardStats();
-                dead = !sendResp(resp);
-                break;
-              }
-              default: {
-                // Selection-relative traffic (exec verbs, peeks,
-                // subscribe, trace, metrics, ...) rides the current
-                // leg; with no selection yet, shard 0 answers — and
-                // produces the canonical "no session selected".
-                unsigned k =
-                    cur >= 0 ? static_cast<unsigned>(cur) : 0u;
-                dead = !forward(req, k, line);
-                break;
-              }
-            }
+        Request req;
+        std::string derr;
+        if (!decodeRequest(line, req, &derr)) {
+            // Let a shard produce the canonical decode error.
+            unsigned k = cur >= 0 ? static_cast<unsigned>(cur) : 0u;
+            return forward(req, k, line);
         }
-    }
+
+        switch (req.kind) {
+          case RequestKind::SessionCreate: {
+            unsigned k =
+                (req.shard >= 0 &&
+                 static_cast<size_t>(req.shard) < shards_.size())
+                    ? static_cast<unsigned>(req.shard)
+                    : leastLoadedShard();
+            if (cur >= 0 && cur != static_cast<int>(k))
+                deselect(cur);
+            Response resp;
+            dead = !forward(req, k, line, &resp);
+            if (resp.ok()) {
+                std::lock_guard<std::mutex> lk(routeMu_);
+                route_[resp.value] = k;
+                cur = static_cast<int>(k);
+            }
+            break;
+          }
+          case RequestKind::SessionSelect: {
+            if (!req.session) {
+                if (cur >= 0)
+                    dead = !forward(
+                        req, static_cast<unsigned>(cur), line);
+                else {
+                    Response resp;
+                    resp.seq = req.seq;
+                    resp.inReplyTo = req.kind;
+                    dead = !sendResp(resp);
+                }
+                break;
+            }
+            unsigned k = 0;
+            std::string lerr;
+            if (!locate(req.session, k, &lerr)) {
+                dead = !sendErr(req, lerr);
+                break;
+            }
+            if (cur >= 0 && cur != static_cast<int>(k))
+                deselect(cur);
+            Response resp;
+            dead = !forward(req, k, line, &resp);
+            if (resp.ok())
+                cur = static_cast<int>(k);
+            break;
+          }
+          case RequestKind::SessionDestroy:
+          case RequestKind::SessionHibernate:
+          case RequestKind::SessionPersist:
+          case RequestKind::SessionExport:
+          case RequestKind::ToolEnable:
+          case RequestKind::ToolDisable:
+          case RequestKind::ToolList:
+          case RequestKind::ToolReport: {
+            // Session-addressed (or selection-relative when
+            // session=0 — then the current leg already holds it).
+            if (!req.session) {
+                if (cur < 0) {
+                    dead = !sendErr(req, "no session selected");
+                    break;
+                }
+                dead =
+                    !forward(req, static_cast<unsigned>(cur), line);
+                break;
+            }
+            unsigned k = 0;
+            std::string lerr;
+            if (!locate(req.session, k, &lerr)) {
+                dead = !sendErr(req, lerr);
+                break;
+            }
+            bool selects = req.kind == RequestKind::ToolEnable ||
+                           req.kind == RequestKind::ToolDisable ||
+                           req.kind == RequestKind::ToolList ||
+                           req.kind == RequestKind::ToolReport;
+            if (selects && cur >= 0 && cur != static_cast<int>(k))
+                deselect(cur);
+            Response resp;
+            dead = !forward(req, k, line, &resp);
+            if (resp.ok()) {
+                if (selects)
+                    cur = static_cast<int>(k);
+                if (req.kind == RequestKind::SessionDestroy ||
+                    req.kind == RequestKind::SessionExport) {
+                    std::lock_guard<std::mutex> lk(routeMu_);
+                    route_.erase(req.session);
+                }
+            }
+            break;
+          }
+          case RequestKind::SessionAdopt: {
+            unsigned k =
+                (req.shard >= 0 &&
+                 static_cast<size_t>(req.shard) < shards_.size())
+                    ? static_cast<unsigned>(req.shard)
+                    : leastLoadedShard();
+            Response resp;
+            dead = !forward(req, k, line, &resp);
+            if (resp.ok()) {
+                std::lock_guard<std::mutex> lk(routeMu_);
+                route_[resp.value] = k;
+            }
+            break;
+          }
+          case RequestKind::SessionMigrate: {
+            if (!req.session) {
+                dead = !sendErr(req, "session-migrate needs "
+                                     "session=<id>");
+                break;
+            }
+            std::string merr;
+            if (!migrate(req.session,
+                         static_cast<int>(req.shard), &merr)) {
+                dead = !sendErr(req, merr);
+                break;
+            }
+            Response resp;
+            resp.seq = req.seq;
+            resp.inReplyTo = req.kind;
+            resp.value = req.session;
+            {
+                std::lock_guard<std::mutex> lk(routeMu_);
+                auto it = route_.find(req.session);
+                if (it != route_.end())
+                    resp.index = static_cast<int>(it->second);
+            }
+            dead = !sendResp(resp);
+            break;
+          }
+          case RequestKind::SessionList: {
+            Request list;
+            list.kind = RequestKind::SessionList;
+            Response merged;
+            merged.seq = req.seq;
+            merged.inReplyTo = req.kind;
+            for (unsigned k = 0; k < shards_.size(); ++k) {
+                Response resp;
+                if (!ctlCall(k, list, resp) || !resp.ok())
+                    continue;
+                std::lock_guard<std::mutex> lk(routeMu_);
+                for (uint64_t id : resp.regs) {
+                    merged.regs.push_back(id);
+                    route_[id] = k;
+                }
+            }
+            std::sort(merged.regs.begin(), merged.regs.end());
+            dead = !sendResp(merged);
+            break;
+          }
+          case RequestKind::ServerStats: {
+            Response resp;
+            resp.seq = req.seq;
+            resp.inReplyTo = req.kind;
+            resp.server = fleetStats();
+            dead = !sendResp(resp);
+            break;
+          }
+          case RequestKind::ShardStats: {
+            Response resp;
+            resp.seq = req.seq;
+            resp.inReplyTo = req.kind;
+            resp.shards = shardStats();
+            dead = !sendResp(resp);
+            break;
+          }
+          default: {
+            // Selection-relative traffic (exec verbs, peeks,
+            // subscribe, trace, metrics, ...) rides the current
+            // leg; with no selection yet, shard 0 answers — and
+            // produces the canonical "no session selected".
+            unsigned k =
+                cur >= 0 ? static_cast<unsigned>(cur) : 0u;
+            dead = !forward(req, k, line);
+            break;
+          }
+        }
+        return !dead;
+    });
     // Leg destructors hang up on the shards, which drops their
     // selections and subscriptions exactly like a direct disconnect.
 }

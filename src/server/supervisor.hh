@@ -45,7 +45,6 @@
 #define DISE_SERVER_SUPERVISOR_HH
 
 #include <atomic>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,6 +52,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "server/listener.hh"
 #include "server/shard.hh"
 #include "server/wire_client.hh"
 
@@ -100,7 +100,7 @@ class ShardSupervisor
     bool start();
     void stop();
 
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return listener_.port(); }
     unsigned shardCount() const { return static_cast<unsigned>(shards_.size()); }
     /** The worker's pid (for kill -9 crash tests). */
     pid_t shardPid(unsigned k) const;
@@ -139,9 +139,7 @@ class ShardSupervisor
         std::unique_ptr<WireClient> ctl;
     };
 
-    void acceptLoop(int listenFd);
-    void serveConnection(int fd);
-    void serveRspProxy(int fd, char firstByte);
+    void serveRspProxy(int fd);
     void serveWireProxy(int fd);
     void monitorLoop();
     void balanceLoop();
@@ -161,23 +159,11 @@ class ShardSupervisor
     std::mutex routeMu_;
     std::unordered_map<uint64_t, unsigned> route_;
 
-    int listenFd_ = -1;
-    uint16_t port_ = 0;
-    std::thread acceptThread_;
+    Listener listener_;
     std::thread monitorThread_;
     std::thread balanceThread_;
     std::atomic<bool> stopping_{false};
     std::atomic<uint64_t> migrations_{0};
-    std::atomic<uint64_t> connectionsServed_{0};
-
-    struct Conn
-    {
-        int fd = -1;
-        std::atomic<bool> done{false};
-        std::thread th;
-    };
-    std::mutex connMu_;
-    std::list<Conn> conns_;
 };
 
 } // namespace dise::server

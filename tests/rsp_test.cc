@@ -197,7 +197,7 @@ TEST_P(RspAllBackends, WireStopsMatchInProcessSession)
 
     // Wire path: a second session driven purely through packets.
     DebugSession session(prog, optionsFor(GetParam()));
-    RspServer server(session);
+    RspConnection server(session);
 
     EXPECT_NE(server.handlePacket("qSupported:hwbreak+").find(
                   "ReverseContinue+"),
@@ -448,12 +448,12 @@ TEST(RspFuzz, CorruptFramesAcrossConcurrentConnectionsDontLeak)
 
 TEST(RspFuzz, OversizedAndPathologicalFramesSingleConnection)
 {
-    // Pathological-but-framed input against a plain RspServer: the
+    // Pathological-but-framed input against a plain connection: the
     // handler must answer (or empty-reply) every decodable payload
     // and never throw out of the packet layer.
     Program demo = buildHeisenbugDemo();
     DebugSession session(demo, optionsFor(BackendKind::Dise));
-    RspServer server(session);
+    RspConnection server(session);
 
     // Payloads with a pinned reply shape.
     struct Case
@@ -506,7 +506,7 @@ TEST(RspVCont, ActionsMatchPlainResumePackets)
 
     DebugSession a(prog, optionsFor(BackendKind::Dise));
     DebugSession b(prog, optionsFor(BackendKind::Dise));
-    RspServer plain(a), vcont(b);
+    RspConnection plain(a), vcont(b);
     EXPECT_EQ(plain.handlePacket(z2), "OK");
     EXPECT_EQ(vcont.handlePacket(z2), "OK");
 
@@ -531,7 +531,7 @@ TEST(RspQXfer, TargetXmlChunksReassemble)
 {
     Program prog = buildHeisenbugDemo();
     DebugSession session(prog, optionsFor(BackendKind::Dise));
-    RspServer server(session);
+    RspConnection server(session);
 
     EXPECT_NE(server.handlePacket("qSupported")
                   .find("qXfer:features:read+"),
@@ -578,7 +578,7 @@ TEST(RspParkedPoke, MemoryWriteAtWatchpointStopSucceeds)
     Program prog = buildHeisenbugDemo();
     Addr watchAddr = prog.symbol("directory");
     DebugSession session(prog, optionsFor(BackendKind::Dise));
-    RspServer server(session);
+    RspConnection server(session);
 
     char z2[64];
     std::snprintf(z2, sizeof z2, "Z2,%llx,8",
@@ -760,16 +760,18 @@ TEST(RspNonStop, WritePacketsLandAtSliceBoundariesWhileRunning)
 
 TEST(RspServerTcp, LoopbackSessionEndToEnd)
 {
+    // The server gives the RSP client an exclusive session on its
+    // default workload, the heisenbug demo.
     Program prog = buildHeisenbugDemo();
-    DebugSession session(prog, optionsFor(BackendKind::Dise));
-    RspServer server(session);
-    ASSERT_TRUE(server.start());
-    ASSERT_NE(server.port(), 0);
-
-    std::thread serving([&] { server.serveOne(); });
+    server::DebugServerOptions opts;
+    opts.defaultBackend = BackendKind::Dise;
+    opts.session = optionsFor(BackendKind::Dise);
+    server::DebugServer srv(opts);
+    ASSERT_TRUE(srv.start());
+    ASSERT_NE(srv.port(), 0);
 
     RspClient client;
-    ASSERT_TRUE(client.connectTo(server.port()));
+    ASSERT_TRUE(client.connectTo(srv.port()));
     auto exchange = [&](const std::string &payload) {
         return client.exchange(payload);
     };
@@ -787,9 +789,8 @@ TEST(RspServerTcp, LoopbackSessionEndToEnd)
     EXPECT_NE(back.find("replaylog:begin"), std::string::npos) << back;
     EXPECT_EQ(exchange("D"), "OK");
 
-    serving.join();
     client.close();
-    server.stop();
+    srv.stop();
 }
 
 } // namespace

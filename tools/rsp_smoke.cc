@@ -2,9 +2,9 @@
  * @file
  * Scripted GDB-RSP client: the CI smoke job.
  *
- * For each of the five watchpoint backends, starts an RspServer on a
- * loopback port, connects over real TCP, and drives one debugging
- * session — qSupported handshake, Z2 watchpoint insert, `c` to the
+ * For each of the five watchpoint backends, starts a DebugServer on a
+ * loopback port (that backend as its default, the demo workload),
+ * connects over real TCP, and drives one debugging session — qSupported handshake, Z2 watchpoint insert, `c` to the
  * first two hits, `bc` back across the second, `bs`, a
  * `vCont?`/`vCont;s`/`vCont;c` round-trip, a `qXfer:features:read`
  * target description fetch, `m`, detach — verifying every stop
@@ -17,10 +17,9 @@
  */
 
 #include <cstdio>
-#include <thread>
 
 #include "rsp/client.hh"
-#include "rsp/server.hh"
+#include "server/server.hh"
 #include "session/debug_session.hh"
 #include "workloads/workload.hh"
 
@@ -74,19 +73,19 @@ driveBackend(BackendKind kind)
     CHECK(refBack.time == refHit1.time,
           "%s: reference bc missed the first hit", name);
 
-    // Wire session: a second, independent target driven over TCP.
-    DebugSession session(prog, optionsFor(kind));
-    RspServer server(session);
+    // Wire session: a second, independent target driven over TCP. The
+    // server gives each RSP client its own session on the demo.
+    server::DebugServerOptions opts;
+    opts.defaultBackend = kind;
+    opts.session = optionsFor(kind);
+    server::DebugServer server(opts);
     if (!server.start()) {
         CHECK(false, "%s: server start failed", name);
         return;
     }
-    std::thread serving([&] { server.serveOne(); });
     RspClient client;
     if (!client.connectTo(server.port())) {
         CHECK(false, "%s: connect failed", name);
-        server.stop(); // unblocks accept() so the join cannot hang
-        serving.join();
         return;
     }
 
@@ -163,7 +162,7 @@ driveBackend(BackendKind kind)
           mem.c_str(), toHex(refBytes).c_str());
 
     CHECK(client.exchange("D") == "OK", "%s: detach failed", name);
-    serving.join();
+    client.close();
     server.stop();
 
     std::printf("%-16s ok: c@0x%llx c@0x%llx bc@0x%llx bs@0x%llx\n",
