@@ -666,7 +666,13 @@ RspConnection::serve(int fd)
             }
             if (verbose_)
                 std::fprintf(stderr, "rsp <- %s\n", payload.c_str());
-            std::string reply = handlePacket(payload);
+            std::string reply;
+            {
+                std::unique_lock<std::mutex> lk;
+                if (packetLockFn_)
+                    lk = packetLockFn_();
+                reply = handlePacket(payload);
+            }
             if (verbose_)
                 std::fprintf(stderr, "rsp -> %s\n", reply.c_str());
             bool wasKill = !payload.empty() && payload[0] == 'k';

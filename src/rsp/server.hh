@@ -104,6 +104,10 @@ class RspConnection
     void setAsyncExec(AsyncExecFn fn) { asyncExecFn_ = std::move(fn); }
     /** Serialize busy peeks against the job's slices (see PeekLockFn). */
     void setPeekLock(PeekLockFn fn) { peekLockFn_ = std::move(fn); }
+    /** Hold the returned lock around every packet serve() handles, so
+     *  other readers of the session (a server's stats) see it only
+     *  between packets. */
+    void setPacketLock(PeekLockFn fn) { packetLockFn_ = std::move(fn); }
 
     /**
      * The transport-free core: map one decoded packet payload to the
@@ -170,6 +174,7 @@ class RspConnection
     ExecFn execFn_;
     AsyncExecFn asyncExecFn_;
     PeekLockFn peekLockFn_;
+    PeekLockFn packetLockFn_;
     bool verbose_ = false;
     bool wantClose_ = false;
     bool nonStop_ = false;

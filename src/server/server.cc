@@ -208,7 +208,8 @@ DebugServer::serveRsp(int fd)
                      static_cast<unsigned long long>(ms->id));
 
     // Exclusive sessions are single-client by construction, so only
-    // the long verbs need scheduling. The synchronous hook serves
+    // the long verbs need scheduling; each packet holds the session
+    // lock, as each wire verb does. The synchronous hook serves
     // all-stop gdb; the async hook powers non-stop mode (`vCont` OK'd
     // immediately, `%Stop` notification when the job lands) and lets
     // a Ctrl-C interrupt the job between slices.
@@ -230,6 +231,7 @@ DebugServer::serveRsp(int fd)
     conn.setPeekLock([ms] {
         return std::unique_lock<std::mutex>(ms->sliceMu);
     });
+    conn.setPacketLock([ms] { return std::unique_lock<std::mutex>(ms->mu); });
     conn.serve(fd);
     manager_.destroy(ms->id);
 }

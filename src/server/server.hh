@@ -21,9 +21,9 @@
  * `Z`), resurrection and shard adopt, interval-parallel replay
  * workers — runs as a preemptible Job on the JobScheduler,
  * which bounds concurrent simulation and round-robins runnable jobs in
- * µop slices; everything else touches the session directly (under its
- * lock for shared wire sessions — exclusive RSP sessions are
- * single-client by construction).
+ * µop slices; everything else touches the session directly, under its
+ * lock (held per wire verb on shared sessions, per packet on exclusive
+ * RSP ones).
  *
  * Typed-wire clients may `subscribe` to their selected session: every
  * queued SessionEvent is then pushed as a server-initiated `event`

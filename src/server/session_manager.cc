@@ -594,12 +594,14 @@ SessionManager::stats() const
     if (store_)
         s.quarantined = store_->counters().quarantined;
     // Per-tool counters, rolled up by tool name across live sessions.
-    // Best-effort: a session mid-verb (its mutex held) is skipped and
-    // folds into the next snapshot rather than blocking stats.
+    // Best-effort: a session in use (a verb or packet holds mu, a job
+    // slice holds sliceMu) is skipped and folds into the next snapshot
+    // rather than blocking stats.
     for (const auto &kv : sessions_) {
         ManagedSession &ms = *kv.second;
         std::unique_lock<std::mutex> slk(ms.mu, std::try_to_lock);
-        if (!slk.owns_lock() || !ms.session.attached())
+        std::unique_lock<std::mutex> xlk(ms.sliceMu, std::defer_lock);
+        if (!slk.owns_lock() || !xlk.try_lock() || !ms.session.attached())
             continue;
         for (const tools::ToolStatsRow &row :
              ms.session.debugger().backend().tools().statsRows())

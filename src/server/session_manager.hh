@@ -72,11 +72,12 @@ class ManagedSession
     const uint64_t id;
     const std::string workload;
     /** Bound to one connection (RSP's one-target model): never handed
-     *  out by select, so its owner may drive it lock-free. */
+     *  out by select; its one connection holds mu per packet. */
     const bool exclusive;
 
     DebugSession session;
-    /** Serializes shared (wire-selected) access to the session. */
+    /** Serializes access to the session: held per wire verb on shared
+     *  sessions and per packet on exclusive RSP ones. */
     std::mutex mu;
     /** Held by the scheduler worker for the duration of each job
      *  slice; RSP busy peeks (`g`/`m`/`p`, monitor tool verbs while a

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <mutex>
 #include <random>
@@ -1015,6 +1016,98 @@ TEST(DebugServerTcp, SeededRandomMultiClientSoak)
     EXPECT_NE(post.exchange("qSupported").find("PacketSize"),
               std::string::npos);
     EXPECT_EQ(post.exchange("D"), "OK");
+    srv.stop();
+}
+
+TEST(DebugServerTcp, StatsToolRollupExcludesADrivenRspSession)
+{
+    // An RSP client arms a tool over `monitor` and then loops Z2 + c on
+    // its exclusive session (bc back to the last hit once the target
+    // exits), while a
+    // wire client loops server-stats, whose per-tool rollup reads every
+    // session's tool rows. Packets and slices change those rows, so the
+    // rollup must exclude both; ThreadSanitizer checks that it does.
+    Program demo = buildHeisenbugDemo();
+    Addr watchAddr = demo.symbol("directory");
+    DebugServerOptions opts;
+    opts.sliceInsts = 500;
+    opts.session = smallSessions();
+    DebugServer srv(opts);
+    ASSERT_TRUE(srv.start());
+
+    std::atomic<bool> looping{true};
+    std::atomic<int> failures{0};
+    std::mutex idleMu;
+    std::condition_variable idleCv;
+    bool idle = false, detach = false;
+    std::thread gdb([&] {
+        RspClient client;
+        if (!client.connectTo(srv.port())) {
+            ++failures;
+            looping = false;
+            return;
+        }
+        std::string cmd = "tool-enable name=memtrace";
+        std::string armed = client.exchange(
+            "qRcmd," +
+            rsp::toHex(std::vector<uint8_t>(cmd.begin(), cmd.end())));
+        if (armed.empty() || armed[0] == 'E')
+            ++failures;
+        char z2[64], z2off[64];
+        std::snprintf(z2, sizeof z2, "Z2,%llx,8",
+                      static_cast<unsigned long long>(watchAddr));
+        std::snprintf(z2off, sizeof z2off, "z2,%llx,8",
+                      static_cast<unsigned long long>(watchAddr));
+        for (int round = 0; round < 24; ++round) {
+            if (client.exchange(z2) != "OK")
+                ++failures;
+            std::string stop = client.exchange("c");
+            if (stop.empty() || stop[0] == 'E')
+                ++failures;
+            if (!stop.empty() && stop[0] == 'W')
+                client.exchange("bc"); // back to the last hit
+            if (client.exchange(z2off) != "OK")
+                ++failures;
+        }
+        looping = false;
+        {
+            // Stay attached and idle until the final snapshot is taken.
+            std::unique_lock<std::mutex> lk(idleMu);
+            idle = true;
+            idleCv.notify_all();
+            idleCv.wait(lk, [&] { return detach; });
+        }
+        if (client.exchange("D") != "OK")
+            ++failures;
+    });
+
+    WireClient wire;
+    ASSERT_TRUE(wire.connectTo(srv.port()));
+    unsigned polls = 0;
+    while (looping.load()) {
+        Response resp;
+        ASSERT_TRUE(wire.roundTripOk("server-stats seq=1", resp));
+        ++polls;
+    }
+    {
+        std::unique_lock<std::mutex> lk(idleMu);
+        idleCv.wait(lk, [&] { return idle; });
+    }
+    // Between packets the session is free: the rollup must see it.
+    Response last;
+    ASSERT_TRUE(wire.roundTripOk("server-stats seq=2", last));
+    bool sawMemtrace = false;
+    for (const tools::ToolStatsRow &row : last.server.tools)
+        sawMemtrace |= row.name == "memtrace" && row.uopsSeen > 0;
+    EXPECT_TRUE(sawMemtrace) << last.describe();
+    {
+        std::lock_guard<std::mutex> lk(idleMu);
+        detach = true;
+        idleCv.notify_all();
+    }
+    gdb.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GT(polls, 0u);
     srv.stop();
 }
 
