@@ -19,6 +19,19 @@
  * peers. Both the in-process DebugSession and the GDB-RSP bridge
  * (src/rsp/) speak this protocol; a remote client gets byte-identical
  * semantics to a linked-in caller.
+ *
+ * Each message is described once, by a table of rows in protocol.cc: a
+ * row names the key, the member it reads and writes, how the value is
+ * written (decimal, hex, signed, escaped string, enum token, a
+ * prefix.<name>=<list> family), when encode emits it, and whether
+ * decode requires it. Encode, decode and the fleet-wide ServerStats sum
+ * all walk those rows, so adding a field is adding one row.
+ *
+ * Decode is strict about values: a key that is present fails the
+ * decode when its value does not parse, carries a minus sign on an
+ * unsigned field, overflows, or does not fit its member's type —
+ * whether the key is required or optional. A missing (or empty)
+ * optional key keeps the member's default.
  */
 
 #ifndef DISE_SESSION_PROTOCOL_HH
