@@ -63,7 +63,6 @@ class Listener
     ServeFn serve_;
     int listenFd_ = -1;
     uint16_t port_ = 0;
-    std::thread acceptThread_;
     std::atomic<bool> stopping_{false};
     std::atomic<uint64_t> accepted_{0};
 
@@ -78,6 +77,7 @@ class Listener
     /** Stable-iterator storage: each connection thread holds an
      *  iterator to its own entry. */
     std::list<Conn> conns_;
+    std::thread acceptThread_;
 };
 
 /**

@@ -133,14 +133,15 @@ class DebugServer
     std::unique_ptr<persist::FaultyVfs> faultyVfs_;
     std::unique_ptr<persist::SessionStore> store_;
 
-    Listener listener_;
-
     /** trace-dump render cache: chunked fetches re-read one rendered
      *  JSON string instead of re-walking the rings per chunk. The
      *  tracer generation invalidates it across re-arms. */
     std::mutex traceMu_;
     std::string traceJson_;
     uint64_t traceJsonGen_ = ~0ull;
+
+    /** Last: its connection threads use every member above. */
+    Listener listener_;
 };
 
 } // namespace dise::server

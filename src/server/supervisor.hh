@@ -159,11 +159,12 @@ class ShardSupervisor
     std::mutex routeMu_;
     std::unordered_map<uint64_t, unsigned> route_;
 
-    Listener listener_;
     std::thread monitorThread_;
     std::thread balanceThread_;
     std::atomic<bool> stopping_{false};
     std::atomic<uint64_t> migrations_{0};
+    /** Last: its connection threads use every member above. */
+    Listener listener_;
 };
 
 } // namespace dise::server

@@ -157,7 +157,7 @@ parseNumber(std::string_view s, int base, bool &neg, uint64_t &mag)
 bool
 parseUnsigned(std::string_view s, int base, uint64_t &v)
 {
-    bool neg;
+    bool neg = false;
     return parseNumber(s, base, neg, v) && !neg;
 }
 
@@ -232,8 +232,8 @@ getAs(std::string_view s, void *p, bool hex, int base)
     } else if constexpr (std::is_integral_v<T>) {
         // The value must fit the member: no sign on an unsigned one.
         using L = std::numeric_limits<T>;
-        bool neg;
-        uint64_t mag;
+        bool neg = false;
+        uint64_t mag = 0;
         if (!parseNumber(s, base, neg, mag) || (neg && !L::is_signed) ||
             mag > uint64_t(L::max()) + neg)
             return false;
@@ -249,7 +249,7 @@ getAs(std::string_view s, void *p, bool hex, int base)
             return hexToBytes(text, v);
         } else {
             v.clear();
-            uint64_t x;
+            uint64_t x = 0;
             for (std::string_view rest = text; !rest.empty();) {
                 size_t comma = std::min(rest.find(','), rest.size());
                 if (!parseUnsigned(rest.substr(0, comma), hex ? 16 : 10, x))
@@ -736,7 +736,7 @@ void
 mergeServerStats(ServerStats &into, const ServerStats &from)
 {
     for (const Row<ServerStats> &row : kServerStatsRows)
-        if (!row.family)
+        if (row.put == &putAs<uint64_t>)
             *static_cast<uint64_t *>(row.ref(into)) +=
                 *static_cast<const uint64_t *>(
                     row.ref(const_cast<ServerStats &>(from)));
