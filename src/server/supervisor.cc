@@ -306,8 +306,7 @@ ShardSupervisor::leastLoadedShard(int excluding)
     }
     if (!any)
         // Last resort: round-robin over the fleet.
-        best = static_cast<unsigned>(
-                   listener_.accepted()) %
+        best = static_cast<unsigned>(listener_.accepted()) %
                static_cast<unsigned>(std::max<size_t>(1, shards_.size()));
     return best;
 }
