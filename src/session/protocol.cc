@@ -545,8 +545,7 @@ constexpr Row<EV> kEventRows[] = {
 
 // -------------------------------------------------- line writer/reader
 
-/** Emits rows as "key=value" tokens onto one line (a "" key: the
- *  verb). */
+/** Emits rows as "key=value" tokens on one line ("" key: the verb). */
 struct Writer
 {
     std::string line;
@@ -592,11 +591,12 @@ class Reader
              b = line.find_first_not_of(kSpaces, e)) {
             e = std::min(line.find_first_of(kSpaces, b), line.size());
             std::string_view tok = line.substr(b, e - b);
+            // The first token, the verb, goes under the empty key.
             size_t eq = kv_.empty() ? 0 : tok.find('=');
             if (!kv_.empty() && (eq == std::string_view::npos || eq == 0))
                 return fail("malformed token '" + std::string(tok) + "'");
-            kv_.push_back({tok.substr(0, eq), tok.substr(eq + !kv_.empty()),
-                           kv_.size()});
+            size_t value = kv_.empty() ? 0 : eq + 1;
+            kv_.push_back({tok.substr(0, eq), tok.substr(value), kv_.size()});
         }
         if (kv_.empty())
             return fail("empty line");
