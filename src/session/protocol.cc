@@ -586,7 +586,7 @@ class Reader
     bool
     parse(std::string_view line)
     {
-        for (size_t b = line.find_first_not_of(kSpaces), e;
+        for (size_t b = line.find_first_not_of(kSpaces), e = 0;
              b != std::string_view::npos;
              b = line.find_first_not_of(kSpaces, e)) {
             e = std::min(line.find_first_of(kSpaces, b), line.size());
