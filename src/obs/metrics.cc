@@ -61,28 +61,6 @@ metrics()
     return m;
 }
 
-void
-mergeHistogramSnapshots(std::vector<HistogramSnapshot> &into,
-                        const std::vector<HistogramSnapshot> &add)
-{
-    for (const HistogramSnapshot &h : add) {
-        HistogramSnapshot *dst = nullptr;
-        for (HistogramSnapshot &cand : into)
-            if (cand.name == h.name)
-                dst = &cand;
-        if (!dst) {
-            into.push_back(h);
-            continue;
-        }
-        dst->count += h.count;
-        dst->sum += h.sum;
-        if (dst->buckets.size() < h.buckets.size())
-            dst->buckets.resize(h.buckets.size(), 0);
-        for (size_t i = 0; i < h.buckets.size(); ++i)
-            dst->buckets[i] += h.buckets[i];
-    }
-}
-
 double
 histogramMean(const HistogramSnapshot &h)
 {

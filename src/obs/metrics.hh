@@ -48,15 +48,6 @@ uint64_t nowNs();
 /** Microseconds elapsed since a nowNs() reading (0 floor). */
 uint64_t usSince(uint64_t startNs);
 
-/**
- * Fold @p add into @p into by family name: counts, sums, and
- * per-bucket tallies accumulate; families only present in @p add are
- * appended. Used by the shard supervisor to merge per-worker
- * ServerStats histograms into one fleet-wide view.
- */
-void mergeHistogramSnapshots(std::vector<HistogramSnapshot> &into,
-                             const std::vector<HistogramSnapshot> &add);
-
 /** Mean of a snapshot in the family's native unit (0 when empty). */
 double histogramMean(const HistogramSnapshot &h);
 

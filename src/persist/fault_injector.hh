@@ -33,10 +33,8 @@ class FaultInjector
         Fsync,  ///< durability barrier
         Rename, ///< atomic commit rename
         Slice,  ///< scheduler slice boundary
-        MigrateExport, ///< extracting a session off its source shard
-        MigrateAdopt,  ///< adopting a session onto its target shard
     };
-    static constexpr unsigned NumSites = 7;
+    static constexpr unsigned NumSites = 5;
 
     static const char *siteName(Site s);
 
@@ -139,8 +137,6 @@ FaultInjector::siteName(Site s)
       case Site::Fsync: return "fsync";
       case Site::Rename: return "rename";
       case Site::Slice: return "slice";
-      case Site::MigrateExport: return "migrate-export";
-      case Site::MigrateAdopt: return "migrate-adopt";
     }
     return "?";
 }

@@ -9,11 +9,11 @@
  * round-robin and no job occupies a worker end to end. Every long
  * session verb is the session's one in-flight op
  * (DebugSession::begin/step/finish) — resumes, reverse replays,
- * post-attach rebuild-replays (a wire set-watch, a gdb `Z` after `c`),
- * resurrection and shard adopt — and the scheduler runs each the same
- * way: one step(sliceInsts) per slice. Interval-replay workers are
- * jobs too. A reverse verb that replays a million instructions thus
- * interleaves with a forward-stepping session even on one worker.
+ * post-attach rebuild-replays (a wire set-watch, a gdb `Z` after `c`)
+ * and resurrection — and the scheduler runs each the same way: one
+ * step(sliceInsts) per slice. Interval-replay workers are jobs too. A
+ * reverse verb that replays a million instructions thus interleaves
+ * with a forward-stepping session even on one worker.
  *
  * Submission is synchronous (drive(): the blocking protocol verbs) or
  * asynchronous (driveAsync(): RSP non-stop `%Stop` notifications and
@@ -155,8 +155,8 @@ class JobScheduler
     /** complete(), with each slice run on the calling thread while a
      *  worker holds its slot: the same queue order and worker bound,
      *  but the op's heap comes from the caller's malloc arena. For
-     *  ops that build a whole session (resurrection, adopt): on
-     *  rotating workers each rebuild fragments another arena. */
+     *  ops that build a whole session (resurrection): on rotating
+     *  workers each rebuild fragments another arena. */
     bool completeHere(ManagedSession &s, std::string *err = nullptr);
 
     ///@}

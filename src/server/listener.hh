@@ -1,6 +1,6 @@
 /**
  * @file
- * The loopback TCP listener both servers share.
+ * The debug server's loopback TCP listener.
  *
  * A Listener binds 127.0.0.1, accepts in a background thread (backing
  * off briefly when accept fails, e.g. EMFILE under fd pressure), and
@@ -8,8 +8,7 @@
  * of the first byte — GDB-RSP clients open with an ack, a packet or an
  * interrupt ('+', '-', '$', 0x03), typed-wire clients with a verb
  * letter. Finished connection threads are reaped as new clients
- * arrive. DebugServer serves the connections itself; ShardSupervisor
- * proxies them to its worker shards.
+ * arrive.
  */
 
 #ifndef DISE_SERVER_LISTENER_HH
@@ -84,8 +83,7 @@ class Listener
  * Calls @p onLine for every '\n'-terminated line read from @p fd (a
  * trailing '\r' stripped, empty lines skipped) until EOF, a read error,
  * @p onLine returning false, or 8 MiB buffered without a newline (a
- * hostile peer must not grow the buffer without bound; the cap leaves
- * room for a session-adopt line carrying a long session's image).
+ * hostile peer must not grow the buffer without bound).
  */
 void readLines(int fd, const std::function<bool(std::string &line)> &onLine);
 

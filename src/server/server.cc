@@ -8,11 +8,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/hex.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "persist/image.hh"
 #include "rsp/server.hh"
 
 namespace dise::server {
@@ -107,13 +105,11 @@ struct DebugServer::WireConn
 DebugServer::DebugServer(DebugServerOptions opts,
                          SessionManager::ProgramFactory factory)
     : opts_(opts),
-      manager_({opts.maxSessions, opts.session, opts.idStart,
-                opts.idStride},
-               std::move(factory)),
+      manager_({opts.maxSessions, opts.session}, std::move(factory)),
       sched_({opts.slots, opts.sliceInsts, opts.faults})
 {
-    // Resurrection and shard adopt replay whole histories: run them as
-    // scheduler jobs like every other long op.
+    // Resurrection replays a whole history: run it as a scheduler job
+    // like every other long op.
     manager_.setRunner([this](ManagedSession &s, std::string *err) {
         return sched_.completeHere(s, err);
     });
@@ -341,18 +337,8 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
         return resp;
     };
 
-    // The session a hibernate / persist / export verb addresses. Our
-    // selection would count it busy: a move out deselects it first.
+    // The session a hibernate / persist verb addresses.
     uint64_t target = req.session ? req.session : (sel ? sel->id : 0);
-    auto moveOut = [&](const std::function<bool()> &move) {
-        bool wasSelected = sel && sel->id == target;
-        if (wasSelected)
-            sel.reset();
-        bool ok = move();
-        if (!ok && wasSelected)
-            sel = manager_.find(target);
-        return ok;
-    };
     switch (req.kind) {
       case RequestKind::SessionCreate: {
         std::string err;
@@ -367,8 +353,8 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
       }
       case RequestKind::SessionSelect: {
         // session=0 deselects: the connection drops its reference so
-        // the session counts idle again (migration/hibernate need
-        // this without hanging up the control connection).
+        // the session counts idle again (hibernation needs this
+        // without hanging up the connection).
         if (!req.session) {
             sel.reset();
             return resp;
@@ -432,9 +418,17 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
       case RequestKind::SessionHibernate: {
         if (!target)
             return errorOut("no session selected");
+        // Our selection would count the session busy: hibernation
+        // deselects it first, and reselects it when the session stays.
+        bool wasSelected = sel && sel->id == target;
+        if (wasSelected)
+            sel.reset();
         std::string err;
-        if (!moveOut([&] { return manager_.hibernate(target, &err); }))
+        if (!manager_.hibernate(target, &err)) {
+            if (wasSelected)
+                sel = manager_.find(target);
             return errorOut(err);
+        }
         resp.value = target;
         return resp;
       }
@@ -446,54 +440,6 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
             return errorOut(err);
         return resp;
       }
-      case RequestKind::SessionExport: {
-        // Migration source half: extract the session as a portable
-        // image (hex in text=) and forget it. The digest rides in
-        // value= so the adopting shard's replay can be cross-checked
-        // end to end.
-        if (!target)
-            return errorOut("no session selected");
-        if (opts_.faults &&
-            opts_.faults->shouldFail(
-                persist::FaultInjector::Site::MigrateExport))
-            return errorOut("injected fault: migrate-export");
-        persist::SessionImage img;
-        std::string err;
-        if (!moveOut([&] { return manager_.extract(target, img, &err); }))
-            return errorOut(err);
-        resp.value = img.digest;
-        resp.text = bytesToHex(persist::encodeImage(img));
-        return resp;
-      }
-      case RequestKind::SessionAdopt: {
-        // Migration target half: decode, rebuild, and digest-verified
-        // replay the image into this server's table.
-        if (opts_.faults &&
-            opts_.faults->shouldFail(
-                persist::FaultInjector::Site::MigrateAdopt))
-            return errorOut("injected fault: migrate-adopt");
-        std::vector<uint8_t> bytes;
-        if (!hexToBytes(req.data, bytes))
-            return errorOut("bad image encoding (expected hex)");
-        persist::SessionImage img;
-        std::string detail;
-        persist::ImageErr ie = persist::decodeImage(bytes, img, &detail);
-        if (ie != persist::ImageErr::None)
-            return errorOut(std::string("bad image: ") +
-                            persist::imageErrName(ie) +
-                            (detail.empty() ? "" : ": " + detail));
-        std::string err;
-        ManagedSessionPtr ms = manager_.adopt(img, &err);
-        if (!ms)
-            return errorOut(err);
-        resp.value = ms->id;
-        return resp;
-      }
-      case RequestKind::SessionMigrate:
-      case RequestKind::ShardStats:
-        return errorOut(
-            "this server is not sharded (shard verbs are handled by "
-            "the shard supervisor)");
       case RequestKind::StoreStats: {
         if (!store_)
             return errorOut(

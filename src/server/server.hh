@@ -1,7 +1,9 @@
 /**
  * @file
- * The multi-session debug server: one TCP port, many concurrent
- * targets, two protocols.
+ * The multi-session debug server: one process, one TCP port, many
+ * concurrent targets, two protocols. Every session lives in this
+ * process's one session table; the scheduler's worker pool spreads
+ * their slices across the cores.
  *
  * Every accepted connection is sniffed on its first byte:
  *
@@ -18,12 +20,11 @@
  *
  * Every long-running operation from either protocol — forward resumes,
  * reverse replays, post-attach rebuild-replays (wire set-watch, RSP
- * `Z`), resurrection and shard adopt, interval-parallel replay
- * workers — runs as a preemptible Job on the JobScheduler,
- * which bounds concurrent simulation and round-robins runnable jobs in
- * µop slices; everything else touches the session directly, under its
- * lock (held per wire verb on shared sessions, per packet on exclusive
- * RSP ones).
+ * `Z`), resurrection, interval-parallel replay workers — runs as a
+ * preemptible Job on the JobScheduler, which bounds concurrent
+ * simulation and round-robins runnable jobs in µop slices; everything
+ * else touches the session directly, under its lock (held per wire
+ * verb on shared sessions, per packet on exclusive RSP ones).
  *
  * Typed-wire clients may `subscribe` to their selected session: every
  * queued SessionEvent is then pushed as a server-initiated `event`
@@ -71,11 +72,6 @@ struct DebugServerOptions
     /** When set, every store filesystem primitive and every scheduler
      *  slice boundary consults it (chaos testing). Not owned. */
     persist::FaultInjector *faults = nullptr;
-    /** Session-id minting lattice: shard worker k of N runs with
-     *  idStart=k+1, idStride=N so sibling shards mint disjoint ids
-     *  with no coordination (see SessionManagerOptions). */
-    uint64_t idStart = 1;
-    uint64_t idStride = 1;
 };
 
 class DebugServer

@@ -31,20 +31,6 @@ SessionManager::SessionManager(SessionManagerOptions opts,
 {
     if (!factory_)
         factory_ = defaultProgramFactory;
-    if (!opts_.idStride)
-        opts_.idStride = 1;
-    if (!opts_.idStart)
-        opts_.idStart = 1;
-    nextId_ = opts_.idStart;
-}
-
-void
-SessionManager::reserveIdLocked(uint64_t id)
-{
-    if (nextId_ > id)
-        return;
-    uint64_t steps = (id - nextId_) / opts_.idStride + 1;
-    nextId_ += steps * opts_.idStride;
 }
 
 void
@@ -64,7 +50,7 @@ SessionManager::adoptStore(persist::SessionStore *store)
     for (const persist::StoreEntryMeta &e : store_->entries()) {
         if (!sessions_.count(e.id))
             hibernated_[e.id] = e.workload;
-        reserveIdLocked(e.id);
+        nextId_ = std::max(nextId_, e.id + 1);
     }
 }
 
@@ -145,11 +131,9 @@ SessionManager::create(const std::string &workload, BackendKind backend,
 
     ManagedSessionPtr ms = admit(
         [&] {
-            uint64_t id = nextId_;
-            nextId_ += opts_.idStride;
             ++created_;
             return std::make_shared<ManagedSession>(
-                id, workload.empty() ? std::string("demo") : workload,
+                nextId_++, workload.empty() ? std::string("demo") : workload,
                 std::move(prog), std::move(sopts), exclusive);
         },
         err);
@@ -216,99 +200,6 @@ SessionManager::persist(uint64_t id, std::string *err, uint64_t *digest)
         return false;
     std::lock_guard<std::mutex> slk(ms->mu);
     return exportToStore(*ms, err, digest);
-}
-
-bool
-SessionManager::extract(uint64_t id, persist::SessionImage &img,
-                        std::string *err)
-{
-    bool stored = false;
-    {
-        // A hibernated session migrates as its stored image.
-        std::lock_guard<std::mutex> lk(mu_);
-        stored = !sessions_.count(id) && hibernated_.count(id) && store_;
-    }
-    ManagedSessionPtr ms;
-    if (!stored && !(ms = takeIdle(id, err)))
-        return false;
-    if (stored) {
-        persist::StoreResult res = store_->load(id, img);
-        if (!res.ok) {
-            if (err)
-                *err = std::string("extract failed: ") +
-                       persist::storeErrName(res.err) + ": " +
-                       res.detail;
-            return false;
-        }
-        std::lock_guard<std::mutex> lk(mu_);
-        hibernated_.erase(id);
-        store_->erase(id);
-        ++migratedOut_;
-        return true;
-    }
-    img = persist::SessionImage{};
-    img.id = ms->id;
-    img.workload = ms->workload;
-    if (!ms->session.exportImage(img, err))
-        return putBack(ms);
-    std::lock_guard<std::mutex> lk(mu_);
-    // The session now lives on another shard: fold its counters into
-    // the retired totals and drop any on-disk artifact so a crash
-    // here cannot resurrect a zombie copy.
-    retireLocked(*ms);
-    if (store_)
-        store_->erase(id);
-    ++migratedOut_;
-    return true;
-}
-
-/**
- * The one build-from-image path behind resurrect() and adopt(): a fresh
- * session begins the resurrection op and the runner steps it to
- * completion. On failure @p rejected tells the image's own failure (a
- * refused spec set, replay divergence, a digest mismatch) from a run
- * that merely did not finish.
- */
-ManagedSessionPtr
-SessionManager::buildFromImage(const persist::SessionImage &img,
-                               const std::string &workload,
-                               const char *span, std::string *err,
-                               bool &rejected)
-{
-    rejected = false;
-    Program prog;
-    if (!factory_(workload, prog)) {
-        rejected = true;
-        if (err)
-            *err = "workload '" + workload + "' is not buildable";
-        return nullptr;
-    }
-    SessionOptions sopts = opts_.session;
-    sopts.debugger.backend = img.backend;
-    auto ms = std::make_shared<ManagedSession>(
-        img.id, workload, std::move(prog), std::move(sopts), false);
-
-    TRACE_SPAN("session", span);
-    uint64_t t0 = obs::nowNs();
-    if (!ms->session.begin(img)) {
-        if (runner_) {
-            if (!runner_(*ms, err))
-                return nullptr;
-        } else {
-            while (!ms->session.step(0)) {
-            }
-        }
-    }
-    Response resp = ms->session.finish();
-    if (!resp.ok()) {
-        rejected = true;
-        if (err)
-            *err = resp.error;
-        return nullptr;
-    }
-    obs::metrics().resurrectReplayUs.observe(obs::usSince(t0));
-    ms->publishProgress();
-    return ms;
 }
 
 /** Take live session @p id out of the table for an export, unless it is
@@ -390,56 +281,6 @@ SessionManager::retireLocked(const ManagedSession &ms)
 }
 
 ManagedSessionPtr
-SessionManager::adopt(const persist::SessionImage &img, std::string *err)
-{
-    // Serialize with resurrect(): two arrivals of the same id race on
-    // the collision check otherwise.
-    std::lock_guard<std::mutex> rlk(resurrectMu_);
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (sessions_.count(img.id) || hibernated_.count(img.id)) {
-            if (err)
-                *err = "session id " + std::to_string(img.id) +
-                       " already exists on this shard";
-            return nullptr;
-        }
-    }
-    std::string why;
-    bool rejected = false;
-    ManagedSessionPtr ms =
-        buildFromImage(img, img.workload, "session.adopt", &why, rejected);
-    if (!ms) {
-        if (err)
-            *err = "adopt replay failed: " + why;
-        return nullptr;
-    }
-
-    // Make the migration durable on this shard before admitting: a
-    // crash from here on recovers the session from this store.
-    if (store_) {
-        persist::StoreResult res = store_->put(img);
-        if (!res.ok) {
-            if (err)
-                *err = std::string("adopt persist failed: ") +
-                       persist::storeErrName(res.err) + ": " +
-                       res.detail;
-            return nullptr;
-        }
-    }
-    if (admit(
-            [&] {
-                reserveIdLocked(img.id);
-                ++migratedIn_;
-                return ms;
-            },
-            err))
-        return ms;
-    if (store_)
-        store_->erase(img.id);
-    return nullptr;
-}
-
-ManagedSessionPtr
 SessionManager::resurrect(uint64_t id, std::string *err)
 {
     // One resurrection at a time: the loser of a select race waits
@@ -474,26 +315,48 @@ SessionManager::resurrect(uint64_t id, std::string *err)
         return nullptr;
     }
 
-    std::string why;
-    bool rejected = false;
-    ManagedSessionPtr ms =
-        buildFromImage(img, workload, "session.resurrect", &why, rejected);
-    if (!ms) {
-        if (!rejected) {
-            // The run itself failed (interrupted, injected fault,
-            // scheduler stopped): the image is fine and stays
-            // hibernated for the next attempt.
-            if (err)
-                *err = "resurrection failed: " + why;
-            return nullptr;
-        }
+    // The image's own failures (an unbuildable workload, a refused
+    // spec set, replay divergence, a digest mismatch) set it aside.
+    auto quarantine = [&](const std::string &why) -> ManagedSessionPtr {
         store_->quarantine(id, why);
         std::lock_guard<std::mutex> lk(mu_);
         hibernated_.erase(id);
         if (err)
             *err = "resurrection failed (image quarantined): " + why;
         return nullptr;
+    };
+    // A fresh session begins the resurrection op and the runner steps
+    // it to completion.
+    Program prog;
+    if (!factory_(workload, prog))
+        return quarantine("workload '" + workload + "' is not buildable");
+    SessionOptions sopts = opts_.session;
+    sopts.debugger.backend = img.backend;
+    auto ms = std::make_shared<ManagedSession>(
+        id, workload, std::move(prog), std::move(sopts), false);
+    {
+        TRACE_SPAN("session", "session.resurrect");
+        uint64_t t0 = obs::nowNs();
+        if (!ms->session.begin(img)) {
+            std::string why;
+            if (!runner_) {
+                while (!ms->session.step(0)) {
+                }
+            } else if (!runner_(*ms, &why)) {
+                // The run itself failed (interrupted, injected fault,
+                // scheduler stopped): the image is fine and stays
+                // hibernated for the next attempt.
+                if (err)
+                    *err = "resurrection failed: " + why;
+                return nullptr;
+            }
+        }
+        Response resp = ms->session.finish();
+        if (!resp.ok())
+            return quarantine(resp.error);
+        obs::metrics().resurrectReplayUs.observe(obs::usSince(t0));
     }
+    ms->publishProgress();
 
     // At the cap with nothing evictable the image stays hibernated;
     // retry later.
@@ -589,8 +452,6 @@ SessionManager::stats() const
     s.hibernated = hibernated_.size();
     s.evictions = evictions_;
     s.resurrections = resurrections_;
-    s.migratedIn = migratedIn_;
-    s.migratedOut = migratedOut_;
     if (store_)
         s.quarantined = store_->counters().quarantined;
     // Per-tool counters, rolled up by tool name across live sessions.

@@ -204,13 +204,6 @@ struct SessionManagerOptions
     unsigned maxSessions = 8;
     /** Template for new sessions (backend overridden per create). */
     SessionOptions session{};
-    /** First id this manager mints and the step between minted ids.
-     *  A sharded server gives worker k idStart=k+1, idStride=N so the
-     *  shards create disjoint ids with no coordination (adopted /
-     *  migrated-in ids may break the residue; minting skips past
-     *  them while keeping it). */
-    uint64_t idStart = 1;
-    uint64_t idStride = 1;
 };
 
 class SessionManager
@@ -285,25 +278,10 @@ class SessionManager
     void touch(ManagedSession &ms);
     ///@}
 
-    /** @name Live migration (sharded servers)
-     * extract() serializes an idle session out of this manager — same
-     * idle checks as hibernate(), but the image leaves in memory and
-     * the session (plus any on-disk artifact) is gone from this shard
-     * on success. adopt() is the other half: rebuild + digest-verified
-     * replay from a wire-carried image, admitted under the cap and
-     * re-persisted to this shard's store so a crash right after the
-     * migration still recovers it. Both fail with no state change. */
-    ///@{
-    bool extract(uint64_t id, persist::SessionImage &img,
-                 std::string *err = nullptr);
-    ManagedSessionPtr adopt(const persist::SessionImage &img,
-                            std::string *err = nullptr);
-    ///@}
-
     /** Steps a session's begun op to completion; false (with @p err)
      *  when the run itself fails (interrupted, injected fault,
      *  scheduler stopped). The server's runs it as a scheduler job;
-     *  without one, resurrection and adopt step inline. */
+     *  without one, resurrection steps inline. */
     using OpRunner =
         std::function<bool(ManagedSession &s, std::string *err)>;
     void setRunner(OpRunner runner) { runner_ = std::move(runner); }
@@ -314,10 +292,6 @@ class SessionManager
 
   private:
     ManagedSessionPtr resurrect(uint64_t id, std::string *err);
-    ManagedSessionPtr buildFromImage(const persist::SessionImage &img,
-                                     const std::string &workload,
-                                     const char *span, std::string *err,
-                                     bool &rejected);
     ManagedSessionPtr takeIdle(uint64_t id, std::string *err);
     bool putBack(const ManagedSessionPtr &ms);
     /** Admit the session @p make returns (called under mu_ once there
@@ -330,9 +304,6 @@ class SessionManager
     void retireLocked(const ManagedSession &ms);
     bool exportToStore(ManagedSession &ms, std::string *err,
                        uint64_t *digest = nullptr);
-    /** Bump nextId_ past @p id, preserving the idStart residue. Call
-     *  with mu_ held. */
-    void reserveIdLocked(uint64_t id);
     /** Pick the LRU evictable victim id not in @p tried (0 = none).
      *  Call with mu_ held. */
     uint64_t victimLocked(const std::set<uint64_t> &tried) const;
@@ -358,8 +329,6 @@ class SessionManager
     uint64_t peak_ = 0;
     uint64_t evictions_ = 0;
     uint64_t resurrections_ = 0;
-    uint64_t migratedIn_ = 0;
-    uint64_t migratedOut_ = 0;
     // Totals folded in from destroyed (or hibernated) sessions.
     uint64_t retiredUops_ = 0;
     uint64_t retiredInsts_ = 0;

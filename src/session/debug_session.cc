@@ -741,9 +741,8 @@ bool
 DebugSession::opPinned() const
 {
     return !op_.done && op_.started &&
-           (op_.req.kind == RequestKind::SetWatch ||
-            op_.req.kind == RequestKind::SetBreak ||
-            op_.req.kind == RequestKind::SessionAdopt);
+           (op_.resurrect || op_.req.kind == RequestKind::SetWatch ||
+            op_.req.kind == RequestKind::SetBreak);
 }
 
 bool
@@ -901,6 +900,8 @@ DebugSession::step(uint64_t budget)
 bool
 DebugSession::advance(uint64_t budget, bool first)
 {
+    if (op_.resurrect)
+        return stepResurrect(budget, first);
     switch (op_.req.kind) {
       case RequestKind::SetWatch:
       case RequestKind::SetBreak:
@@ -917,8 +918,6 @@ DebugSession::advance(uint64_t budget, bool first)
             detach();
             throw;
         }
-      case RequestKind::SessionAdopt:
-        return stepResurrect(budget, first);
       default:
         return stepTravel(budget, first);
     }
@@ -987,9 +986,8 @@ DebugSession::begin(const persist::SessionImage &img)
 {
     op_ = Op{};
     queued_.reset();
-    op_.req.kind = RequestKind::SessionAdopt;
+    op_.resurrect = true;
     op_.done = false;
-    op_.resp.inReplyTo = RequestKind::SessionAdopt;
     if (attached() || detached_ || !pendingWatches_.empty() ||
         !pendingBreaks_.empty() || !pendingPokes_.empty())
         return opFail(ResponseStatus::Error,
@@ -1374,7 +1372,7 @@ DebugSession::exportImage(persist::SessionImage &img, std::string *err)
                     "target outside the replayable timeline; the "
                     "session cannot be reconstructed from its log");
     if (opPinned())
-        return fail(op_.req.kind == RequestKind::SessionAdopt
+        return fail(op_.resurrect
                         ? "a resurrection replay is in flight"
                         : "a rebuild-replay is in flight; drive it to "
                           "completion before persisting");

@@ -349,9 +349,11 @@ class DebugSession
     /** The one in-flight op. */
     struct Op
     {
-        /** The verb (kind SessionAdopt: a resurrection). A stepi's or
-         *  run-to-end's count is the instructions still to run. */
+        /** The verb. A stepi's or run-to-end's count is the
+         *  instructions still to run. */
         Request req;
+        /** A resurrection from an image (req unused). */
+        bool resurrect = false;
         bool started = false;
         bool done = true;
         Response resp;

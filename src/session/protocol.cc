@@ -11,7 +11,6 @@
 #include <type_traits>
 
 #include "common/hex.hh"
-#include "obs/metrics.hh"
 
 namespace dise {
 
@@ -39,11 +38,10 @@ constexpr TokenSet kTokens<RequestKind>{
      "session-list", "server-stats", "subscribe", "unsubscribe",
      "session-hibernate", "session-persist", "store-stats", "trace-start",
      "trace-stop", "trace-dump", "metrics", "tool-enable", "tool-disable",
-     "tool-list", "tool-report", "session-migrate", "shard-stats",
-     "session-export", "session-adopt"},
+     "tool-list", "tool-report"},
     "unknown request '%s'"};
 static_assert(kTokens<RequestKind>.names.size() ==
-              size_t(RequestKind::SessionAdopt) + 1);
+              size_t(RequestKind::ToolReport) + 1);
 template <>
 constexpr TokenSet kTokens<BackendKind>{
     {"dise", "single-step", "vm", "hwreg", "rewrite"},
@@ -358,7 +356,6 @@ familyOf(const char *err)
 
 using Hist = HistogramSnapshot;
 using Tool = tools::ToolStatsRow;
-using Shard = ShardStatsRow;
 using Cfg = std::pair<std::string, std::string>;
 
 constexpr Row<Hist> kHistFields[] = {
@@ -367,25 +364,16 @@ constexpr Row<Hist> kHistFields[] = {
 constexpr Row<Tool> kToolFields[] = {
     at<Tool, &Tool::uopsSeen>(), at<Tool, &Tool::checks>(),
     at<Tool, &Tool::suppressed>(), at<Tool, &Tool::findings>()};
-constexpr Row<Shard> kShardFields[] = {
-    at<Shard, &Shard::pid>(), at<Shard, &Shard::sessions>(),
-    at<Shard, &Shard::hibernated>(), at<Shard, &Shard::jobs>(),
-    at<Shard, &Shard::totalUops>(), at<Shard, &Shard::appInsts>(),
-    at<Shard, &Shard::queueWaitMeanUs>(), at<Shard, &Shard::restarts>(),
-    at<Shard, &Shard::migratedIn>(), at<Shard, &Shard::migratedOut>()};
 constexpr Row<Cfg> kCfgFields[] = {at<Cfg, &Cfg::second>()};
 
 constexpr Family kHists = familyOf<Hist, &Hist::name, kHistFields>(
     "bad histogram encoding");
 constexpr Family kTools = familyOf<Tool, &Tool::name, kToolFields>(
     "bad tool-stats encoding");
-constexpr Family kShards = familyOf<Shard, &Shard::index, kShardFields>(
-    "bad shard-stats encoding");
 constexpr Family kCfgs = familyOf<Cfg, &Cfg::first, kCfgFields>(
     "bad tool configuration key");
 template <> constexpr const Family *kFamily<Hist> = &kHists;
 template <> constexpr const Family *kFamily<Tool> = &kTools;
-template <> constexpr const Family *kFamily<Shard> = &kShards;
 template <> constexpr const Family *kFamily<Cfg> = &kCfgs;
 
 // ---------------------------------------------------------- the rows
@@ -425,16 +413,9 @@ constexpr Row<Q> kWriteRegisterRows[] = {
     at<Q, &Q::reg>("reg", Required, "write-register needs reg="),
     at<Q, &Q::value>("value", Hex | Required, "write-register needs value=")};
 constexpr Row<Q> kSessionCreateRows[] = {
-    at<Q, &Q::name>("name"), at<Q, &Q::backend>("backend"),
-    at<Q, &Q::shard>("shard", NonNeg)};
+    at<Q, &Q::name>("name"), at<Q, &Q::backend>("backend")};
 constexpr Row<Q> kSessionRows[] = {
     at<Q, &Q::session>("session", Required, "session verb needs session=")};
-constexpr Row<Q> kSessionMigrateRows[] = {
-    at<Q, &Q::session>("session", Required,
-                       "session-migrate needs session="),
-    at<Q, &Q::shard>("shard", NonNeg)};
-constexpr Row<Q> kSessionAdoptRows[] = {
-    at<Q, &Q::data>("data", Required, "session-adopt needs data=")};
 constexpr Row<Q> kOptionalSessionRows[] = {
     at<Q, &Q::session>("session", IfSet)};
 constexpr Row<Q> kTraceStartRows[] = {
@@ -459,9 +440,7 @@ constexpr std::pair<K, std::span<const Row<Q>>> kVerbRows[] = {
     {K::ReadMemory, std::span(kMemoryRows).first(2)},
     {K::WriteMemory, kMemoryRows}, {K::WriteRegister, kWriteRegisterRows},
     {K::SessionCreate, kSessionCreateRows}, {K::SessionSelect, kSessionRows},
-    {K::SessionDestroy, kSessionRows}, {K::SessionExport, kSessionRows},
-    {K::SessionMigrate, kSessionMigrateRows},
-    {K::SessionAdopt, kSessionAdoptRows},
+    {K::SessionDestroy, kSessionRows},
     {K::SessionHibernate, kOptionalSessionRows},
     {K::SessionPersist, kOptionalSessionRows},
     {K::ToolList, kOptionalSessionRows}, {K::TraceStart, kTraceStartRows},
@@ -487,7 +466,6 @@ constexpr Row<R> kReplyBodyRows[] = {
     at<R, &R::regs>("regs", Hex | IfSet, "bad register list"),
     at<R, &R::bytes>("bytes", IfSet, "bad byte string"),
     at<R, &R::value>("value", Hex | IfSet), at<R, &R::text>("text", IfSet)};
-constexpr Row<R> kShardRows[] = {at<R, &R::shards>("shard.")};
 
 using SI = StopInfo;
 constexpr Row<SI> kStopRows[] = {
@@ -522,9 +500,8 @@ constexpr Row<SV> kServerStatsRows[] = {
     at<SV, &SV::evictions>("sv.evictions"),
     at<SV, &SV::resurrections>("sv.resurrections"),
     at<SV, &SV::quarantined>("sv.quarantined"),
-    at<SV, &SV::faultsInjected>("sv.faults"),
-    at<SV, &SV::migratedIn>("sv.migin"), at<SV, &SV::migratedOut>("sv.migout"),
-    at<SV, &SV::hists>("hist."), at<SV, &SV::tools>("tool.")};
+    at<SV, &SV::faultsInjected>("sv.faults"), at<SV, &SV::hists>("hist."),
+    at<SV, &SV::tools>("tool.")};
 
 using PS = StoreStats;
 constexpr Row<PS> kStoreStatsRows[] = {
@@ -686,8 +663,8 @@ class Reader
 };
 
 /** The response layout, shared by encode and decode: head, stop and
- *  its mark, payloads, the stats block of the verb replied to, shard
- *  rows. Decode reads each gate (hasStop, eventIndex, inReplyTo) after
+ *  its mark, payloads, the stats block of the verb replied to. Decode
+ *  reads each gate (hasStop, eventIndex, inReplyTo) after
  *  the rows that set it. */
 template <typename V, typename Resp>
 bool
@@ -702,8 +679,7 @@ walkResponse(V &v, Resp &r)
            (r.inReplyTo != K::ServerStats ||
             v.rows(r.server, kServerStatsRows)) &&
            (r.inReplyTo != K::StoreStats ||
-            v.rows(r.store, kStoreStatsRows)) &&
-           v.rows(r, kShardRows);
+            v.rows(r.store, kStoreStatsRows));
 }
 
 } // namespace
@@ -730,19 +706,6 @@ const char *
 sessionEventKindName(SessionEventKind kind)
 {
     return tokenName(kind);
-}
-
-void
-mergeServerStats(ServerStats &into, const ServerStats &from)
-{
-    for (const Row<ServerStats> &row : kServerStatsRows)
-        if (row.put == &putAs<uint64_t>)
-            *static_cast<uint64_t *>(row.ref(into)) +=
-                *static_cast<const uint64_t *>(
-                    row.ref(const_cast<ServerStats &>(from)));
-    obs::mergeHistogramSnapshots(into.hists, from.hists);
-    for (const tools::ToolStatsRow &row : from.tools)
-        tools::mergeToolStats(into.tools, row);
 }
 
 // ------------------------------------------------------------- codecs

@@ -24,8 +24,8 @@
  * row names the key, the member it reads and writes, how the value is
  * written (decimal, hex, signed, escaped string, enum token, a
  * prefix.<name>=<list> family), when encode emits it, and whether
- * decode requires it. Encode, decode and the fleet-wide ServerStats sum
- * all walk those rows, so adding a field is adding one row.
+ * decode requires it. Encode and decode both walk those rows, so adding
+ * a field is adding one row.
  *
  * Decode is strict about values: a key that is present fails the
  * decode when its value does not parse, carries a minus sign on an
@@ -101,16 +101,6 @@ enum class RequestKind : uint8_t {
     ToolDisable, ///< disarm a tool (logged intervention)
     ToolList,    ///< registered tools, enabled ones marked
     ToolReport,  ///< tool findings/report text + state digest
-
-    // Sharded-server verbs. session-export / session-adopt are the
-    // supervisor↔worker migration halves (a worker serializes an idle
-    // session out of its table / adopts a wire-carried image,
-    // digest-verified); session-migrate and shard-stats are the
-    // client-facing verbs the supervisor itself answers.
-    SessionMigrate, ///< move session= to shard= (supervisor only)
-    ShardStats,     ///< per-shard load/session rows (supervisor only)
-    SessionExport,  ///< extract session= as a hex image (worker side)
-    SessionAdopt,   ///< adopt the hex image in data= (worker side)
 };
 
 const char *requestKindName(RequestKind kind);
@@ -139,11 +129,8 @@ struct Request
     uint64_t value = 0;  ///< WriteMemory / WriteRegister
     unsigned reg = 0;    ///< WriteRegister flat index (32 = pc)
     uint64_t session = 0;  ///< SessionSelect / SessionDestroy id
-    int64_t shard = -1;    ///< SessionMigrate / SessionCreate target
-                           ///< shard (-1 = let the balancer pick)
     std::string name;      ///< SessionCreate: workload ("demo", ...);
                            ///< Tool*: tool name
-    std::string data;      ///< SessionAdopt: hex-encoded SessionImage
     /** ToolEnable configuration, wire-encoded cfg.<key>=<value>. */
     std::vector<std::pair<std::string, std::string>> toolConfig;
 
@@ -196,10 +183,6 @@ struct ServerStats
     uint64_t quarantined = 0;   ///< corrupt artifacts set aside
     uint64_t faultsInjected = 0; ///< injected-fault hits (chaos runs)
 
-    // Live-migration counters (sharded servers; 0 elsewhere).
-    uint64_t migratedIn = 0;  ///< sessions adopted from another shard
-    uint64_t migratedOut = 0; ///< sessions exported to another shard
-
     /** Latency distributions (src/obs/metrics.hh families). Encoded
      *  one per key: hist.<family>=<count>:<sum>:<b0>,<b1>,... */
     std::vector<HistogramSnapshot> hists;
@@ -208,10 +191,6 @@ struct ServerStats
      *  per key: tool.<name>=<uops>:<checks>:<suppressed>:<findings>. */
     std::vector<tools::ToolStatsRow> tools;
 };
-
-/** Adds every counter of @p from into @p into, merges its histograms
- *  and tool rows (a fleet-wide view over several servers). */
-void mergeServerStats(ServerStats &into, const ServerStats &from);
 
 /** On-disk store aggregates (StoreStats request). */
 struct StoreStats
@@ -223,37 +202,6 @@ struct StoreStats
     uint64_t erases = 0;
     uint64_t quarantined = 0;
     uint64_t orphansRemoved = 0;
-};
-
-/** One worker shard's load row (ShardStats request). Encoded one per
- *  key: shard.<index>=<pid>:<sessions>:<hibernated>:<jobs>:<uops>:
- *  <appInsts>:<queueWaitMeanUs>:<restarts>:<migratedIn>:
- *  <migratedOut>. */
-struct ShardStatsRow
-{
-    uint64_t index = 0;
-    uint64_t pid = 0;         ///< worker process id
-    uint64_t sessions = 0;    ///< live sessions on the shard
-    uint64_t hibernated = 0;  ///< on-disk-only sessions
-    uint64_t jobs = 0;        ///< preemptible jobs completed
-    uint64_t totalUops = 0;   ///< µops executed on the shard, ever
-    uint64_t appInsts = 0;    ///< app insts retired on the shard, ever
-    uint64_t queueWaitMeanUs = 0; ///< mean scheduler queue wait
-    uint64_t restarts = 0;    ///< supervisor respawns after crashes
-    uint64_t migratedIn = 0;
-    uint64_t migratedOut = 0;
-
-    bool
-    operator==(const ShardStatsRow &o) const
-    {
-        return index == o.index && pid == o.pid &&
-               sessions == o.sessions && hibernated == o.hibernated &&
-               jobs == o.jobs && totalUops == o.totalUops &&
-               appInsts == o.appInsts &&
-               queueWaitMeanUs == o.queueWaitMeanUs &&
-               restarts == o.restarts && migratedIn == o.migratedIn &&
-               migratedOut == o.migratedOut;
-    }
 };
 
 /** One debug-session response. */
@@ -275,7 +223,6 @@ struct Response
     SessionStats stats;          ///< Stats
     ServerStats server;          ///< ServerStats
     StoreStats store;            ///< StoreStats
-    std::vector<ShardStatsRow> shards; ///< ShardStats
 
     bool ok() const { return status == ResponseStatus::Ok; }
     std::string describe() const;

@@ -530,31 +530,6 @@ TEST(JobScheduler, ResurrectionDoesNotStarveForwardSessions)
     EXPECT_EQ(mgr.stats().resurrections, 1u);
 }
 
-TEST(JobScheduler, AdoptDoesNotStarveForwardSessions)
-{
-    SessionManagerOptions mopts;
-    mopts.session.timeTravel.checkpointInterval = 1u << 20;
-    SessionManager mgr(mopts);
-    JobScheduler sched({1, 1000});
-    OrderLog log;
-    mgr.setRunner([&](ManagedSession &s, std::string *err) {
-        return log.runOp(sched, s, err);
-    });
-    ManagedSessionPtr f = mgr.create("demo", BackendKind::Dise);
-    ASSERT_TRUE(f);
-    persist::SessionImage img = longMcfImage(1000);
-
-    ManagedSessionPtr r;
-    expectForwardNotStarved(log, sched, *f, [&] {
-        std::string err;
-        r = mgr.adopt(img, &err);
-        if (!r)
-            ADD_FAILURE() << err;
-    });
-    ASSERT_TRUE(r);
-    EXPECT_EQ(r->session.stats().appInsts, img.appInsts);
-}
-
 TEST(JobScheduler, RspRebuildDoesNotStarveForwardSessions)
 {
     // A gdb `Z` after the target ran rebuilds and replays the whole
@@ -601,7 +576,7 @@ TEST(JobScheduler, RspRebuildDoesNotStarveForwardSessions)
 
 TEST(JobScheduler, CallerRunSlicesKeepTheQueueOrderAndWorkerBound)
 {
-    // completeHere() (the server's resurrection / adopt runner) runs
+    // completeHere() (the server's resurrection runner) runs
     // each slice on the calling thread while a worker holds the slot.
     // With one worker its op must still interleave slice by slice with
     // other jobs, and never run beside one.

@@ -4,8 +4,8 @@
  *
  * A fixed corpus of messages is rendered as wire lines, each one twice:
  * as encoded, and as re-encoded after a decode. It covers every
- * RequestKind (fully populated, plus edge variants of shard, session,
- * count, tool configuration and escaped strings), responses of every
+ * RequestKind (fully populated, plus edge variants of session, count,
+ * tool configuration and escaped strings), responses of every
  * status with every stats block, stops with and without a mark and
  * every payload, and every SessionEventKind. A second section feeds
  * hand-written lines through the decoders — malformed values, repeated
@@ -55,8 +55,6 @@ constexpr RequestKind AllRequestKinds[] = {
     RequestKind::TraceStop, RequestKind::TraceDump, RequestKind::Metrics,
     RequestKind::ToolEnable, RequestKind::ToolDisable,
     RequestKind::ToolList, RequestKind::ToolReport,
-    RequestKind::SessionMigrate, RequestKind::ShardStats,
-    RequestKind::SessionExport, RequestKind::SessionAdopt,
 };
 
 constexpr SessionEventKind AllEventKinds[] = {
@@ -92,9 +90,7 @@ populatedRequest(RequestKind kind)
     r.value = 0xfeedface;
     r.reg = 5;
     r.session = 7;
-    r.shard = 3;
     r.name = "memtrace";
-    r.data = "0a0b0c";
     // Two keys in non-sorted order: decode returns them in key order.
     r.toolConfig = {{"suppress", "0"}, {"redzone", "32"}};
     return r;
@@ -111,10 +107,6 @@ requestCorpus()
         out.push_back(populatedRequest(kind));
         return out.back();
     };
-    for (int64_t shard : {-1, 0, 3}) {
-        variant(RequestKind::SessionCreate).shard = shard;
-        variant(RequestKind::SessionMigrate).shard = shard;
-    }
     for (uint64_t session : {0, 7})
         for (RequestKind kind :
              {RequestKind::SessionHibernate, RequestKind::SessionPersist,
@@ -150,7 +142,6 @@ requestCorpus()
     variant(RequestKind::SetBreak).brk.name = Awkward;
     variant(RequestKind::SessionCreate).name = Awkward;
     variant(RequestKind::ToolReport).name = Awkward;
-    variant(RequestKind::SessionAdopt).data = Awkward;
     variant(RequestKind::ToolEnable).toolConfig = {{"z", Awkward},
                                                    {"a", "%"}};
     // Extremes of the numeric fields.
@@ -163,7 +154,6 @@ requestCorpus()
     reg.reg = 32;
     reg.value = 0;
     variant(RequestKind::RemoveWatch).index = 2147483647;
-    variant(RequestKind::SessionCreate).shard = INT64_MAX;
     return out;
 }
 
@@ -205,7 +195,7 @@ fillStats(Response &r)
           &s.totalUops, &s.totalAppInsts, &s.totalEvents,
           &s.eventsPushed, &s.subscribers, &s.dropped, &s.hibernated,
           &s.evictions, &s.resurrections, &s.quarantined,
-          &s.faultsInjected, &s.migratedIn, &s.migratedOut})
+          &s.faultsInjected})
         *c = v++;
     s.hists.push_back({"dise_verb_latency_us", 5, 77, {0, 2, 3}});
     s.hists.push_back({"dise_event_push_us", 0, 0, {}});
@@ -224,24 +214,6 @@ fillStats(Response &r)
     t2.findings = 4;
     s.tools = {t1, t2};
     r.store = {11, 12, 13, 14, 15, 16, 17};
-}
-
-ShardStatsRow
-shardRow(uint64_t index)
-{
-    ShardStatsRow row;
-    row.index = index;
-    row.pid = 4000 + index;
-    row.sessions = 1;
-    row.hibernated = 2;
-    row.jobs = 3;
-    row.totalUops = 4;
-    row.appInsts = 5;
-    row.queueWaitMeanUs = 6;
-    row.restarts = 7;
-    row.migratedIn = 8;
-    row.migratedOut = 9;
-    return row;
 }
 
 std::vector<Response>
@@ -267,11 +239,6 @@ responseCorpus()
          {RequestKind::Stats, RequestKind::ServerStats,
           RequestKind::StoreStats, RequestKind::Ping})
         fillStats(reply(re));
-    Response &shards = reply(RequestKind::ShardStats);
-    shards.shards = {shardRow(0), shardRow(1), shardRow(10)};
-    Response &fleet = reply(RequestKind::ServerStats);
-    fillStats(fleet);
-    fleet.shards = {shardRow(2)};
     reply(RequestKind::ServerStats); // empty rows
 
     for (StopReason reason :
@@ -310,7 +277,6 @@ responseCorpus()
     all.value = 9;
     all.text = "t";
     fillStats(all);
-    all.shards = {shardRow(3)};
     return out;
 }
 
@@ -369,9 +335,6 @@ const Probe Probes[] = {
     {'Q', "remove-watch seq=1"},
     {'Q', "read-memory size=8"},
     {'Q', "session-select seq=1"},
-    {'Q', "session-migrate shard=1"},
-    {'Q', "session-adopt data="},
-    {'Q', "session-adopt data=%zz"},
     {'Q', "session-create backend=quantum"},
     {'Q', "tool-enable"},
     {'Q', "tool-enable name="},
@@ -387,8 +350,6 @@ const Probe Probes[] = {
     {'R', "ok seq=1 re=server-stats hist.x=1:2:3,z"},
     {'R', "ok seq=1 re=server-stats tool.x=1:2:3"},
     {'R', "ok seq=1 re=server-stats tool.x=1:2:3:4:5"},
-    {'R', "ok seq=1 re=ping shard.x=1:2:3:4:5:6:7:8:9:10"},
-    {'R', "ok seq=1 re=ping shard.1=1:2:3"},
     {'E', "ok kind=watch"},
     {'E', "event kind=mystery"},
     {'E', "event seq=1"},
@@ -429,12 +390,13 @@ const Probe Probes[] = {
           "smarkpc=0x40 stime=9 sinsts=3 spc=0x44"},
     {'R', "ok seq=1 re=server-stats tool.b=1:2:3:4 tool.a=5:6:7:8 "
           "hist.b=1:2:3 hist.a=0:0:"},
-    {'R', "ok seq=1 re=shard-stats shard.10=1:2:3:4:5:6:7:8:9:10 "
-          "shard.2=1:2:3:4:5:6:7:8:9:10"},
     {'R', "ok seq=1 re=stats st.time=5 sv.active=3 ps.images=2"},
     {'R', "ok seq=1 re=read-registers regs="},
     {'E', "event kind=halted"},
     {'E', "event kind=watch seq=1 seq=2 index=-5 detail=%41"},
+
+    // A verb the server no longer has is an unknown request.
+    {'Q', "session-migrate session=1"},
 };
 
 /** Shows a probe's line with its control characters visible. */
@@ -542,7 +504,7 @@ const char *const Garbage[] = {"zz", "%", "%zz", "0x"};
 bool
 textKey(const std::string &key)
 {
-    for (const char *k : {"name", "data", "msg", "text", "detail", "tool",
+    for (const char *k : {"name", "msg", "text", "detail", "tool",
                           "bytes", "wkind", "backend", "re", "sreason",
                           "skind", "kind"})
         if (key == k)
@@ -581,7 +543,7 @@ TEST(WireGolden, EveryKeyMutationIsRejectedOrStable)
         inputs.push_back({encodeRequest(populatedRequest(kind)), req});
     for (RequestKind re :
          {RequestKind::Stats, RequestKind::ServerStats,
-          RequestKind::StoreStats, RequestKind::ShardStats}) {
+          RequestKind::StoreStats}) {
         Response r;
         r.seq = 42;
         r.inReplyTo = re;
@@ -594,7 +556,6 @@ TEST(WireGolden, EveryKeyMutationIsRejectedOrStable)
         r.value = 9;
         r.text = "t";
         fillStats(r);
-        r.shards = {shardRow(3)};
         inputs.push_back({encodeResponse(r), resp});
     }
     for (const SessionEvent &e : eventCorpus())

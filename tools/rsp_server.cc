@@ -1,7 +1,7 @@
 /**
  * @file
- * The multi-session debug daemon: one TCP port serving many
- * concurrent targets.
+ * The multi-session debug daemon: one process and one TCP port
+ * serving many concurrent targets.
  *
  * Every connecting GDB (or any RSP client) gets its own
  * per-connection session — two gdbs against one daemon debug two
@@ -40,7 +40,6 @@
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "server/server.hh"
-#include "server/supervisor.hh"
 #include "workloads/workload.hh"
 
 using namespace dise;
@@ -71,8 +70,6 @@ main(int argc, char **argv)
     opts.session.timeTravel.checkpointInterval = 1024;
     std::string traceOut;
     uint64_t traceBufferKb = 0;
-    unsigned shards = 0;
-    unsigned balanceMs = 0;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -99,10 +96,6 @@ main(int argc, char **argv)
                 static_cast<uint64_t>(std::atoll(next()));
         } else if (arg == "--store-dir") {
             opts.storeDir = next();
-        } else if (arg == "--shards") {
-            shards = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--balance-ms") {
-            balanceMs = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--trace-out") {
             traceOut = next();
         } else if (arg == "--trace-buffer-kb") {
@@ -139,19 +132,14 @@ main(int argc, char **argv)
                 "(default: the heisenbug demo)\n"
                 "  --max-sessions N  admission cap, 0 = unlimited "
                 "(default 8)\n"
-                "  --workers N       concurrent execution slots "
-                "(default: hardware)\n"
+                "  --workers N       scheduler threads running every "
+                "session's slices\n"
+                "                    (default: hardware concurrency)\n"
                 "  --slice N         app instructions per slice "
                 "(default 50000)\n"
                 "  --store-dir DIR   durable session store: crash "
                 "recovery on start,\n"
                 "                    LRU hibernation at the cap\n"
-                "  --shards N        fork N worker shard processes "
-                "behind the port\n"
-                "                    (live migration, crash respawn; "
-                "0 = single process)\n"
-                "  --balance-ms N    shard load balancer period "
-                "(default: off)\n"
                 "  --trace-out FILE  arm the flight recorder now; "
                 "write Chrome trace\n"
                 "                    JSON (Perfetto) on SIGINT/SIGTERM\n"
@@ -182,44 +170,6 @@ main(int argc, char **argv)
                     "0x%llx)\n",
                     opts.defaultWorkload.c_str(),
                     static_cast<unsigned long long>(w.hotAddr));
-    }
-
-    // Sharded mode: fork the workers (before any threads exist in
-    // this process), then route. The supervisor owns the public port.
-    if (shards) {
-        server::ShardSupervisorOptions sup;
-        sup.port = opts.port;
-        sup.shards = shards;
-        sup.worker = opts;
-        sup.verbose = opts.verbose;
-        sup.balanceIntervalMs = balanceMs;
-        server::ShardSupervisor fleet(sup);
-        if (!fleet.start()) {
-            std::fprintf(stderr, "cannot start %u-shard fleet on "
-                         "127.0.0.1:%u\n", shards, opts.port);
-            return 1;
-        }
-        std::printf(
-            "sharded daemon on 127.0.0.1:%u — %u worker processes "
-            "(pids", fleet.port(), fleet.shardCount());
-        for (unsigned k = 0; k < fleet.shardCount(); ++k)
-            std::printf(" %d", static_cast<int>(fleet.shardPid(k)));
-        std::printf(")\n"
-                    "  session-migrate session=<id> shard=<k> moves a "
-                    "live session between workers\n");
-        if (::pipe(shutdownPipe) != 0)
-            fatal("cannot create shutdown pipe");
-        struct sigaction sa;
-        std::memset(&sa, 0, sizeof sa);
-        sa.sa_handler = onShutdownSignal;
-        ::sigaction(SIGINT, &sa, nullptr);
-        ::sigaction(SIGTERM, &sa, nullptr);
-        char byte;
-        while (::read(shutdownPipe[0], &byte, 1) < 0 &&
-               errno == EINTR) {
-        }
-        fleet.stop();
-        return 0;
     }
 
     server::DebugServer srv(opts);

@@ -34,8 +34,6 @@
 #include "persist/vfs.hh"
 #include "server/job_scheduler.hh"
 #include "server/session_manager.hh"
-#include "server/supervisor.hh"
-#include "server/wire_client.hh"
 #include "workloads/workload.hh"
 
 using namespace dise;
@@ -115,93 +113,6 @@ runScale(unsigned n, const std::string &workload, BackendKind backend,
         r.totalEvents += ms->events.load();
     }
     r.mips = r.wallMs > 0 ? r.totalInsts / (r.wallMs * 1000.0) : 0;
-    return r;
-}
-
-struct ShardRunResult
-{
-    unsigned procs = 0;
-    unsigned sessions = 0;
-    uint64_t totalInsts = 0;
-    double wallMs = 0;
-    double mips = 0;
-    std::vector<ShardStatsRow> perShard;
-};
-
-/** Drive @p nSessions sessions to completion over the wire against a
- *  @p procs-shard fleet (one worker slot per shard, so the knob under
- *  test is process count, not thread count). */
-ShardRunResult
-runShardScale(unsigned procs, unsigned nSessions,
-              const std::string &workload, BackendKind backend,
-              unsigned scale)
-{
-    Workload proto = buildWorkload(workload, {scale});
-    Addr watchAddr = proto.warm1Addr;
-
-    ShardSupervisorOptions sopts;
-    sopts.shards = procs;
-    sopts.worker.maxSessions = nSessions;
-    sopts.worker.slots = 1;
-    sopts.worker.sliceInsts = 50000;
-    sopts.worker.session.timeTravel.checkpointInterval = 1u << 20;
-    sopts.factory = [workload, scale](const std::string &,
-                                      Program &out) {
-        out = buildWorkload(workload, {scale}).program;
-        return true;
-    };
-    ShardSupervisor fleet(sopts);
-    DISE_ASSERT(fleet.start(), "bench fleet start failed");
-
-    // One wire connection per session; least-loaded placement spreads
-    // them evenly across the shards.
-    std::vector<std::unique_ptr<WireClient>> clients;
-    for (unsigned i = 0; i < nSessions; ++i) {
-        auto c = std::make_unique<WireClient>();
-        std::string err;
-        DISE_ASSERT(c->connectTo(fleet.port(), &err),
-                    "bench fleet connect failed: ", err);
-        Request create;
-        create.kind = RequestKind::SessionCreate;
-        create.name = workload;
-        create.backend = backend;
-        Response resp;
-        DISE_ASSERT(c->call(create, resp) && resp.ok(),
-                    "bench session-create failed: ", resp.error);
-        Request watch;
-        watch.kind = RequestKind::SetWatch;
-        watch.watch = WatchSpec::scalar("WARM1", watchAddr, 8);
-        DISE_ASSERT(c->call(watch, resp) && resp.ok(),
-                    "bench set-watch failed: ", resp.error);
-        clients.push_back(std::move(c));
-    }
-
-    double t0 = nowMs();
-    std::vector<std::thread> drivers;
-    for (auto &c : clients)
-        drivers.emplace_back([&c] {
-            Request run;
-            run.kind = RequestKind::RunToEnd;
-            run.count = 0;
-            Response resp;
-            DISE_ASSERT(c->call(run, resp) && resp.ok(),
-                        "bench run-to-end failed: ", resp.error);
-        });
-    for (auto &t : drivers)
-        t.join();
-    double t1 = nowMs();
-
-    ShardRunResult r;
-    r.procs = procs;
-    r.sessions = nSessions;
-    r.wallMs = t1 - t0;
-    r.perShard = fleet.shardStats();
-    for (const ShardStatsRow &row : r.perShard)
-        r.totalInsts += row.appInsts;
-    r.mips = r.wallMs > 0 ? r.totalInsts / (r.wallMs * 1000.0) : 0;
-    for (auto &c : clients)
-        c->close();
-    fleet.stop();
     return r;
 }
 
@@ -309,8 +220,7 @@ main(int argc, char **argv)
     std::string out = "BENCH_sessions.json";
     std::string workload = "mcf";
     BackendKind backend = BackendKind::Dise;
-    unsigned slots = 0;    // hardware concurrency
-    unsigned maxProcs = 4; // shard-mode sweep cap (0 = skip)
+    unsigned slots = 0; // hardware concurrency
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -327,8 +237,6 @@ main(int argc, char **argv)
             workload = next();
         else if (arg == "--workers")
             slots = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--procs")
-            maxProcs = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--backend") {
             if (!parseBackendToken(next(), backend))
                 fatal("unknown backend");
@@ -345,7 +253,6 @@ main(int argc, char **argv)
                 slots ? std::to_string(slots).c_str() : "hw");
 
     std::vector<RunResult> results;
-    std::vector<ShardRunResult> shardResults;
     DurableResult d;
     // Catch bench assertions (they throw) so ScratchDir unwinds and
     // early failures never leak a scratch store into the filesystem.
@@ -363,33 +270,6 @@ main(int argc, char **argv)
                     ? r.mips / results.front().mips
                     : 0);
         }
-
-        // Process sharding: same 8 sessions, N worker processes of
-        // one slot each behind the supervisor port.
-        for (unsigned procs = 1; procs <= maxProcs; procs *= 2) {
-            ShardRunResult r =
-                runShardScale(procs, 8, workload, backend, scale);
-            shardResults.push_back(r);
-            std::printf(
-                "  %u shard proc(s), %u sessions: %8.1f ms, %llu "
-                "insts, aggregate %.2f MIPS (%.2fx vs 1 proc)\n",
-                r.procs, r.sessions, r.wallMs,
-                static_cast<unsigned long long>(r.totalInsts), r.mips,
-                shardResults.front().mips > 0
-                    ? r.mips / shardResults.front().mips
-                    : 0);
-            for (const ShardStatsRow &row : r.perShard)
-                std::printf("      shard %llu (pid %llu): %llu insts, "
-                            "%.2f MIPS\n",
-                            static_cast<unsigned long long>(row.index),
-                            static_cast<unsigned long long>(row.pid),
-                            static_cast<unsigned long long>(
-                                row.appInsts),
-                            r.wallMs > 0
-                                ? row.appInsts / (r.wallMs * 1000.0)
-                                : 0);
-        }
-
         d = runDurable(workload, backend, scale, quick ? 3 : 10);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "bench failed: %s\n", e.what());
@@ -431,39 +311,6 @@ main(int argc, char **argv)
             results.front().mips > 0 ? r.mips / results.front().mips
                                      : 0,
             i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"shard_runs\": [\n");
-    for (size_t i = 0; i < shardResults.size(); ++i) {
-        const ShardRunResult &r = shardResults[i];
-        std::fprintf(
-            f,
-            "    {\"procs\": %u, \"sessions\": %u, "
-            "\"slots_per_shard\": 1, \"total_app_insts\": %llu, "
-            "\"wall_ms\": %g, \"aggregate_mips\": %g, "
-            "\"scaling_vs_1proc\": %g, \"per_shard\": [",
-            r.procs, r.sessions,
-            static_cast<unsigned long long>(r.totalInsts), r.wallMs,
-            r.mips,
-            shardResults.front().mips > 0
-                ? r.mips / shardResults.front().mips
-                : 0);
-        for (size_t k = 0; k < r.perShard.size(); ++k) {
-            const ShardStatsRow &row = r.perShard[k];
-            std::fprintf(
-                f,
-                "%s{\"shard\": %llu, \"pid\": %llu, "
-                "\"app_insts\": %llu, \"uops\": %llu, \"mips\": %g}",
-                k ? ", " : "",
-                static_cast<unsigned long long>(row.index),
-                static_cast<unsigned long long>(row.pid),
-                static_cast<unsigned long long>(row.appInsts),
-                static_cast<unsigned long long>(row.totalUops),
-                r.wallMs > 0 ? row.appInsts / (r.wallMs * 1000.0)
-                             : 0);
-        }
-        std::fprintf(f, "]}%s\n",
-                     i + 1 < shardResults.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(
