@@ -12,8 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstring>
 #include <functional>
 #include <string>
@@ -22,6 +20,7 @@
 #include "asm/assembler.hh"
 #include "persist/fault_injector.hh"
 #include "persist/image.hh"
+#include "persist/scratch_dir.hh"
 #include "persist/store.hh"
 #include "persist/vfs.hh"
 #include "session/debug_session.hh"
@@ -35,28 +34,13 @@ using namespace reg;
 using persist::FaultInjector;
 using persist::ImageErr;
 using persist::RealVfs;
+using persist::ScratchDir;
 using persist::SessionImage;
 using persist::SessionStore;
 using persist::StoreErr;
 using persist::StoreResult;
 
 // --------------------------------------------------------------- helpers
-
-/** Fresh per-test scratch directory under the build tree (ctest cwd). */
-std::string
-scratchDir(const std::string &name)
-{
-    std::string dir = "persist_test_" + name + "_" +
-                      std::to_string(static_cast<long>(::getpid()));
-    RealVfs vfs;
-    std::vector<std::string> names;
-    if (vfs.list(dir, names))
-        for (const std::string &n : names)
-            vfs.remove(dir + "/" + n);
-    std::string err;
-    EXPECT_TRUE(vfs.mkdirs(dir, &err)) << err;
-    return dir;
-}
 
 /** Rewrite the trailing FNV-1a 64 so a deliberate field mutation is
  *  NOT masked by the checksum check (version-skew tests). */
@@ -245,7 +229,8 @@ TEST(SessionImage, HostileInputsRejectTyped)
 
 TEST(SessionStore, PutLoadEraseReopen)
 {
-    std::string dir = scratchDir("basic");
+    ScratchDir scratch("persist_test_basic");
+    const std::string &dir = scratch.path;
     RealVfs vfs;
     SessionStore store(dir, vfs);
     ASSERT_TRUE(store.open().ok);
@@ -409,7 +394,8 @@ TEST(SessionStore, LoaderFuzzQuarantinesEveryCorruption)
 
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
-        std::string dir = scratchDir(std::string("fuzz_") + c.name);
+        ScratchDir scratch(std::string("persist_test_fuzz_") + c.name);
+        const std::string &dir = scratch.path;
         {
             SessionStore store(dir, vfs);
             ASSERT_TRUE(store.open().ok);
@@ -459,8 +445,9 @@ TEST(SessionStore, FaultBatteryEveryVfsSite)
          {FaultInjector::Site::Open, FaultInjector::Site::Write,
           FaultInjector::Site::Fsync, FaultInjector::Site::Rename}) {
         SCOPED_TRACE(FaultInjector::siteName(site));
-        std::string dir = scratchDir(
-            std::string("fault_") + FaultInjector::siteName(site));
+        ScratchDir scratch(std::string("persist_test_fault_") +
+                           FaultInjector::siteName(site));
+        const std::string &dir = scratch.path;
         FaultInjector faults(0xc0ffee);
         persist::FaultyVfs vfs(real, faults);
         SessionStore store(dir, vfs);
@@ -509,7 +496,8 @@ TEST(SessionStore, FaultBatteryEveryVfsSite)
     // Probability mode: a sustained storm of faults never corrupts the
     // store; once calm, everything works and the last committed state
     // is intact.
-    std::string dir = scratchDir("fault_storm");
+    ScratchDir scratch("persist_test_fault_storm");
+    const std::string &dir = scratch.path;
     FaultInjector faults(0xdecade);
     persist::FaultyVfs vfs(real, faults);
     SessionStore store(dir, vfs);

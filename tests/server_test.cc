@@ -23,6 +23,7 @@
 
 #include "common/stats.hh"
 #include "persist/fault_injector.hh"
+#include "persist/scratch_dir.hh"
 #include "persist/store.hh"
 #include "persist/vfs.hh"
 #include "obs/metrics.hh"
@@ -44,20 +45,6 @@ smallSessions()
     SessionOptions o;
     o.timeTravel.checkpointInterval = 512;
     return o;
-}
-
-/** Fresh per-test store directory under the build tree (ctest cwd). */
-std::string
-storeScratch(const std::string &name)
-{
-    std::string dir = "server_test_store_" + name + "_" +
-                      std::to_string(static_cast<long>(::getpid()));
-    persist::RealVfs vfs;
-    std::vector<std::string> names;
-    if (vfs.list(dir, names))
-        for (const std::string &n : names)
-            vfs.remove(dir + "/" + n);
-    return dir;
 }
 
 /** Minimal line-oriented wire client for the typed protocol. */
@@ -500,7 +487,8 @@ longMcfImage(uint64_t id)
 
 TEST(JobScheduler, ResurrectionDoesNotStarveForwardSessions)
 {
-    std::string dir = storeScratch("fair_resurrect");
+    persist::ScratchDir scratch("server_test_store_fair_resurrect");
+    const std::string &dir = scratch.path;
     persist::RealVfs vfs;
     persist::SessionStore store(dir, vfs);
     ASSERT_TRUE(store.open().ok);
@@ -1310,7 +1298,8 @@ TEST(DebugServerTcp, WireSelectSharesAndDestroyInforms)
 
 TEST(SessionManagerDurable, CapEvictsLruIdleAndResurrects)
 {
-    std::string dir = storeScratch("lru");
+    persist::ScratchDir scratch("server_test_store_lru");
+    const std::string &dir = scratch.path;
     persist::RealVfs vfs;
     persist::SessionStore store(dir, vfs);
     ASSERT_TRUE(store.open().ok);
@@ -1371,7 +1360,8 @@ TEST(SessionManagerDurable, FailedResurrectionRunKeepsImageHibernated)
     // slice fault, an interrupt, a stopping scheduler) says nothing
     // about the image: it stays hibernated for the next attempt. Only
     // the image's own failure (replay divergence) quarantines it.
-    std::string dir = storeScratch("runfail");
+    persist::ScratchDir scratch("server_test_store_runfail");
+    const std::string &dir = scratch.path;
     persist::RealVfs vfs;
     persist::SessionStore store(dir, vfs);
     ASSERT_TRUE(store.open().ok);
@@ -1406,7 +1396,8 @@ TEST(SessionManagerDurable, FailedResurrectionRunKeepsImageHibernated)
 
 TEST(SessionManagerDurable, HibernateRefusalsKeepSessionIntact)
 {
-    std::string dir = storeScratch("refuse");
+    persist::ScratchDir scratch("server_test_store_refuse");
+    const std::string &dir = scratch.path;
     persist::RealVfs vfs;
     persist::SessionStore store(dir, vfs);
     ASSERT_TRUE(store.open().ok);
@@ -1485,7 +1476,8 @@ TEST(DebugServerTcp, HibernateResurrectOverWireWithDigestMatch)
 {
     Program demo = buildHeisenbugDemo();
     Addr watchAddr = demo.symbol("directory");
-    std::string dir = storeScratch("wire");
+    persist::ScratchDir scratch("server_test_store_wire");
+    const std::string &dir = scratch.path;
 
     DebugServerOptions opts;
     opts.maxSessions = 2;
@@ -1550,7 +1542,8 @@ TEST(DebugServerTcp, HibernateResurrectOverWireWithDigestMatch)
 
 TEST(DebugServerTcp, CreateBeyondCapHibernatesIdleSessions)
 {
-    std::string dir = storeScratch("cap");
+    persist::ScratchDir scratch("server_test_store_cap");
+    const std::string &dir = scratch.path;
     DebugServerOptions opts;
     opts.maxSessions = 2;
     opts.session = smallSessions();
@@ -1605,7 +1598,8 @@ TEST(DebugServerTcp, RestartRecoversPersistedSessions)
     // store directory re-admits and resurrects it, digest-identical.
     Program demo = buildHeisenbugDemo();
     Addr watchAddr = demo.symbol("directory");
-    std::string dir = storeScratch("restart");
+    persist::ScratchDir scratch("server_test_store_restart");
+    const std::string &dir = scratch.path;
 
     uint64_t id = 0, digest = 0, posInsts = 0;
     {
@@ -1698,7 +1692,8 @@ TEST(DebugServerTcp, DurabilityCountersTravelTheWire)
     // read back through the typed wire — not just struct-to-struct.
     Program demo = buildHeisenbugDemo();
     Addr watchAddr = demo.symbol("directory");
-    std::string dir = storeScratch("counters");
+    persist::ScratchDir scratch("server_test_store_counters");
+    const std::string &dir = scratch.path;
     persist::FaultInjector faults;
 
     DebugServerOptions opts;

@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "persist/vfs.hh"
+#include "persist/scratch_dir.hh"
 #include "session/debug_session.hh"
 #include "session/protocol.hh"
 #include "workloads/workload.hh"
@@ -167,8 +167,8 @@ main(int argc, char **argv)
     }
     uint16_t port = static_cast<uint16_t>(
         30000 + (::getpid() % 10000) * 2);
-    std::string storeDir = "crash_smoke_store_" +
-                           std::to_string(static_cast<long>(::getpid()));
+    persist::ScratchDir store("crash_smoke_store");
+    const std::string &storeDir = store.path;
 
     Program demo = buildHeisenbugDemo();
     Addr watchAddr = demo.symbol("directory");
@@ -302,13 +302,6 @@ main(int argc, char **argv)
     wire2.close();
     ::kill(second, SIGTERM);
     ::waitpid(second, &status, 0);
-
-    // Scratch-store cleanup (best effort).
-    persist::RealVfs vfs;
-    std::vector<std::string> names;
-    if (vfs.list(storeDir, names))
-        for (const std::string &n : names)
-            vfs.remove(storeDir + "/" + n);
 
     if (failures) {
         std::fprintf(stderr, "crash-recovery smoke: %d FAILURE(S)\n",

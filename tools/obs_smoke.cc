@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "obs/metrics.hh"
+#include "persist/scratch_dir.hh"
 #include "server/server.hh"
 #include "session/protocol.hh"
 #include "workloads/workload.hh"
@@ -337,15 +338,14 @@ main(int argc, char **argv)
     }
 
     // Scratch store so persist-layer spans show up in the trace.
-    char dirTmpl[] = "/tmp/obs_smoke_store_XXXXXX";
-    CHECK(::mkdtemp(dirTmpl) != nullptr, "mkdtemp failed");
+    persist::ScratchDir store("/tmp/obs_smoke_store");
 
     server::DebugServerOptions opts;
     opts.port = 0; // ephemeral
     opts.maxSessions = 8;
     opts.slots = 2;
     opts.sliceInsts = 20000;
-    opts.storeDir = dirTmpl;
+    opts.storeDir = store.path;
     opts.session.timeTravel.checkpointInterval = 4096;
     server::DebugServer srv(opts);
     CHECK(srv.start(), "server failed to start");
@@ -508,10 +508,6 @@ main(int argc, char **argv)
     a.close();
     b.close();
     srv.stop();
-
-    // Scratch-store cleanup (best effort).
-    std::string rmCmd = std::string("rm -rf ") + dirTmpl;
-    [[maybe_unused]] int rc = std::system(rmCmd.c_str());
 
     if (failures) {
         std::fprintf(stderr, "obs_smoke: %d failure(s)\n", failures);

@@ -17,8 +17,6 @@
  *   ./build/session_bench --quick        # CI smoke (small work items)
  */
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,8 +28,8 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "persist/scratch_dir.hh"
 #include "persist/store.hh"
-#include "persist/vfs.hh"
 #include "server/job_scheduler.hh"
 #include "server/session_manager.hh"
 #include "workloads/workload.hh"
@@ -125,45 +123,16 @@ struct DurableResult
     double resurrectMs = 0; ///< mean load + rebuild-replay + verify
 };
 
-/** Unique scratch store directory under $TMPDIR (default /tmp),
- *  emptied and removed on destruction — which also runs when a bench
- *  assertion unwinds, so failed runs leave nothing behind. */
-struct ScratchDir
-{
-    std::string path;
-    persist::RealVfs vfs;
-
-    ScratchDir()
-    {
-        const char *tmp = std::getenv("TMPDIR");
-        std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") +
-                           "/session_bench_store_XXXXXX";
-        std::vector<char> buf(tmpl.begin(), tmpl.end());
-        buf.push_back('\0');
-        if (!::mkdtemp(buf.data()))
-            fatal("cannot create scratch dir ", tmpl);
-        path = buf.data();
-    }
-
-    ~ScratchDir()
-    {
-        std::vector<std::string> names;
-        if (vfs.list(path, names))
-            for (const std::string &n : names)
-                vfs.remove(path + "/" + n);
-        ::rmdir(path.c_str());
-    }
-};
-
 /** Hibernate/resurrect round-trip latency at a mid-run position. */
 DurableResult
 runDurable(const std::string &workload, BackendKind backend,
            unsigned scale, unsigned iters)
 {
-    ScratchDir scratch;
-    const std::string &dir = scratch.path;
-    persist::RealVfs &vfs = scratch.vfs;
-    persist::SessionStore store(dir, vfs);
+    const char *tmp = std::getenv("TMPDIR");
+    persist::ScratchDir scratch(std::string(tmp && *tmp ? tmp : "/tmp") +
+                                "/session_bench_store");
+    persist::RealVfs vfs;
+    persist::SessionStore store(scratch.path, vfs);
     DISE_ASSERT(store.open().ok, "bench store open failed");
 
     Workload proto = buildWorkload(workload, {scale});

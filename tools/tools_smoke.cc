@@ -39,7 +39,7 @@
 #include <thread>
 #include <vector>
 
-#include "persist/vfs.hh"
+#include "persist/scratch_dir.hh"
 #include "rsp/client.hh"
 #include "rsp/packet.hh"
 #include "session/protocol.hh"
@@ -175,8 +175,8 @@ main(int argc, char **argv)
     }
     uint16_t port = static_cast<uint16_t>(
         31000 + (::getpid() % 10000) * 2);
-    std::string storeDir = "tools_smoke_store_" +
-                           std::to_string(static_cast<long>(::getpid()));
+    persist::ScratchDir store("tools_smoke_store");
+    const std::string &storeDir = store.path;
 
     pid_t server = spawnServer(exe, port, storeDir);
     CHECK(server > 0, "fork failed");
@@ -366,14 +366,6 @@ main(int argc, char **argv)
     ::kill(server, SIGTERM);
     int status = 0;
     ::waitpid(server, &status, 0);
-
-    // Scratch-store cleanup (best effort).
-    persist::RealVfs vfs;
-    std::vector<std::string> names;
-    if (vfs.list(storeDir, names))
-        for (const std::string &n : names)
-            vfs.remove(storeDir + "/" + n);
-    ::rmdir(storeDir.c_str());
 
     if (failures) {
         std::fprintf(stderr, "tools smoke: %d FAILURE(S)\n", failures);
