@@ -97,8 +97,7 @@ WireClient::readerLoop()
 }
 
 bool
-WireClient::roundTripRaw(const std::string &line, std::string &reply,
-                         std::string *err)
+WireClient::call(const std::string &line, Response &resp, std::string *err)
 {
     std::lock_guard<std::mutex> call(callMu_);
     int fd = fd_.load();
@@ -120,8 +119,9 @@ WireClient::roundTripRaw(const std::string &line, std::string &reply,
         off += static_cast<size_t>(n);
     }
     std::unique_lock<std::mutex> lk(replyMu_);
-    // Generous bound: a worker mid-adopt replays a whole session
-    // before answering. A wedged peer still cannot hang us forever.
+    // Generous bound: selecting a hibernated session replays its whole
+    // history before the answer. A wedged peer still cannot hang us
+    // forever.
     if (!replyCv_.wait_for(lk, std::chrono::seconds(120), [this] {
             return dead_ || !replies_.empty();
         })) {
@@ -134,9 +134,10 @@ WireClient::roundTripRaw(const std::string &line, std::string &reply,
             *err = "connection closed";
         return false;
     }
-    reply = std::move(replies_.front());
+    std::string reply = std::move(replies_.front());
     replies_.pop_front();
-    return true;
+    lk.unlock();
+    return decodeResponse(reply, resp, err);
 }
 
 bool
@@ -144,12 +145,7 @@ WireClient::call(Request req, Response &resp, std::string *err)
 {
     if (!req.seq)
         req.seq = seq_.fetch_add(1);
-    std::string reply;
-    if (!roundTripRaw(encodeRequest(req), reply, err))
-        return false;
-    if (!decodeResponse(reply, resp, err))
-        return false;
-    return true;
+    return call(encodeRequest(req), resp, err);
 }
 
 } // namespace dise::server

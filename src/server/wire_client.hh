@@ -1,22 +1,21 @@
 /**
  * @file
- * Blocking typed-wire TCP client with an event-demuxing reader
- * thread.
+ * The typed-wire client: blocking calls over one TCP connection, with
+ * a reader thread that demultiplexes pushed events.
  *
  * The typed line protocol is request/response, but a subscribed
  * connection also receives server-initiated `event` lines at any
  * moment. WireClient owns one socket and one reader thread: the
  * reader classifies every inbound line, routing `event` lines to a
  * registered handler and everything else to the caller blocked in
- * roundTrip(). Round trips are serialized under a mutex, so the
- * protocol's in-order reply guarantee is all the matching needed —
- * no sequence bookkeeping on the read side.
+ * call(). Calls are serialized under a mutex, so the protocol's
+ * in-order reply guarantee is all the matching needed — no sequence
+ * bookkeeping on the read side — and every event pushed ahead of a
+ * reply has reached the handler by the time that call returns.
  *
- * The supervisor (src/server/supervisor.hh) uses WireClients in two
- * roles: one control client per worker shard (probes, stats,
- * export/adopt during migration), and one per client-connection
- * downstream leg, whose event handler forwards pushes to the real
- * client.
+ * The tests and the smoke tools speak the typed wire through this one
+ * client. connectTo() tries once; a caller waiting for a server to
+ * come up retries it.
  */
 
 #ifndef DISE_SERVER_WIRE_CLIENT_HH
@@ -54,19 +53,17 @@ class WireClient
     /** Connect to 127.0.0.1:port and start the reader. */
     bool connectTo(uint16_t port, std::string *err = nullptr);
 
-    bool connected() const { return fd_.load() >= 0; }
-
     /** Shut the socket down and join the reader thread. */
     void close();
 
-    /** One raw request line out, the matching raw response line back.
-     *  Round trips serialize; event lines never surface here. */
-    bool roundTripRaw(const std::string &line, std::string &reply,
-                      std::string *err = nullptr);
-
-    /** Typed convenience: stamps a fresh seq, encodes, decodes. The
-     *  call succeeds even when the response carries status=error —
-     *  check resp.ok(); false means the transport itself failed. */
+    /** One request line out, its decoded response back. Calls
+     *  serialize; event lines never surface here. The call succeeds
+     *  even when the response carries status=error — check resp.ok();
+     *  false means the transport failed (the server hung up or never
+     *  answered) or the reply did not decode. */
+    bool call(const std::string &line, Response &resp,
+              std::string *err = nullptr);
+    /** The typed form: stamps a fresh seq when @p req has none. */
     bool call(Request req, Response &resp, std::string *err = nullptr);
 
   private:

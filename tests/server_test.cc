@@ -9,10 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -30,6 +26,7 @@
 #include "rsp/client.hh"
 #include "rsp/server.hh"
 #include "server/server.hh"
+#include "server/wire_client.hh"
 #include "workloads/workload.hh"
 
 namespace dise {
@@ -47,93 +44,12 @@ smallSessions()
     return o;
 }
 
-/** Minimal line-oriented wire client for the typed protocol. */
-class WireClient
+/** One wire request that must succeed: a reply came and it is ok. */
+bool
+callOk(WireClient &c, const std::string &line, Response &resp)
 {
-  public:
-    ~WireClient() { close(); }
-
-    bool
-    connectTo(uint16_t port, unsigned timeoutSeconds = 20)
-    {
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd_ < 0)
-            return false;
-        timeval tv{};
-        tv.tv_sec = timeoutSeconds;
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(port);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof addr) != 0) {
-            close();
-            return false;
-        }
-        return true;
-    }
-
-    /** One request line out, one response line back (decoded).
-     *  Server-initiated `event` lines arriving in between are decoded
-     *  into events(). */
-    bool
-    roundTrip(const std::string &line, Response &resp)
-    {
-        std::string out = line + "\n";
-        if (::write(fd_, out.data(), out.size()) !=
-            static_cast<ssize_t>(out.size()))
-            return false;
-        for (;;) {
-            size_t nl;
-            while ((nl = buf_.find('\n')) == std::string::npos) {
-                char chunk[4096];
-                ssize_t n = ::read(fd_, chunk, sizeof chunk);
-                if (n <= 0)
-                    return false;
-                buf_.append(chunk, static_cast<size_t>(n));
-            }
-            std::string reply = buf_.substr(0, nl);
-            buf_.erase(0, nl + 1);
-            if (reply.rfind("event ", 0) == 0 || reply == "event") {
-                SessionEvent ev;
-                if (decodeEvent(reply, ev))
-                    events_.push_back(ev);
-                continue;
-            }
-            return decodeResponse(reply, resp);
-        }
-    }
-
-    /** Events pushed by the server so far (drained). */
-    std::vector<SessionEvent>
-    takeEvents()
-    {
-        std::vector<SessionEvent> out;
-        out.swap(events_);
-        return out;
-    }
-
-    bool
-    roundTripOk(const std::string &line, Response &resp)
-    {
-        return roundTrip(line, resp) && resp.ok();
-    }
-
-    void
-    close()
-    {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    std::string buf_;
-    std::vector<SessionEvent> events_;
-};
+    return c.call(line, resp) && resp.ok();
+}
 
 // ------------------------------------------------------ SessionManager
 
@@ -802,8 +718,8 @@ TEST(DebugServerTcp, TwoRspClientsPlusWireClientOnDistinctTargets)
         WireClient wire;
         ASSERT_TRUE(wire.connectTo(srv.port()));
         Response resp;
-        ASSERT_TRUE(wire.roundTripOk(
-            "session-create seq=1 name=mcf backend=dise", resp));
+        ASSERT_TRUE(callOk(wire, "session-create seq=1 name=mcf backend=dise",
+                           resp));
         uint64_t sessionId = resp.value;
         EXPECT_GT(sessionId, 0u);
 
@@ -811,15 +727,15 @@ TEST(DebugServerTcp, TwoRspClientsPlusWireClientOnDistinctTargets)
         setw.kind = RequestKind::SetWatch;
         setw.seq = 2;
         setw.watch = WatchSpec::scalar("HOT", mcf.hotAddr, 8);
-        ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
+        ASSERT_TRUE(callOk(wire, encodeRequest(setw), resp));
 
-        ASSERT_TRUE(wire.roundTripOk("cont seq=3", resp));
+        ASSERT_TRUE(callOk(wire, "cont seq=3", resp));
         ASSERT_TRUE(resp.hasStop);
         EXPECT_EQ(resp.stop.reason, StopReason::Event);
         EXPECT_EQ(resp.stop.pc, mcfHit.pc);
         EXPECT_EQ(resp.stop.time, mcfHit.time);
 
-        ASSERT_TRUE(wire.roundTripOk("server-stats seq=4", resp));
+        ASSERT_TRUE(callOk(wire, "server-stats seq=4", resp));
         EXPECT_GE(resp.server.created, 1u);
         EXPECT_GE(resp.server.activeSessions, 1u);
         EXPECT_EQ(resp.server.maxSessions, 8u);
@@ -829,7 +745,7 @@ TEST(DebugServerTcp, TwoRspClientsPlusWireClientOnDistinctTargets)
         std::snprintf(destroy, sizeof destroy,
                       "session-destroy seq=5 session=%llu",
                       static_cast<unsigned long long>(sessionId));
-        ASSERT_TRUE(wire.roundTripOk(destroy, resp));
+        ASSERT_TRUE(callOk(wire, destroy, resp));
     }
     rsp1.join();
     rsp2.join();
@@ -878,7 +794,7 @@ TEST(DebugServerTcp, AdmissionCapRejectsExcessRspClients)
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
     ASSERT_TRUE(
-        wire.roundTrip("session-create seq=1 name=demo", resp));
+        wire.call("session-create seq=1 name=demo", resp));
     EXPECT_EQ(resp.status, ResponseStatus::Error);
     EXPECT_NE(resp.error.find("cap"), std::string::npos);
 
@@ -960,7 +876,7 @@ TEST(DebugServerTcp, SeededRandomMultiClientSoak)
         }
         for (int i = 0; i < 10; ++i) {
             Response resp;
-            if (!wire.roundTripOk("server-stats seq=1", resp)) {
+            if (!callOk(wire, "server-stats seq=1", resp)) {
                 ++failures;
                 return;
             }
@@ -1049,7 +965,7 @@ TEST(DebugServerTcp, StatsToolRollupExcludesADrivenRspSession)
     unsigned polls = 0;
     while (looping.load()) {
         Response resp;
-        ASSERT_TRUE(wire.roundTripOk("server-stats seq=1", resp));
+        ASSERT_TRUE(callOk(wire, "server-stats seq=1", resp));
         ++polls;
     }
     {
@@ -1058,7 +974,7 @@ TEST(DebugServerTcp, StatsToolRollupExcludesADrivenRspSession)
     }
     // Between packets the session is free: the rollup must see it.
     Response last;
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=2", last));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=2", last));
     bool sawMemtrace = false;
     for (const tools::ToolStatsRow &row : last.server.tools)
         sawMemtrace |= row.name == "memtrace" && row.uopsSeen > 0;
@@ -1088,15 +1004,14 @@ TEST(DebugServerTcp, WireDetachKeepsRetiredTotals)
     WireClient wire;
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
-                                 resp));
-    ASSERT_TRUE(wire.roundTripOk("run-to-end seq=2", resp));
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=3", resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
+    ASSERT_TRUE(callOk(wire, "run-to-end seq=2", resp));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=3", resp));
     uint64_t uopsBefore = resp.server.totalUops;
     EXPECT_GT(uopsBefore, 0u);
 
-    ASSERT_TRUE(wire.roundTripOk("detach seq=4", resp));
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=5", resp));
+    ASSERT_TRUE(callOk(wire, "detach seq=4", resp));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=5", resp));
     EXPECT_EQ(resp.server.activeSessions, 0u);
     EXPECT_GE(resp.server.totalUops, uopsBefore);
     srv.stop();
@@ -1117,22 +1032,35 @@ TEST(DebugServerTcp, SubscribePushesEventsWithoutPolling)
     DebugServer srv(opts);
     ASSERT_TRUE(srv.start());
 
+    // Pushed events in arrival order; every event the server sends
+    // ahead of a reply is here by the time that call returns.
+    std::mutex eventsMu;
+    std::vector<SessionEvent> pushed;
+    auto takeEvents = [&] {
+        std::lock_guard<std::mutex> lk(eventsMu);
+        return std::exchange(pushed, {});
+    };
     WireClient wire;
+    wire.setEventHandler([&](const std::string &line) {
+        SessionEvent ev;
+        std::lock_guard<std::mutex> lk(eventsMu);
+        if (decodeEvent(line, ev))
+            pushed.push_back(ev);
+    });
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
-                                 resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
     Request setw;
     setw.kind = RequestKind::SetWatch;
     setw.seq = 2;
     setw.watch = WatchSpec::scalar("w", watchAddr, 8);
-    ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
-    ASSERT_TRUE(wire.roundTripOk("subscribe seq=3", resp));
+    ASSERT_TRUE(callOk(wire, encodeRequest(setw), resp));
+    ASSERT_TRUE(callOk(wire, "subscribe seq=3", resp));
 
-    ASSERT_TRUE(wire.roundTripOk("cont seq=4", resp));
+    ASSERT_TRUE(callOk(wire, "cont seq=4", resp));
     ASSERT_TRUE(resp.hasStop);
     ASSERT_EQ(resp.stop.reason, StopReason::Event);
-    std::vector<SessionEvent> events = wire.takeEvents();
+    std::vector<SessionEvent> events = takeEvents();
     ASSERT_FALSE(events.empty());
     bool sawAttach = false, sawWatch = false;
     uint64_t lastSeq = 0;
@@ -1153,13 +1081,13 @@ TEST(DebugServerTcp, SubscribePushesEventsWithoutPolling)
     EXPECT_TRUE(sawWatch);
 
     // server-stats counts the delivery; unsubscribe stops the flow.
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=5", resp));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=5", resp));
     EXPECT_GE(resp.server.eventsPushed, events.size());
     EXPECT_EQ(resp.server.subscribers, 1u);
-    ASSERT_TRUE(wire.roundTripOk("unsubscribe seq=6", resp));
-    ASSERT_TRUE(wire.roundTripOk("run-to-end seq=7", resp));
-    EXPECT_TRUE(wire.takeEvents().empty());
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=8", resp));
+    ASSERT_TRUE(callOk(wire, "unsubscribe seq=6", resp));
+    ASSERT_TRUE(callOk(wire, "run-to-end seq=7", resp));
+    EXPECT_TRUE(takeEvents().empty());
+    ASSERT_TRUE(callOk(wire, "server-stats seq=8", resp));
     EXPECT_EQ(resp.server.subscribers, 0u);
     srv.stop();
 }
@@ -1189,18 +1117,17 @@ TEST(DebugServerTcp, ReplayVerifyRunsAsSiblingJobs)
     WireClient wire;
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
-                                 resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
     Request setw;
     setw.kind = RequestKind::SetWatch;
     setw.seq = 2;
     setw.watch = WatchSpec::scalar("w", watchAddr, 8);
-    ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
-    ASSERT_TRUE(wire.roundTripOk("cont seq=3", resp));
-    ASSERT_TRUE(wire.roundTripOk("run-to-end seq=4", resp));
+    ASSERT_TRUE(callOk(wire, encodeRequest(setw), resp));
+    ASSERT_TRUE(callOk(wire, "cont seq=3", resp));
+    ASSERT_TRUE(callOk(wire, "run-to-end seq=4", resp));
 
     uint64_t jobsBefore = srv.stats().jobs;
-    ASSERT_TRUE(wire.roundTripOk("replay-verify seq=5 count=4", resp));
+    ASSERT_TRUE(callOk(wire, "replay-verify seq=5 count=4", resp));
     EXPECT_EQ(resp.value, refRep.finalDigest);
     // Chunk boundaries may differ between the two runs (stealing cuts
     // by thread timing) but both cover the same timeline and agree on
@@ -1230,14 +1157,13 @@ TEST(DebugServerTcp, PostAttachWatchAdditionRunsAsRebuildJob)
     WireClient wire;
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
-                                 resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
     Request setw;
     setw.kind = RequestKind::SetWatch;
     setw.seq = 2;
     setw.watch = WatchSpec::scalar("w", watchAddr, 8);
-    ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
-    ASSERT_TRUE(wire.roundTripOk("cont seq=3", resp));
+    ASSERT_TRUE(callOk(wire, encodeRequest(setw), resp));
+    ASSERT_TRUE(callOk(wire, "cont seq=3", resp));
     ASSERT_TRUE(resp.hasStop);
     uint64_t posInsts = resp.stop.appInsts;
 
@@ -1245,10 +1171,10 @@ TEST(DebugServerTcp, PostAttachWatchAdditionRunsAsRebuildJob)
     setw2.kind = RequestKind::SetWatch;
     setw2.seq = 4;
     setw2.watch = WatchSpec::scalar("w4", watchAddr, 4);
-    ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw2), resp));
+    ASSERT_TRUE(callOk(wire, encodeRequest(setw2), resp));
     EXPECT_EQ(resp.index, 1);
 
-    ASSERT_TRUE(wire.roundTripOk("stats seq=5", resp));
+    ASSERT_TRUE(callOk(wire, "stats seq=5", resp));
     EXPECT_EQ(resp.stats.appInsts, posInsts); // position preserved
     srv.stop();
 }
@@ -1265,20 +1191,20 @@ TEST(DebugServerTcp, WireSelectSharesAndDestroyInforms)
     ASSERT_TRUE(a.connectTo(srv.port()));
     ASSERT_TRUE(b.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(a.roundTripOk("session-create seq=1 name=demo", resp));
+    ASSERT_TRUE(callOk(a, "session-create seq=1 name=demo", resp));
     uint64_t id = resp.value;
 
     // b can see and select a's session; both observe the same target.
-    ASSERT_TRUE(b.roundTripOk("session-list seq=1", resp));
+    ASSERT_TRUE(callOk(b, "session-list seq=1", resp));
     ASSERT_EQ(resp.regs.size(), 1u);
     EXPECT_EQ(resp.regs[0], id);
     char sel[64];
     std::snprintf(sel, sizeof sel, "session-select seq=2 session=%llu",
                   static_cast<unsigned long long>(id));
-    ASSERT_TRUE(b.roundTripOk(sel, resp));
-    ASSERT_TRUE(a.roundTripOk("read-registers seq=3", resp));
+    ASSERT_TRUE(callOk(b, sel, resp));
+    ASSERT_TRUE(callOk(a, "read-registers seq=3", resp));
     std::vector<uint64_t> regsA = resp.regs;
-    ASSERT_TRUE(b.roundTripOk("read-registers seq=4", resp));
+    ASSERT_TRUE(callOk(b, "read-registers seq=4", resp));
     EXPECT_EQ(resp.regs, regsA);
 
     // Destroy via b; a's next request reports the loss.
@@ -1286,8 +1212,8 @@ TEST(DebugServerTcp, WireSelectSharesAndDestroyInforms)
     std::snprintf(destroy, sizeof destroy,
                   "session-destroy seq=5 session=%llu",
                   static_cast<unsigned long long>(id));
-    ASSERT_TRUE(b.roundTripOk(destroy, resp));
-    ASSERT_TRUE(a.roundTrip("read-registers seq=6", resp));
+    ASSERT_TRUE(callOk(b, destroy, resp));
+    ASSERT_TRUE(a.call("read-registers seq=6", resp));
     EXPECT_EQ(resp.status, ResponseStatus::Error);
     EXPECT_NE(resp.error.find("destroyed"), std::string::npos)
         << resp.error;
@@ -1489,32 +1415,31 @@ TEST(DebugServerTcp, HibernateResurrectOverWireWithDigestMatch)
     WireClient wire;
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
-                                 resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
     uint64_t id = resp.value;
     Request setw;
     setw.kind = RequestKind::SetWatch;
     setw.seq = 2;
     setw.watch = WatchSpec::scalar("w", watchAddr, 8);
-    ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
-    ASSERT_TRUE(wire.roundTripOk("cont seq=3", resp));
+    ASSERT_TRUE(callOk(wire, encodeRequest(setw), resp));
+    ASSERT_TRUE(callOk(wire, "cont seq=3", resp));
     ASSERT_TRUE(resp.hasStop);
     uint64_t posInsts = resp.stop.appInsts;
 
     // A crash-consistent image without eviction; its digest is the
     // session's state digest.
-    ASSERT_TRUE(wire.roundTripOk("session-persist seq=4", resp));
+    ASSERT_TRUE(callOk(wire, "session-persist seq=4", resp));
     uint64_t digest = resp.value;
     EXPECT_NE(digest, 0u);
-    ASSERT_TRUE(wire.roundTripOk("store-stats seq=5", resp));
+    ASSERT_TRUE(callOk(wire, "store-stats seq=5", resp));
     EXPECT_EQ(resp.store.images, 1u);
     EXPECT_GE(resp.store.puts, 1u);
     EXPECT_GT(resp.store.bytes, 0u);
 
     // Hibernate the selected session (the handler drops its own
     // reference first), then resurrect it by selecting it again.
-    ASSERT_TRUE(wire.roundTripOk("session-hibernate seq=6", resp));
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=7", resp));
+    ASSERT_TRUE(callOk(wire, "session-hibernate seq=6", resp));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=7", resp));
     EXPECT_EQ(resp.server.hibernated, 1u);
     EXPECT_EQ(resp.server.evictions, 1u);
     EXPECT_EQ(resp.server.activeSessions, 0u);
@@ -1524,17 +1449,17 @@ TEST(DebugServerTcp, HibernateResurrectOverWireWithDigestMatch)
                   static_cast<unsigned long long>(id));
     // The resurrection replay is a scheduler job like any other.
     uint64_t queued = obs::metrics().schedQueueWaitUs.count();
-    ASSERT_TRUE(wire.roundTripOk(sel, resp));
+    ASSERT_TRUE(callOk(wire, sel, resp));
     EXPECT_GT(obs::metrics().schedQueueWaitUs.count(), queued);
-    ASSERT_TRUE(wire.roundTripOk("stats seq=9", resp));
+    ASSERT_TRUE(callOk(wire, "stats seq=9", resp));
     EXPECT_EQ(resp.stats.appInsts, posInsts); // position restored
 
     // Bit-identical state: a fresh image of the resurrected session
     // carries the same digest, and replay-verify still stitches clean.
-    ASSERT_TRUE(wire.roundTripOk("session-persist seq=10", resp));
+    ASSERT_TRUE(callOk(wire, "session-persist seq=10", resp));
     EXPECT_EQ(resp.value, digest);
-    ASSERT_TRUE(wire.roundTripOk("replay-verify seq=11 count=2", resp));
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=12", resp));
+    ASSERT_TRUE(callOk(wire, "replay-verify seq=11 count=2", resp));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=12", resp));
     EXPECT_EQ(resp.server.resurrections, 1u);
     EXPECT_EQ(resp.server.hibernated, 0u);
     srv.stop();
@@ -1554,22 +1479,19 @@ TEST(DebugServerTcp, CreateBeyondCapHibernatesIdleSessions)
     WireClient wire;
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
-                                 resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
     uint64_t id1 = resp.value;
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=2 name=mcf",
-                                 resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=2 name=mcf", resp));
     uint64_t id2 = resp.value;
     // The third create succeeds by hibernating the LRU idle session
     // (the first one — this connection moved its selection off it).
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=3 name=demo",
-                                 resp));
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=4", resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=3 name=demo", resp));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=4", resp));
     EXPECT_EQ(resp.server.activeSessions, 2u);
     EXPECT_EQ(resp.server.hibernated, 1u);
     EXPECT_EQ(resp.server.evictions, 1u);
     EXPECT_EQ(resp.server.rejected, 0u);
-    ASSERT_TRUE(wire.roundTripOk("session-list seq=5", resp));
+    ASSERT_TRUE(callOk(wire, "session-list seq=5", resp));
     EXPECT_EQ(resp.regs.size(), 3u);
 
     // Rejection only when nothing is evictable: a second client pins
@@ -1581,10 +1503,10 @@ TEST(DebugServerTcp, CreateBeyondCapHibernatesIdleSessions)
     char line[64];
     std::snprintf(line, sizeof line, "session-select seq=6 session=%llu",
                   static_cast<unsigned long long>(id2));
-    ASSERT_TRUE(pinner.roundTripOk(line, r));
+    ASSERT_TRUE(callOk(pinner, line, r));
     (void)id1;
     Response rej;
-    ASSERT_TRUE(wire.roundTrip("session-create seq=8 name=demo", rej));
+    ASSERT_TRUE(wire.call("session-create seq=8 name=demo", rej));
     EXPECT_EQ(rej.status, ResponseStatus::Error);
     EXPECT_NE(rej.error.find("no idle session"), std::string::npos)
         << rej.error;
@@ -1612,17 +1534,16 @@ TEST(DebugServerTcp, RestartRecoversPersistedSessions)
         WireClient wire;
         ASSERT_TRUE(wire.connectTo(srv.port()));
         Response resp;
-        ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
-                                     resp));
+        ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
         id = resp.value;
         Request setw;
         setw.kind = RequestKind::SetWatch;
         setw.seq = 2;
         setw.watch = WatchSpec::scalar("w", watchAddr, 8);
-        ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
-        ASSERT_TRUE(wire.roundTripOk("cont seq=3", resp));
+        ASSERT_TRUE(callOk(wire, encodeRequest(setw), resp));
+        ASSERT_TRUE(callOk(wire, "cont seq=3", resp));
         posInsts = resp.stop.appInsts;
-        ASSERT_TRUE(wire.roundTripOk("session-persist seq=4", resp));
+        ASSERT_TRUE(callOk(wire, "session-persist seq=4", resp));
         digest = resp.value;
         srv.stop(); // hard stop: nothing else written to the store
     }
@@ -1636,15 +1557,15 @@ TEST(DebugServerTcp, RestartRecoversPersistedSessions)
     WireClient wire;
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=1", resp));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=1", resp));
     EXPECT_EQ(resp.server.hibernated, 1u);
     char sel[64];
     std::snprintf(sel, sizeof sel, "session-select seq=2 session=%llu",
                   static_cast<unsigned long long>(id));
-    ASSERT_TRUE(wire.roundTripOk(sel, resp));
-    ASSERT_TRUE(wire.roundTripOk("stats seq=3", resp));
+    ASSERT_TRUE(callOk(wire, sel, resp));
+    ASSERT_TRUE(callOk(wire, "stats seq=3", resp));
     EXPECT_EQ(resp.stats.appInsts, posInsts);
-    ASSERT_TRUE(wire.roundTripOk("session-persist seq=4", resp));
+    ASSERT_TRUE(callOk(wire, "session-persist seq=4", resp));
     EXPECT_EQ(resp.value, digest); // bit-identical resurrection
     srv.stop();
 }
@@ -1707,15 +1628,14 @@ TEST(DebugServerTcp, DurabilityCountersTravelTheWire)
     WireClient wire;
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
-                                 resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
     uint64_t id = resp.value;
     Request setw;
     setw.kind = RequestKind::SetWatch;
     setw.seq = 2;
     setw.watch = WatchSpec::scalar("w", watchAddr, 8);
-    ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
-    ASSERT_TRUE(wire.roundTripOk("cont seq=3", resp));
+    ASSERT_TRUE(callOk(wire, encodeRequest(setw), resp));
+    ASSERT_TRUE(callOk(wire, "cont seq=3", resp));
 
     // A sink that never drains: the first push drops it (sv.dropped).
     class WedgedSink : public EventSink
@@ -1733,15 +1653,15 @@ TEST(DebugServerTcp, DurabilityCountersTravelTheWire)
 
     // One injected fsync fault: the persist fails cleanly (sv.faults).
     faults.armNth(persist::FaultInjector::Site::Fsync, 1);
-    ASSERT_TRUE(wire.roundTrip("session-persist seq=4", resp));
+    ASSERT_TRUE(wire.call("session-persist seq=4", resp));
     EXPECT_EQ(resp.status, ResponseStatus::Error);
     faults.disarm();
     EXPECT_GE(faults.injected(), 1u);
 
     // Hibernate for real, then corrupt every image on disk so the
     // resurrection quarantines it (sv.quarantined).
-    ASSERT_TRUE(wire.roundTripOk("session-persist seq=5", resp));
-    ASSERT_TRUE(wire.roundTripOk("session-hibernate seq=6", resp));
+    ASSERT_TRUE(callOk(wire, "session-persist seq=5", resp));
+    ASSERT_TRUE(callOk(wire, "session-hibernate seq=6", resp));
     persist::RealVfs vfs;
     std::vector<std::string> names;
     ASSERT_TRUE(vfs.list(dir, names));
@@ -1761,14 +1681,14 @@ TEST(DebugServerTcp, DurabilityCountersTravelTheWire)
     char sel[64];
     std::snprintf(sel, sizeof sel, "session-select seq=7 session=%llu",
                   static_cast<unsigned long long>(id));
-    ASSERT_TRUE(wire.roundTrip(sel, resp));
+    ASSERT_TRUE(wire.call(sel, resp));
     EXPECT_EQ(resp.status, ResponseStatus::Error);
     EXPECT_NE(resp.error.find("bad-checksum"), std::string::npos)
         << resp.error;
 
     // dropped and faults arrive wire-decoded, alongside the latency
     // histograms this connection's own verbs populated.
-    ASSERT_TRUE(wire.roundTripOk("server-stats seq=8", resp));
+    ASSERT_TRUE(callOk(wire, "server-stats seq=8", resp));
     EXPECT_EQ(resp.server.dropped, 1u);
     EXPECT_GE(resp.server.faultsInjected, 1u);
     EXPECT_GE(resp.server.hists.size(), 5u);
@@ -1792,7 +1712,7 @@ TEST(DebugServerTcp, DurabilityCountersTravelTheWire)
     ASSERT_TRUE(srv2.start());
     WireClient wire2;
     ASSERT_TRUE(wire2.connectTo(srv2.port()));
-    ASSERT_TRUE(wire2.roundTripOk("server-stats seq=1", resp));
+    ASSERT_TRUE(callOk(wire2, "server-stats seq=1", resp));
     EXPECT_GE(resp.server.quarantined, 1u);
     EXPECT_EQ(resp.server.hibernated, 0u); // the corrupt image is out
     srv2.stop();
@@ -1809,20 +1729,19 @@ TEST(DebugServerTcp, TraceVerbsAndMetricsExposition)
     WireClient wire;
     ASSERT_TRUE(wire.connectTo(srv.port()));
     Response resp;
-    ASSERT_TRUE(wire.roundTripOk("trace-start seq=1 count=64", resp));
+    ASSERT_TRUE(callOk(wire, "trace-start seq=1 count=64", resp));
     // Dumping mid-flight is refused: the rings are being written.
-    ASSERT_TRUE(wire.roundTrip("trace-dump seq=2", resp));
+    ASSERT_TRUE(wire.call("trace-dump seq=2", resp));
     EXPECT_EQ(resp.status, ResponseStatus::Error);
     EXPECT_NE(resp.error.find("armed"), std::string::npos)
         << resp.error;
 
-    ASSERT_TRUE(wire.roundTripOk("session-create seq=3 name=demo",
-                                 resp));
-    ASSERT_TRUE(wire.roundTripOk("stepi seq=4 count=2000", resp));
+    ASSERT_TRUE(callOk(wire, "session-create seq=3 name=demo", resp));
+    ASSERT_TRUE(callOk(wire, "stepi seq=4 count=2000", resp));
     // A session-dispatched verb (exec verbs go straight to the
     // scheduler) so the dump carries session-layer spans too.
-    ASSERT_TRUE(wire.roundTripOk("stats seq=90", resp));
-    ASSERT_TRUE(wire.roundTripOk("trace-stop seq=5", resp));
+    ASSERT_TRUE(callOk(wire, "stats seq=90", resp));
+    ASSERT_TRUE(callOk(wire, "trace-stop seq=5", resp));
     EXPECT_GT(resp.value, 0u); // records captured
 
     // Tiny chunks force several round trips; the reassembly must be
@@ -1836,7 +1755,7 @@ TEST(DebugServerTcp, TraceVerbsAndMetricsExposition)
                       "trace-dump seq=%u count=2048 value=%llu",
                       6 + chunks,
                       static_cast<unsigned long long>(dump.size()));
-        ASSERT_TRUE(wire.roundTripOk(line, resp));
+        ASSERT_TRUE(callOk(wire, line, resp));
         total = resp.value;
         if (resp.text.empty())
             break;
@@ -1852,7 +1771,7 @@ TEST(DebugServerTcp, TraceVerbsAndMetricsExposition)
     EXPECT_NE(dump.find("\"ph\":\"E\""), std::string::npos);
 
     // The Prometheus surface, over the same connection.
-    ASSERT_TRUE(wire.roundTripOk("metrics seq=100", resp));
+    ASSERT_TRUE(callOk(wire, "metrics seq=100", resp));
     EXPECT_NE(resp.text.find("# TYPE dise_verb_latency_us histogram"),
               std::string::npos);
     EXPECT_NE(resp.text.find("dise_verb_latency_us_bucket{le=\"+Inf\"}"),

@@ -15,12 +15,11 @@
  * Build & run:  ./build/crash_recovery_smoke [--server ./rsp_server]
  */
 
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,8 +28,8 @@
 #include <vector>
 
 #include "persist/scratch_dir.hh"
+#include "server/wire_client.hh"
 #include "session/debug_session.hh"
-#include "session/protocol.hh"
 #include "workloads/workload.hh"
 
 using namespace dise;
@@ -49,87 +48,24 @@ int failures = 0;
         }                                                               \
     } while (0)
 
-/** Line-oriented typed-wire client (same protocol as the tests). */
-class Wire
+/** Connect to a server that may still be starting up. */
+bool
+connectWithRetry(server::WireClient &w, uint16_t port)
 {
-  public:
-    ~Wire() { close(); }
-
-    bool
-    connectTo(uint16_t port, unsigned attempts = 100)
-    {
-        for (unsigned i = 0; i < attempts; ++i) {
-            fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (fd_ < 0)
-                return false;
-            timeval tv{};
-            tv.tv_sec = 30;
-            ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-            sockaddr_in addr{};
-            addr.sin_family = AF_INET;
-            addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            addr.sin_port = htons(port);
-            if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                          sizeof addr) == 0)
-                return true;
-            close();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-        }
-        return false;
+    for (unsigned i = 0; i < 100; ++i) {
+        if (w.connectTo(port))
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
+    return false;
+}
 
-    bool
-    roundTrip(const std::string &line, Response &resp)
-    {
-        if (!sendLine(line))
-            return false;
-        for (;;) {
-            size_t nl;
-            while ((nl = buf_.find('\n')) == std::string::npos) {
-                char chunk[4096];
-                ssize_t n = ::read(fd_, chunk, sizeof chunk);
-                if (n <= 0)
-                    return false;
-                buf_.append(chunk, static_cast<size_t>(n));
-            }
-            std::string reply = buf_.substr(0, nl);
-            buf_.erase(0, nl + 1);
-            if (reply.rfind("event", 0) == 0)
-                continue; // async pushes are not interesting here
-            return decodeResponse(reply, resp);
-        }
-    }
-
-    bool
-    roundTripOk(const std::string &line, Response &resp)
-    {
-        return roundTrip(line, resp) && resp.ok();
-    }
-
-    /** Fire a request without waiting for its response — used to put
-     *  a job in flight right before the SIGKILL. */
-    bool
-    sendLine(const std::string &line)
-    {
-        std::string out = line + "\n";
-        return ::write(fd_, out.data(), out.size()) ==
-               static_cast<ssize_t>(out.size());
-    }
-
-    void
-    close()
-    {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    std::string buf_;
-};
+/** One wire request that must succeed: a reply came and it is ok. */
+bool
+callOk(server::WireClient &w, const std::string &line, Response &resp)
+{
+    return w.call(line, resp) && resp.ok();
+}
 
 pid_t
 spawnServer(const std::string &exe, uint16_t port,
@@ -180,8 +116,8 @@ main(int argc, char **argv)
     CHECK(first > 0, "fork failed");
 
     std::vector<Persisted> sessions;
-    Wire wire;
-    CHECK(wire.connectTo(port), "first server never came up");
+    server::WireClient wire;
+    CHECK(connectWithRetry(wire, port), "first server never came up");
     unsigned seq = 1;
     for (const char *backend : backends) {
         Persisted p;
@@ -191,7 +127,7 @@ main(int argc, char **argv)
         std::snprintf(line, sizeof line,
                       "session-create seq=%u name=demo backend=%s",
                       seq++, backend);
-        CHECK(wire.roundTripOk(line, resp), "%s: create failed: %s",
+        CHECK(callOk(wire, line, resp), "%s: create failed: %s",
               backend, resp.error.c_str());
         p.id = resp.value;
 
@@ -199,27 +135,27 @@ main(int argc, char **argv)
         setw.kind = RequestKind::SetWatch;
         setw.seq = seq++;
         setw.watch = WatchSpec::scalar("w", watchAddr, 8);
-        CHECK(wire.roundTripOk(encodeRequest(setw), resp),
+        CHECK(callOk(wire, encodeRequest(setw), resp),
               "%s: set-watch failed: %s", backend, resp.error.c_str());
 
         std::snprintf(line, sizeof line, "cont seq=%u", seq++);
-        CHECK(wire.roundTripOk(line, resp), "%s: cont failed: %s",
+        CHECK(callOk(wire, line, resp), "%s: cont failed: %s",
               backend, resp.error.c_str());
         CHECK(resp.hasStop, "%s: cont returned no stop", backend);
         std::snprintf(line, sizeof line, "stepi seq=%u count=3",
                       seq++);
-        CHECK(wire.roundTripOk(line, resp), "%s: stepi failed: %s",
+        CHECK(callOk(wire, line, resp), "%s: stepi failed: %s",
               backend, resp.error.c_str());
 
         // Crash-consistent image of the watch-hit+3 position.
         std::snprintf(line, sizeof line, "session-persist seq=%u",
                       seq++);
-        CHECK(wire.roundTripOk(line, resp),
+        CHECK(callOk(wire, line, resp),
               "%s: session-persist failed: %s", backend,
               resp.error.c_str());
         p.digest = resp.value;
         std::snprintf(line, sizeof line, "stats seq=%u", seq++);
-        CHECK(wire.roundTripOk(line, resp), "%s: stats failed",
+        CHECK(callOk(wire, line, resp), "%s: stats failed",
               backend);
         p.appInsts = resp.stats.appInsts;
         std::printf("persisted %-12s session %llu @ %llu insts "
@@ -231,19 +167,24 @@ main(int argc, char **argv)
     }
 
     // ---- phase 2: SIGKILL with a job in flight --------------------
-    // The last-created session is still selected; launch a cont and
-    // kill the daemon before it can finish. Nothing after the persist
+    // The last-created session is still selected; a helper thread
+    // calls cont and the daemon dies before it can finish. That call
+    // returns false once the SIGKILL lands. Nothing after the persist
     // images reaches the store — recovery must cope with a store that
     // is simply *older* than the moment of death.
     char contLine[32];
     std::snprintf(contLine, sizeof contLine, "cont seq=%u", seq++);
-    CHECK(wire.sendLine(contLine), "in-flight cont send failed");
+    std::thread inFlight([&] {
+        Response r;
+        wire.call(contLine, r);
+    });
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     CHECK(::kill(first, SIGKILL) == 0, "SIGKILL failed");
     int status = 0;
     ::waitpid(first, &status, 0);
     CHECK(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL,
           "first server did not die from SIGKILL");
+    inFlight.join();
     wire.close();
     std::printf("killed pid %ld mid-run; restarting on the same "
                 "store\n", static_cast<long>(first));
@@ -252,11 +193,11 @@ main(int argc, char **argv)
     uint16_t port2 = static_cast<uint16_t>(port + 1);
     pid_t second = spawnServer(exe, port2, storeDir);
     CHECK(second > 0, "second fork failed");
-    Wire wire2;
-    CHECK(wire2.connectTo(port2), "second server never came up");
+    server::WireClient wire2;
+    CHECK(connectWithRetry(wire2, port2), "second server never came up");
 
     Response resp;
-    CHECK(wire2.roundTripOk("server-stats seq=1", resp),
+    CHECK(callOk(wire2, "server-stats seq=1", resp),
           "server-stats failed");
     CHECK(resp.server.hibernated == sessions.size(),
           "recovered %llu sessions, expected %zu",
@@ -269,11 +210,11 @@ main(int argc, char **argv)
         std::snprintf(line, sizeof line,
                       "session-select seq=%u session=%llu", seq++,
                       static_cast<unsigned long long>(p.id));
-        CHECK(wire2.roundTripOk(line, resp),
+        CHECK(callOk(wire2, line, resp),
               "%s: resurrection failed: %s", p.backend,
               resp.error.c_str());
         std::snprintf(line, sizeof line, "stats seq=%u", seq++);
-        CHECK(wire2.roundTripOk(line, resp), "%s: stats failed",
+        CHECK(callOk(wire2, line, resp), "%s: stats failed",
               p.backend);
         CHECK(resp.stats.appInsts == p.appInsts,
               "%s: position drifted (%llu != %llu)", p.backend,
@@ -281,7 +222,7 @@ main(int argc, char **argv)
               static_cast<unsigned long long>(p.appInsts));
         std::snprintf(line, sizeof line, "session-persist seq=%u",
                       seq++);
-        CHECK(wire2.roundTripOk(line, resp),
+        CHECK(callOk(wire2, line, resp),
               "%s: re-persist failed: %s", p.backend,
               resp.error.c_str());
         CHECK(resp.value == p.digest,
@@ -291,7 +232,7 @@ main(int argc, char **argv)
               static_cast<unsigned long long>(p.digest));
         std::snprintf(line, sizeof line, "replay-verify seq=%u count=2",
                       seq++);
-        CHECK(wire2.roundTripOk(line, resp),
+        CHECK(callOk(wire2, line, resp),
               "%s: replay-verify failed: %s", p.backend,
               resp.error.c_str());
         std::printf("resurrected %-12s session %llu @ %llu insts — "

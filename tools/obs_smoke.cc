@@ -24,10 +24,6 @@
  *   ./build/obs_smoke --trace-out /tmp/trace.json --metrics-out /tmp/m.txt
  */
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -40,7 +36,7 @@
 #include "obs/metrics.hh"
 #include "persist/scratch_dir.hh"
 #include "server/server.hh"
-#include "session/protocol.hh"
+#include "server/wire_client.hh"
 #include "workloads/workload.hh"
 
 using namespace dise;
@@ -59,86 +55,20 @@ int failures = 0;
         }                                                               \
     } while (0)
 
-/** Line-oriented typed-wire client (same protocol as the tests). */
-class Wire
+/** One wire request that must succeed; says why when it does not. */
+bool
+callOk(server::WireClient &w, const std::string &line, Response &resp)
 {
-  public:
-    ~Wire() { close(); }
-
-    bool
-    connectTo(uint16_t port, unsigned attempts = 100)
-    {
-        for (unsigned i = 0; i < attempts; ++i) {
-            fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (fd_ < 0)
-                return false;
-            timeval tv{};
-            tv.tv_sec = 60;
-            ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-            sockaddr_in addr{};
-            addr.sin_family = AF_INET;
-            addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            addr.sin_port = htons(port);
-            if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                          sizeof addr) == 0)
-                return true;
-            close();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-        }
-        return false;
-    }
-
-    bool
-    roundTrip(const std::string &line, Response &resp)
-    {
-        std::string out = line + "\n";
-        if (::write(fd_, out.data(), out.size()) !=
-            static_cast<ssize_t>(out.size()))
-            return false;
-        for (;;) {
-            size_t nl;
-            while ((nl = buf_.find('\n')) == std::string::npos) {
-                char chunk[65536];
-                ssize_t n = ::read(fd_, chunk, sizeof chunk);
-                if (n <= 0)
-                    return false;
-                buf_.append(chunk, static_cast<size_t>(n));
-            }
-            std::string reply = buf_.substr(0, nl);
-            buf_.erase(0, nl + 1);
-            if (reply.rfind("event", 0) == 0)
-                continue; // async pushes: drained, not matched
-            return decodeResponse(reply, resp);
-        }
-    }
-
-    bool
-    roundTripOk(const std::string &line, Response &resp)
-    {
-        bool got = roundTrip(line, resp);
-        if (!got)
-            std::fprintf(stderr, "  (no response to: %s)\n",
-                         line.c_str());
-        else if (!resp.ok())
-            std::fprintf(stderr, "  (error to '%s': %s)\n",
-                         line.c_str(), resp.error.c_str());
-        return got && resp.ok();
-    }
-
-    void
-    close()
-    {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    std::string buf_;
-};
+    std::string err;
+    bool got = w.call(line, resp, &err);
+    if (!got)
+        std::fprintf(stderr, "  (no response to: %s: %s)\n", line.c_str(),
+                     err.c_str());
+    else if (!resp.ok())
+        std::fprintf(stderr, "  (error to '%s': %s)\n", line.c_str(),
+                     resp.error.c_str());
+    return got && resp.ok();
+}
 
 // ------------------------------------------------------ JSON validator
 
@@ -356,7 +286,7 @@ main(int argc, char **argv)
                   static_cast<unsigned long long>(
                       demo.symbol("directory")));
 
-    Wire a, b;
+    server::WireClient a, b;
     CHECK(a.connectTo(srv.port()), "client A cannot connect");
     CHECK(b.connectTo(srv.port()), "client B cannot connect");
 
@@ -367,37 +297,36 @@ main(int argc, char **argv)
     };
 
     // ---- arm, then drive a real two-session run -------------------
-    CHECK(a.roundTripOk(req("trace-start") + " count=512", resp),
+    CHECK(callOk(a, req("trace-start") + " count=512", resp),
           "trace-start failed");
 
-    CHECK(a.roundTripOk(req("session-create") +
-                            " name=demo backend=dise",
-                        resp),
+    CHECK(callOk(a, req("session-create") + " name=demo backend=dise",
+                 resp),
           "A: session-create failed");
     uint64_t idA = resp.value;
-    CHECK(b.roundTripOk(req("session-create") +
-                            " name=demo backend=single-step",
-                        resp),
+    CHECK(callOk(b,
+                 req("session-create") + " name=demo backend=single-step",
+                 resp),
           "B: session-create failed");
 
     // Subscriber: event-push spans + the event_push histogram.
-    CHECK(a.roundTripOk(req("subscribe"), resp), "A: subscribe failed");
+    CHECK(callOk(a, req("subscribe"), resp), "A: subscribe failed");
 
     // Both sessions in parallel: watch, run to the hit, travel back,
     // verify the timeline with interval-parallel replay.
-    auto drive = [&](Wire &w, const char *who) {
+    auto drive = [&](server::WireClient &w, const char *who) {
         Response r;
-        CHECK(w.roundTripOk(req("set-watch") +
-                                " wkind=scalar name=directory addr=" +
-                                watchAddr + " size=8",
-                            r),
+        CHECK(callOk(w,
+                     req("set-watch") + " wkind=scalar name=directory addr=" +
+                         watchAddr + " size=8",
+                     r),
               "%s: set-watch failed", who);
-        CHECK(w.roundTripOk(req("cont"), r), "%s: cont failed", who);
-        CHECK(w.roundTripOk(req("stepi") + " count=2000", r),
+        CHECK(callOk(w, req("cont"), r), "%s: cont failed", who);
+        CHECK(callOk(w, req("stepi") + " count=2000", r),
               "%s: stepi failed", who);
-        CHECK(w.roundTripOk(req("reverse-step") + " count=500", r),
+        CHECK(callOk(w, req("reverse-step") + " count=500", r),
               "%s: reverse-step failed", who);
-        CHECK(w.roundTripOk(req("replay-verify") + " count=2", r),
+        CHECK(callOk(w, req("replay-verify") + " count=2", r),
               "%s: replay-verify failed", who);
     };
     drive(a, "A");
@@ -407,28 +336,28 @@ main(int argc, char **argv)
     // exercises store put/load and the resurrection replay. The event
     // subscription must end first — subscribed sessions refuse to
     // hibernate.
-    CHECK(a.roundTripOk(req("unsubscribe"), resp),
+    CHECK(callOk(a, req("unsubscribe"), resp),
           "A: unsubscribe failed");
-    CHECK(a.roundTripOk(req("session-persist"), resp),
+    CHECK(callOk(a, req("session-persist"), resp),
           "A: session-persist failed");
-    CHECK(a.roundTripOk(req("session-hibernate"), resp),
+    CHECK(callOk(a, req("session-hibernate"), resp),
           "A: session-hibernate failed");
-    CHECK(a.roundTripOk(req("session-select") + " session=" +
-                            std::to_string(idA),
-                        resp),
+    CHECK(callOk(a, req("session-select") + " session=" + std::to_string(idA),
+                 resp),
           "A: resurrecting session-select failed");
 
     // ---- stop, dump (chunked), validate ---------------------------
-    CHECK(a.roundTripOk(req("trace-stop"), resp), "trace-stop failed");
+    CHECK(callOk(a, req("trace-stop"), resp), "trace-stop failed");
     uint64_t recorded = resp.value;
     CHECK(recorded > 0, "tracer recorded nothing");
 
     std::string dump;
     uint64_t total = 0;
     do {
-        CHECK(a.roundTripOk(req("trace-dump") + " count=32768 value=" +
-                                std::to_string(dump.size()),
-                            resp),
+        CHECK(callOk(a,
+                     req("trace-dump") + " count=32768 value=" +
+                         std::to_string(dump.size()),
+                     resp),
               "trace-dump chunk @%zu failed", dump.size());
         if (!resp.ok())
             break;
@@ -459,14 +388,14 @@ main(int argc, char **argv)
 
     // Re-arming must reset the recorder (generation bump invalidates
     // the server's render cache), and dumping while armed must error.
-    CHECK(a.roundTripOk(req("trace-start"), resp), "re-arm failed");
-    CHECK(a.roundTrip(req("trace-dump"), resp) && !resp.ok(),
+    CHECK(callOk(a, req("trace-start"), resp), "re-arm failed");
+    CHECK(a.call(req("trace-dump"), resp) && !resp.ok(),
           "trace-dump while armed should error");
-    CHECK(a.roundTripOk(req("trace-stop"), resp),
+    CHECK(callOk(a, req("trace-stop"), resp),
           "second trace-stop failed");
 
     // ---- metrics exposition ---------------------------------------
-    CHECK(b.roundTripOk(req("metrics"), resp), "metrics verb failed");
+    CHECK(callOk(b, req("metrics"), resp), "metrics verb failed");
     const std::string expo = resp.text; // resp is reused below
     for (const char *family :
          {"dise_verb_latency_us", "dise_sched_queue_wait_us",
@@ -490,7 +419,7 @@ main(int argc, char **argv)
     }
 
     // Wire-decoded ServerStats must carry the same distributions.
-    CHECK(b.roundTripOk(req("server-stats"), resp),
+    CHECK(callOk(b, req("server-stats"), resp),
           "server-stats failed");
     CHECK(resp.server.hists.size() >= 5,
           "server-stats carried %zu histogram(s)",

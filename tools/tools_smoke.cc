@@ -18,15 +18,14 @@
  *  - the RSP monitor passthrough: `qRcmd,<hex(tool-list)>` from a
  *    plain GDB-remote connection.
  *
- * Exits non-zero on any mismatch; every socket read carries a timeout
- * so a hung server fails the job instead of wedging it.
+ * Exits non-zero on any mismatch; every wire call and RSP exchange
+ * carries a timeout, so a hung server fails the job instead of wedging
+ * it.
  *
  * Build & run:  ./build/tools_smoke [--server ./rsp_server]
  */
 
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -42,7 +41,7 @@
 #include "persist/scratch_dir.hh"
 #include "rsp/client.hh"
 #include "rsp/packet.hh"
-#include "session/protocol.hh"
+#include "server/wire_client.hh"
 
 using namespace dise;
 
@@ -60,80 +59,24 @@ int failures = 0;
         }                                                               \
     } while (0)
 
-/** Line-oriented typed-wire client (same protocol as the tests). */
-class Wire
+/** Connect to a server that may still be starting up. */
+bool
+connectWithRetry(server::WireClient &w, uint16_t port)
 {
-  public:
-    ~Wire() { close(); }
-
-    bool
-    connectTo(uint16_t port, unsigned attempts = 100)
-    {
-        for (unsigned i = 0; i < attempts; ++i) {
-            fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-            if (fd_ < 0)
-                return false;
-            timeval tv{};
-            tv.tv_sec = 30;
-            ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-            sockaddr_in addr{};
-            addr.sin_family = AF_INET;
-            addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            addr.sin_port = htons(port);
-            if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                          sizeof addr) == 0)
-                return true;
-            close();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-        }
-        return false;
+    for (unsigned i = 0; i < 100; ++i) {
+        if (w.connectTo(port))
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
+    return false;
+}
 
-    bool
-    roundTrip(const std::string &line, Response &resp)
-    {
-        std::string out = line + "\n";
-        if (::write(fd_, out.data(), out.size()) !=
-            static_cast<ssize_t>(out.size()))
-            return false;
-        for (;;) {
-            size_t nl;
-            while ((nl = buf_.find('\n')) == std::string::npos) {
-                char chunk[4096];
-                ssize_t n = ::read(fd_, chunk, sizeof chunk);
-                if (n <= 0)
-                    return false;
-                buf_.append(chunk, static_cast<size_t>(n));
-            }
-            std::string reply = buf_.substr(0, nl);
-            buf_.erase(0, nl + 1);
-            if (reply.rfind("event", 0) == 0)
-                continue; // async pushes are not interesting here
-            return decodeResponse(reply, resp);
-        }
-    }
-
-    bool
-    roundTripOk(const std::string &line, Response &resp)
-    {
-        bool got = roundTrip(line, resp);
-        return got && resp.ok();
-    }
-
-    void
-    close()
-    {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
-
-  private:
-    int fd_ = -1;
-    std::string buf_;
-};
+/** One wire request that must succeed: a reply came and it is ok. */
+bool
+callOk(server::WireClient &w, const std::string &line, Response &resp)
+{
+    return w.call(line, resp) && resp.ok();
+}
 
 pid_t
 spawnServer(const std::string &exe, uint16_t port,
@@ -180,8 +123,8 @@ main(int argc, char **argv)
 
     pid_t server = spawnServer(exe, port, storeDir);
     CHECK(server > 0, "fork failed");
-    Wire wire;
-    CHECK(wire.connectTo(port), "server never came up");
+    server::WireClient wire;
+    CHECK(connectWithRetry(wire, port), "server never came up");
     unsigned seq = 1;
     Response resp;
 
@@ -192,7 +135,7 @@ main(int argc, char **argv)
         std::snprintf(line, sizeof line,
                       "session-create seq=%u name=tooldemo backend=%s",
                       seq++, backend);
-        CHECK(wire.roundTripOk(line, resp), "%s: create failed: %s",
+        CHECK(callOk(wire, line, resp), "%s: create failed: %s",
               backend, resp.error.c_str());
 
         for (const char *tool : kTools) {
@@ -202,12 +145,12 @@ main(int argc, char **argv)
                           std::strcmp(tool, "memtrace") == 0
                               ? " cfg.suppress=1"
                               : "");
-            CHECK(wire.roundTripOk(line, resp),
+            CHECK(callOk(wire, line, resp),
                   "%s: enable %s failed: %s", backend, tool,
                   resp.error.c_str());
         }
         std::snprintf(line, sizeof line, "tool-list seq=%u", seq++);
-        CHECK(wire.roundTripOk(line, resp), "%s: tool-list failed",
+        CHECK(callOk(wire, line, resp), "%s: tool-list failed",
               backend);
         for (const char *tool : kTools)
             CHECK(resp.text.find(std::string(tool) + "*") !=
@@ -216,14 +159,14 @@ main(int argc, char **argv)
                   backend, tool, resp.text.c_str());
 
         std::snprintf(line, sizeof line, "run-to-end seq=%u", seq++);
-        CHECK(wire.roundTripOk(line, resp), "%s: run failed: %s",
+        CHECK(callOk(wire, line, resp), "%s: run failed: %s",
               backend, resp.error.c_str());
         CHECK(resp.hasStop, "%s: run-to-end returned no stop", backend);
 
         for (const char *tool : kTools) {
             std::snprintf(line, sizeof line,
                           "tool-report seq=%u name=%s", seq++, tool);
-            CHECK(wire.roundTripOk(line, resp),
+            CHECK(callOk(wire, line, resp),
                   "%s: report %s failed: %s", backend, tool,
                   resp.error.c_str());
             CHECK(!resp.text.empty() && resp.value != 0,
@@ -270,7 +213,7 @@ main(int argc, char **argv)
     {
         char line[64];
         std::snprintf(line, sizeof line, "server-stats seq=%u", seq++);
-        CHECK(wire.roundTripOk(line, resp), "server-stats failed");
+        CHECK(callOk(wire, line, resp), "server-stats failed");
         const size_t nBackends =
             sizeof kBackends / sizeof kBackends[0];
         std::map<std::string, tools::ToolStatsRow> rows;
@@ -297,19 +240,19 @@ main(int argc, char **argv)
         std::snprintf(line, sizeof line,
                       "session-create seq=%u name=tooldemo backend=dise",
                       seq++);
-        CHECK(wire.roundTripOk(line, resp), "6th create failed: %s",
+        CHECK(callOk(wire, line, resp), "6th create failed: %s",
               resp.error.c_str());
         uint64_t id = resp.value;
         std::snprintf(line, sizeof line, "stepi seq=%u count=50",
                       seq++);
-        CHECK(wire.roundTripOk(line, resp), "stepi failed: %s",
+        CHECK(callOk(wire, line, resp), "stepi failed: %s",
               resp.error.c_str());
         std::snprintf(line, sizeof line, "session-hibernate seq=%u",
                       seq++);
-        CHECK(wire.roundTripOk(line, resp), "hibernate failed: %s",
+        CHECK(callOk(wire, line, resp), "hibernate failed: %s",
               resp.error.c_str());
         std::snprintf(line, sizeof line, "server-stats seq=%u", seq++);
-        CHECK(wire.roundTripOk(line, resp) &&
+        CHECK(callOk(wire, line, resp) &&
                   resp.server.hibernated == 1,
               "expected exactly one hibernated session");
 
@@ -317,15 +260,15 @@ main(int argc, char **argv)
         std::snprintf(line, sizeof line,
                       "tool-enable seq=%u session=%llu name=asan",
                       seq++, static_cast<unsigned long long>(id));
-        CHECK(wire.roundTripOk(line, resp),
+        CHECK(callOk(wire, line, resp),
               "tool-enable on hibernated session failed: %s",
               resp.error.c_str());
         std::snprintf(line, sizeof line, "server-stats seq=%u", seq++);
-        CHECK(wire.roundTripOk(line, resp) &&
+        CHECK(callOk(wire, line, resp) &&
                   resp.server.hibernated == 0,
               "tool-enable did not resurrect the sleeper");
         std::snprintf(line, sizeof line, "run-to-end seq=%u", seq++);
-        CHECK(wire.roundTripOk(line, resp),
+        CHECK(callOk(wire, line, resp),
               "resurrected run failed: %s", resp.error.c_str());
         // The digest differs from the straight-through runs by design
         // (asan armed at inst 50 misses the early allocs) — what must
@@ -333,7 +276,7 @@ main(int argc, char **argv)
         std::snprintf(line, sizeof line,
                       "tool-report seq=%u session=%llu name=asan",
                       seq++, static_cast<unsigned long long>(id));
-        CHECK(wire.roundTripOk(line, resp) && resp.value != 0 &&
+        CHECK(callOk(wire, line, resp) && resp.value != 0 &&
                   resp.text.find("asan:") != std::string::npos,
               "resurrected session's asan report missing");
         std::printf("hibernated session %llu resurrected by "
