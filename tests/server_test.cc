@@ -16,6 +16,7 @@
 #include <mutex>
 #include <random>
 #include <thread>
+#include <utility>
 
 #include "common/stats.hh"
 #include "persist/fault_injector.hh"
@@ -234,10 +235,36 @@ class OrderLog
         return sched.submit([this, who, job,
                              step = std::move(step)](uint64_t slice) {
             add(who, job, Start);
+            if (who == 'R')
+                if (std::function<void()> hook = takeFirstRHook())
+                    hook();
             bool done = step(slice);
             if (done)
                 add(who, job, Finish);
             return done;
+        });
+    }
+
+    /** Run @p hook from the first 'R' slice, on the worker, before the
+     *  slice steps. */
+    void
+    onFirstR(std::function<void()> hook)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        firstR_ = std::move(hook);
+    }
+
+    /** Block until @p who's job @p job logs @p kind; false after a
+     *  minute without it. */
+    bool
+    waitFor(char who, int job, Kind kind)
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        return logged_.wait_for(lk, std::chrono::minutes(1), [&] {
+            for (const Entry &e : entries_)
+                if (e.who == who && e.job == job && e.kind == kind)
+                    return true;
+            return false;
         });
     }
 
@@ -276,18 +303,31 @@ class OrderLog
     {
         std::lock_guard<std::mutex> lk(mu_);
         entries_.push_back({who, job, kind});
+        logged_.notify_all();
+    }
+
+    std::function<void()>
+    takeFirstRHook()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return std::exchange(firstR_, {});
     }
 
     std::mutex mu_;
+    std::condition_variable logged_;
     std::vector<Entry> entries_;
+    std::function<void()> firstR_;
 };
 
 /**
  * The acceptance scenario, with ONE worker slot: while the long op R
- * (started by @p startR on its own thread) runs, session @p f steps
- * forward in ten small jobs F0..F9. Because every job yields at
- * bounded slice boundaries and the ready queue round-robins, the
- * recorded order must show that
+ * (started by @p startR) runs, session @p f steps forward in ten small
+ * jobs F0..F9. The scheduler side drives them, so no test thread has
+ * to be scheduled promptly: R's first slice submits F0, the final
+ * slice of each F submits the next, and each F begins and finishes its
+ * stepi on the worker. Because every job yields at bounded slice
+ * boundaries and the ready queue round-robins, the recorded order must
+ * show that
  *  - after each F submit, at most one R slice starts before F's slice;
  *  - R runs at least one slice between consecutive F jobs;
  *  - all ten F jobs finish before R does.
@@ -297,30 +337,34 @@ expectForwardNotStarved(OrderLog &log, JobScheduler &sched,
                         ManagedSession &f,
                         const std::function<void()> &startR)
 {
-    std::atomic<bool> rReturned{false};
-    std::thread rDriver([&] {
-        startR();
-        rReturned = true;
-    });
-    // An R that never reaches the scheduler returns without a slice.
-    while (log.count('R', OrderLog::Start) < 1 && !rReturned.load())
-        std::this_thread::yield();
-    for (int i = 0; i < 10; ++i) {
-        Request req;
-        req.kind = RequestKind::Stepi;
-        req.count = 200;
-        EXPECT_FALSE(f.session.begin(req));
-        std::string err;
-        EXPECT_TRUE(sched.wait(
-            log.submit(sched, 'F', i,
-                       [&f](uint64_t slice) {
-                           return f.session.step(slice);
-                       }),
-            &err))
-            << err;
-        EXPECT_EQ(f.session.finish().stop.reason, StopReason::Step);
+    std::function<void(int)> submitF = [&](int i) {
+        auto fSlice = [&, i, begun = false](uint64_t slice) mutable {
+            if (!std::exchange(begun, true)) {
+                Request req;
+                req.kind = RequestKind::Stepi;
+                req.count = 200;
+                EXPECT_FALSE(f.session.begin(req));
+            }
+            if (!f.session.step(slice))
+                return false;
+            EXPECT_EQ(f.session.finish().stop.reason, StopReason::Step);
+            if (i < 9)
+                submitF(i + 1);
+            return true;
+        };
+        log.submit(sched, 'F', i, fSlice);
+    };
+    log.onFirstR([&] { submitF(0); });
+    startR();
+    // An R that never reaches the scheduler returns without a slice
+    // and starts no F; no later R may start them either.
+    log.onFirstR({});
+    if (log.count('R', OrderLog::Start) > 0 &&
+        !log.waitFor('F', 9, OrderLog::Finish)) {
+        ADD_FAILURE() << "the F jobs stalled";
+        sched.stop(); // no slice may outlive submitF
+        return;
     }
-    rDriver.join();
 
     std::vector<OrderLog::Entry> order = log.entries();
     auto at = [&](char who, int job, OrderLog::Kind kind) {
