@@ -1,9 +1,11 @@
 /**
  * @file
- * The session table of the multi-session debug server: N independent
- * DebugSession instances — each with its own Program, backend,
- * TimeTravel controller, and EventQueue — created, looked up, and
- * destroyed under one admission cap.
+ * The session table of the multi-session debug server: every session
+ * the one server process hosts, as N independent DebugSession
+ * instances — each with its own Program, backend, TimeTravel
+ * controller, and EventQueue — created, looked up, and destroyed under
+ * one admission cap. Resurrection from the store is the one path that
+ * builds a session from an image.
  *
  * Sessions are share-nothing: no target state is shared between them,
  * so slices of different sessions run in parallel without
