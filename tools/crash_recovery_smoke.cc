@@ -4,8 +4,8 @@
  *
  * Forks a real rsp_server with --store-dir, drives one session per
  * watchpoint backend over TCP (watch, cont to the hit, a few steps,
- * session-persist), then SIGKILLs the daemon while a cont job is in
- * flight — no orderly shutdown, no flush. A second daemon started on
+ * session-persist), then SIGKILLs the daemon while an mcf run-to-end
+ * is in flight — no orderly shutdown, no flush. A second daemon started on
  * the same store directory must recover every persisted session:
  * session-select resurrects each one by rebuild-replay, and the smoke
  * verifies position and state digest are bit-identical to what the
@@ -167,16 +167,25 @@ main(int argc, char **argv)
     }
 
     // ---- phase 2: SIGKILL with a job in flight --------------------
-    // The last-created session is still selected; a helper thread
-    // calls cont and the daemon dies before it can finish. That call
-    // returns false once the SIGKILL lands. Nothing after the persist
-    // images reaches the store — recovery must cope with a store that
-    // is simply *older* than the moment of death.
-    char contLine[32];
-    std::snprintf(contLine, sizeof contLine, "cont seq=%u", seq++);
+    // A fresh mcf session runs to its end on a helper thread, a run far
+    // longer than the pause before the daemon dies; that call returns
+    // false once the SIGKILL lands. Nothing after the persist images
+    // reaches the store — recovery must cope with a store that is
+    // simply *older* than the moment of death.
+    {
+        Response resp;
+        char line[64];
+        std::snprintf(line, sizeof line,
+                      "session-create seq=%u name=mcf backend=dise", seq++);
+        CHECK(callOk(wire, line, resp), "mcf: create failed: %s",
+              resp.error.c_str());
+    }
+    char runLine[32];
+    std::snprintf(runLine, sizeof runLine, "run-to-end seq=%u", seq++);
+    bool answered = false; // read only after the join
     std::thread inFlight([&] {
         Response r;
-        wire.call(contLine, r);
+        answered = wire.call(runLine, r);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     CHECK(::kill(first, SIGKILL) == 0, "SIGKILL failed");
@@ -186,8 +195,9 @@ main(int argc, char **argv)
           "first server did not die from SIGKILL");
     inFlight.join();
     wire.close();
-    std::printf("killed pid %ld mid-run; restarting on the same "
-                "store\n", static_cast<long>(first));
+    std::printf("killed pid %ld %s; restarting on the same store\n",
+                static_cast<long>(first),
+                answered ? "after the run answered" : "mid-run");
 
     // ---- phase 3: restart on the same store, verify resurrection --
     uint16_t port2 = static_cast<uint16_t>(port + 1);
