@@ -9,7 +9,9 @@
  *     total memory size? The copy-on-write undo log captures one
  *     pre-image per dirtied page per interval, so the per-interval
  *     cost must track the dirty-page count and stay flat as the
- *     resident footprint grows.
+ *     resident footprint grows. Each row writes a few words per dirty
+ *     page, except the dirty sweep's last row, which writes every word
+ *     of each dirty page (the densest store pattern a log can see).
  *
  *  2. timetravel[] — end-to-end cost of checkpointed execution over a
  *     real workload and backend at two checkpoint intervals: forward
@@ -25,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -59,17 +62,21 @@ struct CowPoint
 {
     uint64_t footprintPages = 0;
     uint64_t dirtyPages = 0;
+    uint64_t wordsPerPage = 0; ///< 8-byte words written per dirty page
     double usPerInterval = 0.0;
     double pagesPerInterval = 0.0;
+    double bytesPerInterval = 0.0; ///< undo-log bytes held per interval
 };
 
 /**
  * Populate @p footprint pages, then run @p intervals checkpoint
- * intervals each dirtying @p dirty distinct pages several times, and
- * report the average seal cost and captured-page count.
+ * intervals each writing the first @p words 8-byte words of @p dirty
+ * distinct pages, and report the average seal cost, captured-page
+ * count and bytes the sealed interval holds.
  */
 CowPoint
-measureCow(uint64_t footprint, uint64_t dirty, unsigned intervals)
+measureCow(uint64_t footprint, uint64_t dirty, unsigned intervals,
+           uint64_t words = 4)
 {
     MainMemory mem;
     const Addr base = 0x100000;
@@ -78,13 +85,16 @@ measureCow(uint64_t footprint, uint64_t dirty, unsigned intervals)
 
     mem.beginUndoLog();
     uint64_t captured = 0;
+    uint64_t bytes = 0;
     auto t0 = std::chrono::steady_clock::now();
     for (unsigned iv = 0; iv < intervals; ++iv) {
         // Several writes per page: only the first captures a pre-image.
-        for (int rep = 0; rep < 4; ++rep)
+        for (uint64_t w = 0; w < words; ++w)
             for (uint64_t p = 0; p < dirty; ++p)
-                mem.write(base + p * PageBytes + 8 * rep, 8, iv + rep);
-        captured += mem.sealUndoInterval().size();
+                mem.write(base + p * PageBytes + 8 * w, 8, iv + w);
+        UndoLog log = mem.sealUndoInterval();
+        captured += log.size();
+        bytes += log.size() * sizeof(UndoPage);
     }
     double secs = secondsSince(t0);
     mem.endUndoLog();
@@ -92,8 +102,10 @@ measureCow(uint64_t footprint, uint64_t dirty, unsigned intervals)
     CowPoint pt;
     pt.footprintPages = footprint;
     pt.dirtyPages = dirty;
+    pt.wordsPerPage = words;
     pt.usPerInterval = secs / intervals * 1e6;
     pt.pagesPerInterval = static_cast<double>(captured) / intervals;
+    pt.bytesPerInterval = static_cast<double>(bytes) / intervals;
     return pt;
 }
 
@@ -217,6 +229,8 @@ main(int argc, char **argv)
     const uint64_t fixedFootprint = opts.quick ? 512 : 2048;
     for (uint64_t d : {1, 4, 16, 64, 256})
         dirtySweep.push_back(measureCow(fixedFootprint, d, intervals));
+    dirtySweep.push_back(
+        measureCow(fixedFootprint, 64, intervals, PageBytes / 8));
 
     // 2. ...and the footprint sweep at fixed dirty count: cost must
     //    stay flat as resident memory grows.
@@ -225,17 +239,20 @@ main(int argc, char **argv)
         footSweep.push_back(measureCow(f, 16, intervals));
 
     TextTable cow;
-    cow.setHeader({"footprint pages", "dirty pages", "us/interval",
-                   "pages/interval"});
+    cow.setHeader({"footprint pages", "dirty pages", "words/page",
+                   "us/interval", "pages/interval", "bytes/interval"});
     auto addCow = [&](const CowPoint &p) {
-        char a[32], b[32], c[32], d[32];
+        char a[32], b[32], c[32], d[32], e[32], f[32];
         std::snprintf(a, sizeof a, "%llu",
                       static_cast<unsigned long long>(p.footprintPages));
         std::snprintf(b, sizeof b, "%llu",
                       static_cast<unsigned long long>(p.dirtyPages));
-        std::snprintf(c, sizeof c, "%.2f", p.usPerInterval);
-        std::snprintf(d, sizeof d, "%.1f", p.pagesPerInterval);
-        cow.addRow({a, b, c, d});
+        std::snprintf(c, sizeof c, "%llu",
+                      static_cast<unsigned long long>(p.wordsPerPage));
+        std::snprintf(d, sizeof d, "%.2f", p.usPerInterval);
+        std::snprintf(e, sizeof e, "%.1f", p.pagesPerInterval);
+        std::snprintf(f, sizeof f, "%.0f", p.bytesPerInterval);
+        cow.addRow({a, b, c, d, e, f});
     };
     for (const auto &p : dirtySweep)
         addCow(p);
@@ -288,14 +305,18 @@ main(int argc, char **argv)
         fatal("cannot write ", opts.out);
     os << "{\n  \"bench\": \"checkpoint\",\n";
     os << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n";
+    os << "  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n";
     os << "  \"cow\": {\n    \"dirty_sweep\": [\n";
     auto emitCow = [&os](const std::vector<CowPoint> &v) {
         for (size_t i = 0; i < v.size(); ++i) {
             const CowPoint &p = v[i];
             os << "      {\"footprint_pages\": " << p.footprintPages
                << ", \"dirty_pages\": " << p.dirtyPages
+               << ", \"words_per_page\": " << p.wordsPerPage
                << ", \"us_per_interval\": " << p.usPerInterval
                << ", \"pages_per_interval\": " << p.pagesPerInterval
+               << ", \"bytes_per_interval\": " << p.bytesPerInterval
                << "}" << (i + 1 < v.size() ? "," : "") << "\n";
         }
     };
