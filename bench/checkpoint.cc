@@ -5,18 +5,19 @@
  * Two questions, two JSON sections:
  *
  *  1. cow.dirty_sweep / cow.footprint_sweep — does snapshot cost scale
- *     with the pages dirtied per checkpoint interval rather than with
+ *     with the blocks dirtied per checkpoint interval rather than with
  *     total memory size? The copy-on-write undo log captures one
- *     pre-image per dirtied page per interval, so the per-interval
- *     cost must track the dirty-page count and stay flat as the
- *     resident footprint grows. Each row writes a few words per dirty
- *     page, except the dirty sweep's last row, which writes every word
- *     of each dirty page (the densest store pattern a log can see).
+ *     pre-image per dirtied 64-byte block per interval, so the
+ *     per-interval cost must track the dirty count and stay flat as
+ *     the resident footprint grows. Each row writes a few words per
+ *     dirty page, except the dirty sweep's last row, which writes every
+ *     word of each dirty page (the densest store pattern a log can
+ *     see: 64 blocks per page).
  *
  *  2. timetravel[] — end-to-end cost of checkpointed execution over a
  *     real workload and backend at two checkpoint intervals: forward
  *     slowdown vs a plain functional run (the record overhead),
- *     checkpoint counts, pages copied per checkpoint,
+ *     checkpoint counts, pages and bytes copied per checkpoint,
  *     reverse-continue latency (restore + replay-distance trade-off),
  *     and whether reverse-continue lands on the final event with a
  *     bit-identical replay.
@@ -93,8 +94,8 @@ measureCow(uint64_t footprint, uint64_t dirty, unsigned intervals,
             for (uint64_t p = 0; p < dirty; ++p)
                 mem.write(base + p * PageBytes + 8 * w, 8, iv + w);
         UndoLog log = mem.sealUndoInterval();
-        captured += log.size();
-        bytes += log.size() * sizeof(UndoPage);
+        captured += log.pages;
+        bytes += log.bytes();
     }
     double secs = secondsSince(t0);
     mem.endUndoLog();
@@ -121,6 +122,8 @@ struct TtPoint
     uint64_t checkpoints = 0;
     uint64_t pagesCopied = 0;
     double pagesPerCheckpoint = 0.0;
+    uint64_t bytesCopied = 0;
+    double bytesPerCheckpoint = 0.0;
     double forwardMips = 0.0; ///< checkpointed+logged forward run
     double plainMips = 0.0;   ///< plain functional run, same backend
     double recordSlowdown = 0.0;
@@ -171,10 +174,12 @@ measureTimeTravel(ExperimentRunner &runner, const std::string &name,
     pt.events = outcome.events;
     pt.checkpoints = outcome.checkpoints;
     pt.pagesCopied = outcome.pagesCopied;
-    pt.pagesPerCheckpoint =
-        pt.checkpoints ? static_cast<double>(pt.pagesCopied) /
-                             static_cast<double>(pt.checkpoints)
-                       : 0.0;
+    pt.bytesCopied = outcome.bytesCopied;
+    if (pt.checkpoints) {
+        double n = static_cast<double>(pt.checkpoints);
+        pt.pagesPerCheckpoint = static_cast<double>(pt.pagesCopied) / n;
+        pt.bytesPerCheckpoint = static_cast<double>(pt.bytesCopied) / n;
+    }
     pt.forwardMips = outcome.forwardSeconds > 0
                          ? outcome.appInsts / outcome.forwardSeconds / 1e6
                          : 0.0;
@@ -261,10 +266,12 @@ main(int argc, char **argv)
     std::printf("copy-on-write snapshot cost:\n");
     std::fputs(cow.render().c_str(), stdout);
 
-    // Sanity: snapshot cost is per dirtied page, not per resident page.
+    // Sanity: snapshot cost is per dirtied block, not per resident page.
     if (footSweep.front().pagesPerInterval !=
-        footSweep.back().pagesPerInterval)
-        fatal("COW captured a footprint-dependent page count");
+            footSweep.back().pagesPerInterval ||
+        footSweep.front().bytesPerInterval !=
+            footSweep.back().bytesPerInterval)
+        fatal("COW captured a footprint-dependent amount");
 
     // 3. End-to-end time travel across backends and intervals.
     const uint64_t maxInsts = opts.quick ? 60000 : 400000;
@@ -279,9 +286,10 @@ main(int argc, char **argv)
 
     TextTable tt;
     tt.setHeader({"backend", "interval", "ckpts", "pages/ckpt",
-                  "record slowdown", "rev-cont ms", "exact"});
+                  "bytes/ckpt", "record slowdown", "rev-cont ms",
+                  "exact"});
     for (const auto &p : tts) {
-        char a[32], b[32], c[32], d[32], e[32];
+        char a[32], b[32], c[32], d[32], e[32], f[32];
         std::snprintf(a, sizeof a, "%llu",
                       static_cast<unsigned long long>(p.interval));
         std::snprintf(b, sizeof b, "%llu",
@@ -289,7 +297,8 @@ main(int argc, char **argv)
         std::snprintf(c, sizeof c, "%.1f", p.pagesPerCheckpoint);
         std::snprintf(d, sizeof d, "%.2fx", p.recordSlowdown);
         std::snprintf(e, sizeof e, "%.2f", p.reverseContinueMs);
-        tt.addRow({p.backend, a, b, c, d, e,
+        std::snprintf(f, sizeof f, "%.0f", p.bytesPerCheckpoint);
+        tt.addRow({p.backend, a, b, c, f, d, e,
                    p.reverseLanded && p.replayExact ? "yes" : "NO"});
     }
     std::printf("\ntime-travel end-to-end (bzip2, HOT watch):\n");
@@ -334,6 +343,8 @@ main(int argc, char **argv)
            << ", \"checkpoints\": " << p.checkpoints
            << ", \"pages_copied\": " << p.pagesCopied
            << ", \"pages_per_checkpoint\": " << p.pagesPerCheckpoint
+           << ", \"bytes_copied\": " << p.bytesCopied
+           << ", \"bytes_per_checkpoint\": " << p.bytesPerCheckpoint
            << ", \"forward_mips\": " << p.forwardMips
            << ", \"plain_mips\": " << p.plainMips
            << ", \"record_slowdown\": " << p.recordSlowdown

@@ -61,7 +61,6 @@ struct Options
     bool noUcache = false;
     bool noIndex = false;
     bool noMemo = false;
-    bool noPagecache = false;
     unsigned reps = 2;
     uint64_t maxAppInsts = 0; ///< 0 = run workloads to completion
     uint64_t timingInsts = 300000; ///< app-inst cap for timing cells
@@ -147,13 +146,12 @@ measureOnce(const Workload &w, Config config, bool optimized,
     }
     target.load();
 
-    // The fallback leg reproduces the pre-overhaul hot path: per-fetch
+    // The fallback leg turns off the µop-side accelerations: per-fetch
     // memory read + decode, linear pattern scan, per-trigger expansion
-    // instantiation, and uncached page lookups.
+    // instantiation. Memory keeps its page-pointer caches on both legs.
     bool ucache = optimized && !opts.noUcache;
     target.engine.setIndexedMatch(optimized && !opts.noIndex);
     target.engine.setExpansionMemo(optimized && !opts.noMemo);
-    target.mem.setPageCacheEnabled(optimized && !opts.noPagecache);
 
     StreamEnv env;
     env.sink = &target.sink;
@@ -341,8 +339,6 @@ parseArgs(int argc, char **argv)
             opts.noIndex = true;
         } else if (arg == "--no-memo") {
             opts.noMemo = true;
-        } else if (arg == "--no-pagecache") {
-            opts.noPagecache = true;
         } else if (arg == "--reps") {
             opts.reps = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--insts") {
@@ -356,8 +352,6 @@ parseArgs(int argc, char **argv)
                 "  --no-ucache   disable the predecoded µop cache\n"
                 "  --no-index    disable indexed production matching\n"
                 "  --no-memo     disable expansion memoization\n"
-                "  --no-pagecache disable the memory page-pointer "
-                "caches\n"
                 "  --reps N      repetitions per cell (best-of, default 2)\n"
                 "  --insts N     cap application instructions per run\n"
                 "  --timing-insts N  app-inst cap for the timing cells\n"

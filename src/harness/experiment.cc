@@ -189,8 +189,9 @@ ExperimentRunner::checkpointedRun(const std::string &name,
     outcome.appInsts = end.appInsts;
     outcome.events = session.eventCount();
     outcome.checkpoints = session.stats().checkpoints;
-    outcome.pagesCopied =
-        ts->pagesCopied + session.target().mem.undoPagesPending();
+    const MainMemory &mem = session.target().mem;
+    outcome.pagesCopied = ts->pagesCopied + mem.undoPagesPending();
+    outcome.bytesCopied = ts->bytesCopied + mem.pendingUndo().bytes();
     outcome.pagesRestored = ts->pagesRestored;
     outcome.replayedUops = ts->replayedUops;
     outcome.digest = endDigest;

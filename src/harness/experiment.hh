@@ -75,6 +75,7 @@ class ExperimentRunner
         size_t events = 0;
         size_t checkpoints = 0;
         uint64_t pagesCopied = 0;
+        uint64_t bytesCopied = 0;
         uint64_t pagesRestored = 0;
         uint64_t replayedUops = 0;
         uint64_t digest = 0;

@@ -1,6 +1,7 @@
 #include "mem/mainmem.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/bitutils.hh"
@@ -22,10 +23,8 @@ MainMemory::pageFor(Addr addr)
         if (frame == fetchFrame_)
             fetchPage_ = slot.get();
     }
-    if (pageCacheEnabled_) {
-        ent.frame = frame;
-        ent.page = slot.get();
-    }
+    ent.frame = frame;
+    ent.page = slot.get();
     return *slot;
 }
 
@@ -39,22 +38,9 @@ MainMemory::pageForConst(Addr addr) const
     auto it = pages_.find(frame);
     if (it == pages_.end())
         return nullptr; // absent pages are not cached
-    if (pageCacheEnabled_) {
-        ent.frame = frame;
-        ent.page = it->second.get();
-    }
+    ent.frame = frame;
+    ent.page = it->second.get();
     return it->second.get();
-}
-
-void
-MainMemory::setPageCacheEnabled(bool on)
-{
-    pageCacheEnabled_ = on;
-    if (!on) {
-        transCache_.fill(TransEnt{});
-        fetchFrame_ = ~uint64_t{0};
-        fetchPage_ = nullptr;
-    }
 }
 
 void
@@ -82,46 +68,60 @@ MainMemory::beginUndoLog()
 {
     undoActive_ = true;
     ++undoEpoch_;
-    undoLog_.clear();
+    undoLog_ = {};
 }
 
 void
 MainMemory::endUndoLog()
 {
     undoActive_ = false;
-    undoLog_.clear();
+    undoLog_ = {};
 }
 
 UndoLog
 MainMemory::sealUndoInterval()
 {
     DISE_ASSERT(undoActive_, "sealUndoInterval without beginUndoLog");
-    UndoLog out = std::move(undoLog_);
-    undoLog_.clear();
+    // The sealed copy is exactly sized, so history holds what
+    // UndoLog::bytes() reports; the open log keeps its buffer for the
+    // next interval.
+    UndoLog out = undoLog_;
+    undoLog_.blocks.clear();
+    undoLog_.pages = 0;
     ++undoEpoch_;
     return out;
 }
 
 void
-MainMemory::captureUndo(Page &page, uint64_t frame)
+MainMemory::captureUndo(Page &page, uint64_t frame, uint64_t blocks)
 {
-    page.undoEpoch = undoEpoch_;
-    undoLog_.emplace_back();
-    UndoPage &u = undoLog_.back();
-    u.frame = frame;
-    std::memcpy(u.bytes.data(), page.bytes, PageBytes);
+    if (page.undoEpoch != undoEpoch_) {
+        page.undoEpoch = undoEpoch_;
+        page.undoMask = 0;
+        ++undoLog_.pages;
+    }
+    uint64_t fresh = blocks & ~page.undoMask;
+    page.undoMask |= fresh;
+    for (; fresh; fresh &= fresh - 1) {
+        uint64_t off = std::countr_zero(fresh) * UndoBlockBytes;
+        UndoBlock &u = undoLog_.blocks.emplace_back();
+        u.addr = frame * PageBytes + off;
+        std::memcpy(u.bytes.data(), page.bytes + off, UndoBlockBytes);
+    }
 }
 
 void
 MainMemory::applyUndo(const UndoLog &log)
 {
-    for (const UndoPage &u : log) {
-        Page &p = pageFor(u.frame * PageBytes);
-        std::memcpy(p.bytes, u.bytes.data(), PageBytes);
+    for (const UndoBlock &u : log.blocks) {
+        Page &p = pageFor(u.addr);
+        std::memcpy(p.bytes + u.addr % PageBytes, u.bytes.data(),
+                    UndoBlockBytes);
         // Restoring bytes is a modification like any other: cached
-        // decodes for the page are now stale.
+        // decodes for the page are now stale. (Notifying unmarks the
+        // page, so its other blocks do not notify again.)
         if (p.codeCached)
-            notifyCodeWrite(p, u.frame);
+            notifyCodeWrite(p, u.addr / PageBytes);
         // The restored image is the open interval's new baseline.
         p.undoEpoch = 0;
     }
@@ -207,7 +207,7 @@ uint32_t
 MainMemory::fetchWord(Addr addr) const
 {
     uint64_t off = addr % PageBytes;
-    if (off + 4 > PageBytes || !pageCacheEnabled_) // straddle / A-B mode
+    if (off + 4 > PageBytes) // straddles a page
         return static_cast<uint32_t>(read(addr, 4));
     uint64_t frame = addr / PageBytes;
     if (frame != fetchFrame_) {
@@ -236,7 +236,7 @@ MainMemory::write(Addr addr, unsigned bytes, uint64_t value)
     uint64_t off = addr % PageBytes;
     if (off + bytes <= PageBytes) {
         Page &p = pageFor(addr);
-        undoHook(p, addr / PageBytes);
+        undoHook(p, addr / PageBytes, blockSpan(off, bytes));
         for (unsigned i = 0; i < bytes; ++i)
             p.bytes[off + i] = (value >> (8 * i)) & 0xff;
         if (p.codeCached)
@@ -245,7 +245,8 @@ MainMemory::write(Addr addr, unsigned bytes, uint64_t value)
     }
     for (unsigned i = 0; i < bytes; ++i) {
         Page &p = pageFor(addr + i);
-        undoHook(p, (addr + i) / PageBytes);
+        undoHook(p, (addr + i) / PageBytes,
+                 blockSpan((addr + i) % PageBytes, 1));
         p.bytes[(addr + i) % PageBytes] = (value >> (8 * i)) & 0xff;
         if (p.codeCached)
             notifyCodeWrite(p, (addr + i) / PageBytes);
@@ -257,9 +258,9 @@ MainMemory::writeBlock(Addr addr, const uint8_t *src, size_t len)
 {
     while (len) {
         Page &p = pageFor(addr);
-        undoHook(p, addr / PageBytes);
         uint64_t off = addr % PageBytes;
         size_t chunk = std::min<size_t>(len, PageBytes - off);
+        undoHook(p, addr / PageBytes, blockSpan(off, chunk));
         std::memcpy(&p.bytes[off], src, chunk);
         if (p.codeCached)
             notifyCodeWrite(p, addr / PageBytes);

@@ -16,9 +16,11 @@
  *
  * The checkpoint subsystem reuses the same write-hook structure as a
  * copy-on-write undo log: while the log is active, the first store to
- * any page since the last checkpoint captures that page's pre-image, so
- * snapshot cost is proportional to the pages dirtied between
- * checkpoints, never to total memory size (see src/replay/).
+ * any 64-byte block since the last checkpoint captures that block's
+ * pre-image, tracked by one 64-bit mask per page. Snapshot cost is
+ * proportional to the blocks dirtied between checkpoints, never to
+ * total memory size or to the untouched rest of a dirtied page (see
+ * src/replay/).
  */
 
 #ifndef DISE_MEM_MAINMEM_HH
@@ -51,20 +53,33 @@ class CodeWatcher
     virtual void onCodeWrite(uint64_t frame) = 0;
 };
 
+/** Granule of the undo log: one cache line, one mask bit per block. */
+constexpr uint64_t UndoBlockBytes = 64;
+static_assert(PageBytes / UndoBlockBytes == 64,
+              "a page's captured blocks must fit one 64-bit mask");
+
 /**
- * Pre-image of one page captured by the copy-on-write undo log: the
- * page's full contents as they were when the current undo interval
- * began. Applying an interval's pre-images rolls memory back to the
- * state at the start of that interval.
+ * Pre-image of one block captured by the copy-on-write undo log: the
+ * block's contents as they were when the current undo interval began.
+ * Applying an interval's pre-images rolls memory back to the state at
+ * the start of that interval.
  */
-struct UndoPage
+struct UndoBlock
 {
-    uint64_t frame = 0;
-    std::array<uint8_t, PageBytes> bytes{};
+    Addr addr = 0; ///< block-aligned
+    std::array<uint8_t, UndoBlockBytes> bytes{};
 };
 
 /** All pre-images captured during one undo interval. */
-using UndoLog = std::vector<UndoPage>;
+struct UndoLog
+{
+    std::vector<UndoBlock> blocks;
+    /** Distinct pages the blocks belong to. */
+    size_t pages = 0;
+
+    /** Bytes the log's records hold. */
+    uint64_t bytes() const { return blocks.size() * sizeof(UndoBlock); }
+};
 
 /** Sparse functional memory. */
 class MainMemory
@@ -91,13 +106,6 @@ class MainMemory
     /** Bulk copy-out (range-watchpoint shadow comparison). */
     void readBlock(Addr addr, uint8_t *dst, size_t len) const;
 
-    /**
-     * Toggle the fetch/data page-pointer caches (on by default).
-     * Purely a performance switch — used by bench/throughput.cc to
-     * reproduce the pre-cache hot path for A/B measurement.
-     */
-    void setPageCacheEnabled(bool on);
-
     /** @name Code-write invalidation (predecoded-µop-cache support) */
     ///@{
     void addCodeWatcher(CodeWatcher *w);
@@ -118,12 +126,12 @@ class MainMemory
     void endUndoLog();
     bool undoLogActive() const { return undoActive_; }
     /**
-     * Seal the current interval: return the pre-images of every page
+     * Seal the current interval: return the pre-images of every block
      * dirtied since the interval began and start a new, empty interval.
      */
     UndoLog sealUndoInterval();
     /** Pages dirtied so far in the open interval. */
-    size_t undoPagesPending() const { return undoLog_.size(); }
+    size_t undoPagesPending() const { return undoLog_.pages; }
     /**
      * Read-only view of the open interval's pre-images (no seal, no
      * state change). Interval-parallel replay materializes historical
@@ -142,8 +150,9 @@ class MainMemory
     /**
      * Write an interval's pre-images back, newest interval first when
      * chaining across checkpoints. Restored pages are treated as clean
-     * for the open interval, code-watcher invalidation fires for pages
-     * holding cached decodes, and the page-pointer caches are dropped.
+     * for the open interval, code-watcher invalidation fires once for
+     * each page holding cached decodes, and the page-pointer caches are
+     * dropped.
      */
     void applyUndo(const UndoLog &log);
     ///@}
@@ -180,30 +189,44 @@ class MainMemory
         uint8_t bytes[PageBytes] = {};
         /** Writes to this page notify the registered CodeWatchers. */
         bool codeCached = false;
-        /** Undo interval this page's pre-image was last captured in. */
+        /** Undo interval undoMask belongs to; a lagging epoch means no
+         *  block of the page is captured in the open interval. */
         uint64_t undoEpoch = 0;
+        /** Bit i: block i's pre-image is in the open interval. */
+        uint64_t undoMask = 0;
     };
 
     Page &pageFor(Addr addr);
     const Page *pageForConst(Addr addr) const;
     void notifyCodeWrite(Page &page, uint64_t frame);
-    void captureUndo(Page &page, uint64_t frame);
+    void captureUndo(Page &page, uint64_t frame, uint64_t blocks);
 
-    /** First write to @p page this interval: capture its pre-image. */
-    void
-    undoHook(Page &page, uint64_t frame)
+    /** Mask of the blocks that bytes [off, off + len) of a page lie
+     *  in (len >= 1, off + len <= PageBytes). */
+    static uint64_t
+    blockSpan(uint64_t off, uint64_t len)
     {
-        if (undoActive_ && page.undoEpoch != undoEpoch_)
-            captureUndo(page, frame);
+        uint64_t first = off / UndoBlockBytes;
+        uint64_t last = (off + len - 1) / UndoBlockBytes;
+        return (~uint64_t{0} >> (63 - last)) & (~uint64_t{0} << first);
+    }
+
+    /** A store to @p blocks of @p page: capture the pre-image of each
+     *  one not yet captured this interval. */
+    void
+    undoHook(Page &page, uint64_t frame, uint64_t blocks)
+    {
+        if (undoActive_ &&
+            (page.undoEpoch != undoEpoch_ || (blocks & ~page.undoMask)))
+            captureUndo(page, frame, blocks);
     }
 
     std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
     std::unordered_set<uint64_t> protectedPages_;
     std::vector<CodeWatcher *> codeWatchers_;
-    bool pageCacheEnabled_ = true;
 
     // Copy-on-write undo log. The epoch is monotonic across intervals;
-    // a page's pre-image is captured when its undoEpoch lags the
+    // a page's undoMask counts only while its undoEpoch matches the
     // current interval's.
     bool undoActive_ = false;
     uint64_t undoEpoch_ = 0;

@@ -2,11 +2,12 @@
  * @file
  * A point-in-time capture of a debugged target: the architectural
  * register state, the backend's host-side debugger state, and a
- * copy-on-write undo interval holding the pre-images of every memory
- * page dirtied AFTER the checkpoint was taken. Restoring checkpoint k
- * from a later position applies the open undo interval and then each
- * intermediate checkpoint's interval, newest first — cost proportional
- * to pages actually dirtied since k, never to total memory size.
+ * copy-on-write undo interval holding the pre-images of every 64-byte
+ * memory block dirtied AFTER the checkpoint was taken. Restoring
+ * checkpoint k from a later position applies the open undo interval
+ * and then each intermediate checkpoint's interval, newest first —
+ * cost proportional to blocks actually dirtied since k, never to total
+ * memory size.
  */
 
 #ifndef DISE_REPLAY_CHECKPOINT_HH
@@ -36,14 +37,12 @@ struct Checkpoint
     size_t sinkMarks = 0;
 
     /**
-     * Pre-images of pages dirtied between this checkpoint and the next
-     * one (sealed when the next checkpoint is taken). Empty for the
-     * most recent checkpoint, whose interval is still open inside
+     * Pre-images of blocks dirtied between this checkpoint and the
+     * next one (sealed when the next checkpoint is taken). Empty for
+     * the most recent checkpoint, whose interval is still open inside
      * MainMemory.
      */
     UndoLog undo;
-
-    uint64_t undoBytes() const { return undo.size() * PageBytes; }
 };
 
 /**

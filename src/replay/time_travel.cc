@@ -242,7 +242,9 @@ TimeTravel::takeCheckpoint()
         // Seal the interval since the previous checkpoint: those
         // pre-images are what roll the memory image back to it.
         UndoLog sealed = target_.mem.sealUndoInterval();
-        stats_.pagesCopied += sealed.size();
+        stats_.pagesCopied += sealed.pages;
+        stats_.bytesCopied += sealed.bytes();
+        sealedBytes_ += sealed.bytes();
         cps_.back().undo = std::move(sealed);
     }
     cps_.push_back(std::move(cp));
@@ -257,6 +259,12 @@ TimeTravel::maybeCheckpoint()
         return;
     if (!halted_ && atBoundary())
         takeCheckpoint();
+}
+
+uint64_t
+TimeTravel::historyBytes() const
+{
+    return sealedBytes_ + target_.mem.pendingUndo().bytes();
 }
 
 size_t
@@ -279,11 +287,12 @@ TimeTravel::restoreTo(size_t cpIdx)
     // interval takes us to the newest checkpoint, then each stored
     // interval takes us one checkpoint further into the past.
     UndoLog open = mem.sealUndoInterval();
-    stats_.pagesRestored += open.size();
+    stats_.pagesRestored += open.pages;
     mem.applyUndo(open);
     for (size_t i = cps_.size() - 1; i > cpIdx; --i) {
         const UndoLog &u = cps_[i - 1].undo;
-        stats_.pagesRestored += u.size();
+        stats_.pagesRestored += u.pages;
+        sealedBytes_ -= u.bytes();
         mem.applyUndo(u);
     }
 
@@ -319,7 +328,7 @@ TimeTravel::restoreTo(size_t cpIdx)
     // This checkpoint's interval was consumed; it is the open interval
     // now. Checkpoints past it describe a future we just left.
     cps_.resize(cpIdx + 1);
-    cps_.back().undo.clear();
+    cps_.back().undo = {};
     nextCheckpointAt_ = cps_.back().appInsts + cfg_.checkpointInterval;
     seenRecorded_ = backend_.eventsRecorded();
 }

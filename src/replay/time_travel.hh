@@ -8,8 +8,8 @@
  * (watchpoint, breakpoint, protection violation) is pinned to an exact
  * stream position in the ReplayLog's event timeline. Periodic
  * checkpoints capture registers, the backend's host-side state, and —
- * via MainMemory's copy-on-write undo log — only the pages dirtied
- * since the previous checkpoint.
+ * via MainMemory's copy-on-write undo log — only the 64-byte blocks
+ * dirtied since the previous checkpoint.
  *
  * Every verb — forward or reverse, a resurrection's seek included — is
  * one travel goal (TravelVerb) driven by one execution loop in bounded
@@ -209,6 +209,9 @@ class TimeTravel
     size_t eventCount() const { return log_.marks.size(); }
     size_t checkpointCount() const { return cps_.size(); }
     const std::vector<Checkpoint> &checkpoints() const { return cps_; }
+    /** Undo-log bytes held now: every sealed interval plus the open
+     *  one. A restore drops the intervals it consumed. */
+    uint64_t historyBytes() const;
     /** Digest of the current user-visible state (replay validation). */
     uint64_t digest() const;
     ///@}
@@ -217,8 +220,11 @@ class TimeTravel
     struct Stats
     {
         uint64_t checkpointsTaken = 0;
-        uint64_t pagesCopied = 0; ///< undo pre-images captured
+        /** Each sealed interval's distinct dirtied pages, summed. */
+        uint64_t pagesCopied = 0;
+        uint64_t bytesCopied = 0; ///< UndoLog::bytes() of those intervals
         uint64_t restores = 0;
+        /** Each applied interval's distinct pages, summed. */
         uint64_t pagesRestored = 0;
         uint64_t replayedUops = 0; ///< µops re-executed by travel
         uint64_t uops = 0;         ///< total µops executed (incl. replay)
@@ -268,6 +274,8 @@ class TimeTravel
 
     std::unique_ptr<InstStream> stream_;
     std::vector<Checkpoint> cps_;
+    /** Sum of cps_[i].undo.bytes(), kept as checkpoints come and go. */
+    uint64_t sealedBytes_ = 0;
 
     uint64_t time_ = 0;     ///< µops executed at the current position
     uint64_t appInsts_ = 0; ///< app instructions retired

@@ -1227,6 +1227,7 @@ DebugSession::stats() const
         s.pagesCopied = ts->pagesCopied;
         s.restores = ts->restores;
         s.replayedUops = ts->replayedUops;
+        s.historyBytes = tt.historyBytes();
     } else if (debugger_) {
         s.events = debugger_->backend().totalEvents();
     }

@@ -482,7 +482,8 @@ constexpr Row<SS> kSessionStatsRows[] = {
     at<SS, &SS::time>("st.time"), at<SS, &SS::appInsts>("st.insts"),
     at<SS, &SS::events>("st.events"), at<SS, &SS::checkpoints>("st.cps"),
     at<SS, &SS::pagesCopied>("st.pages"), at<SS, &SS::restores>("st.restores"),
-    at<SS, &SS::replayedUops>("st.replayed")};
+    at<SS, &SS::replayedUops>("st.replayed"),
+    at<SS, &SS::historyBytes>("st.hbytes")};
 
 using SV = ServerStats;
 constexpr Row<SV> kServerStatsRows[] = {
@@ -793,7 +794,8 @@ Response::describe() const
         os << " t=" << stats.time << " insts=" << stats.appInsts
            << " events=" << stats.events << " checkpoints="
            << stats.checkpoints << " pagesCopied=" << stats.pagesCopied
-           << " restores=" << stats.restores;
+           << " restores=" << stats.restores
+           << " historyBytes=" << stats.historyBytes;
     if (inReplyTo == RequestKind::ServerStats)
         os << " sessions=" << server.activeSessions << " (peak "
            << server.peakSessions << ", cap " << server.maxSessions

@@ -153,6 +153,7 @@ struct SessionStats
     uint64_t pagesCopied = 0;
     uint64_t restores = 0;
     uint64_t replayedUops = 0;
+    uint64_t historyBytes = 0; ///< undo-log bytes held now
 };
 
 /** Server-level aggregates (ServerStats request): per-session stats

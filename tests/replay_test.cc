@@ -1,7 +1,7 @@
 /**
  * @file
- * Time-travel subsystem tests: copy-on-write undo-log mechanics and
- * cost proportionality, restore-side cache invalidation, same-seed
+ * Time-travel subsystem tests: copy-on-write undo-log mechanics (block
+ * capture, bit-exact restore) and cost proportionality, restore-side cache invalidation, same-seed
  * determinism (digest equality), checkpoint/restore/re-run
  * equivalence, reverse-continue landing on the exact watchpoint-hit
  * event under every backend, reverse-step exactness, and logged
@@ -26,6 +26,31 @@ using namespace reg;
 
 // ---------------------------------------------------- undo-log basics
 
+/** Fill [base, base + len) with a byte pattern; returns the bytes. */
+std::vector<uint8_t>
+fillPattern(MainMemory &mem, Addr base, size_t len)
+{
+    std::vector<uint8_t> bytes(len);
+    for (size_t i = 0; i < len; ++i)
+        bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+    mem.writeBlock(base, bytes.data(), len);
+    return bytes;
+}
+
+std::vector<uint8_t>
+readBytes(const MainMemory &mem, Addr base, size_t len)
+{
+    std::vector<uint8_t> out(len);
+    mem.readBlock(base, out.data(), len);
+    return out;
+}
+
+struct FrameRecorder : CodeWatcher
+{
+    std::vector<uint64_t> frames;
+    void onCodeWrite(uint64_t frame) override { frames.push_back(frame); }
+};
+
 TEST(UndoLog, CostProportionalToDirtyPagesNotFootprint)
 {
     MainMemory mem;
@@ -42,7 +67,10 @@ TEST(UndoLog, CostProportionalToDirtyPagesNotFootprint)
             mem.write(0x10000 + p * PageBytes, 8, rep);
     EXPECT_EQ(mem.undoPagesPending(), 3u);
     UndoLog log = mem.sealUndoInterval();
-    EXPECT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.pages, 3u);
+    // One 64-byte block per page, not the whole page.
+    EXPECT_EQ(log.blocks.size(), 3u);
+    EXPECT_EQ(log.bytes(), 3 * sizeof(UndoBlock));
 
     // The next interval captures them afresh.
     mem.write(0x10000, 8, 7);
@@ -62,7 +90,7 @@ TEST(UndoLog, ApplyRestoresPreImages)
     mem.write(0x8000, 8, 0xbbbb);
     mem.write(0xc000, 8, 0xcccc); // page that did not exist before
     UndoLog log = mem.sealUndoInterval();
-    EXPECT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.pages, 3u);
 
     mem.applyUndo(log);
     EXPECT_EQ(mem.read(0x4000, 8), 0x1111u);
@@ -71,17 +99,85 @@ TEST(UndoLog, ApplyRestoresPreImages)
     mem.endUndoLog();
 }
 
+TEST(UndoLog, StoreStraddlingTwoBlocksCapturesBoth)
+{
+    MainMemory mem;
+    const Addr page = 0x4000;
+    std::vector<uint8_t> before = fillPattern(mem, page, PageBytes);
+    mem.beginUndoLog();
+    mem.write(page + UndoBlockBytes - 4, 8, ~uint64_t{0}); // blocks 0, 1
+    mem.write(page + UndoBlockBytes + 8, 8, 0); // block 1 again: no copy
+    UndoLog log = mem.sealUndoInterval();
+    EXPECT_EQ(log.pages, 1u);
+    ASSERT_EQ(log.blocks.size(), 2u);
+    EXPECT_EQ(log.blocks[0].addr, page);
+    EXPECT_EQ(log.blocks[1].addr, page + UndoBlockBytes);
+    mem.applyUndo(log);
+    EXPECT_EQ(readBytes(mem, page, PageBytes), before);
+    mem.endUndoLog();
+}
+
+TEST(UndoLog, StoreStraddlingPagesCapturesOneBlockInEach)
+{
+    MainMemory mem;
+    const Addr base = 0x4000;
+    std::vector<uint8_t> before = fillPattern(mem, base, 2 * PageBytes);
+    mem.beginUndoLog();
+    mem.write(base + PageBytes - 3, 8, 0x0123456789abcdefull);
+    EXPECT_EQ(mem.undoPagesPending(), 2u);
+    UndoLog log = mem.sealUndoInterval();
+    EXPECT_EQ(log.pages, 2u);
+    ASSERT_EQ(log.blocks.size(), 2u);
+    EXPECT_EQ(log.blocks[0].addr, base + PageBytes - UndoBlockBytes);
+    EXPECT_EQ(log.blocks[1].addr, base + PageBytes);
+    mem.applyUndo(log);
+    EXPECT_EQ(readBytes(mem, base, 2 * PageBytes), before);
+    mem.endUndoLog();
+}
+
+TEST(UndoLog, WholePageWriteBlockCapturesEveryBlockOfOnePage)
+{
+    MainMemory mem;
+    const Addr page = 0x4000;
+    std::vector<uint8_t> before = fillPattern(mem, page, PageBytes);
+    mem.beginUndoLog();
+    std::vector<uint8_t> ones(PageBytes, 0xff);
+    mem.writeBlock(page, ones.data(), ones.size());
+    UndoLog log = mem.sealUndoInterval();
+    EXPECT_EQ(log.pages, 1u);
+    EXPECT_EQ(log.blocks.size(), PageBytes / UndoBlockBytes);
+    EXPECT_EQ(log.bytes(), PageBytes / UndoBlockBytes * sizeof(UndoBlock));
+    mem.applyUndo(log);
+    EXPECT_EQ(readBytes(mem, page, PageBytes), before);
+    mem.endUndoLog();
+}
+
+TEST(UndoLog, RestoringACodePageNotifiesOnce)
+{
+    FrameRecorder rec;
+    MainMemory mem;
+    const Addr page = 0x4000;
+    std::vector<uint8_t> before = fillPattern(mem, page, PageBytes);
+    mem.addCodeWatcher(&rec);
+    mem.beginUndoLog();
+    for (uint64_t b : {0, 5, 63})
+        mem.write(page + b * UndoBlockBytes, 4, 0xdead);
+    UndoLog log = mem.sealUndoInterval();
+    ASSERT_EQ(log.blocks.size(), 3u);
+    ASSERT_TRUE(rec.frames.empty()); // nothing was cached yet
+
+    mem.markCodePage(page); // as a µop cache would after decoding
+    mem.applyUndo(log);
+    ASSERT_EQ(rec.frames.size(), 1u);
+    EXPECT_EQ(rec.frames[0], page / PageBytes);
+    EXPECT_EQ(readBytes(mem, page, PageBytes), before);
+    mem.removeCodeWatcher(&rec);
+    mem.endUndoLog();
+}
+
 TEST(UndoLog, RestoreNotifiesCodeWatchers)
 {
-    struct Recorder : CodeWatcher
-    {
-        std::vector<uint64_t> frames;
-        void onCodeWrite(uint64_t frame) override
-        {
-            frames.push_back(frame);
-        }
-    } rec;
-
+    FrameRecorder rec;
     MainMemory mem;
     mem.write(0x4000, 4, 0x1234);
     mem.addCodeWatcher(&rec);

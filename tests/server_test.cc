@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -539,36 +541,66 @@ TEST(JobScheduler, CallerRunSlicesKeepTheQueueOrderAndWorkerBound)
     hunt.kind = RequestKind::RunToEvent;
     hunt.count = 999999;
     ASSERT_FALSE(r->session.begin(hunt));
-    std::thread rDriver([&] { EXPECT_TRUE(sched.completeHere(*r)); });
-    while (r->slices.load() < 1)
-        std::this_thread::yield();
 
-    uint64_t prevEnd = 0;
-    for (int i = 0; i < 10; ++i) {
+    // The scheduler side drives the ten F jobs, so no test thread has
+    // to be scheduled promptly: a starter job yields until R's first
+    // slice has run, then submits F0, and the final slice of each F
+    // submits the next. Each F records what it saw for the checks
+    // below.
+    struct FRun
+    {
+        JobScheduler::TicketPtr ticket;
+        uint64_t atStart = 0, atEnd = 0;
+        bool overlapped = false;
+    };
+    std::array<FRun, 10> runs;
+    std::promise<void> lastSubmitted;
+    std::function<void(int)> submitF = [&](int i) {
         Request step;
         step.kind = RequestKind::Stepi;
         step.count = 200;
         EXPECT_FALSE(f->session.begin(step));
-        uint64_t atStart = 0, atEnd = 0;
-        bool overlapped = false;
-        EXPECT_TRUE(sched.wait(sched.submit([&](uint64_t slice) {
+        runs[i].ticket = sched.submit([&, i](uint64_t slice) {
+            FRun &run = runs[i];
             // R's step holds its sliceMu: free here, or R ran beside F.
             std::unique_lock<std::mutex> lk(r->sliceMu, std::try_to_lock);
-            overlapped |= !lk.owns_lock();
-            atStart = r->slices.load();
+            run.overlapped |= !lk.owns_lock();
+            run.atStart = r->slices.load();
             bool done = f->session.step(slice);
-            atEnd = r->slices.load();
+            run.atEnd = r->slices.load();
+            if (done) {
+                f->session.finish();
+                if (i < 9)
+                    submitF(i + 1);
+            }
             return done;
-        })));
-        f->session.finish();
-        EXPECT_FALSE(overlapped) << "R's slice ran beside F" << i;
-        EXPECT_EQ(atStart, atEnd) << "R advanced during F" << i;
+        });
+        if (i == 9)
+            lastSubmitted.set_value();
+    };
+    sched.submit([&](uint64_t) {
+        if (r->slices.load() < 1) {
+            std::this_thread::yield();
+            return false; // requeue behind R
+        }
+        submitF(0);
+        return true;
+    });
+    std::thread rDriver([&] { EXPECT_TRUE(sched.completeHere(*r)); });
+    lastSubmitted.get_future().wait();
+
+    uint64_t prevEnd = 0;
+    for (int i = 0; i < 10; ++i) {
+        const FRun &run = runs[i];
+        EXPECT_TRUE(sched.wait(run.ticket));
+        EXPECT_FALSE(run.overlapped) << "R's slice ran beside F" << i;
+        EXPECT_EQ(run.atStart, run.atEnd) << "R advanced during F" << i;
         if (i > 0) {
-            EXPECT_GT(atStart, prevEnd)
+            EXPECT_GT(run.atStart, prevEnd)
                 << "R made no progress between F" << i - 1 << " and F"
                 << i;
         }
-        prevEnd = atEnd;
+        prevEnd = run.atEnd;
     }
     rDriver.join();
     EXPECT_GT(r->slices.load(), prevEnd) << "R finished before the F jobs";

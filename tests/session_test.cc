@@ -1038,6 +1038,39 @@ TEST(DebugSession, ReplayVerifyWireVerb)
     EXPECT_GT(resp.regs.size(), 1u); // per-interval digests
 }
 
+TEST(DebugSession, StatsReportHistoryBytesHeld)
+{
+    Workload w = buildWorkload("mcf");
+    SessionOptions o;
+    o.timeTravel.checkpointInterval = 1024;
+    DebugSession session(w.program, o);
+    session.setWatch(w.watch(WatchSel::WARM1));
+    ASSERT_EQ(session.runToEnd().reason, StopReason::Halted);
+
+    auto wireBytes = [&] {
+        Response resp;
+        EXPECT_TRUE(
+            decodeResponse(session.handleEncoded("stats seq=1"), resp));
+        return resp.stats.historyBytes;
+    };
+    // The undo intervals the session holds: sealed plus open.
+    auto heldBytes = [&] {
+        uint64_t sum = session.target().mem.pendingUndo().bytes();
+        for (const Checkpoint &cp : session.timeTravel().checkpoints())
+            sum += cp.undo.bytes();
+        return sum;
+    };
+    uint64_t recorded = wireBytes();
+    EXPECT_GT(recorded, 0u);
+    EXPECT_EQ(recorded, heldBytes());
+
+    // Reverse travel consumes every interval after its checkpoint.
+    ASSERT_EQ(session.reverseContinue().reason, StopReason::Event);
+    uint64_t back = wireBytes();
+    EXPECT_LT(back, recorded);
+    EXPECT_EQ(back, heldBytes());
+}
+
 TEST(DebugSession, DescribePrintersAreReadable)
 {
     StopInfo stop;
