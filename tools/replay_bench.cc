@@ -3,7 +3,9 @@
  * Replay-latency benchmark: what reverse execution costs, and what
  * interval-parallel reconstruction buys back.
  *
- * One instrumented session records a workload to completion, then:
+ * One instrumented session records a workload to completion (the
+ * share of its µops retired from JIT traces is record_traced_ratio),
+ * then:
  *
  *  - reverse-continue latency: travel back to the last recorded event
  *    (restore + bounded replay — the interactive "go back" a gdb user
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "jit/trace_cache.hh"
 #include "session/debug_session.hh"
 #include "workloads/workload.hh"
 
@@ -111,10 +114,16 @@ main(int argc, char **argv)
                 "workload did not run to completion: ",
                 end.describe());
     SessionStats st = s.stats();
+    // Share of the recording's µops retired from JIT traces.
+    double tracedRatio =
+        st.time ? static_cast<double>(
+                      s.target().jit()->stats().tracedUops) /
+                      static_cast<double>(st.time)
+                : 0;
     std::printf("  record: %8.1f ms, %llu insts, %zu events, %zu "
-                "checkpoints\n",
+                "checkpoints, traced share %.3f\n",
                 recordMs, static_cast<unsigned long long>(st.appInsts),
-                st.events, st.checkpoints);
+                st.events, st.checkpoints, tracedRatio);
 
     // Reverse-continue latency: back to the last recorded event (or
     // the start of history when the workload fired none).
@@ -203,6 +212,7 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"events\": %zu,\n", st.events);
     std::fprintf(f, "  \"checkpoints\": %zu,\n", st.checkpoints);
     std::fprintf(f, "  \"record_ms\": %g,\n", recordMs);
+    std::fprintf(f, "  \"record_traced_ratio\": %g,\n", tracedRatio);
     std::fprintf(f, "  \"reverse_continue_ms\": %g,\n",
                  reverseContinueMs);
     std::fprintf(f, "  \"reverse_to_start_ms\": %g,\n",
