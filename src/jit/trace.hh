@@ -8,9 +8,19 @@
  * executor (InstStream::runTraced) dispatches trace ops from a dense
  * vector with all fetch/decode/match work pre-resolved, side-exiting
  * back to the interpreter at any point where the recorded assumptions
- * stop holding: a branch goes the other way, an instrumentation
- * callback records a debugger event, a store modifies cached code, or
- * an execution budget runs out.
+ * stop holding: a branch goes the other way, a DISE conditional call
+ * whose condition was false at recording now calls its handler, an
+ * instrumentation callback records a debugger event, a store modifies
+ * cached code, or an execution budget runs out.
+ *
+ * What a trace carries: app ops, replacement-sequence ops, traps, and
+ * a not-taken d_ccall as a DiseCallGuard. What ends a recording: a
+ * syscall, a halt, a taken call into a DISE-called function (d_call, or
+ * a d_ccall whose condition held), anything run inside that function
+ * (d_mfr/d_mtr, d_ret), and control that aborts an expansion mid-flight.
+ * So a DISE watch check stays in the trace until the rare store that
+ * matches; that store leaves at its guard and the interpreter runs the
+ * generated handler.
  *
  * Determinism contract: a trace retires exactly the µops the
  * interpreter would produce, in the same order, with the same
@@ -37,13 +47,12 @@ struct TraceJitConfig
     bool enabled = true;
     /** Taken backward transfers to one target before recording starts. */
     unsigned hotThreshold = 16;
-    /** Longest trace recorded (µops); longer runs trim to a boundary. */
-    unsigned maxOps = 256;
-    /** Shortest trace worth keeping; tighter loops unroll until this. */
-    unsigned minOps = 3;
-    /** Run the per-trace redundancy-suppression pass at build time. */
-    bool suppress = true;
 };
+
+/** Longest trace recorded (µops); longer runs trim to a boundary. */
+constexpr unsigned TraceMaxOps = 256;
+/** Shortest trace worth keeping; tighter loops unroll until this. */
+constexpr unsigned TraceMinOps = 3;
 
 /** How the executor must treat one trace op. */
 enum class TraceOpKind : uint8_t {
@@ -58,6 +67,9 @@ enum class TraceOpKind : uint8_t {
     DiseBranch, ///< intra-expansion skip (direction guard)
     Ctrap,      ///< conditional trap; fires monitor->onTrap when taken
     Trap,       ///< unconditional trap (rewrite-backend machinery)
+    /** d_ccall recorded not taken: a set condition side-exits before
+     *  it, so the interpreter makes the call. */
+    DiseCallGuard,
     Nop,        ///< NOP / unmatched CODEWORD
     Suppressed, ///< provably redundant: retires counters, executes nothing
 };

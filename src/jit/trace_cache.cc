@@ -99,8 +99,7 @@ TraceCache::noteBackEdge(Addr target, uint64_t tableVersion)
 void
 TraceCache::insert(std::shared_ptr<Trace> t)
 {
-    if (cfg_.suppress)
-        suppressRedundant(*t);
+    suppressRedundant(*t);
     evict(t->startPc);
     std::unordered_set<uint64_t> frames;
     collectFrames(*t, frames);
@@ -211,6 +210,9 @@ groupRegMask(const std::vector<TraceOp> &ops, size_t begin, size_t end)
  * accumulator — executing the first instance changes the inputs the
  * duplicate would read, so the duplicate computes *different* values
  * and must run.
+ *
+ * A DiseCallGuard is not register-only work, so it never joins a
+ * group: it ends the check group before it.
  *
  * A trailing CTRAP may join its group only when no monitor is bound:
  * with a monitor, the first instance's trap callback can mutate state

@@ -9,16 +9,21 @@
  * backward raw transfers profile their targets; a hot target starts a
  * recording, and subsequent µops append until the run closes back on
  * its start PC (a loop trace), grows past the size cap, or hits an op
- * that cannot live in a trace (syscall, halt, DISE-called function,
- * expansion-aborting control) — then the recording finalizes at the
- * last raw-op boundary or is discarded as too short.
+ * that cannot live in a trace — a syscall, a halt, a taken d_call or
+ * d_ccall, any op of the DISE-called function it enters (d_mfr/d_mtr,
+ * d_ret), or control that aborts an expansion mid-flight. Then the
+ * recording finalizes at the last raw-op boundary or is discarded as
+ * too short. A d_ccall whose condition was false records as a
+ * DiseCallGuard and the recording goes on.
  *
  * Execution: runTraced() dispatches cached traces while they keep
  * applying. Every op retires exactly the counters and monitor
  * callbacks the interpreter would produce; any failed assumption
- * (branch direction, jump target, recorded-code write, recorded
- * debugger event, budget) restores interpreter state at an op boundary
- * and side-exits. The restore is exact — raw-op boundaries set the
+ * (branch direction, jump target, a guarded d_ccall whose condition is
+ * now set, recorded-code write, recorded debugger event, budget)
+ * restores interpreter state at an op boundary and side-exits. A guard
+ * exits before its d_ccall, so the interpreter re-delivers the call and
+ * runs the handler. The restore is exact — raw-op boundaries set the
  * architectural PC, in-expansion boundaries rebuild the full expansion
  * context from the trace's side table — so record-mode digests are
  * bit-identical with the cache on or off.
@@ -61,7 +66,7 @@ InstStream::jitStartRecording(Addr startPc)
     jitRec_.trace = std::make_shared<Trace>();
     jitRec_.trace->startPc = startPc;
     jitRec_.trace->tableVersion = engine_ ? engine_->tableVersion() : 0;
-    jitRec_.trace->ops.reserve(env_.jit->config().maxOps);
+    jitRec_.trace->ops.reserve(TraceMaxOps);
     jitRec_.lastBoundaryOps = 0;
     jitRec_.lastBoundaryPc = startPc;
     jitRec_.lastExpId = 0;
@@ -71,15 +76,15 @@ void
 InstStream::jitRecordOp(const MicroOp &op)
 {
     Trace &t = *jitRec_.trace;
-    const TraceJitConfig &cfg = env_.jit->config();
 
     // Ops a trace cannot carry finalize the recording at the last
-    // raw-op boundary (or discard it when still too short).
+    // raw-op boundary (or discard it when still too short). A not-taken
+    // d_ccall stays: it becomes a guard.
     const Format fmt = op.inst.info().fmt;
     bool hostile =
         op.isHalt || halted_ || op.inHandler || inHandler_ ||
         (fmt == Format::System && op.inst.op == Opcode::SYSCALL) ||
-        fmt == Format::DiseCall || fmt == Format::DiseMove ||
+        (fmt == Format::DiseCall && op.taken) || fmt == Format::DiseMove ||
         // Conventional control taken inside a replacement sequence
         // aborts the expansion mid-flight; not worth modelling.
         (op.fromExpansion && op.isCtrl && op.taken &&
@@ -171,6 +176,9 @@ InstStream::jitRecordOp(const MicroOp &op)
         to.kind = TraceOpKind::DiseBranch;
         to.expectTaken = op.taken;
         break;
+      case Format::DiseCall:
+        to.kind = TraceOpKind::DiseCallGuard; // taken calls filtered above
+        break;
       default:
         jitFinalize(false);
         return;
@@ -181,12 +189,12 @@ InstStream::jitRecordOp(const MicroOp &op)
     if (!expanding_ && !inHandler_ && !halted_) {
         jitRec_.lastBoundaryOps = t.ops.size();
         jitRec_.lastBoundaryPc = arch_.pc;
-        if (arch_.pc == t.startPc && t.ops.size() >= cfg.minOps) {
+        if (arch_.pc == t.startPc && t.ops.size() >= TraceMinOps) {
             jitFinalize(true);
             return;
         }
     }
-    if (t.ops.size() >= cfg.maxOps)
+    if (t.ops.size() >= TraceMaxOps)
         jitFinalize(false);
 }
 
@@ -202,7 +210,7 @@ InstStream::jitFinalize(bool full)
         t.ops.resize(rec.lastBoundaryOps);
         t.endPc = rec.lastBoundaryPc;
     }
-    if (t.ops.size() < env_.jit->config().minOps) {
+    if (t.ops.size() < TraceMinOps) {
         ++env_.jit->stats().discarded;
         return;
     }
@@ -440,6 +448,14 @@ InstStream::execTrace(const Trace &t, TracedCounts &c, uint64_t maxUops,
                 materialize(o, mop);
                 env_.monitor->onTrap(mop);
                 fired = true;
+            }
+            break;
+          case TraceOpKind::DiseCallGuard:
+            if (arch_.read(o.inst.ra) != 0) {
+                // The call is taken this time: leave before it, and
+                // the interpreter calls the handler.
+                exitAt(i);
+                return TraceExit::Guard;
             }
             break;
           case TraceOpKind::Nop:

@@ -1231,6 +1231,11 @@ DebugSession::stats() const
     } else if (debugger_) {
         s.events = debugger_->backend().totalEvents();
     }
+    if (attached()) {
+        const TraceCacheStats &js = target_->jit()->stats();
+        s.jitUops = js.tracedUops;
+        s.jitExits = js.sideExits;
+    }
     return s;
 }
 

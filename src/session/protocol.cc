@@ -483,7 +483,8 @@ constexpr Row<SS> kSessionStatsRows[] = {
     at<SS, &SS::events>("st.events"), at<SS, &SS::checkpoints>("st.cps"),
     at<SS, &SS::pagesCopied>("st.pages"), at<SS, &SS::restores>("st.restores"),
     at<SS, &SS::replayedUops>("st.replayed"),
-    at<SS, &SS::historyBytes>("st.hbytes")};
+    at<SS, &SS::historyBytes>("st.hbytes"), at<SS, &SS::jitUops>("st.juops"),
+    at<SS, &SS::jitExits>("st.jexits")};
 
 using SV = ServerStats;
 constexpr Row<SV> kServerStatsRows[] = {
@@ -795,7 +796,9 @@ Response::describe() const
            << " events=" << stats.events << " checkpoints="
            << stats.checkpoints << " pagesCopied=" << stats.pagesCopied
            << " restores=" << stats.restores
-           << " historyBytes=" << stats.historyBytes;
+           << " historyBytes=" << stats.historyBytes
+           << " tracedUops=" << stats.jitUops
+           << " sideExits=" << stats.jitExits;
     if (inReplyTo == RequestKind::ServerStats)
         os << " sessions=" << server.activeSessions << " (peak "
            << server.peakSessions << ", cap " << server.maxSessions

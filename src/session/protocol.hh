@@ -154,6 +154,8 @@ struct SessionStats
     uint64_t restores = 0;
     uint64_t replayedUops = 0;
     uint64_t historyBytes = 0; ///< undo-log bytes held now
+    uint64_t jitUops = 0;      ///< µops retired from JIT traces
+    uint64_t jitExits = 0;     ///< trace side exits
 };
 
 /** Server-level aggregates (ServerStats request): per-session stats

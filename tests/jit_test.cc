@@ -7,19 +7,28 @@
  * code patched between hot phases, a store rewriting the running
  * trace's own body, a DISE production added mid-run (tableVersion), an
  * armed µop observer (tools), the build-time redundancy-suppression
- * pass, and app-instruction budgets landing inside a trace. The two
- * legs must agree on every architectural observable.
+ * pass, app-instruction budgets landing inside a trace, and the DISE
+ * watch check whose conditional call stays in the trace as a guard
+ * until a store matches. The two legs must agree on every
+ * architectural observable.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "asm/assembler.hh"
 #include "cpu/func_cpu.hh"
 #include "cpu/loader.hh"
+#include "debug/debugger.hh"
+#include "debug/dise_backend.hh"
 #include "debug/target.hh"
 #include "dise/engine.hh"
 #include "isa/encoding.hh"
 #include "jit/trace_cache.hh"
+#include "session/debug_session.hh"
 
 namespace dise {
 namespace {
@@ -432,6 +441,227 @@ TEST(TraceJit, SplitRunMatchesSingleRun)
     EXPECT_EQ(marks[0], 5050u);
     EXPECT_EQ(marks[1], marks[0]);
 }
+
+// ------------------------------------- DISE conditional-call guards
+
+constexpr uint64_t GuardLaps = 640;
+/** Every GuardPeriod-th lap stores to the watched cell. */
+constexpr uint64_t GuardPeriod = 16;
+
+/**
+ * A branch-free hot loop with one back edge, so one trace covers a
+ * whole lap. Every lap stores its count to "other". A second store goes
+ * to "other" too, except on every GuardPeriod-th lap, when its address
+ * is "watched". Those watched stores alternate between changing the
+ * cell and rewriting the value it holds (a silent store). "w1".."w3"
+ * are cells nothing stores to.
+ */
+Program
+guardLoopProgram()
+{
+    Assembler a;
+    a.data(layout::DataBase);
+    a.label("watched");
+    a.quad(0);
+    a.label("w1");
+    a.quad(0);
+    a.label("w2");
+    a.quad(0);
+    a.label("w3");
+    a.quad(0);
+    a.align(64);
+    a.label("other");
+    a.quad(0);
+    a.text(layout::TextBase);
+    a.label("main");
+    a.la(s0, "watched");
+    a.la(s1, "other");
+    a.subq(s0, s1, s4);
+    a.li(s3, GuardLaps);
+    a.li(t0, 0); // laps since the last watched store
+    a.li(t6, 0); // 1 when the next watched store is silent
+    a.li(t7, 0); // the value the second store writes
+    a.label("loop");
+    a.stq(s3, 0, s1);
+    a.addq(t0, 1, t0);
+    a.cmpeq(t0, GuardPeriod, t1); // 1 on a watched lap
+    a.subq(zero, t1, t2);         // all ones on a watched lap
+    a.bic(t0, t2, t0);
+    a.xor_(t6, t1, t6);
+    a.and_(t1, t6, t8);
+    a.addq(t7, t8, t7); // changes on every other watched lap
+    a.and_(t2, s4, t9);
+    a.addq(s1, t9, t9); // "watched" on a watched lap, else "other"
+    a.stq(t7, 0, t9);
+    a.subq(s3, 1, s3);
+    a.bne(s3, "loop");
+    a.syscall(SysExit);
+    return a.finish("main");
+}
+
+/** One DISE configuration of the guard scenario. */
+struct GuardCase
+{
+    const char *name;
+    DiseOptions dise;
+    /** Scalar watches on watched, w1, w2, w3 (in that order); 0 means
+     *  one range watch over all four cells. */
+    unsigned scalars;
+    /** The store check ends in d_ccall. */
+    bool ccall;
+    /** The strategy the options resolve to (checked when ccall). */
+    MultiMatch strategy;
+};
+
+void
+PrintTo(const GuardCase &gc, std::ostream *os)
+{
+    *os << gc.name;
+}
+
+std::vector<WatchSpec>
+guardWatches(const Program &prog, const GuardCase &gc)
+{
+    if (gc.scalars == 0)
+        return {WatchSpec::range("cells", prog.symbol("watched"), 32)};
+    const char *cells[] = {"watched", "w1", "w2", "w3"};
+    std::vector<WatchSpec> ws;
+    for (unsigned i = 0; i < gc.scalars; ++i)
+        ws.push_back(WatchSpec::scalar(cells[i], prog.symbol(cells[i]), 8));
+    return ws;
+}
+
+struct GuardRun
+{
+    FuncResult res;
+    size_t events = 0;
+    TraceCacheStats jit;
+};
+
+/** A functional run to the end, with no budget to cut a trace short. */
+GuardRun
+runGuardFunctional(const GuardCase &gc, bool jitOn)
+{
+    DebugTarget target(guardLoopProgram());
+    DebuggerOptions o;
+    o.dise = gc.dise;
+    Debugger dbg(target, o);
+    for (const WatchSpec &w : guardWatches(target.program, gc))
+        dbg.watch(w);
+    EXPECT_TRUE(dbg.attach()) << gc.name;
+    if (gc.ccall) {
+        EXPECT_EQ(static_cast<DiseBackend &>(dbg.backend()).strategy(),
+                  gc.strategy)
+            << gc.name;
+    }
+    target.jit()->config().enabled = jitOn;
+    target.jit()->config().hotThreshold = 4; // traced before lap 16
+    GuardRun run;
+    run.res = dbg.runFunctional();
+    EXPECT_EQ(run.res.halt, HaltReason::Exited) << gc.name;
+    run.events = dbg.backend().totalEvents();
+    run.jit = target.jit()->stats();
+    return run;
+}
+
+/** The session verbs' stop log, as in jit_parity_test. */
+std::vector<std::string>
+guardSessionLog(const GuardCase &gc, bool jitOn, uint64_t *tracedUops)
+{
+    Program prog = guardLoopProgram();
+    SessionOptions o;
+    o.debugger.dise = gc.dise;
+    o.timeTravel.checkpointInterval = 256;
+    DebugSession session(prog, o);
+    for (const WatchSpec &w : guardWatches(prog, gc))
+        EXPECT_GE(session.setWatch(w), 0);
+    EXPECT_TRUE(session.attach()) << gc.name;
+    session.target().jit()->config().enabled = jitOn;
+
+    std::vector<std::string> log;
+    auto rec = [&](const char *verb, const StopInfo &s) {
+        std::ostringstream os;
+        os << verb << " reason=" << static_cast<int>(s.reason)
+           << " time=" << s.time << " insts=" << s.appInsts
+           << " pc=" << std::hex << s.pc << std::dec
+           << " events=" << session.eventCount() << " digest="
+           << std::hex << session.digest();
+        log.push_back(os.str());
+    };
+    rec("cont1", session.cont());
+    rec("cont2", session.cont());
+    rec("stepi", session.stepi(7));
+    rec("rstep", session.reverseStep(40));
+    rec("cont3", session.cont());
+    rec("end", session.runToEnd());
+    IntervalReplay::Report vr = session.verifyReplay(2);
+    EXPECT_TRUE(vr.ok) << gc.name << ": " << vr.error;
+    std::ostringstream os;
+    os << "verify final=" << std::hex << vr.finalDigest
+       << " live=" << vr.liveDigest << std::dec
+       << " marks=" << vr.marksVerified;
+    log.push_back(os.str());
+    *tracedUops = session.target().jit()->stats().tracedUops;
+    return log;
+}
+
+class DiseGuard : public ::testing::TestWithParam<GuardCase>
+{
+};
+
+/**
+ * Every configuration: trace on and off agree on the functional run
+ * and on the session stop log. Where the store check ends in d_ccall,
+ * the not-taken call stays in the trace, so almost every µop runs
+ * traced and each watched-cell store leaves the trace at its guard.
+ */
+TEST_P(DiseGuard, ChecksStayTracedAndTraceOnOffAgree)
+{
+    const GuardCase &gc = GetParam();
+    GuardRun off = runGuardFunctional(gc, false);
+    GuardRun on = runGuardFunctional(gc, true);
+    EXPECT_EQ(on.res.microOps, off.res.microOps);
+    EXPECT_EQ(on.res.appInsts, off.res.appInsts);
+    EXPECT_EQ(on.res.handlerOps, off.res.handlerOps);
+    EXPECT_EQ(on.events, off.events);
+    EXPECT_EQ(off.events, GuardLaps / GuardPeriod / 2); // changing ones
+    if (gc.ccall) {
+        double share = static_cast<double>(on.jit.tracedUops) /
+                       static_cast<double>(on.res.microOps);
+        EXPECT_GE(share, 0.8);
+        // No budget cuts a trace here, and the trace exists before the
+        // first watched lap; the loop's last lap is a watched one, so
+        // its back edge never leaves the trace either.
+        EXPECT_EQ(on.jit.sideExits, GuardLaps / GuardPeriod);
+    }
+
+    uint64_t traced = 0;
+    std::vector<std::string> logOff = guardSessionLog(gc, false, &traced);
+    std::vector<std::string> logOn = guardSessionLog(gc, true, &traced);
+    ASSERT_EQ(logOff.size(), logOn.size());
+    for (size_t i = 0; i < logOff.size(); ++i)
+        EXPECT_EQ(logOff[i], logOn[i]) << gc.name << " step " << i;
+    EXPECT_GT(traced, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, DiseGuard,
+    ::testing::Values(
+        GuardCase{"Serial", {}, 1, true, MultiMatch::Serial},
+        GuardCase{"RangeCheck", {}, 0, true, MultiMatch::RangeCheck},
+        GuardCase{"BloomByte", {}, 4, true, MultiMatch::BloomByte},
+        GuardCase{"BloomBit", {.strategy = MultiMatch::BloomBit}, 4, true,
+                  MultiMatch::BloomBit},
+        GuardCase{"DBeqDCall", {.condCallTrap = false}, 1, false,
+                  MultiMatch::Serial},
+        GuardCase{"EvalExpr", {.variant = DiseVariant::EvalExpr}, 1,
+                  false, MultiMatch::Serial},
+        GuardCase{"MatchAddrValue",
+                  {.variant = DiseVariant::MatchAddrValue}, 1, false,
+                  MultiMatch::Serial}),
+    [](const ::testing::TestParamInfo<GuardCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace dise

@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "rsp/client.hh"
@@ -604,6 +606,35 @@ TEST(RspParkedPoke, MemoryWriteAtWatchpointStopSucceeds)
 
 // ----------------------------------------------------- non-stop mode
 
+/** Signalled after a non-stop job's completion callback has run. */
+class JobFinished
+{
+  public:
+    void
+    signal()
+    {
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            done_ = true;
+        }
+        cv_.notify_all();
+    }
+
+    /** Whether the job finished within two minutes. */
+    bool
+    wait()
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        return cv_.wait_for(lk, std::chrono::minutes(2),
+                            [&] { return done_; });
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool done_ = false;
+};
+
 TEST(RspNonStop, AsyncContinueNotifiesStopAndStaysResponsive)
 {
     using namespace server;
@@ -614,6 +645,9 @@ TEST(RspNonStop, AsyncContinueNotifiesStopAndStaysResponsive)
     mopts.maxSessions = 1;
     mopts.session = optionsFor(BackendKind::Dise);
     SessionManager mgr(mopts);
+    // Declared before the scheduler, whose destructor joins the worker
+    // that runs the completion callback.
+    JobFinished finished;
     JobScheduler sched({1, 200});
     ManagedSessionPtr ms =
         mgr.create("demo", BackendKind::Dise, /*exclusive=*/true);
@@ -629,9 +663,11 @@ TEST(RspNonStop, AsyncContinueNotifiesStopAndStaysResponsive)
             -> std::function<void()> {
             JobScheduler::TicketPtr t = sched.driveAsync(
                 ms, kind, count,
-                [done](bool ok, bool interrupted, const StopInfo &stop,
-                       const std::string &err) {
+                [done, &finished](bool ok, bool interrupted,
+                                  const StopInfo &stop,
+                                  const std::string &err) {
                     done(ok, interrupted, stop, err);
+                    finished.signal();
                 });
             if (!t)
                 return {};
@@ -649,13 +685,11 @@ TEST(RspNonStop, AsyncContinueNotifiesStopAndStaysResponsive)
     // The continue is acknowledged immediately; the stop lands later
     // (observable through `?`, which never blocks).
     ASSERT_EQ(conn.handlePacket("vCont;c"), "OK");
-    std::string stop;
-    for (int spin = 0; spin < 5000; ++spin) {
-        stop = conn.handlePacket("?");
-        if (stop.rfind("T05", 0) == 0)
-            break;
+    std::string stop = conn.handlePacket("?");
+    if (stop.rfind("T05", 0) != 0) {
         EXPECT_EQ(stop, "OK"); // still running: responsive, not wedged
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_TRUE(finished.wait());
+        stop = conn.handlePacket("?");
     }
     EXPECT_NE(stop.find("watch:"), std::string::npos) << stop;
     EXPECT_EQ(conn.handlePacket("vStopped"), "OK");
@@ -679,6 +713,9 @@ TEST(RspNonStop, WritePacketsLandAtSliceBoundariesWhileRunning)
     mopts.maxSessions = 1;
     mopts.session = optionsFor(BackendKind::Dise);
     SessionManager mgr(mopts);
+    // Declared before the scheduler, whose destructor joins the worker
+    // that runs the completion callback.
+    JobFinished finished;
     JobScheduler sched({1, 200});
     ManagedSessionPtr ms =
         mgr.create("demo", BackendKind::Dise, /*exclusive=*/true);
@@ -694,9 +731,11 @@ TEST(RspNonStop, WritePacketsLandAtSliceBoundariesWhileRunning)
             -> std::function<void()> {
             JobScheduler::TicketPtr t = sched.driveAsync(
                 ms, kind, count,
-                [done](bool ok, bool interrupted, const StopInfo &stop,
-                       const std::string &err) {
+                [done, &finished](bool ok, bool interrupted,
+                                  const StopInfo &stop,
+                                  const std::string &err) {
                     done(ok, interrupted, stop, err);
+                    finished.signal();
                 });
             if (!t)
                 return {};
@@ -738,13 +777,11 @@ TEST(RspNonStop, WritePacketsLandAtSliceBoundariesWhileRunning)
     // fires (T05) or the program runs to its natural end (W00) when
     // the scheduler got ahead of the poke — never a wedge, never a
     // corrupted stop. What must NOT happen is the old E05.
-    std::string stop;
-    for (int spin = 0; spin < 5000; ++spin) {
-        stop = conn.handlePacket("?");
-        if (stop.rfind("T05", 0) == 0 || stop.rfind("W", 0) == 0)
-            break;
+    std::string stop = conn.handlePacket("?");
+    if (stop.rfind("T05", 0) != 0 && stop.rfind("W", 0) != 0) {
         EXPECT_EQ(stop, "OK");
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_TRUE(finished.wait());
+        stop = conn.handlePacket("?");
     }
     if (stop.rfind("T05", 0) == 0) {
         EXPECT_NE(stop.find("watch:"), std::string::npos) << stop;

@@ -828,13 +828,14 @@ TEST(DebugServerTcp, TwoRspClientsPlusWireClientOnDistinctTargets)
     EXPECT_EQ(failures.load(), 0);
 
     // Per-connection teardown completes shortly after the detach
-    // reply reaches the client; poll rather than race it.
-    ServerStats st;
-    for (int spin = 0; spin < 200; ++spin) {
-        st = srv.stats();
-        if (st.activeSessions == 0)
-            break;
+    // reply reaches the client; wait for it rather than race it.
+    ServerStats st = srv.stats();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(2);
+    while (st.activeSessions != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        st = srv.stats();
     }
     EXPECT_GE(st.created, 3u);
     EXPECT_EQ(st.activeSessions, 0u); // all torn down

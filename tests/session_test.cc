@@ -1071,6 +1071,27 @@ TEST(DebugSession, StatsReportHistoryBytesHeld)
     EXPECT_EQ(back, heldBytes());
 }
 
+TEST(DebugSession, StatsReportTraceCoverage)
+{
+    // A DISE watch on a rarely written cell: each store's check ends
+    // in a d_ccall that is almost never taken, so the recording runs
+    // from traces nearly throughout.
+    Workload w = buildWorkload("mcf");
+    SessionOptions o;
+    o.timeTravel.checkpointInterval = 1024;
+    DebugSession session(w.program, o);
+    session.setWatch(w.watch(WatchSel::WARM1));
+    ASSERT_EQ(session.runToEnd().reason, StopReason::Halted);
+
+    Response resp;
+    ASSERT_TRUE(decodeResponse(session.handleEncoded("stats seq=1"), resp));
+    ASSERT_GT(resp.stats.time, 0u);
+    EXPECT_GE(static_cast<double>(resp.stats.jitUops) /
+                  static_cast<double>(resp.stats.time),
+              0.9);
+    EXPECT_GT(resp.stats.jitExits, 0u);
+}
+
 TEST(DebugSession, DescribePrintersAreReadable)
 {
     StopInfo stop;

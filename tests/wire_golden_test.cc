@@ -186,7 +186,7 @@ stopWithMark(EventKind kind)
 void
 fillStats(Response &r)
 {
-    r.stats = {1000, 250, 3, 4, 5, 6, 7, 8};
+    r.stats = {1000, 250, 3, 4, 5, 6, 7, 8, 9, 10};
     ServerStats &s = r.server;
     uint64_t v = 100;
     for (uint64_t *c :
