@@ -10,17 +10,14 @@
  *   cond    - every store expanded with a conditional (value-predicate)
  *             watchpoint check (Figure 4 methodology)
  *
- * Each cell is measured twice: with the optimized hot path (predecoded
- * µop cache, indexed production matching, memoized expansions) and
- * with the legacy fallback (per-fetch memory read + decode, linear
- * 32-slot pattern scan, per-trigger expansion instantiation), giving
- * the host-side speedup every future PR is measured against. Results
- * are emitted as BENCH_throughput.json.
+ * Each cell runs the interpreter's hot path (predecoded µop cache,
+ * indexed production matching, memoized expansions) with the trace JIT
+ * off and on; the runs must retire identical counts. Results are
+ * emitted as BENCH_throughput.json.
  *
  * A second, cycle-level section measures the timing model's simulated
  * MIPS with the ROB scan cursors (TimingConfig::robCursors) on vs the
- * legacy per-cycle linear window walks — the remaining hot-path
- * candidate named in ROADMAP.md.
+ * linear per-cycle window walks they must match cycle for cycle.
  */
 
 #include <chrono>
@@ -58,9 +55,6 @@ configName(Config c)
 struct Options
 {
     bool quick = false;
-    bool noUcache = false;
-    bool noIndex = false;
-    bool noMemo = false;
     unsigned reps = 2;
     uint64_t maxAppInsts = 0; ///< 0 = run workloads to completion
     uint64_t timingInsts = 300000; ///< app-inst cap for timing cells
@@ -72,7 +66,7 @@ struct Measurement
 {
     std::string workload;
     Config config = Config::Off;
-    bool optimized = true;
+    bool jit = false;
     uint64_t appInsts = 0;
     uint64_t microOps = 0;
     double seconds = 0.0;
@@ -132,8 +126,13 @@ storeCheckProduction(bool conditional)
     return p;
 }
 
+/**
+ * One functional run of the interpreter, with the target's trace cache
+ * wired in or not, same workload and instrumentation. The jit-off leg
+ * leaves env.jit null, so it pays zero cache overhead.
+ */
 Measurement
-measureOnce(const Workload &w, Config config, bool optimized,
+measureOnce(const Workload &w, Config config, bool jitOn,
             const Options &opts)
 {
     DebugTarget target(w.program);
@@ -142,68 +141,6 @@ measureOnce(const Workload &w, Config config, bool optimized,
             storeCheckProduction(config == Config::Cond));
         target.arch.writeDise(3, w.hotAddr);
         // Figure 4 predicate: a constant the watched value never takes.
-        target.arch.writeDise(4, 0xdeadbeefcafeull);
-    }
-    target.load();
-
-    // The fallback leg turns off the µop-side accelerations: per-fetch
-    // memory read + decode, linear pattern scan, per-trigger expansion
-    // instantiation. Memory keeps its page-pointer caches on both legs.
-    bool ucache = optimized && !opts.noUcache;
-    target.engine.setIndexedMatch(optimized && !opts.noIndex);
-    target.engine.setExpansionMemo(optimized && !opts.noMemo);
-
-    StreamEnv env;
-    env.sink = &target.sink;
-    env.uopCache = ucache;
-    FuncCpu cpu(target.arch, target.mem, &target.engine, env);
-
-    auto t0 = std::chrono::steady_clock::now();
-    FuncResult r = cpu.run(opts.maxAppInsts);
-    auto t1 = std::chrono::steady_clock::now();
-    if (r.halt == HaltReason::Fault)
-        fatal("throughput run of '", w.name, "' faulted: ",
-              r.faultMessage);
-
-    Measurement m;
-    m.workload = w.name;
-    m.config = config;
-    m.optimized = optimized;
-    m.appInsts = r.appInsts;
-    m.microOps = r.microOps;
-    m.seconds = std::chrono::duration<double>(t1 - t0).count();
-    return m;
-}
-
-Measurement
-measure(const Workload &w, Config config, bool optimized,
-        const Options &opts)
-{
-    // Best of N: the container's wall clock is noisy.
-    Measurement best;
-    for (unsigned i = 0; i < opts.reps; ++i) {
-        Measurement m = measureOnce(w, config, optimized, opts);
-        if (i == 0 || m.mips() > best.mips())
-            best = m;
-    }
-    return best;
-}
-
-/**
- * One trace-JIT run: the fully-optimized interpreter with the target's
- * trace cache wired in (or not), same workload and instrumentation.
- * The jit-off leg leaves env.jit null, so it pays zero cache overhead —
- * it is exactly the interpreter the `runs` section measures.
- */
-Measurement
-measureJitOnce(const Workload &w, Config config, bool jitOn,
-               const Options &opts)
-{
-    DebugTarget target(w.program);
-    if (config != Config::Off) {
-        target.engine.addProduction(
-            storeCheckProduction(config == Config::Cond));
-        target.arch.writeDise(3, w.hotAddr);
         target.arch.writeDise(4, 0xdeadbeefcafeull);
     }
     target.load();
@@ -219,13 +156,13 @@ measureJitOnce(const Workload &w, Config config, bool jitOn,
     FuncResult r = cpu.run(opts.maxAppInsts);
     auto t1 = std::chrono::steady_clock::now();
     if (r.halt == HaltReason::Fault)
-        fatal("jit throughput run of '", w.name, "' faulted: ",
+        fatal("throughput run of '", w.name, "' faulted: ",
               r.faultMessage);
 
     Measurement m;
     m.workload = w.name;
     m.config = config;
-    m.optimized = jitOn;
+    m.jit = jitOn;
     m.appInsts = r.appInsts;
     m.microOps = r.microOps;
     m.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -233,12 +170,12 @@ measureJitOnce(const Workload &w, Config config, bool jitOn,
 }
 
 Measurement
-measureJit(const Workload &w, Config config, bool jitOn,
-           const Options &opts)
+measure(const Workload &w, Config config, bool jitOn, const Options &opts)
 {
+    // Best of N: the container's wall clock is noisy.
     Measurement best;
     for (unsigned i = 0; i < opts.reps; ++i) {
-        Measurement m = measureJitOnce(w, config, jitOn, opts);
+        Measurement m = measureOnce(w, config, jitOn, opts);
         if (i == 0 || m.mips() > best.mips())
             best = m;
     }
@@ -251,7 +188,6 @@ struct TimingMeasurement
     std::string workload;
     Config config = Config::Off;
     bool cursors = true;
-    bool opRefs = true;
     uint64_t appInsts = 0;
     uint64_t cycles = 0;
     double seconds = 0.0;
@@ -261,7 +197,7 @@ struct TimingMeasurement
 
 TimingMeasurement
 measureTimingOnce(const Workload &w, Config config, bool cursors,
-                  bool opRefs, const Options &opts)
+                  const Options &opts)
 {
     DebugTarget target(w.program);
     if (config != Config::Off) {
@@ -276,7 +212,6 @@ measureTimingOnce(const Workload &w, Config config, bool cursors,
     env.sink = &target.sink;
     TimingConfig cfg;
     cfg.robCursors = cursors;
-    cfg.opRefs = opRefs;
     TimingCpu cpu(target.arch, target.mem, &target.engine, env, cfg);
     RunLimits lim;
     lim.maxAppInsts = opts.timingInsts;
@@ -292,7 +227,6 @@ measureTimingOnce(const Workload &w, Config config, bool cursors,
     m.workload = w.name;
     m.config = config;
     m.cursors = cursors;
-    m.opRefs = opRefs;
     m.appInsts = r.appInsts;
     m.cycles = r.cycles;
     m.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -301,12 +235,11 @@ measureTimingOnce(const Workload &w, Config config, bool cursors,
 
 TimingMeasurement
 measureTiming(const Workload &w, Config config, bool cursors,
-              bool opRefs, const Options &opts)
+              const Options &opts)
 {
     TimingMeasurement best;
     for (unsigned i = 0; i < opts.reps; ++i) {
-        TimingMeasurement m =
-            measureTimingOnce(w, config, cursors, opRefs, opts);
+        TimingMeasurement m = measureTimingOnce(w, config, cursors, opts);
         if (i == 0 || m.mips() > best.mips())
             best = m;
     }
@@ -333,12 +266,6 @@ parseArgs(int argc, char **argv)
             opts.noTiming = true;
         } else if (arg == "--timing-insts") {
             opts.timingInsts = static_cast<uint64_t>(std::atoll(next()));
-        } else if (arg == "--no-ucache") {
-            opts.noUcache = true;
-        } else if (arg == "--no-index") {
-            opts.noIndex = true;
-        } else if (arg == "--no-memo") {
-            opts.noMemo = true;
         } else if (arg == "--reps") {
             opts.reps = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--insts") {
@@ -349,9 +276,6 @@ parseArgs(int argc, char **argv)
             std::printf(
                 "options:\n"
                 "  --quick       one workload, capped instructions (CI)\n"
-                "  --no-ucache   disable the predecoded µop cache\n"
-                "  --no-index    disable indexed production matching\n"
-                "  --no-memo     disable expansion memoization\n"
                 "  --reps N      repetitions per cell (best-of, default 2)\n"
                 "  --insts N     cap application instructions per run\n"
                 "  --timing-insts N  app-inst cap for the timing cells\n"
@@ -377,98 +301,57 @@ main(int argc, char **argv)
         opts.quick ? std::vector<std::string>{"bzip2"} : workloadNames();
     const Config configs[] = {Config::Off, Config::Uncond, Config::Cond};
 
-    std::vector<Measurement> results;
+    // The interpreter, then the trace JIT on vs off. µop MIPS is the
+    // honest metric for the JIT: its job is retiring expansion µops
+    // cheaply.
+    std::vector<Measurement> results, jitResults;
+    double jitSpeedupMin = 0.0;
     TextTable table;
-    table.setHeader({"workload", "config", "optimized MIPS",
-                     "fallback MIPS", "speedup"});
-
-    double uncondSpeedupMin = 0.0;
+    table.setHeader({"workload", "config", "interp MIPS", "jit µMIPS",
+                     "interp µMIPS", "jit speedup"});
     bool first = true;
     for (const auto &name : names) {
         WorkloadParams params;
         Workload w = buildWorkload(name, params);
         for (Config config : configs) {
-            Measurement opt = measure(w, config, true, opts);
-            Measurement fall = measure(w, config, false, opts);
-            results.push_back(opt);
-            results.push_back(fall);
-            double speedup =
-                fall.mips() > 0 ? opt.mips() / fall.mips() : 0.0;
+            Measurement on = measure(w, config, true, opts);
+            Measurement off = measure(w, config, false, opts);
+            if (on.appInsts != off.appInsts || on.microOps != off.microOps)
+                fatal("trace JIT changed retirement counts on '", name,
+                      "/", configName(config), "': ", on.appInsts, "/",
+                      on.microOps, " vs ", off.appInsts, "/",
+                      off.microOps);
+            results.push_back(off);
+            jitResults.push_back(on);
+            jitResults.push_back(off);
+            double sp = off.microMips() > 0
+                            ? on.microMips() / off.microMips()
+                            : 0.0;
             if (config == Config::Uncond) {
-                if (first || speedup < uncondSpeedupMin)
-                    uncondSpeedupMin = speedup;
+                if (first || sp < jitSpeedupMin)
+                    jitSpeedupMin = sp;
                 first = false;
             }
-            char optBuf[32], fallBuf[32], spBuf[32];
-            std::snprintf(optBuf, sizeof optBuf, "%.2f", opt.mips());
-            std::snprintf(fallBuf, sizeof fallBuf, "%.2f", fall.mips());
-            std::snprintf(spBuf, sizeof spBuf, "%.2fx", speedup);
-            table.addRow({name, configName(config), optBuf, fallBuf, spBuf});
+            char mipsBuf[32], onBuf[32], offBuf[32], spBuf[32];
+            std::snprintf(mipsBuf, sizeof mipsBuf, "%.2f", off.mips());
+            std::snprintf(onBuf, sizeof onBuf, "%.2f", on.microMips());
+            std::snprintf(offBuf, sizeof offBuf, "%.2f", off.microMips());
+            std::snprintf(spBuf, sizeof spBuf, "%.2fx", sp);
+            table.addRow({name, configName(config), mipsBuf, onBuf, offBuf,
+                          spBuf});
         }
     }
     std::fputs(table.render().c_str(), stdout);
-    std::printf("min unconditional-instrumentation speedup: %.2fx\n",
-                uncondSpeedupMin);
-
-    // Trace-JIT section: the optimized interpreter with the trace
-    // cache on vs off. µop MIPS is the honest metric here — the JIT's
-    // job is retiring expansion µops cheaply.
-    std::vector<Measurement> jitResults;
-    double jitSpeedupMin = 0.0;
-    {
-        TextTable jtable;
-        jtable.setHeader({"workload", "config", "jit µMIPS",
-                          "interp µMIPS", "speedup"});
-        bool jfirst = true;
-        for (const auto &name : names) {
-            WorkloadParams params;
-            Workload w = buildWorkload(name, params);
-            for (Config config : configs) {
-                Measurement on = measureJit(w, config, true, opts);
-                Measurement off = measureJit(w, config, false, opts);
-                if (on.appInsts != off.appInsts ||
-                    on.microOps != off.microOps)
-                    fatal("trace JIT changed retirement counts on '",
-                          name, "/", configName(config), "': ",
-                          on.appInsts, "/", on.microOps, " vs ",
-                          off.appInsts, "/", off.microOps);
-                jitResults.push_back(on);
-                jitResults.push_back(off);
-                double sp = off.microMips() > 0
-                                ? on.microMips() / off.microMips()
-                                : 0.0;
-                if (config == Config::Uncond) {
-                    if (jfirst || sp < jitSpeedupMin)
-                        jitSpeedupMin = sp;
-                    jfirst = false;
-                }
-                char onBuf[32], offBuf[32], spBuf[32];
-                std::snprintf(onBuf, sizeof onBuf, "%.2f",
-                              on.microMips());
-                std::snprintf(offBuf, sizeof offBuf, "%.2f",
-                              off.microMips());
-                std::snprintf(spBuf, sizeof spBuf, "%.2fx", sp);
-                jtable.addRow(
-                    {name, configName(config), onBuf, offBuf, spBuf});
-            }
-        }
-        std::printf("\ntrace JIT (cache on vs off, µop MIPS):\n");
-        std::fputs(jtable.render().c_str(), stdout);
-        std::printf(
-            "min unconditional-instrumentation JIT speedup: %.2fx\n",
-            jitSpeedupMin);
-    }
+    std::printf("min unconditional-instrumentation JIT speedup: %.2fx\n",
+                jitSpeedupMin);
 
     // Cycle-level section: simulated MIPS of the timing model with ROB
-    // scan cursors vs the legacy linear window walks.
+    // scan cursors vs the linear window walks.
     std::vector<TimingMeasurement> timingResults;
     if (!opts.noTiming) {
         TextTable ttable;
         ttable.setHeader({"workload", "config", "cursors MIPS",
                           "linear MIPS", "speedup"});
-        TextTable otable;
-        otable.setHeader({"workload", "config", "refs MIPS",
-                          "copy MIPS", "speedup"});
         std::vector<std::string> tnames =
             opts.quick ? std::vector<std::string>{"bzip2"}
                        : std::vector<std::string>{"bzip2", "mcf"};
@@ -476,21 +359,14 @@ main(int argc, char **argv)
             WorkloadParams params;
             Workload w = buildWorkload(name, params);
             for (Config config : {Config::Off, Config::Uncond}) {
-                TimingMeasurement cur =
-                    measureTiming(w, config, true, true, opts);
+                TimingMeasurement cur = measureTiming(w, config, true, opts);
                 TimingMeasurement lin =
-                    measureTiming(w, config, false, true, opts);
-                TimingMeasurement cpy =
-                    measureTiming(w, config, true, false, opts);
+                    measureTiming(w, config, false, opts);
                 if (cur.cycles != lin.cycles)
                     fatal("ROB cursors changed simulated cycles on '",
                           name, "': ", cur.cycles, " vs ", lin.cycles);
-                if (cur.cycles != cpy.cycles)
-                    fatal("µop references changed simulated cycles on '",
-                          name, "': ", cur.cycles, " vs ", cpy.cycles);
                 timingResults.push_back(cur);
                 timingResults.push_back(lin);
-                timingResults.push_back(cpy);
                 double sp = lin.mips() > 0 ? cur.mips() / lin.mips() : 0;
                 char curBuf[32], linBuf[32], spBuf[32];
                 std::snprintf(curBuf, sizeof curBuf, "%.2f", cur.mips());
@@ -498,18 +374,10 @@ main(int argc, char **argv)
                 std::snprintf(spBuf, sizeof spBuf, "%.2fx", sp);
                 ttable.addRow(
                     {name, configName(config), curBuf, linBuf, spBuf});
-                double osp = cpy.mips() > 0 ? cur.mips() / cpy.mips() : 0;
-                char cpyBuf[32], ospBuf[32];
-                std::snprintf(cpyBuf, sizeof cpyBuf, "%.2f", cpy.mips());
-                std::snprintf(ospBuf, sizeof ospBuf, "%.2fx", osp);
-                otable.addRow(
-                    {name, configName(config), curBuf, cpyBuf, ospBuf});
             }
         }
         std::printf("\ntiming model (ROB cursors vs linear scans):\n");
         std::fputs(ttable.render().c_str(), stdout);
-        std::printf("\ntiming model (µop references vs copies):\n");
-        std::fputs(otable.render().c_str(), stdout);
     }
 
     std::ofstream os(opts.out);
@@ -517,15 +385,12 @@ main(int argc, char **argv)
         fatal("cannot write ", opts.out);
     os << "{\n  \"bench\": \"throughput\",\n";
     os << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n";
-    os << "  \"uncond_speedup_min\": " << uncondSpeedupMin << ",\n";
     os << "  \"jit_uncond_speedup_min\": " << jitSpeedupMin << ",\n";
     os << "  \"runs\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
         const Measurement &m = results[i];
         os << "    {\"workload\": \"" << m.workload << "\", \"config\": \""
-           << configName(m.config) << "\", \"mode\": \""
-           << (m.optimized ? "optimized" : "fallback")
-           << "\", \"app_insts\": " << m.appInsts
+           << configName(m.config) << "\", \"app_insts\": " << m.appInsts
            << ", \"micro_ops\": " << m.microOps
            << ", \"seconds\": " << m.seconds << ", \"mips\": " << m.mips()
            << ", \"micro_mips\": " << m.microMips() << "}"
@@ -536,7 +401,7 @@ main(int argc, char **argv)
         const Measurement &m = jitResults[i];
         os << "    {\"workload\": \"" << m.workload << "\", \"config\": \""
            << configName(m.config) << "\", \"jit\": \""
-           << (m.optimized ? "on" : "off")
+           << (m.jit ? "on" : "off")
            << "\", \"app_insts\": " << m.appInsts
            << ", \"micro_ops\": " << m.microOps
            << ", \"seconds\": " << m.seconds << ", \"mips\": " << m.mips()
@@ -549,7 +414,6 @@ main(int argc, char **argv)
         os << "    {\"workload\": \"" << m.workload << "\", \"config\": \""
            << configName(m.config) << "\", \"rob_scan\": \""
            << (m.cursors ? "cursors" : "linear")
-           << "\", \"op_mode\": \"" << (m.opRefs ? "refs" : "copy")
            << "\", \"app_insts\": " << m.appInsts
            << ", \"cycles\": " << m.cycles << ", \"seconds\": " << m.seconds
            << ", \"mips\": " << m.mips() << "}"

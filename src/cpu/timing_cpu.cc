@@ -14,15 +14,11 @@ TimingCpu::TimingCpu(ArchState &arch, MainMemory &mem, DiseEngine *engine,
     DISE_ASSERT(cfg_.robSize > 0 && cfg_.rsSize > 0 && cfg_.width > 0,
                 "bad pipeline configuration");
     rob_.resize(cfg_.robSize);
-    if (cfg_.opRefs) {
-        pool_.resize(cfg_.robSize + 2);
-        freeSlots_.reserve(pool_.size());
-        for (int i = static_cast<int>(pool_.size()) - 1; i > 0; --i)
-            freeSlots_.push_back(i);
-        pendingSlot_ = 0;
-    } else {
-        opStore_.resize(cfg_.robSize);
-    }
+    pool_.resize(cfg_.robSize + 2);
+    freeSlots_.reserve(pool_.size());
+    for (int i = static_cast<int>(pool_.size()) - 1; i > 0; --i)
+        freeSlots_.push_back(i);
+    pendingSlot_ = 0;
     std::fill(std::begin(renameMap_), std::end(renameMap_), -1);
 }
 
@@ -262,9 +258,7 @@ TimingCpu::run(const RunLimits &lim)
             if (issueSkip_ > 0)
                 --issueSkip_; // offsets shift as the head advances
             e.state = SlotState::Free;
-            if (cfg_.opRefs)
-                freeSlots_.push_back(
-                    static_cast<int>(e.op - pool_.data()));
+            freeSlots_.push_back(static_cast<int>(e.op - pool_.data()));
             robHead_ = (robHead_ + 1) % static_cast<int>(cfg_.robSize);
             --robCount_;
             ++committed;
@@ -355,10 +349,9 @@ TimingCpu::run(const RunLimits &lim)
                     streamDone_ = true;
                     break;
                 }
-                // With opRefs the stream decodes straight into the
-                // pending pool slot; no staging copy exists.
-                MicroOp &op =
-                    cfg_.opRefs ? pool_[pendingSlot_] : pending_;
+                // The stream decodes straight into the pending pool
+                // slot; no staging copy exists.
+                MicroOp &op = pool_[pendingSlot_];
                 if (!havePending_) {
                     if (!stream_.next(op)) {
                         streamDone_ = true;
@@ -407,22 +400,12 @@ TimingCpu::run(const RunLimits &lim)
                 int slot = (robHead_ + robCount_) %
                            static_cast<int>(cfg_.robSize);
                 RobEntry &e = rob_[slot];
-                if (cfg_.opRefs) {
-                    // Ownership of the pending slot transfers to the
-                    // ROB entry; the next decode gets a free slot.
-                    e.op = &pool_[pendingSlot_];
-                    DISE_ASSERT(!freeSlots_.empty(),
-                                "micro-op pool exhausted");
-                    pendingSlot_ = freeSlots_.back();
-                    freeSlots_.pop_back();
-                } else {
-                    // Faithful to the pre-refs dispatch: the entry's
-                    // op storage was default-constructed (RobEntry{})
-                    // and then overwritten with the staged copy.
-                    opStore_[slot] = MicroOp{};
-                    opStore_[slot] = op;
-                    e.op = &opStore_[slot];
-                }
+                // Ownership of the pending slot transfers to the ROB
+                // entry; the next decode gets a free slot.
+                e.op = &pool_[pendingSlot_];
+                DISE_ASSERT(!freeSlots_.empty(), "micro-op pool exhausted");
+                pendingSlot_ = freeSlots_.back();
+                freeSlots_.pop_back();
                 e.state = SlotState::Dispatched;
                 e.dispatchCycle = now;
                 e.doneCycle = 0;

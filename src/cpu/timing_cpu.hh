@@ -46,18 +46,11 @@ struct TimingConfig
      * Host-side perf switch (simulated behavior is identical): issue
      * and memory-disambiguation scans use a head cursor plus an
      * age-ordered store ring instead of walking the whole ROB every
-     * cycle. Off reproduces the legacy linear scans for A/B
-     * measurement (bench/throughput.cc --timing).
+     * cycle. Off runs the linear scans, the reference pipeline_test
+     * and bench_throughput's timing section compare the cursors
+     * against.
      */
     bool robCursors = true;
-    /**
-     * Host-side perf switch (simulated behavior is identical): the
-     * stream decodes each micro-op directly into a fixed pool slot and
-     * the ROB holds stable pointers, so an op is never copied between
-     * delivery and retirement. Off reproduces the legacy
-     * copy-into-the-window mode for A/B measurement.
-     */
-    bool opRefs = true;
     MemSystemConfig mem{};
     BranchPredictorConfig bpred{};
 };
@@ -119,9 +112,8 @@ class TimingCpu
 
     struct RobEntry
     {
-        /** Stable µop storage: a pool_ slot (cfg_.opRefs) or the
-         *  entry's opStore_ slot (legacy copy mode). Valid while the
-         *  entry is in flight; stale once the slot is Free. */
+        /** Stable µop storage: a pool_ slot. Valid while the entry is
+         *  in flight; stale once the slot is Free. */
         const MicroOp *op = nullptr;
         SlotState state = SlotState::Free;
         uint64_t dispatchCycle = 0;
@@ -165,15 +157,15 @@ class TimingCpu
     int issueSkip_ = 0;           ///< head-relative all-issued prefix
     std::deque<int> storeSlots_;  ///< in-flight store slots, age order
 
-    // µop storage (cfg_.opRefs): robSize + 2 pool slots cover the full
-    // window plus the pending op; freeSlots_ is a stack of unowned
-    // slot indices and pendingSlot_ is the slot the stream decodes
-    // into next. Legacy copy mode uses opStore_ (indexed by ROB slot)
-    // and the pending_ staging op instead.
+    // µop storage: the stream decodes each micro-op directly into a
+    // pool slot and the ROB holds stable pointers, so an op is never
+    // copied between delivery and retirement. robSize + 2 slots cover
+    // the full window plus the pending op; freeSlots_ is a stack of
+    // unowned slot indices and pendingSlot_ is the slot the stream
+    // decodes into next.
     std::vector<MicroOp> pool_;
     std::vector<int> freeSlots_;
     int pendingSlot_ = 0;
-    std::vector<MicroOp> opStore_;
 
     // Rename map: logical register -> producing ROB slot.
     int renameMap_[NumLogicalRegs];
@@ -183,7 +175,6 @@ class TimingCpu
     uint64_t frontResumeCycle_ = 0;
     uint64_t lastFetchLine_ = ~uint64_t{0};
     bool havePending_ = false;
-    MicroOp pending_;
     bool streamDone_ = false;
     uint64_t deliveredAppInsts_ = 0;
 

@@ -334,15 +334,11 @@ DiseEngine::ExpansionRef
 DiseEngine::expandCached(int slot, const Inst &trigger)
 {
     const Production &prod = *slotProduction(slot);
-    if (!memoize_ || !cfg_.expansionMemoEntries)
-        return std::make_shared<const Expansion>(
-            instantiateExpansion(*this, prod, trigger));
-
     ExpKey key{slots_[slot].id, trigger};
     auto it = memo_.find(key);
     if (it != memo_.end())
         return it->second;
-    if (memo_.size() >= cfg_.expansionMemoEntries)
+    if (memo_.size() >= ExpansionMemoEntries)
         memo_.clear();
     auto seq = std::make_shared<const Expansion>(
         instantiateExpansion(*this, prod, trigger));

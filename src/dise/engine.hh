@@ -54,8 +54,6 @@ struct DiseEngineConfig
     /** Cycles to refill one replacement-table line from memory. */
     unsigned replacementMissPenalty = 24;
     unsigned replacementLineInsts = 8;
-    /** Memoized-expansion cache capacity (entries; 0 disables). */
-    unsigned expansionMemoEntries = 4096;
 };
 
 /** Result of presenting one fetched instruction to the engine. */
@@ -180,16 +178,9 @@ class DiseEngine
      */
     ExpansionRef expandCached(int slot, const Inst &trigger);
 
-    /** @name A/B switches for benchmarking the indexed hot path */
-    ///@{
+    /** A/B switch for the indexed match (the linear scan is the
+     *  reference the tests and bench_throughput compare against). */
     void setIndexedMatch(bool on) { indexed_ = on; }
-    void
-    setExpansionMemo(bool on)
-    {
-        memoize_ = on;
-        memo_.clear();
-    }
-    ///@}
 
     StatGroup &stats() { return stats_; }
 
@@ -212,6 +203,8 @@ class DiseEngine
     /** One bit per pattern-table slot. */
     using SlotMask = uint64_t;
     static constexpr unsigned MaxSlots = 64;
+    /** Memoized-expansion cache capacity (entries). */
+    static constexpr size_t ExpansionMemoEntries = 4096;
 
     /** Memo key: productions are immutable while installed, so the
      *  expansion is a pure function of (production id, trigger). */
@@ -237,7 +230,6 @@ class DiseEngine
     bool indexed_ = true;
     /** Tables wider than the candidate-mask width use the linear scan. */
     bool indexable_ = true;
-    bool memoize_ = true;
     std::vector<Slot> slots_;
     ProductionId nextId_ = 1;
     std::vector<RtLine> rtLines_;

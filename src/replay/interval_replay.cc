@@ -158,61 +158,15 @@ IntervalReplay::Worker::Worker(const IntervalReplay &owner, Interval iv,
 IntervalReplay::Worker::~Worker() = default;
 
 void
-IntervalReplay::Worker::applyProduction(const Intervention &iv)
-{
-    DiseEngine &engine = target_->engine;
-    size_t journalIdx = nextIntervention_; // caller positions us
-    switch (iv.kind) {
-      case InterventionKind::AddProduction:
-        journalIds_[journalIdx] = engine.addProduction(iv.production);
-        break;
-      case InterventionKind::RemoveProduction: {
-        // An in-session production is identified through its
-        // AddProduction record (ids are replica-local); a pre-session
-        // one (prepare-hook installed) by its stable table slot.
-        ProductionId id = iv.addIndex >= 0
-                              ? journalIds_[iv.addIndex]
-                              : engine.idAt(iv.slot);
-        DISE_ASSERT(id, "interval replay cannot re-target a logged "
-                        "production removal");
-        engine.removeProduction(id);
-        break;
-      }
-      case InterventionKind::ToolEnable: {
-        // Re-arm at the exact recorded slots so the replica's pattern
-        // table matches the live session's slot-for-slot.
-        std::string err;
-        DebugBackend &backend = debugger_->backend();
-        bool ok = backend.tools().enable(
-            *target_, iv.toolName, iv.toolConfig,
-            backend.usesDiseProductions(), &err, nullptr,
-            iv.toolSlots.empty() ? nullptr : &iv.toolSlots);
-        DISE_ASSERT(ok, "interval replay could not re-enable tool '",
-                    iv.toolName, "': ", err);
-        break;
-      }
-      case InterventionKind::ToolDisable: {
-        std::string err;
-        bool ok = debugger_->backend().tools().disable(
-            *target_, iv.toolName, &err);
-        DISE_ASSERT(ok, "interval replay could not disable tool '",
-                    iv.toolName, "': ", err);
-        break;
-      }
-      default:
-        break;
-    }
-}
-
-void
 IntervalReplay::Worker::prepare()
 {
     TRACE_SPAN("replay", "ireplay.prepare");
-    DISE_ASSERT(!prepared_, "worker already prepared");
+    DISE_ASSERT(!tt_, "worker already prepared");
     if (!owner_.factory_(target_, debugger_))
         throw std::runtime_error(
             "interval replay: machinery rebuild failed");
     DebugBackend &backend = debugger_->backend();
+    const DebugBackend &live = owner_.liveBackend_;
     const auto &cps = owner_.tt_.checkpoints();
     const Checkpoint &cp = cps[interval_.cpFrom];
 
@@ -224,159 +178,75 @@ IntervalReplay::Worker::prepare()
     for (size_t j = cps.size() - 1; j > interval_.cpFrom; --j)
         target_->mem.applyUndo(cps[j - 1].undo);
 
-    // Interventions before the interval: pokes are baked into the
-    // materialized image and register file; engine-table mutations and
-    // tool enables are host state the checkpoint does not carry, so
-    // re-apply them — before restoreHost, which refills the tool-state
-    // blobs the checkpoint captured into the re-enabled tools.
-    const auto &ivs = owner_.log_.interventions;
-    journalIds_.assign(ivs.size(), 0);
-    while (nextIntervention_ < ivs.size() &&
-           ivs[nextIntervention_].time < interval_.fromTime) {
-        const Intervention &iv = ivs[nextIntervention_];
-        if (iv.kind == InterventionKind::AddProduction ||
-            iv.kind == InterventionKind::RemoveProduction ||
-            iv.kind == InterventionKind::ToolEnable ||
-            iv.kind == InterventionKind::ToolDisable)
-            applyProduction(iv);
-        ++nextIntervention_;
-    }
-
-    // Registers, backend host state, and the sink prefix as of the
-    // checkpoint; the event-list prefix is adopted from the live
-    // session so per-kind indices and digests line up.
-    target_->arch = cp.arch;
-    backend.restoreHost(cp.host);
+    // The checkpoint only counts events and output; adopt the live
+    // prefixes so per-kind indices and digests line up.
     backend.adoptEvents(
-        {owner_.liveBackend_.watchEvents().begin(),
-         owner_.liveBackend_.watchEvents().begin() + cp.host.watchEvents},
-        {owner_.liveBackend_.breakEvents().begin(),
-         owner_.liveBackend_.breakEvents().begin() + cp.host.breakEvents},
-        {owner_.liveBackend_.protectionEvents().begin(),
-         owner_.liveBackend_.protectionEvents().begin() +
-             cp.host.protectionEvents});
+        {live.watchEvents().begin(),
+         live.watchEvents().begin() + cp.host.watchEvents},
+        {live.breakEvents().begin(),
+         live.breakEvents().begin() + cp.host.breakEvents},
+        {live.protectionEvents().begin(),
+         live.protectionEvents().begin() + cp.host.protectionEvents});
     target_->sink.text = owner_.live_.sink.text.substr(0, cp.sinkText);
     target_->sink.marks.assign(
         owner_.live_.sink.marks.begin(),
         owner_.live_.sink.marks.begin() + cp.sinkMarks);
-    target_->engine.invalidateMatchCaches();
-    target_->mem.invalidatePagePointerCaches();
 
-    time_ = cp.time;
-    appInsts_ = cp.appInsts;
+    // The replica replays a copy of the live log: replay writes engine
+    // ids and tool slots into the log it runs on. A Seek to the start
+    // applies the interventions stamped there.
+    debugger_->replayLog() = owner_.log_;
+    tt_ = std::make_unique<TimeTravel>(*target_, backend,
+                                       debugger_->replayLog(), cp,
+                                       owner_.tt_.config());
+    tt_->travel(TravelVerb::Seek, cp.time);
+    interval_.startDigest = tt_->digest();
     nextCp_ = interval_.cpFrom + 1;
-    seenWatch_ = cp.host.watchEvents;
-    seenBreak_ = cp.host.breakEvents;
-    seenProt_ = cp.host.protectionEvents;
-    markCursor_ = seenWatch_ + seenBreak_ + seenProt_;
-    seenRecorded_ = backend.eventsRecorded();
-
-    interval_.startDigest = stateDigest(*target_, backend);
-    stream_ = std::make_unique<InstStream>(target_->arch, target_->mem,
-                                           &target_->engine,
-                                           backend.streamEnv(*target_));
-    prepared_ = true;
-}
-
-void
-IntervalReplay::Worker::pollEvents()
-{
-    DebugBackend &backend = debugger_->backend();
-    if (backend.eventsRecorded() == seenRecorded_)
-        return;
-    seenRecorded_ = backend.eventsRecorded();
-
-    const auto &marks = owner_.log_.marks;
-    auto note = [&](EventKind kind, size_t &seen, size_t now,
-                    auto pcOf) {
-        for (; seen < now; ++seen) {
-            DISE_ASSERT(markCursor_ < marks.size(),
-                        "interval replay fired an event beyond the "
-                        "recorded timeline at t=", time_);
-            const EventMark &rec = marks[markCursor_];
-            DISE_ASSERT(rec.kind == kind &&
-                            rec.index == static_cast<int>(seen) &&
-                            rec.time == time_ && rec.pc == pcOf(seen),
-                        "interval replay diverged from the recorded "
-                        "event timeline at t=", time_);
-            ++markCursor_;
-            ++interval_.marksVerified;
-        }
-    };
-    note(EventKind::Watch, seenWatch_, backend.watchEvents().size(),
-         [&](size_t i) { return backend.watchEvents()[i].pc; });
-    note(EventKind::Break, seenBreak_, backend.breakEvents().size(),
-         [&](size_t i) { return backend.breakEvents()[i].pc; });
-    note(EventKind::Protection, seenProt_,
-         backend.protectionEvents().size(),
-         [&](size_t i) { return backend.protectionEvents()[i].pc; });
 }
 
 bool
-IntervalReplay::Worker::step(uint64_t maxUops)
+IntervalReplay::Worker::step(uint64_t maxAppInsts)
 {
     TRACE_SPAN("replay", "ireplay.step");
-    DISE_ASSERT(prepared_, "step() before prepare()");
-    const auto &ivs = owner_.log_.interventions;
+    DISE_ASSERT(tt_, "step() before prepare()");
     const auto &cps = owner_.tt_.checkpoints();
-    uint64_t budget = maxUops ? maxUops : ~uint64_t{0};
-
-    auto applyHere = [&] {
-        while (nextIntervention_ < ivs.size() &&
-               ivs[nextIntervention_].time == time_) {
-            const Intervention &iv = ivs[nextIntervention_];
-            switch (iv.kind) {
-              case InterventionKind::PokeMemory:
-                target_->mem.write(iv.addr, iv.size, iv.value);
-                break;
-              case InterventionKind::PokeRegister:
-                target_->arch.write(iv.reg, iv.value);
-                break;
-              default:
-                applyProduction(iv);
-                break;
-            }
-            ++nextIntervention_;
+    uint64_t budgetEnd = maxAppInsts ? tt_->appInsts() + maxAppInsts : 0;
+    bool done = false;
+    for (;;) {
+        if (tt_->travelActive()) {
+            if (budgetEnd && tt_->appInsts() >= budgetEnd)
+                return false; // budget expired; call step() again
+            tt_->travelStep(budgetEnd ? budgetEnd - tt_->appInsts() : 0,
+                            done);
+        } else {
+            // One Seek per boundary: the next live checkpoint inside
+            // the range, or the range's end.
+            uint64_t goal = nextCp_ < interval_.cpTo ? cps[nextCp_].time
+                                                     : interval_.toTime;
+            tt_->travelBegin(TravelVerb::Seek, goal, done);
         }
-    };
-
-    while (time_ < interval_.toTime && budget--) {
-        applyHere();
-        MicroOp &op = scratchOp_;
-        DISE_ASSERT(stream_->next(op),
-                    "interval replay halted before its interval end "
-                    "(t=", time_, ", wanted t=", interval_.toTime, ")");
-        ++time_;
-        ++interval_.uopsReplayed;
-        if (op.isAppInst())
-            ++appInsts_;
-        pollEvents();
-        // Checkpoint boundary: publish progress and honor a steal
-        // that shrank this range. A thief only ever takes checkpoints
-        // beyond the published progress, so the shrunk end is always
-        // still ahead — or exactly here, ending the range cleanly at
-        // the boundary it was cut at.
-        if (pool_ && nextCp_ < interval_.cpTo &&
-            time_ == cps[nextCp_].time) {
-            size_t end = pool_->checkpointReached(interval_.slot,
-                                                  nextCp_);
-            if (end != interval_.cpTo) {
-                interval_.cpTo = end;
-                interval_.toTime = cps[end].time;
-            }
-            ++nextCp_;
+        if (!done)
+            continue;
+        if (nextCp_ >= interval_.cpTo)
+            break;
+        // Landed on a checkpoint boundary: publish progress and honor
+        // a steal that shrank this range. A thief only ever takes
+        // checkpoints beyond the published progress, so the shrunk end
+        // is always still ahead — or exactly here, where the next Seek
+        // lands at once and ends the range at the boundary it was cut
+        // at.
+        size_t end = pool_->checkpointReached(interval_.slot, nextCp_++);
+        if (end != interval_.cpTo) {
+            interval_.cpTo = end;
+            interval_.toTime = cps[end].time;
         }
     }
-    if (time_ < interval_.toTime)
-        return false; // budget expired; call step() again
 
-    // The final chunk ends at the live position, where same-time
-    // interventions were applied live (and are part of the live
-    // digest). Interior chunks leave them to their successor's
-    // first µop, matching the checkpoint-restore convention.
-    if (interval_.cpTo == cps.size())
-        applyHere();
-    interval_.endDigest = stateDigest(*target_, debugger_->backend());
+    const BackendSnapshot &from = cps[interval_.cpFrom].host;
+    interval_.uopsReplayed = tt_->time() - interval_.fromTime;
+    interval_.marksVerified = tt_->eventsSoFar() - from.watchEvents -
+                              from.breakEvents - from.protectionEvents;
+    interval_.endDigest = tt_->digest();
     return true;
 }
 
@@ -392,9 +262,10 @@ IntervalReplay::run(unsigned workers) const
             if (!w)
                 return;
             try {
+                // Plain threads have nothing to preempt: run the
+                // whole range in one step.
                 w->prepare();
-                while (!w->step(opts_.sliceUops)) {
-                }
+                w->step(0);
                 pool.complete(*w);
             } catch (const std::exception &e) {
                 pool.abandon(*w, e.what());

@@ -9,34 +9,40 @@
  * backend host state, and — via the memory undo chain — the exact
  * memory image), each interval can be re-executed *independently*: a
  * worker gets a fresh replica of the session's machinery (same program,
- * same specs, same instrumentation), is positioned at its interval's
- * starting checkpoint, and replays forward to the interval's end,
- * verifying every re-fired event against the recorded marks and
- * re-applying logged interventions at their exact stream times.
+ * same specs, same instrumentation), materializes its range's starting
+ * checkpoint, and starts a TimeTravel there on a copy of the live log.
+ * The range is then replayed as Seek goals, one checkpoint boundary at
+ * a time, through the same loop, mark verification and intervention
+ * code as every other verb, trace cache included.
  *
  * Fanned out across workers this turns an O(trace) serial
  * reconstruction into O(trace/workers) wall time; the results are
- * stitched deterministically by digest: chunk k's end-state digest
- * must equal the start-state digest of the chunk that begins at k's
- * last checkpoint, and the final chunk's end digest must equal the
- * live session's digest bit-for-bit. Any mismatch means determinism
- * was broken — the whole point of running the reconstruction.
+ * stitched deterministically by digest. Both sides of a boundary
+ * digest the state after the interventions stamped at that position
+ * (a replica applies them right after it starts; its final Seek
+ * applies them on landing): chunk k's end digest must equal the start
+ * digest of the chunk that begins at k's last checkpoint, and the
+ * final chunk's end digest must equal the live session's digest
+ * bit-for-bit. Any mismatch means determinism was broken — the whole
+ * point of running the reconstruction.
  *
  * Work distribution is dynamic: claimed ranges live in a shared Pool,
  * and an idle worker with no pending range left *steals* the far half
  * of the largest in-flight range. The victim publishes its checkpoint
- * progress at every boundary crossing and re-reads its (possibly
- * shrunk) end under the pool lock at the same point, so a steal is
- * race-free: the thief only ever takes checkpoints the victim has not
- * reached, and both sides agree on the handoff boundary exactly. This
- * is what lets W workers profit from any initial cut — including
- * workers > pieces, where static assignment used to leave cores idle.
+ * progress at every boundary its Seeks land on and re-reads its
+ * (possibly shrunk) end under the pool lock at the same point, so a
+ * steal is race-free: the thief only ever takes checkpoints the victim
+ * has not reached, and both sides agree on the handoff boundary
+ * exactly. This is what lets W workers profit from any initial cut —
+ * including workers > pieces, where static assignment used to leave
+ * cores idle.
  *
  * Workers read the live session (checkpoints, marks, interventions,
- * memory pages) strictly read-only, so any number of them may run
- * concurrently while the session is quiescent. Each worker's replay is
- * itself preemptible (step() takes a µop budget), so a job scheduler
- * can interleave interval jobs with other sessions' work.
+ * memory pages, travel config) strictly read-only, so any number of
+ * them may run concurrently while the session is quiescent. Each
+ * worker's replay is itself preemptible (step() takes an
+ * app-instruction budget), so a job scheduler can interleave interval
+ * jobs with other sessions' work.
  */
 
 #ifndef DISE_REPLAY_INTERVAL_REPLAY_HH
@@ -71,8 +77,6 @@ class IntervalReplay
 
     struct Options
     {
-        /** µops per step() call in run() (preemption grain). */
-        uint64_t sliceUops = 250000;
         /**
          * How many ranges to cut the timeline into up front. Each
          * range is a contiguous run of checkpoint intervals — coarse
@@ -84,8 +88,8 @@ class IntervalReplay
         /**
          * Dynamic work-stealing: an idle worker splits the largest
          * remaining in-flight range instead of going idle. Off =
-         * static assignment (the pre-stealing behavior, kept for
-         * benchmarking the difference).
+         * static assignment, the cut replay_test checks stolen
+         * chunks against and replay_bench races stealing against.
          */
         bool steal = true;
     };
@@ -101,8 +105,10 @@ class IntervalReplay
         uint64_t fromTime = 0;  ///< starting checkpoint's µop position
         uint64_t toTime = 0;    ///< end position (next cp, or live now)
         uint64_t fromInsts = 0;
-        uint64_t startDigest = 0; ///< digest of the materialized start
-        uint64_t endDigest = 0;   ///< digest after replaying to toTime
+        /** Digest at fromTime, after the interventions stamped there. */
+        uint64_t startDigest = 0;
+        /** Digest at toTime, after the interventions stamped there. */
+        uint64_t endDigest = 0;
         uint64_t uopsReplayed = 0;
         size_t marksVerified = 0; ///< recorded events re-fired on cue
     };
@@ -132,12 +138,12 @@ class IntervalReplay
 
     /**
      * A share-nothing worker for one claimed range. prepare() builds
-     * the replica and materializes the range's start state (throws on
-     * a factory failure or a start-state mismatch); step() replays a
-     * bounded chunk and returns true once the range is complete
-     * (throws on replay divergence). While stepping, the worker
-     * publishes checkpoint progress to its pool at every boundary
-     * crossing and honors steals that shrink its end. Workers of
+     * the replica, materializes the range's start state and starts the
+     * replica's TimeTravel there (throws on a factory failure); step()
+     * replays a bounded chunk and returns true once the range is
+     * complete (throws on replay divergence). Each Seek lands on the
+     * next checkpoint boundary, where the worker publishes progress to
+     * its pool and honors steals that shrink its end. Workers of
      * different ranges are fully independent.
      */
     class Worker
@@ -145,7 +151,9 @@ class IntervalReplay
       public:
         ~Worker();
         void prepare();
-        bool step(uint64_t maxUops);
+        /** Replay up to @p maxAppInsts application instructions (0 =
+         *  to the end of the range). */
+        bool step(uint64_t maxAppInsts);
         const Interval &result() const { return interval_; }
 
       private:
@@ -153,29 +161,16 @@ class IntervalReplay
         friend class Pool;
         Worker(const IntervalReplay &owner, Interval iv, Pool *pool);
 
-        void applyProduction(const Intervention &iv);
-        void pollEvents();
-
         const IntervalReplay &owner_;
         Interval interval_;
         Pool *pool_ = nullptr;
-        bool prepared_ = false;
 
         std::unique_ptr<DebugTarget> target_;
         std::unique_ptr<Debugger> debugger_;
-        std::unique_ptr<InstStream> stream_;
-
-        uint64_t time_ = 0;
-        uint64_t appInsts_ = 0;
+        /** The replica's timeline, started at cpFrom (declared last:
+         *  it detaches from target_ first). */
+        std::unique_ptr<TimeTravel> tt_;
         size_t nextCp_ = 0; ///< next checkpoint boundary to publish
-        size_t nextIntervention_ = 0;
-        size_t markCursor_ = 0;
-        size_t seenWatch_ = 0, seenBreak_ = 0, seenProt_ = 0;
-        uint64_t seenRecorded_ = 0;
-        /** Live-log intervention index → replica engine production id
-         *  (productions are re-created with fresh ids on a replica). */
-        std::vector<ProductionId> journalIds_;
-        MicroOp scratchOp_{};
     };
 
     /**

@@ -71,6 +71,31 @@ TimeTravel::TimeTravel(DebugTarget &target, DebugBackend &backend,
     takeCheckpoint(); // time-zero checkpoint anchors the timeline
 }
 
+TimeTravel::TimeTravel(DebugTarget &target, DebugBackend &backend,
+                       ReplayLog &log, const Checkpoint &start,
+                       TimeTravelConfig cfg)
+    : target_(target), backend_(backend), log_(log), cfg_(cfg)
+{
+    DISE_ASSERT(target_.loaded(), "TimeTravel requires a loaded target");
+    DISE_ASSERT(cfg_.checkpointInterval > 0, "zero checkpoint interval");
+    // Pokes before the checkpoint are already in the materialized image
+    // and its registers. Engine-table mutations and tool enables are
+    // host state the checkpoint does not carry: re-apply them before
+    // resumeAt(), whose restoreHost refills the re-enabled tools.
+    std::vector<Intervention> &ivs = log_.interventions;
+    for (; nextIntervention_ < ivs.size() &&
+           ivs[nextIntervention_].time < start.time;
+         ++nextIntervention_) {
+        Intervention &iv = ivs[nextIntervention_];
+        if (iv.kind != InterventionKind::PokeMemory &&
+            iv.kind != InterventionKind::PokeRegister)
+            applyIntervention(iv);
+    }
+    resumeAt(start);
+    target_.mem.beginUndoLog();
+    takeCheckpoint(); // anchors this timeline at the start checkpoint
+}
+
 TimeTravel::~TimeTravel()
 {
     target_.mem.endUndoLog();
@@ -147,6 +172,9 @@ TimeTravel::pollEvents(bool &firedEvent)
             EventMark mark{kind, static_cast<int>(seen), time_,
                            appInsts_, pcOf(seen)};
             if (curEvents_ == log_.marks.size()) {
+                DISE_ASSERT(!travel_.replay,
+                            "replay fired an event past the end of the "
+                            "recorded timeline at t=", time_);
                 log_.marks.push_back(mark);
             } else {
                 const EventMark &rec = log_.marks[curEvents_];
@@ -304,6 +332,18 @@ TimeTravel::restoreTo(size_t cpIdx)
            log_.interventions[nextIntervention_ - 1].time >= cp.time)
         unwindIntervention(log_.interventions[--nextIntervention_]);
 
+    resumeAt(cp);
+
+    // This checkpoint's interval was consumed; it is the open interval
+    // now. Checkpoints past it describe a future we just left.
+    cps_.resize(cpIdx + 1);
+    cps_.back().undo = {};
+    nextCheckpointAt_ = cps_.back().appInsts + cfg_.checkpointInterval;
+}
+
+void
+TimeTravel::resumeAt(const Checkpoint &cp)
+{
     target_.arch = cp.arch;
     backend_.restoreHost(cp.host);
     target_.sink.text.resize(cp.sinkText);
@@ -314,7 +354,7 @@ TimeTravel::restoreTo(size_t cpIdx)
     // engine generation, and flush the memory page-pointer caches.
     stream_.reset();
     target_.engine.invalidateMatchCaches();
-    mem.invalidatePagePointerCaches();
+    target_.mem.invalidatePagePointerCaches();
 
     time_ = cp.time;
     appInsts_ = cp.appInsts;
@@ -324,12 +364,6 @@ TimeTravel::restoreTo(size_t cpIdx)
     seenBreak_ = cp.host.breakEvents;
     seenProt_ = cp.host.protectionEvents;
     curEvents_ = seenWatch_ + seenBreak_ + seenProt_;
-
-    // This checkpoint's interval was consumed; it is the open interval
-    // now. Checkpoints past it describe a future we just left.
-    cps_.resize(cpIdx + 1);
-    cps_.back().undo = {};
-    nextCheckpointAt_ = cps_.back().appInsts + cfg_.checkpointInterval;
     seenRecorded_ = backend_.eventsRecorded();
 }
 
@@ -569,9 +603,16 @@ TimeTravel::applyIntervention(Intervention &iv)
         iv.engineId = target_.engine.addProduction(iv.production);
         break;
       case InterventionKind::RemoveProduction: {
+        // An in-session production is found through its AddProduction
+        // record; a pre-session one, once removed, by the table slot it
+        // held (engine ids are fresh on every re-install and on every
+        // replica).
         ProductionId id = iv.addIndex >= 0
                               ? log_.interventions[iv.addIndex].engineId
-                              : iv.engineId;
+                          : iv.slot >= 0 ? target_.engine.idAt(iv.slot)
+                                         : iv.engineId;
+        DISE_ASSERT(id, "replay cannot re-target a logged production "
+                        "removal");
         iv.engineId = id;
         iv.slot = target_.engine.slotOf(id);
         target_.engine.removeProduction(id);

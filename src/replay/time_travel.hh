@@ -27,7 +27,21 @@
  * ReplayLog at its stream position, re-applied when replay crosses that
  * position forward, unwound when a restore crosses it backward, and —
  * when performed after reverse travel — truncates the stale future
- * timeline.
+ * timeline. A checkpoint's state never includes the interventions
+ * stamped at its own position: they apply when execution continues
+ * from it, or when a replay goal lands there.
+ *
+ * Only forward goals discover events. A replay goal re-executes the
+ * recorded timeline, so every event it fires must match a recorded
+ * mark; discovering one past the last mark is a divergence, asserted
+ * like a mismatched mark.
+ *
+ * A controller can also start mid-history, at a checkpoint of another
+ * timeline over identical machinery (an interval-replay replica): it
+ * re-applies the engine-table and tool interventions stamped before
+ * that checkpoint, restores the rest of it, and anchors its own first
+ * checkpoint there. Seeks along a copy of the other timeline's log
+ * then re-execute and verify it with the same loop as every verb.
  *
  * The controller works identically over all five debugger backends:
  * it only observes the DebugBackend interface.
@@ -115,6 +129,17 @@ class TimeTravel
      */
     TimeTravel(DebugTarget &target, DebugBackend &backend, ReplayLog &log,
                TimeTravelConfig cfg = {});
+    /**
+     * Start at @p start, a checkpoint of another timeline recorded by
+     * identical machinery, whose memory image (and the event-list and
+     * output prefixes it only counts) the caller has already
+     * materialized into @p target. @p log describes that timeline and
+     * is written to by replay (engine ids, tool slots), so pass a copy.
+     * The interventions stamped at the checkpoint's own position are
+     * left pending: a Seek to time() applies them.
+     */
+    TimeTravel(DebugTarget &target, DebugBackend &backend, ReplayLog &log,
+               const Checkpoint &start, TimeTravelConfig cfg);
     ~TimeTravel();
 
     TimeTravel(const TimeTravel &) = delete;
@@ -200,6 +225,7 @@ class TimeTravel
 
     /** @name Position and introspection */
     ///@{
+    const TimeTravelConfig &config() const { return cfg_; }
     uint64_t time() const { return time_; }
     uint64_t appInsts() const { return appInsts_; }
     bool halted() const { return halted_; }
@@ -255,6 +281,9 @@ class TimeTravel
     void maybeCheckpoint();
     size_t checkpointAtOrBefore(uint64_t time) const;
     void restoreTo(size_t cpIdx);
+    /** Take @p cp's registers, host state, output lengths and position;
+     *  memory and interventions are the caller's. */
+    void resumeAt(const Checkpoint &cp);
     void replayToTime(uint64_t targetTime, int eventIndex,
                       StopReason reach);
     StopInfo stopHere(StopReason reason, int eventIndex = -1);

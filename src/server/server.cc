@@ -290,9 +290,7 @@ DebugServer::driveReplayVerify(ManagedSession &s, const Request &req)
                 pj->prepared = true;
                 return false;
             }
-            // The scheduler's grain is app-instructions; replay
-            // slices meter µops (≈4 per instrumented instruction).
-            if (!pj->w->step(slice * 4))
+            if (!pj->w->step(slice))
                 return false;
             pool->complete(*pj->w);
             pj->w.reset();

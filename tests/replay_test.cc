@@ -709,6 +709,89 @@ TEST_P(AllBackendsIntervalReplay, WorkStealingOddRatiosStitchClean)
     EXPECT_EQ(wide.marksVerified, serial.marksVerified);
 }
 
+TEST_P(AllBackendsIntervalReplay, InterventionAtARangeStartStitches)
+{
+    // A checkpoint's state leaves out the interventions stamped at its
+    // own position. A range starting there must apply them before it
+    // digests its start, and the range ending there includes them in
+    // its end digest, or the two cannot stitch.
+    SessionOptions so;
+    so.debugger.backend = GetParam();
+    so.timeTravel.checkpointInterval = 300;
+    Program demo = buildHeisenbugDemo();
+    DebugSession s(demo, so);
+    s.setWatch(WatchSpec::scalar("directory", demo.symbol("directory"),
+                                 8));
+    s.stepi(1);
+    TimeTravel &tt = s.timeTravel();
+    for (int i = 0; i < 5000 && (tt.checkpointCount() < 2 ||
+                                 tt.checkpoints().back().time != tt.time());
+         ++i)
+        s.stepi(1);
+    ASSERT_EQ(tt.checkpoints().back().time, tt.time())
+        << "no stepi stop landed on a checkpoint";
+    const size_t k = tt.checkpointCount() - 1;
+    ASSERT_TRUE(s.writeMemory(demo.symbol("directory") + 72, 8, 0x5eed));
+    StopInfo end = s.runToEnd();
+    ASSERT_EQ(end.reason, StopReason::Halted);
+    ASSERT_EQ(s.debugger().replayLog().interventions.back().time,
+              tt.checkpoints()[k].time);
+
+    // The coarsest static cut with a range beginning at checkpoint k.
+    const size_t n = tt.checkpointCount();
+    auto startsAtK = [&](size_t pieces) {
+        for (size_t q = 0; q < pieces; ++q)
+            if (q * n / pieces == k)
+                return true;
+        return false;
+    };
+    unsigned pieces = 2;
+    while (!startsAtK(pieces))
+        ++pieces;
+
+    uint64_t live = s.digest();
+    for (unsigned workers : {1u, 2u, 4u}) {
+        IntervalReplay::Report rep =
+            s.verifyReplay(workers, pieces, false);
+        ASSERT_TRUE(rep.ok) << rep.error << " (" << workers
+                            << " workers)";
+        EXPECT_EQ(rep.finalDigest, live);
+        bool startsThere = false;
+        for (const IntervalReplay::Interval &iv : rep.intervals)
+            startsThere |= iv.cpFrom == k;
+        EXPECT_TRUE(startsThere) << "no range begins at checkpoint " << k;
+    }
+}
+
+TEST(IntervalReplay, DivergingReplicaFailsVerification)
+{
+    // A replica whose machinery differs from the live session's (one
+    // extra watch) fires events the recorded timeline does not have.
+    // A digest mismatch would fail the run too, so the error text is
+    // what pins the mark check.
+    Session s(BackendKind::Dise);
+    StopInfo end = s.tt().runToEnd();
+    ASSERT_EQ(end.reason, StopReason::Halted);
+    ASSERT_GT(s.tt().eventCount(), 0u);
+    IntervalReplay::ReplicaFactory factory =
+        [](std::unique_ptr<DebugTarget> &t, std::unique_ptr<Debugger> &d) {
+            t = std::make_unique<DebugTarget>(buildHeisenbugDemo());
+            d = std::make_unique<Debugger>(
+                *t, Session::options(BackendKind::Dise));
+            Addr directory = t->symbol("directory");
+            d->watch(WatchSpec::scalar("directory[0]", directory, 8));
+            d->watch(WatchSpec::scalar("directory[1]", directory + 8, 8));
+            return d->attach();
+        };
+    IntervalReplay ir(s.tt(), s.target, s.dbg.backend(), s.dbg.replayLog(),
+                      factory, {});
+    IntervalReplay::Report rep = ir.run(1);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_NE(rep.error.find("diverged from the recorded event timeline"),
+              std::string::npos)
+        << rep.error;
+}
+
 TEST(IntervalReplay, StealSplitsInFlightRangesAtCheckpointBoundaries)
 {
     // Drive the pool by hand so the steal path is deterministic: with
