@@ -325,6 +325,11 @@ encodeImage(const SessionImage &img)
     w.u32(static_cast<uint32_t>(img.mutedBreaks.size()));
     for (int32_t i : img.mutedBreaks)
         w.i32(i);
+    for (const auto *list : {&img.installedWatches, &img.installedBreaks}) {
+        w.u32(static_cast<uint32_t>(list->size()));
+        for (int32_t i : *list)
+            w.i32(i);
+    }
     w.u32(static_cast<uint32_t>(img.pokes.size()));
     for (const SessionImage::Poke &p : img.pokes) {
         w.u8(p.isReg);
@@ -457,6 +462,19 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
     out.mutedBreaks.resize(r.ok() ? nmb : 0);
     for (int32_t &i : out.mutedBreaks)
         i = r.i32();
+    // Resurrection indexes the spec lists with the install record.
+    for (auto [list, specs] : {std::pair{&out.installedWatches,
+                                         out.watches.size()},
+                               std::pair{&out.installedBreaks,
+                                         out.breaks.size()}}) {
+        list->resize(r.ok() ? r.count(4, "install record") : 0);
+        for (size_t k = 0; k < list->size(); ++k) {
+            int32_t i = (*list)[k] = r.i32();
+            if (r.ok() && (i < (k ? (*list)[k - 1] + 1 : 0) ||
+                           static_cast<size_t>(i) >= specs))
+                r.fail("install record index out of order or range");
+        }
+    }
     uint32_t np = r.count(25, "poke list");
     out.pokes.resize(r.ok() ? np : 0);
     for (SessionImage::Poke &p : out.pokes) {

@@ -6,12 +6,13 @@
  *
  * Per the paper's replay model, a session IS its nondeterministic
  * inputs: the workload identity, the spec set (watchpoints,
- * breakpoints, mute sets, initial-state pokes — which shape the
- * instrumented µop stream), the ReplayLog (seed, time-stamped
- * interventions including DISE production-table mutations, and the
- * discovered event timeline), plus the position to seek to. Checkpoint
- * pages are deliberately NOT serialized: the chain's positions are
- * deterministic functions of the travel history, so resurrection
+ * breakpoints, mute sets, the install record, initial-state pokes —
+ * which shape the instrumented µop stream), the ReplayLog (seed,
+ * time-stamped interventions including DISE production-table
+ * mutations, and the discovered event timeline), plus the position to
+ * seek to. Checkpoint pages are deliberately NOT serialized: the
+ * chain's positions are deterministic functions of the travel
+ * history, so resurrection
  * re-takes bit-identical checkpoints during the seek replay and the
  * recorded (time, appInsts) pairs become an integrity check instead of
  * megabytes of page data — the compact-trace tradeoff.
@@ -76,6 +77,12 @@ struct SessionImage
     std::vector<BreakSpec> breaks;
     std::vector<int32_t> mutedWatches;
     std::vector<int32_t> mutedBreaks;
+    /** The install record: strictly ascending indices into watches and
+     *  breaks of the specs the live machinery installed. A muted spec
+     *  can be installed (removed after attach), and an unmuted one
+     *  cannot be left out, so the mute sets do not determine it. */
+    std::vector<int32_t> installedWatches;
+    std::vector<int32_t> installedBreaks;
 
     /** Initial-state pokes (applied between load and prime). */
     struct Poke
@@ -116,8 +123,11 @@ enum class ImageErr : uint8_t {
 
 const char *imageErrName(ImageErr err);
 
-/** v2 added tool-enable/disable interventions and tool digests. */
-constexpr uint32_t kImageVersion = 2;
+/** v2 added tool-enable/disable interventions and tool digests; v3
+ *  the install record. Decode rejects any other version (BadVersion),
+ *  and an install list that is not strictly ascending or names a spec
+ *  past its list (Malformed). */
+constexpr uint32_t kImageVersion = 3;
 
 /** FNV-1a 64 (the persistence layer's integrity hash). */
 uint64_t fnv64(const uint8_t *data, size_t n);

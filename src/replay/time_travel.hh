@@ -221,6 +221,13 @@ class TimeTravel
     bool enableTool(const std::string &name,
                     const tools::ToolSet::Config &cfg, std::string *err);
     bool disableTool(const std::string &name, std::string *err);
+    /**
+     * Record @p iv, an entry of another log over this program, anew at
+     * the current position: a machinery rebuild re-records the old
+     * log's prefix in order, so a RemoveProduction's addIndex names the
+     * same entry here.
+     */
+    void reapply(Intervention iv) { recordIntervention(std::move(iv)); }
     ///@}
 
     /** @name Position and introspection */

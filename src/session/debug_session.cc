@@ -1,5 +1,6 @@
 #include "session/debug_session.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -29,11 +30,10 @@ sameBreak(const BreakSpec &a, const BreakSpec &b)
 
 /** The stable session index of a backend-installed spec index. */
 int
-ownerOf(const std::vector<int> &owners, int installed)
+ownerOf(const std::vector<int> &installed, int i)
 {
-    return installed >= 0 && static_cast<size_t>(installed) < owners.size()
-               ? owners[installed]
-               : installed;
+    return i >= 0 && static_cast<size_t>(i) < installed.size() ? installed[i]
+                                                               : i;
 }
 
 } // namespace
@@ -113,14 +113,14 @@ DebugSession::ensurePeekTarget()
     if (!preview_) {
         preview_ = std::make_unique<DebugTarget>(program_);
         preview_->load();
-        for (const PendingPoke &p : pendingPokes_)
+        for (const Poke &p : pendingPokes_)
             applyPoke(*preview_, p);
     }
     return *preview_;
 }
 
 void
-DebugSession::applyPoke(DebugTarget &t, const PendingPoke &p)
+DebugSession::applyPoke(DebugTarget &t, const Poke &p)
 {
     if (!p.isReg)
         t.mem.write(p.addr, p.size, p.value);
@@ -130,38 +130,48 @@ DebugSession::applyPoke(DebugTarget &t, const PendingPoke &p)
         t.arch.write(ir(p.reg), p.value);
 }
 
+/** The unmuted specs, plus the muted owner of any of @p parks (a
+ *  rebuild must re-find its event). A spec removed before attach is
+ *  never installed, so a deleted breakpoint cannot make a
+ *  capability-limited backend (hwreg, vm) refuse the whole session. */
+DebugSession::InstallSet
+DebugSession::specsToInstall(const std::vector<ParkGoal> &parks) const
+{
+    auto pick = [&](size_t n, const std::set<int> &muted, EventKind kind) {
+        std::vector<int> set;
+        for (int i = 0; i < static_cast<int>(n); ++i)
+            if (!muted.count(i) ||
+                std::any_of(parks.begin(), parks.end(),
+                            [&](const ParkGoal &g) {
+                                return g.mark.kind == kind &&
+                                       g.sessIdx == i;
+                            }))
+                set.push_back(i);
+        return set;
+    };
+    return {pick(pendingWatches_.size(), mutedWatches_, EventKind::Watch),
+            pick(pendingBreaks_.size(), mutedBreaks_, EventKind::Break)};
+}
+
 bool
-DebugSession::buildMachinery(Machinery &m)
+DebugSession::buildMachinery(Machinery &m, const InstallSet &set)
 {
     m.target = std::make_unique<DebugTarget>(program_);
     if (opts_.prepare)
         opts_.prepare(*m.target);
     m.debugger = std::make_unique<Debugger>(*m.target, opts_.debugger);
-    // Specs removed before attach are never installed — a deleted
-    // breakpoint must not make a capability-limited backend (hwreg,
-    // vm) refuse the whole session. The maps keep session indices
-    // stable against the compacted installed list.
-    m.watchInstalled.assign(pendingWatches_.size(), -1);
-    m.breakInstalled.assign(pendingBreaks_.size(), -1);
-    for (size_t i = 0; i < pendingWatches_.size(); ++i) {
-        if (mutedWatches_.count(static_cast<int>(i)))
-            continue;
-        m.watchInstalled[i] = m.debugger->watch(pendingWatches_[i]);
-        m.installedWatchOwner.push_back(static_cast<int>(i));
-    }
-    for (size_t i = 0; i < pendingBreaks_.size(); ++i) {
-        if (mutedBreaks_.count(static_cast<int>(i)))
-            continue;
-        m.breakInstalled[i] = m.debugger->breakAt(pendingBreaks_[i]);
-        m.installedBreakOwner.push_back(static_cast<int>(i));
-    }
+    m.installed = set;
+    for (int i : set.watches)
+        m.debugger->watch(pendingWatches_[i]);
+    for (int i : set.breaks)
+        m.debugger->breakAt(pendingBreaks_[i]);
     // Configuration-phase pokes fold into the initial state between
     // load and prime, so watchpoint shadows snapshot the poked image
     // (and they precede the time-travel session's time-zero
     // checkpoint). Kept across rebuilds: every re-attach re-applies
     // the same initial state.
     auto applyPokes = [this](DebugTarget &t) {
-        for (const PendingPoke &p : pendingPokes_)
+        for (const Poke &p : pendingPokes_)
             applyPoke(t, p);
     };
     return m.debugger->attach(applyPokes);
@@ -174,10 +184,7 @@ DebugSession::commitMachinery(Machinery &m)
     // target, so it must die first.
     debugger_ = std::move(m.debugger);
     target_ = std::move(m.target);
-    watchInstalled_ = std::move(m.watchInstalled);
-    breakInstalled_ = std::move(m.breakInstalled);
-    installedWatchOwner_ = std::move(m.installedWatchOwner);
-    installedBreakOwner_ = std::move(m.installedBreakOwner);
+    installed_ = std::move(m.installed);
     preview_.reset();
 
     // The fresh backend has empty event lists; everything re-crossed
@@ -195,17 +202,22 @@ DebugSession::commitMachinery(Machinery &m)
 }
 
 bool
+DebugSession::install(const InstallSet &set)
+{
+    Machinery m;
+    if (!buildMachinery(m, set))
+        return false;
+    commitMachinery(m);
+    return true;
+}
+
+bool
 DebugSession::attach()
 {
     if (attached())
         return true;
     DISE_ASSERT(!detached_, "session already detached");
-
-    Machinery m;
-    if (!buildMachinery(m))
-        return false;
-    commitMachinery(m);
-    return true;
+    return install(specsToInstall({}));
 }
 
 /**
@@ -230,13 +242,13 @@ DebugSession::markDetail(const EventMark &mk, int &sessIdx,
       case EventKind::Watch:
         if (i < backend.watchEvents().size()) {
             const WatchEvent &we = backend.watchEvents()[i];
-            sessIdx = ownerOf(installedWatchOwner_, we.wpIndex);
+            sessIdx = ownerOf(installed_.watches, we.wpIndex);
             addr = we.addr;
         }
         break;
       case EventKind::Break:
         if (i < backend.breakEvents().size())
-            sessIdx = ownerOf(installedBreakOwner_,
+            sessIdx = ownerOf(installed_.breaks,
                               backend.breakEvents()[i].bpIndex);
         break;
       case EventKind::Protection:
@@ -246,55 +258,18 @@ DebugSession::markDetail(const EventMark &mk, int &sessIdx,
     }
 }
 
-/**
- * Re-apply one logged intervention on the rebuilt machinery. Journal
- * entries are re-recorded in order, so the new log's index of an
- * already-replayed entry equals its journal index — which is how a
- * RemoveProduction re-targets the fresh engine id its AddProduction
- * was assigned; a pre-session production is re-found by its stable
- * pattern-table slot (the rebuilt engine ran the same prepare hook).
- */
-void
-DebugSession::applyJournalEntry(const Intervention &iv)
+/** Is @p mk an occurrence of @p g's mark identity? Matching marks only
+ *  exist at the park's own instruction. */
+bool
+DebugSession::isParkMark(const ParkGoal &g, const EventMark &mk) const
 {
-    TimeTravel &tt = debugger_->timeTravel();
-    switch (iv.kind) {
-      case InterventionKind::PokeMemory:
-        tt.pokeMemory(iv.addr, iv.size, iv.value);
-        break;
-      case InterventionKind::PokeRegister:
-        tt.pokeRegister(iv.reg, iv.value);
-        break;
-      case InterventionKind::AddProduction:
-        tt.addProduction(iv.production);
-        break;
-      case InterventionKind::RemoveProduction: {
-        const auto &replayed = debugger_->replayLog().interventions;
-        ProductionId id =
-            iv.addIndex >= 0 &&
-                    static_cast<size_t>(iv.addIndex) < replayed.size()
-                ? replayed[iv.addIndex].engineId
-                : target_->engine.idAt(iv.slot);
-        DISE_ASSERT(id, "rebuild replay cannot re-target a logged "
-                        "production removal");
-        tt.removeProduction(id);
-        break;
-      }
-      case InterventionKind::ToolEnable: {
-        std::string terr;
-        bool ok = tt.enableTool(iv.toolName, iv.toolConfig, &terr);
-        DISE_ASSERT(ok, "rebuild replay could not re-enable tool '",
-                    iv.toolName, "': ", terr);
-        break;
-      }
-      case InterventionKind::ToolDisable: {
-        std::string terr;
-        bool ok = tt.disableTool(iv.toolName, &terr);
-        DISE_ASSERT(ok, "rebuild replay could not disable tool '",
-                    iv.toolName, "': ", terr);
-        break;
-      }
-    }
+    if (mk.kind != g.mark.kind || mk.pc != g.mark.pc ||
+        mk.appInsts != g.mark.appInsts)
+        return false;
+    int si = -1;
+    Addr ad = 0;
+    markDetail(mk, si, ad);
+    return si == g.sessIdx && ad == g.addr;
 }
 
 /**
@@ -317,78 +292,48 @@ DebugSession::rebuildBegin()
         const ReplayLog &log = debugger_->replayLog();
         rebuild_.targetInsts = tt.appInsts();
         rebuild_.parkedAtHalt = tt.halted();
-        // A session stopped on an event sits mid-instruction (inside
-        // the detecting expansion), below app-instruction resolution.
-        size_t cur = tt.eventsSoFar();
-        // Build a park goal from the last mark at or before index
-        // markIdx whose time is exactly @p time: the mark's identity
-        // plus its absolute occurrence among identical earlier marks.
-        auto makeGoal = [&](size_t markIdx) {
+        // The park on the last mark of the µop at @p time: the mark's
+        // identity plus its absolute occurrence among identical earlier
+        // marks. A park sits mid-instruction (inside the detecting
+        // expansion), below app-instruction resolution, so the replay
+        // navigates to it by this identity.
+        auto parkAt = [&](uint64_t time) {
+            if (!rebuild_.parks.empty() &&
+                rebuild_.parks.back().mark.time == time)
+                return static_cast<int>(rebuild_.parks.size()) - 1;
+            size_t mi = log.marks.size();
+            for (size_t i = 0; i < log.marks.size(); ++i)
+                if (log.marks[i].time == time)
+                    mi = i;
+            DISE_ASSERT(mi < log.marks.size(), "event park at t=", time,
+                        " has no event mark");
             ParkGoal g;
-            g.mark = log.marks[markIdx];
+            g.mark = log.marks[mi];
             markDetail(g.mark, g.sessIdx, g.addr);
-            for (size_t i = 0; i < markIdx; ++i) {
-                const EventMark &mk = log.marks[i];
-                if (mk.kind != g.mark.kind || mk.pc != g.mark.pc ||
-                    mk.appInsts != g.mark.appInsts)
-                    continue;
-                int si = -1;
-                Addr ad = 0;
-                markDetail(mk, si, ad);
-                if (si == g.sessIdx && ad == g.addr)
-                    ++g.occurrence;
-            }
-            return g;
+            for (size_t i = 0; i < mi; ++i)
+                g.occurrence += isParkMark(g, log.marks[i]);
+            rebuild_.parks.push_back(g);
+            return static_cast<int>(rebuild_.parks.size()) - 1;
         };
-        if (!rebuild_.parkedAtHalt && cur > 0 &&
-            log.marks[cur - 1].time == tt.time()) {
-            rebuild_.parkedAtEvent = true;
-            rebuild_.finalPark = makeGoal(cur - 1);
-        }
-        for (size_t n = 0; n < log.interventions.size(); ++n) {
-            const Intervention &iv = log.interventions[n];
+        for (const Intervention &iv : log.interventions) {
             if (iv.time > tt.time())
                 break; // truncated future
-            // A poke recorded at an INTERIOR event park (the client
-            // parked mid-expansion, poked, and then ran on) sits below
-            // app-instruction resolution, so the replay must navigate
-            // to it the way it navigates to the current park: by the
-            // parked-on mark's identity and occurrence. Pokes at the
-            // CURRENT park re-apply in phase 3, after that park is
-            // re-found.
-            int parkIdx = -1;
-            if (iv.atEventPark &&
-                !(rebuild_.parkedAtEvent && iv.time == tt.time())) {
-                if (!rebuild_.parks.empty() &&
-                    rebuild_.parks.back().mark.time == iv.time) {
-                    // Another poke while parked at the same event.
-                    parkIdx = static_cast<int>(rebuild_.parks.size()) - 1;
-                } else {
-                    size_t mi = log.marks.size();
-                    for (size_t i = 0; i < log.marks.size(); ++i)
-                        if (log.marks[i].time == iv.time)
-                            mi = i; // last mark of the park's µop
-                    DISE_ASSERT(mi < log.marks.size(),
-                                "event-park intervention at t=",
-                                iv.time, " has no event mark");
-                    rebuild_.parks.push_back(makeGoal(mi));
-                    parkIdx = static_cast<int>(rebuild_.parks.size()) - 1;
-                }
-            }
             rebuild_.journal.push_back(iv);
-            rebuild_.journalPark.push_back(parkIdx);
+            rebuild_.journalPark.push_back(iv.atEventPark ? parkAt(iv.time)
+                                                          : -1);
         }
+        size_t cur = tt.eventsSoFar();
+        if (!rebuild_.parkedAtHalt && cur > 0 &&
+            log.marks[cur - 1].time == tt.time())
+            rebuild_.finalPark = parkAt(tt.time());
     }
 
-    Machinery m;
-    if (!buildMachinery(m)) {
+    if (!install(specsToInstall(rebuild_.parks))) {
         refusal_ = std::string("rebuild refused: the ") +
                    backendName(backendKind()) +
                    " backend cannot implement the enlarged spec set";
         return false;
     }
-    commitMachinery(m);
-
     if (rebuild_.hadTravel)
         debugger_->timeTravel(opts_.timeTravel);
     return true;
@@ -398,14 +343,14 @@ DebugSession::rebuildBegin()
  * Advance the rebuild-replay by up to @p maxInsts application
  * instructions (0 = run to completion). Stream positions (µops) shift
  * under different instrumentation, so the replay navigates by
- * instrumentation-invariant coordinates: journal entries are
- * re-applied at their application-instruction stamps (pokes recorded
- * *at* the original event park re-apply after the park is re-found),
- * and an event-position park is re-found as the corresponding event —
- * same (kind, pc, appInsts, owner, address) occurrence — of the
- * rebuilt timeline. The new spec's past hits materialize on the event
- * queue as the replay re-crosses them. Returns true when the session
- * is back at its position.
+ * instrumentation-invariant coordinates: a journal entry is re-recorded
+ * at its application-instruction stamp, or, when it was recorded at an
+ * event park, after that park is re-found as the corresponding event —
+ * same (kind, pc, appInsts, owner, address) occurrence — of the rebuilt
+ * timeline. The session's own park is found the same way. The new
+ * spec's past hits materialize on the event queue as the replay
+ * re-crosses them. Returns true when the session is back at its
+ * position.
  */
 bool
 DebugSession::replayRebuild(uint64_t maxInsts)
@@ -437,36 +382,25 @@ DebugSession::replayRebuild(uint64_t maxInsts)
     };
 
     // Feed every mark the replay has produced since the last scan to
-    // every park goal. Matching marks only exist at a goal's own
-    // instruction, and the single monotone cursor means goals sharing
+    // every park goal. The single monotone cursor means goals sharing
     // an identity (two parks on the same instruction) count each mark
     // exactly once between them.
     auto scanMarks = [&]() {
         const auto &marks = debugger_->replayLog().marks;
-        auto feed = [&](ParkGoal &g, const EventMark &mk) {
-            if (g.reached || mk.kind != g.mark.kind ||
-                mk.pc != g.mark.pc || mk.appInsts != g.mark.appInsts)
-                return;
-            int si = -1;
-            Addr ad = 0;
-            markDetail(mk, si, ad);
-            if (si != g.sessIdx || ad != g.addr)
-                return;
-            if (g.seen++ == g.occurrence)
-                g.reached = true;
-        };
-        for (; rebuild_.scanned < tt.eventsSoFar(); ++rebuild_.scanned) {
-            const EventMark &mk = marks[rebuild_.scanned];
+        for (; rebuild_.scanned < tt.eventsSoFar(); ++rebuild_.scanned)
             for (ParkGoal &g : rebuild_.parks)
-                feed(g, mk);
-            if (rebuild_.parkedAtEvent)
-                feed(rebuild_.finalPark, mk);
-        }
+                if (!g.reached && isParkMark(g, marks[rebuild_.scanned]) &&
+                    g.seen++ == g.occurrence)
+                    g.reached = true;
     };
     // Run event to event until @p goal's occurrence shows up; the
     // replay then sits parked on that event's µop, exactly where the
-    // original poke was recorded. Returns false on budget expiry.
+    // original entry was recorded. The stepping before it may already
+    // have crossed it (a backend that stops on an instruction boundary
+    // records the park's mark and a poke at one instruction). Returns
+    // false on budget expiry.
     auto runToPark = [&](ParkGoal &goal) {
+        scanMarks();
         while (!goal.reached) {
             uint64_t chunk =
                 std::min<uint64_t>(budgetLeft(), uint64_t{1} << 30);
@@ -488,16 +422,11 @@ DebugSession::replayRebuild(uint64_t maxInsts)
         return true;
     };
 
-    // Phase 1: journal entries at their app-inst stamps — or, for
-    // entries recorded at an interior event park, at that park's
-    // re-found event. Entries recorded while parked on the final event
-    // stop wait for phase 3.
+    // Journal entries at their app-inst stamps or re-found parks.
     while (rebuild_.nextJournal < rebuild_.journal.size()) {
         const Intervention &iv =
             rebuild_.journal[rebuild_.nextJournal];
         int parkIdx = rebuild_.journalPark[rebuild_.nextJournal];
-        if (iv.atEventPark && parkIdx < 0)
-            break; // recorded at the final park: phase 3
         if (parkIdx >= 0) {
             if (!runToPark(rebuild_.parks[parkIdx]))
                 return false;
@@ -505,29 +434,23 @@ DebugSession::replayRebuild(uint64_t maxInsts)
                    !boundedStepi(iv.appInsts - tt.appInsts())) {
             return false;
         }
-        applyJournalEntry(iv);
+        tt.reapply(iv);
         ++rebuild_.nextJournal;
     }
 
-    // Phase 2: navigate back to the captured position.
+    // Back to the captured position.
     if (rebuild_.parkedAtHalt) {
         if (!boundedStepi(uint64_t{1} << 62, true))
             return false;
-    } else if (rebuild_.parkedAtEvent) {
-        // Run to the final park's occurrence; the new spec's own hits
-        // pass by (and get announced) on the way. (The owner
-        // translation works on the NEW maps here; session indices are
-        // stable.)
-        if (!runToPark(rebuild_.finalPark))
+    } else if (rebuild_.finalPark >= 0) {
+        // The new spec's own hits pass by (and get announced) on the
+        // way.
+        if (!runToPark(rebuild_.parks[rebuild_.finalPark]))
             return false;
     } else if (rebuild_.targetInsts > tt.appInsts()) {
         if (!boundedStepi(rebuild_.targetInsts - tt.appInsts()))
             return false;
     }
-
-    // Phase 3: pokes recorded at the re-found event park.
-    while (rebuild_.nextJournal < rebuild_.journal.size())
-        applyJournalEntry(rebuild_.journal[rebuild_.nextJournal++]);
 
     DISE_ASSERT(tt.appInsts() == rebuild_.targetInsts,
                 "rebuild replay fell short: at ", tt.appInsts(),
@@ -615,7 +538,7 @@ DebugSession::pumpEvents()
     };
     for (; announcedWatch_ < ws.size(); ++announcedWatch_) {
         const WatchEvent &we = ws[announcedWatch_];
-        int idx = ownerOf(installedWatchOwner_, we.wpIndex);
+        int idx = ownerOf(installed_.watches, we.wpIndex);
         if (mutedWatches_.count(idx))
             continue; // muted: consume the position, deliver nothing
         SessionEvent ev = stamp(SessionEventKind::Watch, EventKind::Watch,
@@ -629,7 +552,7 @@ DebugSession::pumpEvents()
     }
     for (; announcedBreak_ < bs.size(); ++announcedBreak_) {
         const BreakEvent &be = bs[announcedBreak_];
-        int idx = ownerOf(installedBreakOwner_, be.bpIndex);
+        int idx = ownerOf(installed_.breaks, be.bpIndex);
         if (mutedBreaks_.count(idx))
             continue;
         SessionEvent ev = stamp(SessionEventKind::Break, EventKind::Break,
@@ -813,8 +736,8 @@ DebugSession::findSpec(const Request &req) const
 }
 
 /** Register or re-arm a spec outright, unless it needs a machinery
- *  rebuild: a new post-attach spec, or one muted before attach (hence
- *  never installed). */
+ *  rebuild: a new post-attach spec, or one the live machinery does not
+ *  install (muted before attach, or dropped by a rebuild). */
 bool
 DebugSession::beginSpec(const Request &req)
 {
@@ -822,8 +745,10 @@ DebugSession::beginSpec(const Request &req)
     int found = findSpec(req);
     std::set<int> &muted = isWatch ? mutedWatches_ : mutedBreaks_;
     const std::vector<int> &installed =
-        isWatch ? watchInstalled_ : breakInstalled_;
-    if (found >= 0 && (!attached() || installed[found] >= 0)) {
+        isWatch ? installed_.watches : installed_.breaks;
+    if (found >= 0 &&
+        (!attached() ||
+         std::binary_search(installed.begin(), installed.end(), found))) {
         muted.erase(found);
     } else if (!attached()) {
         found = registerSpec(req);
@@ -1049,14 +974,14 @@ DebugSession::beginIntervalReplay(unsigned pieces, bool steal)
     if (!attached() || !debugger_->timeTraveling() || batchRan_)
         return nullptr;
     // Each interval worker gets machinery built exactly the way this
-    // session's was (same specs, same initial-state pokes, same
-    // prepare hook), so its replay is bit-deterministic against the
-    // live timeline.
+    // session's was (the live install record, the same initial-state
+    // pokes, the same prepare hook), so its replay is bit-deterministic
+    // against the live timeline.
     IntervalReplay::ReplicaFactory factory =
-        [this](std::unique_ptr<DebugTarget> &t,
-               std::unique_ptr<Debugger> &d) {
+        [this, set = installed_](std::unique_ptr<DebugTarget> &t,
+                                 std::unique_ptr<Debugger> &d) {
             Machinery m;
-            if (!buildMachinery(m))
+            if (!buildMachinery(m, set))
                 return false;
             t = std::move(m.target);
             d = std::move(m.debugger);
@@ -1164,7 +1089,7 @@ DebugSession::writeRegister(unsigned index, uint64_t value)
         debugger_->timeTravel().pokeRegister(ir(index), value);
         return true;
     }
-    PendingPoke p;
+    Poke p;
     p.isReg = true;
     p.reg = index;
     p.value = value;
@@ -1179,7 +1104,7 @@ DebugSession::writeRegister(unsigned index, uint64_t value)
  * addition) re-apply instead of silently reverting the write.
  */
 void
-DebugSession::recordPoke(const PendingPoke &p)
+DebugSession::recordPoke(const Poke &p)
 {
     pendingPokes_.push_back(p);
     if (DebugTarget *t = attached() ? target_.get() : preview_.get())
@@ -1204,7 +1129,7 @@ DebugSession::writeMemory(Addr addr, unsigned size, uint64_t value)
         debugger_->timeTravel().pokeMemory(addr, size, value);
         return true;
     }
-    PendingPoke p;
+    Poke p;
     p.addr = addr;
     p.size = size;
     p.value = value;
@@ -1392,8 +1317,11 @@ DebugSession::exportImage(persist::SessionImage &img, std::string *err)
     out.breaks = pendingBreaks_;
     out.mutedWatches.assign(mutedWatches_.begin(), mutedWatches_.end());
     out.mutedBreaks.assign(mutedBreaks_.begin(), mutedBreaks_.end());
-    for (const PendingPoke &p : pendingPokes_)
-        out.pokes.push_back({p.isReg, p.reg, p.addr, p.size, p.value});
+    out.pokes = pendingPokes_;
+    out.installedWatches.assign(installed_.watches.begin(),
+                                installed_.watches.end());
+    out.installedBreaks.assign(installed_.breaks.begin(),
+                               installed_.breaks.end());
 
     out.hasTravel = attached() && debugger_->timeTraveling();
     if (out.hasTravel) {
@@ -1435,15 +1363,18 @@ DebugSession::startResurrect()
     pendingBreaks_ = img.breaks;
     mutedWatches_ = {img.mutedWatches.begin(), img.mutedWatches.end()};
     mutedBreaks_ = {img.mutedBreaks.begin(), img.mutedBreaks.end()};
-    for (const persist::SessionImage::Poke &p : img.pokes)
-        pendingPokes_.push_back({p.isReg, p.reg, p.addr, p.size,
-                                 p.value});
+    pendingPokes_ = img.pokes;
 
     if (!img.attached) {
         op_.done = true; // config-only image: nothing to replay
         return true;
     }
-    if (!attach())
+    InstallSet set;
+    set.watches.assign(img.installedWatches.begin(),
+                       img.installedWatches.end());
+    set.breaks.assign(img.installedBreaks.begin(),
+                      img.installedBreaks.end());
+    if (!install(set))
         return opFail(ResponseStatus::Error,
                       std::string("the ") + backendName(img.backend) +
                           " backend refused the persisted spec set");

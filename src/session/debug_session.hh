@@ -21,6 +21,15 @@
  * exactly the insert/remove cycle stock GDB performs around every
  * continue.
  *
+ * Every build of the machinery installs exactly one install record
+ * (InstallSet: the session indices of the specs it installs), and the
+ * live session keeps the record it was built from. Attach installs the
+ * unmuted specs. A spec added after running installs the unmuted
+ * specs, the new one, and every muted spec that owns an event park the
+ * rebuild must re-find. Resurrection installs the record the image
+ * carries, and interval-replay replicas install the live record, so a
+ * rebuilt session reproduces the live machinery by construction.
+ *
  * Every long verb (the resumes, a post-attach spec addition that
  * rebuilds the machinery, resurrection from an image) is the session's
  * one in-flight op: begin() / step(budget) / finish(). The job
@@ -289,13 +298,14 @@ class DebugSession
     bool detach();
 
   private:
-    struct PendingPoke
+    using Poke = persist::SessionImage::Poke;
+
+    /** The specs one build installs: ascending session indices. The
+     *  backend's watch (break) i is the session's watches[i]
+     *  (breaks[i]). */
+    struct InstallSet
     {
-        bool isReg = false;
-        unsigned reg = 0;
-        Addr addr = 0;
-        unsigned size = 8;
-        uint64_t value = 0;
+        std::vector<int> watches, breaks;
     };
 
     /** Freshly built (not yet committed) machinery for one attach. */
@@ -303,10 +313,7 @@ class DebugSession
     {
         std::unique_ptr<DebugTarget> target;
         std::unique_ptr<Debugger> debugger;
-        std::vector<int> watchInstalled;
-        std::vector<int> breakInstalled;
-        std::vector<int> installedWatchOwner;
-        std::vector<int> installedBreakOwner;
+        InstallSet installed;
     };
 
     /** An event park the rebuild-replay must re-find on the rebuilt
@@ -328,16 +335,19 @@ class DebugSession
     struct RebuildPlan
     {
         bool hadTravel = false;
-        bool parkedAtEvent = false;
         bool parkedAtHalt = false;
         uint64_t targetInsts = 0;
-        /** The current (outermost) park, when parkedAtEvent. */
-        ParkGoal finalPark{};
-        /** Interior event parks holding journal entries, time order. */
+        /** Event parks holding journal entries or the session's
+         *  position, time order. */
         std::vector<ParkGoal> parks;
+        /** Index into parks of the session's own park, or -1 when it
+         *  sits on an instruction boundary or the halt. */
+        int finalPark = -1;
+        /** The old log's interventions up to the session's position,
+         *  re-recorded in order. */
         std::vector<Intervention> journal;
-        /** Journal-parallel: index into parks of the interior park the
-         *  entry was recorded at, or -1 (boundary / final park). */
+        /** Journal-parallel: index into parks of the park the entry
+         *  was recorded at, or -1 (an instruction boundary). */
         std::vector<int> journalPark;
         size_t nextJournal = 0;
         /** Mark scan cursor over the rebuilt timeline; every scanned
@@ -374,16 +384,20 @@ class DebugSession
     bool opPinned() const;
     StopInfo runStop(RequestKind kind, uint64_t count);
     DebugTarget &ensurePeekTarget();
-    static void applyPoke(DebugTarget &t, const PendingPoke &p);
-    void recordPoke(const PendingPoke &p);
+    static void applyPoke(DebugTarget &t, const Poke &p);
+    void recordPoke(const Poke &p);
     bool resurrectFinish();
     TimeTravel &ensureTravel();
-    bool buildMachinery(Machinery &m);
+    InstallSet specsToInstall(const std::vector<ParkGoal> &parks) const;
+    bool buildMachinery(Machinery &m, const InstallSet &set);
     void commitMachinery(Machinery &m);
+    /** Build @p set and commit it; false (session untouched) when the
+     *  backend cannot implement it. */
+    bool install(const InstallSet &set);
     bool rebuildBegin();
     bool replayRebuild(uint64_t maxInsts);
-    void applyJournalEntry(const Intervention &iv);
     void markDetail(const EventMark &mk, int &sessIdx, Addr &addr) const;
+    bool isParkMark(const ParkGoal &g, const EventMark &mk) const;
     void pumpEvents();
     const EventMark *findMark(EventKind kind, int index);
     bool stopIsMuted(const StopInfo &stop) const;
@@ -395,7 +409,7 @@ class DebugSession
     // Configuring-phase state.
     std::vector<WatchSpec> pendingWatches_;
     std::vector<BreakSpec> pendingBreaks_;
-    std::vector<PendingPoke> pendingPokes_;
+    std::vector<Poke> pendingPokes_;
 
     // Live-phase state.
     std::unique_ptr<DebugTarget> target_;
@@ -409,13 +423,8 @@ class DebugSession
 
     std::set<int> mutedWatches_;
     std::set<int> mutedBreaks_;
-    /** Specs muted before attach are never installed; these maps
-     *  translate between stable session indices and the backend's
-     *  installed indices (-1 = not installed). */
-    std::vector<int> watchInstalled_;
-    std::vector<int> breakInstalled_;
-    std::vector<int> installedWatchOwner_;
-    std::vector<int> installedBreakOwner_;
+    /** What the live machinery installed (see InstallSet). */
+    InstallSet installed_;
 
     Op op_;
     /** A verb begun while a pinned op was unfinished (see begin()). */

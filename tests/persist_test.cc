@@ -75,6 +75,9 @@ sampleImage(uint64_t id)
     b.condConst = 9;
     img.breaks.push_back(b);
     img.mutedWatches.push_back(1);
+    // Watch 1 was removed after attach: muted, still installed.
+    img.installedWatches = {0, 1};
+    img.installedBreaks = {0};
     SessionImage::Poke p;
     p.isReg = false;
     p.addr = 0x20010;
@@ -144,6 +147,8 @@ TEST(SessionImage, RoundTripAllFields)
     EXPECT_EQ(back.breaks[0].condConst, 9u);
     ASSERT_EQ(back.mutedWatches.size(), 1u);
     EXPECT_EQ(back.mutedWatches[0], 1);
+    EXPECT_EQ(back.installedWatches, (std::vector<int32_t>{0, 1}));
+    EXPECT_EQ(back.installedBreaks, (std::vector<int32_t>{0}));
     ASSERT_EQ(back.pokes.size(), 1u);
     EXPECT_EQ(back.pokes[0].addr, 0x20010u);
     EXPECT_EQ(back.pokes[0].value, 0xabcdu);
@@ -223,6 +228,34 @@ TEST(SessionImage, HostileInputsRejectTyped)
                    rejected;
     }
     SUCCEED(); // surviving the sweep without UB is the assertion
+}
+
+TEST(SessionImage, InstallRecordIsValidated)
+{
+    // Resurrection indexes the spec lists with the install record, so
+    // decode admits only strictly ascending in-range indices.
+    const std::vector<std::vector<int32_t>> bad = {
+        {1, 0}, {0, 0}, {0, 2}, {-1}};
+    for (const auto &list : bad) {
+        SessionImage img = sampleImage(3);
+        img.installedWatches = list;
+        SessionImage out;
+        EXPECT_EQ(persist::decodeImage(persist::encodeImage(img), out),
+                  ImageErr::Malformed)
+            << "watch list of " << list.size();
+        img = sampleImage(3);
+        img.installedBreaks = list;
+        EXPECT_EQ(persist::decodeImage(persist::encodeImage(img), out),
+                  ImageErr::Malformed)
+            << "break list of " << list.size();
+    }
+
+    // A v2 image (no install record) is version skew, not a parse.
+    std::vector<uint8_t> v2 = persist::encodeImage(sampleImage(3));
+    v2[8] = 2;
+    refreshTrailingChecksum(v2);
+    SessionImage out;
+    EXPECT_EQ(persist::decodeImage(v2, out), ImageErr::BadVersion);
 }
 
 // ------------------------------------------------------------ the store
