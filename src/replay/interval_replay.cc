@@ -293,10 +293,10 @@ IntervalReplay::run(unsigned workers) const
     Report r = stitch(pool.take());
     r.workers = n;
     r.steals = steals;
+    // A failed worker is the cause; the stitch only sees its symptom.
     if (!err.empty()) {
         r.ok = false;
-        if (r.error.empty())
-            r.error = err;
+        r.error = err;
     }
     return r;
 }

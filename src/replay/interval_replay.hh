@@ -227,7 +227,8 @@ class IntervalReplay
     /**
      * Reconstruct the whole timeline on @p workers threads (1 =
      * serial) with dynamic stealing and stitch. Worker errors land in
-     * the report, never throw.
+     * the report, never throw; the first one is the report's error,
+     * ahead of any stitch symptom.
      */
     Report run(unsigned workers) const;
 

@@ -419,16 +419,8 @@ TimeTravel::travelBegin(TravelVerb verb, uint64_t count, bool &done)
     travel_ = TravelState{};
     switch (verb) {
       case TravelVerb::Cont:
-        // An unbounded cont into an already-explored future replays
-        // straight to the next known mark; fresh territory (or a
-        // bounded cont) is discovered live.
-        if (!count && curEvents_ < log_.marks.size()) {
-            replayToTime(log_.marks[curEvents_].time,
-                         static_cast<int>(curEvents_), StopReason::Event);
-        } else {
-            travel_.stopOnEvent = true;
-            travel_.targetInsts = count;
-        }
+        travel_.stopOnEvent = true;
+        travel_.targetInsts = count;
         break;
       case TravelVerb::Stepi:
         travel_.targetInsts = appInsts_ + count;
@@ -504,7 +496,8 @@ TimeTravel::replayArrived() const
  * instruction cap, or their instruction target; a quantum expires at
  * an instruction boundary. Replay goals re-execute the explored
  * timeline to a µop position or an instruction boundary and may pause
- * mid-instruction.
+ * mid-instruction. Each pass first applies the interventions stamped
+ * at the current position, so every goal lands with them applied.
  */
 StopInfo
 TimeTravel::travelStep(uint64_t maxAppInsts, bool &done)
@@ -519,7 +512,14 @@ TimeTravel::travelStep(uint64_t maxAppInsts, bool &done)
     if (budgetEnd && (!stopApp || budgetEnd < stopApp))
         stopApp = budgetEnd;
 
+    bool fired = false;
     for (;;) {
+        replayPendingInterventions();
+        // Discovery toward a specific event runs past earlier ones.
+        if (fired && g.stopOnEvent &&
+            (g.eventGoal == NoEventGoal || curEvents_ - 1 == g.eventGoal))
+            return stopFinal(StopReason::Event, done,
+                             static_cast<int>(curEvents_) - 1);
         if (g.replay) {
             if (replayArrived())
                 return replayFinish(done);
@@ -543,19 +543,12 @@ TimeTravel::travelStep(uint64_t maxAppInsts, bool &done)
             }
         }
 
-        replayPendingInterventions();
-        bool fired = false;
         uint64_t n = bulkStep(g.byTime ? g.targetTime : 0, stopApp, fired);
         if (!n && stepUop(fired))
             n = 1;
         if (g.replay)
             stats_.replayedUops += n; // 0 once halted: see the loop top
         maybeCheckpoint();
-        // Discovery toward a specific event runs past earlier ones.
-        if (fired && g.stopOnEvent &&
-            (g.eventGoal == NoEventGoal || curEvents_ - 1 == g.eventGoal))
-            return stopFinal(StopReason::Event, done,
-                             static_cast<int>(curEvents_) - 1);
     }
 }
 

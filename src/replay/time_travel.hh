@@ -28,8 +28,8 @@
  * position forward, unwound when a restore crosses it backward, and —
  * when performed after reverse travel — truncates the stale future
  * timeline. A checkpoint's state never includes the interventions
- * stamped at its own position: they apply when execution continues
- * from it, or when a replay goal lands there.
+ * stamped at its own position: they apply when any goal, forward or
+ * replay, continues from that position or lands on it.
  *
  * Only forward goals discover events. A replay goal re-executes the
  * recorded timeline, so every event it fires must match a recorded
@@ -150,12 +150,12 @@ class TimeTravel
      * lies in the past) and travelStep() advances toward it in bounded
      * quanta; the typed verbs below run one to completion. A travel
      * abandoned mid-way leaves the session at a valid intermediate
-     * position. Forward goals discover events live, re-verifying the
-     * recorded marks they cross, and report the last event of the
-     * stopping µop. Replay goals (reverse verbs, run-to-event to a
-     * known mark, seek, an unbounded cont into an explored future)
-     * re-execute the recorded timeline to an exact position and report
-     * the mark they aimed at.
+     * position. Forward goals (every cont, stepi and run-to-end)
+     * discover events live, re-verifying the recorded marks they cross,
+     * and report the last event of the stopping µop. Replay goals
+     * (reverse verbs, run-to-event to a known mark, seek) re-execute
+     * the recorded timeline to an exact position and report the mark
+     * they aimed at.
      */
     ///@{
     /**

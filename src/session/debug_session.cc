@@ -636,16 +636,27 @@ DebugSession::findMark(EventKind kind, int index)
 }
 
 bool
-DebugSession::stopIsMuted(const StopInfo &stop) const
+DebugSession::stopIsMuted(StopInfo &stop) const
 {
     if (stop.reason != StopReason::Event || !debugger_)
         return false;
-    int idx = -1;
-    Addr addr = 0;
-    markDetail(stop.mark, idx, addr);
-    return stop.mark.kind == EventKind::Watch   ? mutedWatches_.count(idx)
-           : stop.mark.kind == EventKind::Break ? mutedBreaks_.count(idx)
-                                                : false;
+    // One µop can fire several marks (overlapping watchpoints).
+    const auto &marks =
+        const_cast<Debugger &>(*debugger_).replayLog().marks;
+    for (int i = stop.eventIndex; i >= 0 && marks[i].time == stop.mark.time;
+         --i) {
+        int idx = -1;
+        Addr addr = 0;
+        markDetail(marks[i], idx, addr);
+        if (marks[i].kind == EventKind::Watch   ? !mutedWatches_.count(idx)
+            : marks[i].kind == EventKind::Break ? !mutedBreaks_.count(idx)
+                                                : true) {
+            stop.eventIndex = i;
+            stop.mark = marks[i];
+            return false;
+        }
+    }
+    return true;
 }
 
 // ------------------------------------------------------ the in-flight op
@@ -758,6 +769,17 @@ DebugSession::beginSpec(const Request &req)
         refusal_ = "rebuild refused: a batch cycle-level/functional "
                    "run advanced the target outside the replayable "
                    "timeline";
+        return opFail(ResponseStatus::Unsupported, refusal_);
+    } else if (backendKind() == BackendKind::Rewrite &&
+               debugger_->timeTraveling() &&
+               debugger_->timeTravel().time() > 0) {
+        // Inline checks retire as application instructions, so a
+        // larger spec set moves every instruction stamp the rebuild
+        // would navigate by.
+        refusal_ = "rebuild refused: the rewrite backend counts its "
+                   "inline checks as application instructions, so a "
+                   "spec added after the target ran has no position "
+                   "to replay to";
         return opFail(ResponseStatus::Unsupported, refusal_);
     } else {
         return false;
@@ -1101,14 +1123,22 @@ DebugSession::writeRegister(unsigned index, uint64_t value)
  * Before the first resume the target sits at its initial state, so a
  * poke is part of that initial state: it joins the configuration-phase
  * pokes, which attach and every machinery rebuild (post-attach spec
- * addition) re-apply instead of silently reverting the write.
+ * addition) re-apply instead of silently reverting the write. An
+ * attached backend already primed its shadows from the unpoked image,
+ * so the machinery is rebuilt from the install record; nothing has run
+ * yet, so there is nothing to replay.
  */
 void
 DebugSession::recordPoke(const Poke &p)
 {
     pendingPokes_.push_back(p);
-    if (DebugTarget *t = attached() ? target_.get() : preview_.get())
-        applyPoke(*t, p);
+    if (batchRan_)
+        applyPoke(*target_, p); // no initial state left to rebuild
+    else if (attached())
+        DISE_ASSERT(install(installed_), "the ", backendName(backendKind()),
+                    " backend refused its own install record");
+    else if (preview_)
+        applyPoke(*preview_, p);
 }
 
 std::vector<uint8_t>
@@ -1563,6 +1593,7 @@ DebugSession::dispatch(const Request &req)
                                 ? "replay verification failed"
                                 : rep.error);
         resp.value = rep.finalDigest;
+        resp.index = static_cast<int>(rep.steals);
         for (const IntervalReplay::Interval &iv : rep.intervals)
             resp.regs.push_back(iv.endDigest);
         return resp;

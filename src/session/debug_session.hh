@@ -101,8 +101,10 @@ class DebugSession
      *  timeline (logged pokes included) back to the current position,
      *  so a gdb `Z` packet after `c` just works. Returns the watch
      *  index, or -1 when the backend cannot implement the enlarged set
-     *  (the original session is left untouched) or the target advanced
-     *  through a non-replayable batch run. */
+     *  (the original session is left untouched), the target advanced
+     *  through a non-replayable batch run, or binary rewriting (whose
+     *  inline checks count as application instructions) has run past
+     *  time zero. */
     int setWatch(const WatchSpec &spec);
     int setBreak(const BreakSpec &spec);
     /** Mute delivery (stops and queue events). Indices stay stable;
@@ -400,7 +402,9 @@ class DebugSession
     bool isParkMark(const ParkGoal &g, const EventMark &mk) const;
     void pumpEvents();
     const EventMark *findMark(EventKind kind, int index);
-    bool stopIsMuted(const StopInfo &stop) const;
+    /** An event stop is muted when every mark of its µop is; otherwise
+     *  @p stop is moved to the last unmuted one. */
+    bool stopIsMuted(StopInfo &stop) const;
     Response dispatch(const Request &req);
 
     Program program_;

@@ -7,11 +7,12 @@
  * and every queued SessionEvent into one text transcript, compared
  * byte for byte against tests/golden/ops.txt. The script covers the
  * one-shot verbs, the coincident-event program (two watches on one
- * cell), run-to-event to known and undiscovered events, a poke at a
- * watch stop, a post-attach rebuild, a mute restart, a tool enable,
- * export + resurrection, and every sliceable verb driven in quanta of
- * 1 and 7 instructions. It pins which eventIndex each verb reports
- * when several marks share a µop.
+ * cell, either one muted after running), run-to-event to known and
+ * undiscovered events, a poke at a watch stop, a post-attach rebuild
+ * (refused on binary rewriting past time zero), a mute restart, a tool
+ * enable, export + resurrection, and every sliceable verb driven in
+ * quanta of 1 and 7 instructions. It pins which eventIndex each verb
+ * reports when several marks share a µop.
  *
  * On a mismatch the rendered transcript is written next to the test
  * binary as ops.actual.txt for diffing.
@@ -223,15 +224,17 @@ heisenbugScript(BackendKind kind, Transcript &t)
 }
 
 void
-coincidentScript(BackendKind kind, Transcript &t)
+coincidentScript(BackendKind kind, int muted, Transcript &t)
 {
     // Two watchpoints on one cell fire at the same µop: which index a
-    // verb reports is part of its contract.
+    // verb reports is part of its contract, and a stop stands while any
+    // of its marks is unmuted.
     Program prog = buildHeisenbugDemo();
     Addr dir = prog.symbol("directory");
     for (uint64_t q : {0, 1, 7}) {
         DebugSession s(prog, goldenOptions(kind));
-        t.line("coincident quantum " + std::to_string(q));
+        t.line("coincident " + std::string(muted ? "mute 1 " : "") +
+               "quantum " + std::to_string(q));
         t.value("set-watch d0", s.setWatch(WatchSpec::scalar("d0", dir, 8)),
                 s);
         t.value("set-watch d0b",
@@ -248,7 +251,8 @@ coincidentScript(BackendKind kind, Transcript &t)
         run("reverse-continue", verb(RequestKind::ReverseContinue));
         run("cont explored", verb(RequestKind::Cont));
         run("reverse-continue", verb(RequestKind::ReverseContinue));
-        t.value("remove-watch 0", s.removeWatch(0), s);
+        t.value("remove-watch " + std::to_string(muted),
+                s.removeWatch(muted), s);
         run("cont explored muted", verb(RequestKind::Cont));
         run("reverse-continue muted", verb(RequestKind::ReverseContinue));
     }
@@ -320,7 +324,8 @@ renderAll()
             }
         };
         guarded([&] { heisenbugScript(kind, t); });
-        guarded([&] { coincidentScript(kind, t); });
+        guarded([&] { coincidentScript(kind, 0, t); });
+        guarded([&] { coincidentScript(kind, 1, t); });
         guarded([&] { slicedScript(kind, 1, t); });
         guarded([&] { slicedScript(kind, 7, t); });
     }

@@ -792,6 +792,39 @@ TEST(IntervalReplay, DivergingReplicaFailsVerification)
         << rep.error;
 }
 
+TEST(IntervalReplay, FailedReplicaBuildIsTheReportedError)
+{
+    // The second replica's machinery cannot be built. Its range then
+    // never reaches the stitch, which sees a gap; the report must name
+    // the worker's own error, as the server's replay-verify does.
+    Session s(BackendKind::Dise);
+    ASSERT_EQ(s.tt().runToEnd().reason, StopReason::Halted);
+    int built = 0;
+    IntervalReplay::ReplicaFactory factory =
+        [&built](std::unique_ptr<DebugTarget> &t,
+                 std::unique_ptr<Debugger> &d) {
+            if (++built == 2)
+                return false;
+            t = std::make_unique<DebugTarget>(buildHeisenbugDemo());
+            d = std::make_unique<Debugger>(
+                *t, Session::options(BackendKind::Dise));
+            d->watch(WatchSpec::scalar("directory[0]",
+                                       t->symbol("directory"), 8));
+            return d->attach();
+        };
+    IntervalReplay::Options opts;
+    opts.pieces = 4;
+    opts.steal = false;
+    IntervalReplay ir(s.tt(), s.target, s.dbg.backend(), s.dbg.replayLog(),
+                      factory, opts);
+    IntervalReplay::Report rep = ir.run(1);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.error.rfind("range [", 0), 0u) << rep.error;
+    EXPECT_NE(rep.error.find("): interval replay: machinery rebuild failed"),
+              std::string::npos)
+        << rep.error;
+}
+
 TEST(IntervalReplay, StealSplitsInFlightRangesAtCheckpointBoundaries)
 {
     // Drive the pool by hand so the steal path is deterministic: with

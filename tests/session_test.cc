@@ -835,7 +835,7 @@ TEST(DebugSession, PokeAtWatchStopWithoutStepping)
     EXPECT_EQ(session.readMemory(scratch, 1)[0], 0x00);
 
     // A session whose only park poke is at the CURRENT park rebuilds
-    // fine: phase 3 re-applies it after re-finding the park.
+    // fine: the replay re-applies it after re-finding the park.
     DebugSession fresh(prog, sessionOptions());
     fresh.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
     StopInfo fhit = fresh.cont();
@@ -1036,6 +1036,7 @@ TEST(DebugSession, ReplayVerifyWireVerb)
     ASSERT_TRUE(resp.ok()) << resp.error;
     EXPECT_EQ(resp.value, session.digest());
     EXPECT_GT(resp.regs.size(), 1u); // per-interval digests
+    EXPECT_GE(resp.index, 0);        // steals, as the server reports
 }
 
 TEST(DebugSession, StatsReportHistoryBytesHeld)
