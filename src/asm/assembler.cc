@@ -456,10 +456,7 @@ Assembler::assemble(const AsmUnit &unit)
     }
 
     // Pass 2: emit text bytes with label fixups.
-    Program::Segment textSeg;
-    textSeg.name = "text";
-    textSeg.base = unit.text.base;
-    textSeg.executable = true;
+    std::vector<uint8_t> text;
     pc = unit.text.base;
     for (const auto &item : unit.text.items) {
         switch (item.kind) {
@@ -474,7 +471,7 @@ Assembler::assemble(const AsmUnit &unit)
                     fatal("branch to '", item.label, "' out of range");
                 inst.imm = disp;
             }
-            appendWord(textSeg.bytes, encode(inst));
+            appendWord(text, encode(inst));
             pc += 4;
             break;
           }
@@ -482,13 +479,13 @@ Assembler::assemble(const AsmUnit &unit)
             Addr target = prog.symbol(item.label);
             int64_t hi, lo;
             splitAddr(target, hi, lo);
-            appendWord(textSeg.bytes,
+            appendWord(text,
                        encode(makeMem(Opcode::LDA, item.reg, hi,
                                       reg::zero)));
-            appendWord(textSeg.bytes,
+            appendWord(text,
                        encode(makeOpImm(Opcode::SLL_I, item.reg, 14,
                                         item.reg)));
-            appendWord(textSeg.bytes,
+            appendWord(text,
                        encode(makeMem(Opcode::LDA, item.reg, lo,
                                       item.reg)));
             pc += 12;
@@ -503,31 +500,28 @@ Assembler::assemble(const AsmUnit &unit)
     }
 
     // Pass 2: emit data bytes.
-    Program::Segment dataSeg;
-    dataSeg.name = "data";
-    dataSeg.base = unit.data.base;
+    std::vector<uint8_t> data;
     dp = unit.data.base;
     for (const auto &item : unit.data.items) {
         switch (item.kind) {
           case AsmItem::Kind::Bytes:
-            dataSeg.bytes.insert(dataSeg.bytes.end(), item.bytes.begin(),
-                                 item.bytes.end());
+            data.insert(data.end(), item.bytes.begin(), item.bytes.end());
             dp += item.bytes.size();
             break;
           case AsmItem::Kind::Space:
-            dataSeg.bytes.insert(dataSeg.bytes.end(), item.size, 0);
+            data.insert(data.end(), item.size, 0);
             dp += item.size;
             break;
           case AsmItem::Kind::Align: {
             Addr aligned = alignUp(dp, item.size);
-            dataSeg.bytes.insert(dataSeg.bytes.end(), aligned - dp, 0);
+            data.insert(data.end(), aligned - dp, 0);
             dp = aligned;
             break;
           }
           case AsmItem::Kind::QuadLabel: {
             uint64_t v = prog.symbol(item.label);
             for (int i = 0; i < 8; ++i)
-                dataSeg.bytes.push_back((v >> (8 * i)) & 0xff);
+                data.push_back((v >> (8 * i)) & 0xff);
             dp += 8;
             break;
           }
@@ -538,10 +532,12 @@ Assembler::assemble(const AsmUnit &unit)
         }
     }
 
-    if (!textSeg.bytes.empty())
-        prog.segments.push_back(std::move(textSeg));
-    if (!dataSeg.bytes.empty())
-        prog.segments.push_back(std::move(dataSeg));
+    if (!text.empty())
+        prog.segments.push_back(
+            {"text", unit.text.base, std::move(text), true});
+    if (!data.empty())
+        prog.segments.push_back(
+            {"data", unit.data.base, std::move(data), false});
 
     if (!unit.entryLabel.empty())
         prog.entry = prog.symbol(unit.entryLabel);

@@ -62,6 +62,38 @@ struct AsmUnit
     std::string entryLabel;
 };
 
+/**
+ * The immutable bytes of one segment, shared by every Program copy
+ * that holds them: copying a Program copies its metadata only. Code
+ * that writes segment bytes builds its own vector and hands it over
+ * whole; a patch replaces the segment's bytes with a patched copy.
+ */
+class SegmentBytes
+{
+  public:
+    SegmentBytes() = default;
+    SegmentBytes(std::vector<uint8_t> bytes)
+        : bytes_(std::make_shared<const std::vector<uint8_t>>(
+              std::move(bytes)))
+    {
+    }
+
+    const uint8_t *data() const { return bytes_ ? bytes_->data() : nullptr; }
+    size_t size() const { return bytes_ ? bytes_->size() : 0; }
+    bool empty() const { return size() == 0; }
+    uint8_t operator[](size_t i) const { return (*bytes_)[i]; }
+
+    /** A private, writable copy of the bytes. */
+    std::vector<uint8_t>
+    copy() const
+    {
+        return bytes_ ? *bytes_ : std::vector<uint8_t>{};
+    }
+
+  private:
+    std::shared_ptr<const std::vector<uint8_t>> bytes_;
+};
+
 /** A loadable memory image. */
 struct Program
 {
@@ -69,7 +101,7 @@ struct Program
     {
         std::string name;
         Addr base = 0;
-        std::vector<uint8_t> bytes;
+        SegmentBytes bytes;
         bool executable = false;
     };
 

@@ -78,6 +78,21 @@ class DebugBackend : public DebugMonitor
     /** Called after target.load() for memory-dependent setup. */
     virtual void prime(DebugTarget &target) {}
 
+    /**
+     * A debugger write of @p bytes at @p addr (a poke) has just reached
+     * target memory. A debugger write is never a watch event: every
+     * watch it overlaps takes the written bytes into its host shadow
+     * (WatchState::refresh) and its in-application state
+     * (refreshWatch); watches it misses are left alone.
+     */
+    void
+    onPoke(DebugTarget &target, Addr addr, unsigned bytes)
+    {
+        for (size_t i = 0; i < watches_.size(); ++i)
+            if (watches_[i].refresh(target.mem, addr, bytes))
+                refreshWatch(target, i);
+    }
+
     /** Stream hooks this backend needs. */
     virtual StreamEnv
     streamEnv(DebugTarget &target)
@@ -181,6 +196,11 @@ class DebugBackend : public DebugMonitor
     ///@}
 
   protected:
+    /** Re-derive watch @p i's in-application state from memory (after
+     *  a poke overlapped it). Backends that check in the host have
+     *  none. */
+    virtual void refreshWatch(DebugTarget &target, size_t i) {}
+
     void
     recordWatch(int idx, const WatchChange &ch, uint64_t seq,
                 Addr pc = 0)

@@ -1,5 +1,7 @@
 #include "debug/dise_backend.hh"
 
+#include <map>
+
 #include "asm/assembler.hh"
 #include "common/bitutils.hh"
 #include "common/logging.hh"
@@ -131,10 +133,21 @@ DiseBackend::install(DebugTarget &target,
     }
 
     // ---- dseg layout -------------------------------------------------
+    // Each watch takes one 32-byte entry (an indirect watch two: its
+    // pointer cell, then its target); each range watch also takes a
+    // shadow copy with a quad of slack at both ends.
     dsegBase_ = layout::DebuggerDataBase;
+    slots_.assign(watches.size(), {});
     uint64_t entryCount = 0;
-    for (const auto &w : watches)
+    uint64_t shadowLen = 0;
+    for (size_t i = 0; i < watches.size(); ++i) {
+        const WatchSpec &w = watches[i];
+        slots_[i].entry = entryCount;
+        slots_[i].shadow = shadowLen; // an offset until the shadows are placed
         entryCount += w.kind == WatchKind::Indirect ? 2 : 1;
+        if (w.kind == WatchKind::Range)
+            shadowLen += alignUp(w.length, 8) + 16;
+    }
     uint64_t off = EntriesOff + entryCount * EntryBytes;
     off = alignUp(off, 64);
     bloomBase_ = 0;
@@ -144,15 +157,10 @@ DiseBackend::install(DebugTarget &target,
         bloomBase_ = dsegBase_ + off;
         off += BloomBytes;
     }
-    shadowBase_ = 0;
-    uint64_t shadowLen = 0;
-    for (const auto &w : watches) {
-        if (w.kind == WatchKind::Range)
-            shadowLen += alignUp(w.length, 8) + 16; // quad slack both ends
-    }
     if (shadowLen) {
         off = alignUp(off, 8);
-        shadowBase_ = dsegBase_ + off;
+        for (auto &slot : slots_)
+            slot.shadow += dsegBase_ + off;
         off += shadowLen;
     }
     dsegSize_ = alignUp(std::max<uint64_t>(off, 2048), 2048);
@@ -162,11 +170,8 @@ DiseBackend::install(DebugTarget &target,
     protShift_ = log2i(protRegion);
 
     // Append the (zero-initialized) dseg to the program image.
-    Program::Segment dseg;
-    dseg.name = "dseg";
-    dseg.base = dsegBase_;
-    dseg.bytes.assign(dsegSize_, 0);
-    target.program.segments.push_back(std::move(dseg));
+    target.program.segments.push_back(
+        {"dseg", dsegBase_, std::vector<uint8_t>(dsegSize_, 0), false});
 
     // ---- generated handler -------------------------------------------
     if (opts_.variant == DiseVariant::MatchAddrEvalExpr && !watches.empty())
@@ -457,12 +462,6 @@ DiseBackend::buildHandler(DebugTarget &target)
     a.stq(t5, SaveAreaOff + 40, t0);
     a.d_mfr(t1, dr(1)); // quad-aligned store address
 
-    // Track which serial dar register (if any) holds each indirect
-    // target so the handler can retarget it with d_mtr.
-    size_t entryIdx = 0;
-    size_t quadSlot = 0; // serial address slot counter
-    uint64_t shadowCursor = shadowBase_;
-
     auto entOff = [&](size_t idx, uint64_t field) {
         return static_cast<int64_t>(EntriesOff + idx * EntryBytes + field);
     };
@@ -493,19 +492,21 @@ DiseBackend::buildHandler(DebugTarget &target)
 
     for (size_t i = 0; i < watches_.size(); ++i) {
         const WatchSpec &w = watches_[i].spec();
+        const size_t entryIdx = slots_[i].entry;
         std::string next = a.genLabel("wpnext");
         switch (w.kind) {
           case WatchKind::Scalar:
             emitScalarCheck(w, entryIdx, next);
             a.label(next);
-            ++entryIdx;
-            ++quadSlot;
             break;
 
           case WatchKind::Indirect: {
             size_t entP = entryIdx;
             size_t entT = entryIdx + 1;
-            size_t targetSlot = quadSlot + 1;
+            // Serial matching keeps watched quads in entry order in the
+            // two dar registers; the handler retargets the one (if any)
+            // holding this target with d_mtr.
+            size_t targetSlot = entT;
             std::string tgtChk = a.genLabel("tgtchk");
             // Pointer-cell write: retarget the watch.
             a.ldq(t2, entOff(entP, EntAligned), t0);
@@ -568,8 +569,6 @@ DiseBackend::buildHandler(DebugTarget &target)
             a.label(tgtChk);
             emitScalarCheck(w, entT, next);
             a.label(next);
-            entryIdx += 2;
-            quadSlot += 2;
             break;
           }
 
@@ -595,14 +594,10 @@ DiseBackend::buildHandler(DebugTarget &target)
             }
             a.trap(TrapWatchpoint);
             a.label(next);
-            shadowCursor += alignUp(w.length, 8) + 16;
-            ++entryIdx;
-            ++quadSlot;
             break;
           }
         }
     }
-    (void)shadowCursor;
 
     // Epilogue.
     a.ldq(t1, SaveAreaOff + 8, t0);
@@ -628,6 +623,11 @@ void
 DiseBackend::installBreakpoints(DebugTarget &target)
 {
     const bool cc = opts_.condCallTrap;
+    // Segment bytes are shared with every copy of the program, so the
+    // codeword flavor patches a private copy of each text segment it
+    // lands in (by segment index) and swaps the copies in at the end.
+    std::map<size_t, std::vector<uint8_t>> patchedText;
+    std::vector<Program::Segment> &segs = target.program.segments;
     for (size_t i = 0; i < breaks_.size(); ++i) {
         const BreakSpec &bp = breaks_[i];
         Production p;
@@ -637,21 +637,26 @@ DiseBackend::installBreakpoints(DebugTarget &target)
             // Statically patch the breakpoint instruction into a
             // codeword (the paper's first breakpoint flavor).
             bool patched = false;
-            for (auto &seg : target.program.segments) {
+            for (size_t s = 0; s < segs.size(); ++s) {
+                const Program::Segment &seg = segs[s];
                 if (!seg.executable || bp.pc < seg.base ||
                     bp.pc + 4 > seg.base + seg.bytes.size())
                     continue;
+                auto [it, fresh] = patchedText.try_emplace(s);
+                if (fresh)
+                    it->second = seg.bytes.copy();
+                std::vector<uint8_t> &bytes = it->second;
                 size_t off = bp.pc - seg.base;
                 uint32_t w = 0;
                 for (int b = 3; b >= 0; --b)
-                    w = (w << 8) | seg.bytes[off + b];
+                    w = (w << 8) | bytes[off + b];
                 auto dec = decode(w);
                 DISE_ASSERT(dec, "breakpoint target is not code");
                 original = *dec;
                 uint32_t cw = encode(
                     makeSystem(Opcode::CODEWORD, static_cast<int64_t>(i)));
                 for (int b = 0; b < 4; ++b)
-                    seg.bytes[off + b] = (cw >> (8 * b)) & 0xff;
+                    bytes[off + b] = (cw >> (8 * b)) & 0xff;
                 patched = true;
             }
             DISE_ASSERT(patched, "breakpoint pc not in any text segment");
@@ -704,6 +709,8 @@ DiseBackend::installBreakpoints(DebugTarget &target)
         p.replacement = std::move(seq);
         target.engine.addProduction(std::move(p));
     }
+    for (auto &[s, bytes] : patchedText)
+        segs[s].bytes = std::move(bytes);
 }
 
 void
@@ -727,84 +734,81 @@ DiseBackend::prime(DebugTarget &target)
 {
     for (auto &ws : watches_)
         ws.prime(target.mem);
+    for (size_t i = 0; i < watches_.size(); ++i)
+        primeWatch(target, i);
+    primeRegisters(target);
+}
 
-    // Populate dseg entries and the DISE register file.
-    size_t entryIdx = 0;
-    size_t quadSlot = 0;
-    uint64_t shadowCursor = shadowBase_;
-    std::vector<Addr> serialQuads;
+void
+DiseBackend::refreshWatch(DebugTarget &target, size_t i)
+{
+    primeWatch(target, i);
+    primeRegisters(target);
+}
 
-    for (auto &ws : watches_) {
-        const WatchSpec &w = ws.spec();
-        Addr entBase = dsegBase_ + EntriesOff + entryIdx * EntryBytes;
-        switch (w.kind) {
-          case WatchKind::Scalar: {
-            Addr aligned = alignDown(w.addr, 8);
-            target.mem.write(entBase + EntAligned, 8, aligned);
-            target.mem.write(entBase + EntReal, 8, w.addr);
-            target.mem.write(entBase + EntPrev, 8,
-                             readLikeTarget(target.mem, w.addr, w.size));
-            target.mem.write(entBase + EntPred, 8, w.predConst);
-            serialQuads.push_back(aligned);
-            if (strategy_ == MultiMatch::BloomByte ||
-                strategy_ == MultiMatch::BloomBit)
-                bloomInsert(target, aligned);
-            ++entryIdx;
-            ++quadSlot;
-            break;
-          }
-          case WatchKind::Indirect: {
-            Addr pAligned = alignDown(w.addr, 8);
-            uint64_t pVal = target.mem.read(w.addr, 8);
-            Addr tAligned = alignDown(pVal, 8);
-            // Pointer-cell entry.
-            target.mem.write(entBase + EntAligned, 8, pAligned);
-            target.mem.write(entBase + EntReal, 8, w.addr);
-            target.mem.write(entBase + EntPrev, 8, pVal);
-            target.mem.write(entBase + EntPred, 8, 0);
-            // Target entry.
-            Addr entT = entBase + EntryBytes;
-            target.mem.write(entT + EntAligned, 8, tAligned);
-            target.mem.write(entT + EntReal, 8, pVal);
-            target.mem.write(entT + EntPrev, 8,
-                             readLikeTarget(target.mem, pVal, w.size));
-            target.mem.write(entT + EntPred, 8, w.predConst);
-            serialQuads.push_back(pAligned);
-            serialQuads.push_back(tAligned);
-            if (strategy_ == MultiMatch::BloomByte ||
-                strategy_ == MultiMatch::BloomBit) {
-                bloomInsert(target, pAligned);
-                bloomInsert(target, tAligned);
-            }
-            entryIdx += 2;
-            quadSlot += 2;
-            break;
-          }
-          case WatchKind::Range: {
-            Addr lo = alignDown(w.addr, 8);
-            Addr hi = alignDown(w.addr + w.length - 1, 8);
-            target.mem.write(entBase + EntAligned, 8, lo);
-            target.mem.write(entBase + EntReal, 8, hi);
-            target.mem.write(entBase + EntPrev, 8, shadowCursor);
-            target.mem.write(entBase + EntPred, 8, w.predConst);
-            // Fill the shadow copy quad by quad.
-            for (Addr q = lo; q <= hi; q += 8) {
-                target.mem.write(shadowCursor + (q - lo), 8,
-                                 target.mem.read(q, 8));
-                if (strategy_ == MultiMatch::BloomByte ||
-                    strategy_ == MultiMatch::BloomBit)
-                    bloomInsert(target, q);
-            }
-            shadowCursor += alignUp(w.length, 8) + 16;
-            ++entryIdx;
-            ++quadSlot;
-            break;
-          }
+void
+DiseBackend::primeWatch(DebugTarget &target, size_t i)
+{
+    const bool bloom = strategy_ == MultiMatch::BloomByte ||
+                       strategy_ == MultiMatch::BloomBit;
+    const WatchSpec &w = watches_[i].spec();
+    Addr entBase = dsegBase_ + EntriesOff + slots_[i].entry * EntryBytes;
+    const Addr shadow = slots_[i].shadow;
+    switch (w.kind) {
+      case WatchKind::Scalar: {
+        Addr aligned = alignDown(w.addr, 8);
+        target.mem.write(entBase + EntAligned, 8, aligned);
+        target.mem.write(entBase + EntReal, 8, w.addr);
+        target.mem.write(entBase + EntPrev, 8,
+                         readLikeTarget(target.mem, w.addr, w.size));
+        target.mem.write(entBase + EntPred, 8, w.predConst);
+        if (bloom)
+            bloomInsert(target, aligned);
+        break;
+      }
+      case WatchKind::Indirect: {
+        Addr pAligned = alignDown(w.addr, 8);
+        uint64_t pVal = target.mem.read(w.addr, 8);
+        Addr tAligned = alignDown(pVal, 8);
+        // Pointer-cell entry.
+        target.mem.write(entBase + EntAligned, 8, pAligned);
+        target.mem.write(entBase + EntReal, 8, w.addr);
+        target.mem.write(entBase + EntPrev, 8, pVal);
+        target.mem.write(entBase + EntPred, 8, 0);
+        // Target entry.
+        Addr entT = entBase + EntryBytes;
+        target.mem.write(entT + EntAligned, 8, tAligned);
+        target.mem.write(entT + EntReal, 8, pVal);
+        target.mem.write(entT + EntPrev, 8,
+                         readLikeTarget(target.mem, pVal, w.size));
+        target.mem.write(entT + EntPred, 8, w.predConst);
+        if (bloom) {
+            bloomInsert(target, pAligned);
+            bloomInsert(target, tAligned);
         }
+        break;
+      }
+      case WatchKind::Range: {
+        Addr lo = alignDown(w.addr, 8);
+        Addr hi = alignDown(w.addr + w.length - 1, 8);
+        target.mem.write(entBase + EntAligned, 8, lo);
+        target.mem.write(entBase + EntReal, 8, hi);
+        target.mem.write(entBase + EntPrev, 8, shadow);
+        target.mem.write(entBase + EntPred, 8, w.predConst);
+        // Fill the shadow copy quad by quad.
+        for (Addr q = lo; q <= hi; q += 8) {
+            target.mem.write(shadow + (q - lo), 8, target.mem.read(q, 8));
+            if (bloom)
+                bloomInsert(target, q);
+        }
+        break;
+      }
     }
-    (void)quadSlot;
+}
 
-    // DISE register file.
+void
+DiseBackend::primeRegisters(DebugTarget &target)
+{
     ArchState &arch = target.arch;
     arch.writeDise(5, handlerBase_); // dhdlr
     if (opts_.protectDebuggerData)
@@ -823,12 +827,25 @@ DiseBackend::prime(DebugTarget &target)
     }
 
     switch (strategy_) {
-      case MultiMatch::Serial:
+      case MultiMatch::Serial: {
+        // The first two watched quads, in entry order (an indirect
+        // watch's target is where its pointer points now).
+        std::vector<Addr> serialQuads;
+        for (const auto &ws : watches_) {
+            const WatchSpec &w = ws.spec();
+            if (w.kind == WatchKind::Range)
+                continue;
+            serialQuads.push_back(alignDown(w.addr, 8));
+            if (w.kind == WatchKind::Indirect)
+                serialQuads.push_back(
+                    alignDown(target.mem.read(w.addr, 8), 8));
+        }
         if (serialQuads.size() > 0)
             arch.writeDise(3, serialQuads[0]);
         if (serialQuads.size() > 1)
             arch.writeDise(4, serialQuads[1]);
         break;
+      }
       case MultiMatch::RangeCheck: {
         const WatchSpec &w = watches_[0].spec();
         arch.writeDise(6, alignDown(w.addr, 8));

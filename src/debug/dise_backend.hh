@@ -111,7 +111,11 @@ class DiseBackend : public DebugBackend
     std::vector<TemplateInst> buildStoreReplacement();
     void buildHandler(DebugTarget &target);
     void installBreakpoints(DebugTarget &target);
-    void primeDseg(DebugTarget &target);
+    void refreshWatch(DebugTarget &target, size_t i) override;
+    /** Write watch @p i's dseg entries (and range shadow) from memory. */
+    void primeWatch(DebugTarget &target, size_t i);
+    /** Load the DISE register file from the specs and memory. */
+    void primeRegisters(DebugTarget &target);
     void bloomInsert(DebugTarget &target, Addr quadAddr);
 
     DiseOptions opts_;
@@ -123,7 +127,13 @@ class DiseBackend : public DebugBackend
     unsigned protShift_ = 12; ///< dseg identified by addr >> protShift
     Addr handlerBase_ = 0;
     Addr bloomBase_ = 0;
-    Addr shadowBase_ = 0; ///< range shadow copy in dseg
+    /** Where watch i's state lives in dseg, laid out by install(). */
+    struct WatchSlot
+    {
+        size_t entry = 0; ///< first entry index (indirect: pointer cell)
+        Addr shadow = 0;  ///< range shadow copy (range watches only)
+    };
+    std::vector<WatchSlot> slots_;
     size_t replacementLen_ = 0;
     size_t handlerInsts_ = 0;
 };

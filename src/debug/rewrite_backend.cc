@@ -334,11 +334,8 @@ RewriteBackend::install(DebugTarget &target,
     Program rewritten = Assembler::assemble(unit);
 
     // Append the rewriter's data region.
-    Program::Segment rwseg;
-    rwseg.name = "rwseg";
-    rwseg.base = rwsegBase_;
-    rwseg.bytes.assign(rwsegSize, 0);
-    rewritten.segments.push_back(std::move(rwseg));
+    rewritten.segments.push_back(
+        {"rwseg", rwsegBase_, std::vector<uint8_t>(rwsegSize, 0), false});
 
     uint64_t newWords = rewritten.textWords();
     bloatFactor_ = oldWords
@@ -353,22 +350,25 @@ RewriteBackend::prime(DebugTarget &target)
 {
     for (auto &ws : watches_)
         ws.prime(target.mem);
+    for (size_t i = 0; i < watches_.size(); ++i)
+        refreshWatch(target, i);
+}
 
-    uint64_t shadowCursor = shadowBase_;
-    for (size_t i = 0; i < watches_.size(); ++i) {
-        const WatchSpec &w = watches_[i].spec();
-        if (w.kind == WatchKind::Range) {
-            Addr lo = alignDown(w.addr, 8);
-            Addr hi = alignDown(w.addr + w.length - 1, 8);
-            for (Addr q = lo; q <= hi; q += 8)
-                target.mem.write(shadowCursor + (q - lo), 8,
-                                 target.mem.read(q, 8));
-            shadowCursor += alignUp(w.length, 8) + 16;
-        } else {
-            target.mem.write(rwsegBase_ + 8 * i, 8,
-                             readLikeTarget(target.mem, w.addr, w.size));
-        }
+void
+RewriteBackend::refreshWatch(DebugTarget &target, size_t i)
+{
+    const WatchSpec &w = watches_[i].spec();
+    if (w.kind != WatchKind::Range) {
+        target.mem.write(rwsegBase_ + 8 * i, 8,
+                         readLikeTarget(target.mem, w.addr, w.size));
+        return;
     }
+    // A range watch is installed only as the sole watch, so its shadow
+    // starts at shadowBase_.
+    Addr lo = alignDown(w.addr, 8);
+    Addr hi = alignDown(w.addr + w.length - 1, 8);
+    for (Addr q = lo; q <= hi; q += 8)
+        target.mem.write(shadowBase_ + (q - lo), 8, target.mem.read(q, 8));
 }
 
 DebugAction

@@ -38,6 +38,9 @@ class RewriteBackend : public DebugBackend
     double bloatFactor() const { return bloatFactor_; }
 
   private:
+    /** Write watch @p i's rwseg prev quad (or range shadow) from
+     *  memory. */
+    void refreshWatch(DebugTarget &target, size_t i) override;
     void emitStoreStub(std::vector<AsmItem> &items, const Inst &store,
                        uint64_t stubId);
     void emitHandler(std::vector<AsmItem> &items);

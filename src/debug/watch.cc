@@ -1,5 +1,6 @@
 #include "debug/watch.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -91,6 +92,54 @@ WatchState::overlaps(Addr addr, unsigned bytes) const
         return lo < curTarget_ + spec_.size && curTarget_ < hi;
       case WatchKind::Range:
         return lo < spec_.addr + spec_.length && spec_.addr < hi;
+    }
+    return false;
+}
+
+void
+WatchState::takeWritten(const MainMemory &mem, Addr base, Addr lo, Addr hi)
+{
+    for (unsigned j = 0; j < spec_.size; ++j) {
+        Addr a = base + j;
+        if (a < lo || a >= hi)
+            continue;
+        uint64_t mask = uint64_t{0xff} << (8 * j);
+        prevValue_ = (prevValue_ & ~mask) | (mem.read(a, 1) << (8 * j));
+    }
+}
+
+bool
+WatchState::refresh(const MainMemory &mem, Addr addr, unsigned bytes)
+{
+    Addr lo = addr;
+    Addr hi = addr + bytes;
+    switch (spec_.kind) {
+      case WatchKind::Scalar:
+        if (!(lo < spec_.addr + spec_.size && spec_.addr < hi))
+            return false;
+        takeWritten(mem, spec_.addr, lo, hi);
+        return true;
+      case WatchKind::Indirect: {
+        // A new pointer re-targets the watch; a write to the datum it
+        // points at now is taken like a scalar's.
+        if (lo < spec_.addr + 8 && spec_.addr < hi) {
+            prime(mem);
+            return true;
+        }
+        Addr target = mem.read(spec_.addr, 8);
+        if (!(lo < target + spec_.size && target < hi))
+            return false;
+        takeWritten(mem, target, lo, hi);
+        return true;
+      }
+      case WatchKind::Range: {
+        Addr from = std::max(lo, spec_.addr);
+        Addr to = std::min(hi, spec_.addr + spec_.length);
+        if (from >= to)
+            return false;
+        mem.readBlock(from, shadow_.data() + (from - spec_.addr), to - from);
+        return true;
+      }
     }
     return false;
 }

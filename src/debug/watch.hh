@@ -158,6 +158,17 @@ class WatchState
     /** Would a write of @p bytes at @p addr touch watched storage? */
     bool overlaps(Addr addr, unsigned bytes) const;
 
+    /**
+     * A debugger write of @p bytes at @p addr has just reached @p mem:
+     * take the written bytes into the shadow, so the write is never
+     * reported as a change, and keep any other pending change. A write
+     * to an indirect watch's pointer cell re-primes it at the new
+     * target; a write to its current target (read from memory) is taken
+     * byte by byte like a scalar's. Returns whether the write touched
+     * this watch.
+     */
+    bool refresh(const MainMemory &mem, Addr addr, unsigned bytes);
+
     /** All statically-known addresses this watchpoint monitors
      *  (empty for indirect targets beyond the pointer cell itself). */
     std::vector<std::pair<Addr, uint64_t>> staticRegions() const;
@@ -187,6 +198,10 @@ class WatchState
     ///@}
 
   private:
+    /** Take the bytes of [@p lo, @p hi) that fall in the value at
+     *  @p base into prevValue_. */
+    void takeWritten(const MainMemory &mem, Addr base, Addr lo, Addr hi);
+
     WatchSpec spec_;
     uint64_t prevValue_ = 0; ///< scalar/indirect expression value
     Addr curTarget_ = 0;     ///< indirect: last seen pointer value

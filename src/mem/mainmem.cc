@@ -153,18 +153,42 @@ MainMemory::contentHash(uint64_t seed) const
 {
     // Order-independent: combine per-page hashes with addition so the
     // unordered map's iteration order cannot leak into the digest.
-    uint64_t acc = seed;
-    for (const auto &[frame, page] : pages_) {
-        bool zero = true;
-        for (uint64_t i = 0; i < PageBytes && zero; ++i)
-            zero = page->bytes[i] == 0;
-        if (zero)
-            continue;
+    // Each non-zero page is one byte-wise FNV-1a chain seeded with its
+    // frame; four pages' chains run side by side so their multiplies
+    // overlap, and a pending group of fewer than four runs one by one.
+    static const uint8_t zeroPage[PageBytes] = {};
+    auto pageHash = [](uint64_t frame, const uint8_t *b) {
         uint64_t h = FnvOffsetBasis ^ frame;
         for (uint64_t i = 0; i < PageBytes; ++i)
-            h = fnvMix(h, page->bytes[i]);
-        acc += h;
+            h = fnvMix(h, b[i]);
+        return h;
+    };
+    uint64_t acc = seed;
+    uint64_t frames[4] = {};
+    const uint8_t *group[4] = {};
+    size_t n = 0;
+    for (const auto &[frame, page] : pages_) {
+        if (std::memcmp(page->bytes, zeroPage, PageBytes) == 0)
+            continue;
+        frames[n] = frame;
+        group[n] = page->bytes;
+        if (++n < 4)
+            continue;
+        n = 0;
+        uint64_t h0 = FnvOffsetBasis ^ frames[0];
+        uint64_t h1 = FnvOffsetBasis ^ frames[1];
+        uint64_t h2 = FnvOffsetBasis ^ frames[2];
+        uint64_t h3 = FnvOffsetBasis ^ frames[3];
+        for (uint64_t i = 0; i < PageBytes; ++i) {
+            h0 = fnvMix(h0, group[0][i]);
+            h1 = fnvMix(h1, group[1][i]);
+            h2 = fnvMix(h2, group[2][i]);
+            h3 = fnvMix(h3, group[3][i]);
+        }
+        acc += h0 + h1 + h2 + h3;
     }
+    for (size_t i = 0; i < n; ++i)
+        acc += pageHash(frames[i], group[i]);
     return acc;
 }
 

@@ -167,7 +167,9 @@ class MainMemory
     /**
      * Order-independent hash of all nonzero page contents (pages that
      * are entirely zero hash identically to absent ones, so a restored
-     * image digests equal to a never-touched one).
+     * image digests equal to a never-touched one). Stored session
+     * images and golden transcripts carry digests built on these
+     * values, so a faster loop must keep every value exactly.
      */
     uint64_t contentHash(uint64_t seed = FnvOffsetBasis) const;
 

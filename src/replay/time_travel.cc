@@ -92,8 +92,12 @@ TimeTravel::TimeTravel(DebugTarget &target, DebugBackend &backend,
             applyIntervention(iv);
     }
     resumeAt(start);
-    target_.mem.beginUndoLog();
-    takeCheckpoint(); // anchors this timeline at the start checkpoint
+    // A replica only seeks forward: it anchors its timeline at the
+    // start checkpoint and keeps no history past it (no undo log, no
+    // further checkpoints).
+    takeCheckpoint();
+    keepsHistory_ = false;
+    nextCheckpointAt_ = ~uint64_t{0};
 }
 
 TimeTravel::~TimeTravel()
@@ -308,6 +312,8 @@ void
 TimeTravel::restoreTo(size_t cpIdx)
 {
     TRACE_SPAN("travel", "travel.restore");
+    DISE_ASSERT(keepsHistory_, "a timeline started at a checkpoint "
+                               "cannot travel back");
     MainMemory &mem = target_.mem;
     ++stats_.restores;
 
@@ -584,8 +590,11 @@ TimeTravel::applyIntervention(Intervention &iv)
     switch (iv.kind) {
       case InterventionKind::PokeMemory:
         // Goes through the normal write path, so the undo log captures
-        // the pre-image like any target store.
+        // the pre-image like any target store. The watches it overlaps
+        // take the new bytes: the program's next store reports them as
+        // the old value.
         target_.mem.write(iv.addr, iv.size, iv.value);
+        backend_.onPoke(target_, iv.addr, iv.size);
         break;
       case InterventionKind::PokeRegister:
         target_.arch.write(iv.reg, iv.value);

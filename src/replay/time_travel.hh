@@ -136,7 +136,9 @@ class TimeTravel
      * materialized into @p target. @p log describes that timeline and
      * is written to by replay (engine ids, tool slots), so pass a copy.
      * The interventions stamped at the checkpoint's own position are
-     * left pending: a Seek to time() applies them.
+     * left pending: a Seek to time() applies them. Such a timeline
+     * only moves forward: it takes no checkpoint past its start and
+     * keeps no undo log, and a goal behind its position asserts.
      */
     TimeTravel(DebugTarget &target, DebugBackend &backend, ReplayLog &log,
                const Checkpoint &start, TimeTravelConfig cfg);
@@ -310,6 +312,8 @@ class TimeTravel
 
     std::unique_ptr<InstStream> stream_;
     std::vector<Checkpoint> cps_;
+    /** False on a timeline started at a checkpoint (forward only). */
+    bool keepsHistory_ = true;
     /** Sum of cps_[i].undo.bytes(), kept as checkpoints come and go. */
     uint64_t sealedBytes_ = 0;
 

@@ -33,6 +33,23 @@ SessionManager::SessionManager(SessionManagerOptions opts,
         factory_ = defaultProgramFactory;
 }
 
+std::shared_ptr<const Program>
+SessionManager::program(const std::string &workload)
+{
+    // One mutex across lookup and factory call (never the session
+    // table's): concurrent first requests make one call, and a name the
+    // factory rejects is not kept.
+    std::lock_guard<std::mutex> lk(programMu_);
+    auto it = programs_.find(workload);
+    if (it != programs_.end())
+        return it->second;
+    auto prog = std::make_shared<Program>();
+    if (!factory_(workload, *prog))
+        return nullptr;
+    programs_.emplace(workload, prog);
+    return prog;
+}
+
 void
 SessionManager::touch(ManagedSession &ms)
 {
@@ -116,10 +133,10 @@ ManagedSessionPtr
 SessionManager::create(const std::string &workload, BackendKind backend,
                        bool exclusive, std::string *err)
 {
-    // Build the program outside the lock (workload construction is the
+    // Get the program outside the lock (workload construction is the
     // expensive part), then admit under it.
-    Program prog;
-    if (!factory_(workload, prog)) {
+    std::shared_ptr<const Program> prog = program(workload);
+    if (!prog) {
         // A typo'd workload is a client error, not an admission-cap
         // rejection; rejected_ only counts the cap.
         if (err)
@@ -134,7 +151,7 @@ SessionManager::create(const std::string &workload, BackendKind backend,
             ++created_;
             return std::make_shared<ManagedSession>(
                 nextId_++, workload.empty() ? std::string("demo") : workload,
-                std::move(prog), std::move(sopts), exclusive);
+                *prog, std::move(sopts), exclusive);
         },
         err);
     if (!ms) {
@@ -327,13 +344,13 @@ SessionManager::resurrect(uint64_t id, std::string *err)
     };
     // A fresh session begins the resurrection op and the runner steps
     // it to completion.
-    Program prog;
-    if (!factory_(workload, prog))
+    std::shared_ptr<const Program> prog = program(workload);
+    if (!prog)
         return quarantine("workload '" + workload + "' is not buildable");
     SessionOptions sopts = opts_.session;
     sopts.debugger.backend = img.backend;
-    auto ms = std::make_shared<ManagedSession>(
-        id, workload, std::move(prog), std::move(sopts), false);
+    auto ms = std::make_shared<ManagedSession>(id, workload, *prog,
+                                               std::move(sopts), false);
     {
         TRACE_SPAN("session", "session.resurrect");
         uint64_t t0 = obs::nowNs();

@@ -2,15 +2,18 @@
  * @file
  * The session table of the multi-session debug server: every session
  * the one server process hosts, as N independent DebugSession
- * instances — each with its own Program, backend, TimeTravel
- * controller, and EventQueue — created, looked up, and destroyed under
- * one admission cap. Resurrection from the store is the one path that
- * builds a session from an image.
+ * instances — each with its own backend, TimeTravel controller,
+ * EventQueue and memory image — created, looked up, and destroyed
+ * under one admission cap. Resurrection from the store is the one path
+ * that builds a session from an image.
  *
- * Sessions are share-nothing: no target state is shared between them,
- * so slices of different sessions run in parallel without
- * coordination. What IS shared is the bookkeeping:
+ * Sessions are share-nothing: no mutable target state is shared
+ * between them, so slices of different sessions run in parallel
+ * without coordination. What IS shared is the bookkeeping, and each
+ * workload's program, built once and read-only:
  *
+ *  - the workload name → Program cache (its own mutex; sessions copy
+ *    the metadata and share the segment bytes);
  *  - the id → session map (guarded by the manager's mutex);
  *  - per-session progress counters (µops, instructions, events),
  *    published as atomics after every execution slice so
@@ -215,12 +218,26 @@ class SessionManager
      * Resolves a workload name to a Program. The default factory
      * serves "demo" (the heisenbug scenario) and the six synthetic
      * SPEC workloads by name.
+     *
+     * Contract: the manager calls the factory at most once per name it
+     * accepts and keeps the result for every later session of that
+     * name (creates, resurrections), so the factory must be a pure
+     * function of the name. A name it rejects is asked again on the
+     * next request.
      */
     using ProgramFactory =
         std::function<bool(const std::string &name, Program &out)>;
 
     explicit SessionManager(SessionManagerOptions opts = {},
                             ProgramFactory factory = {});
+
+    /**
+     * The program @p workload names, built by the factory on first
+     * request and kept for the manager's lifetime; nullptr when the
+     * factory rejects the name. Sessions get copies, which share the
+     * kept program's segment bytes.
+     */
+    std::shared_ptr<const Program> program(const std::string &workload);
 
     /**
      * Create a session for @p workload under the admission cap. At the
@@ -313,6 +330,11 @@ class SessionManager
     SessionManagerOptions opts_;
     ProgramFactory factory_;
     OpRunner runner_;
+
+    /** Workload name → kept program; programMu_ is held across the
+     *  lookup and the factory call. */
+    std::mutex programMu_;
+    std::map<std::string, std::shared_ptr<const Program>> programs_;
 
     persist::SessionStore *store_ = nullptr;
     /** Serializes resurrections (so two selects of one hibernated id

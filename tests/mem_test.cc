@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "common/bitutils.hh"
 #include "common/random.hh"
 #include "mem/hierarchy.hh"
 #include "mem/mainmem.hh"
@@ -60,6 +64,67 @@ TEST(MainMemory, BlockCopyRoundTrip)
     std::vector<uint8_t> dst(src.size());
     mem.readBlock(0x3ffe, dst.data(), dst.size());
     EXPECT_EQ(src, dst);
+}
+
+/** The one-page-at-a-time digest contentHash() must keep matching:
+ *  per non-zero page, a byte-wise FNV-1a chain seeded with the frame,
+ *  summed onto the seed. */
+uint64_t
+referenceContentHash(const std::map<uint64_t, std::vector<uint8_t>> &pages,
+                     uint64_t seed)
+{
+    uint64_t acc = seed;
+    for (const auto &[frame, bytes] : pages) {
+        bool zero = true;
+        for (uint64_t i = 0; i < PageBytes && zero; ++i)
+            zero = bytes[i] == 0;
+        if (zero)
+            continue;
+        uint64_t h = FnvOffsetBasis ^ frame;
+        for (uint64_t i = 0; i < PageBytes; ++i)
+            h = fnvMix(h, bytes[i]);
+        acc += h;
+    }
+    return acc;
+}
+
+TEST(MainMemory, ContentHashMatchesThePageAtATimeDigest)
+{
+    // Sparse images with 0-9 non-zero pages (so every remainder of the
+    // four-page groups), all-zero pages between them, and a page that
+    // is zero except for its last byte.
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        MainMemory mem;
+        std::map<uint64_t, std::vector<uint8_t>> model;
+        unsigned nonZero = seed % 10;
+        uint64_t frame = rng.below(64);
+        for (unsigned p = 0; p < nonZero; ++p) {
+            std::vector<uint8_t> bytes(PageBytes, 0);
+            if (p == 0 && seed % 3 == 0) {
+                bytes[PageBytes - 1] = 0x5a;
+            } else {
+                for (uint64_t k = rng.range(1, 64); k > 0; --k)
+                    bytes[rng.below(PageBytes)] =
+                        static_cast<uint8_t>(rng.range(1, 255));
+            }
+            mem.writeBlock(frame * PageBytes, bytes.data(), PageBytes);
+            model[frame] = bytes;
+            frame += rng.range(1, 3);
+            if (rng.chance(1, 2)) {
+                // A page that exists but holds only zeros.
+                std::vector<uint8_t> zeros(PageBytes, 0);
+                mem.writeBlock(frame * PageBytes, zeros.data(), PageBytes);
+                model[frame] = zeros;
+                frame += rng.range(1, 3);
+            }
+        }
+        EXPECT_EQ(mem.contentHash(), referenceContentHash(model,
+                                                          FnvOffsetBasis))
+            << "seed " << seed;
+        EXPECT_EQ(mem.contentHash(seed), referenceContentHash(model, seed))
+            << "seed " << seed;
+    }
 }
 
 TEST(MainMemory, PageProtection)

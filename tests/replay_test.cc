@@ -792,6 +792,29 @@ TEST(IntervalReplay, DivergingReplicaFailsVerification)
         << rep.error;
 }
 
+TEST(IntervalReplay, ACheckpointStartKeepsNoHistory)
+{
+    // A replica only seeks forward: started at a checkpoint, it takes
+    // no checkpoint past that anchor, holds no undo blocks, and refuses
+    // to travel back, while still landing on the live digest.
+    Session s(BackendKind::Dise);
+    ASSERT_EQ(s.tt().runToEnd().reason, StopReason::Halted);
+    ASSERT_GT(s.tt().checkpointCount(), 3u);
+    DebugTarget t(buildHeisenbugDemo());
+    Debugger d(t, Session::options(BackendKind::Dise));
+    d.watch(WatchSpec::scalar("directory[0]", t.symbol("directory"), 8));
+    ASSERT_TRUE(d.attach());
+    d.replayLog() = s.dbg.replayLog();
+    TimeTravel rt(t, d.backend(), d.replayLog(), s.tt().checkpoints()[0],
+                  s.tt().config());
+    StopInfo end = rt.travel(TravelVerb::Seek, s.tt().time());
+    EXPECT_EQ(end.time, s.tt().time());
+    EXPECT_EQ(rt.digest(), s.tt().digest());
+    EXPECT_EQ(rt.checkpointCount(), 1u);
+    EXPECT_EQ(rt.historyBytes(), 0u);
+    EXPECT_THROW(rt.travel(TravelVerb::ReverseStep, 10), PanicError);
+}
+
 TEST(IntervalReplay, FailedReplicaBuildIsTheReportedError)
 {
     // The second replica's machinery cannot be built. Its range then

@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <functional>
 #include <future>
+#include <map>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -1395,6 +1396,93 @@ TEST(SessionManagerDurable, FailedResurrectionRunKeepsImageHibernated)
     ManagedSessionPtr back = mgr.find(id, false, &err);
     ASSERT_TRUE(back) << err;
     EXPECT_EQ(mgr.stats().resurrections, 1u);
+}
+
+/** The bytes of @p prog's segment named @p name (nullptr if none). */
+const uint8_t *
+segmentBytes(const Program &prog, const std::string &name)
+{
+    for (const Program::Segment &seg : prog.segments)
+        if (seg.name == name)
+            return seg.bytes.data();
+    return nullptr;
+}
+
+TEST(SessionManagerDurable, FactoryRunsOncePerNameAndSessionsShareIt)
+{
+    // Two creates, a post-attach set-watch rebuild and a hibernate plus
+    // resurrect all use the one program the factory built for the
+    // name, and every copy shares its data segment's bytes.
+    persist::ScratchDir scratch("server_test_store_programs");
+    persist::RealVfs vfs;
+    persist::SessionStore store(scratch.path, vfs);
+    ASSERT_TRUE(store.open().ok);
+    std::map<std::string, int> calls;
+    bool acceptLater = false;
+    SessionManager mgr({4, smallSessions()},
+                       [&](const std::string &name, Program &out) {
+                           ++calls[name];
+                           if (name == "later" && !acceptLater)
+                               return false;
+                           return defaultProgramFactory(
+                               name == "later" ? "demo" : name, out);
+                       });
+    mgr.adoptStore(&store);
+    ManagedSessionPtr a = mgr.create("demo", BackendKind::Dise);
+    ManagedSessionPtr b = mgr.create("demo", BackendKind::SingleStep);
+    ASSERT_TRUE(a && b);
+    std::shared_ptr<const Program> kept = mgr.program("demo");
+    ASSERT_TRUE(kept);
+    const uint8_t *data = segmentBytes(*kept, "data");
+    ASSERT_NE(data, nullptr);
+    EXPECT_EQ(segmentBytes(a->session.program(), "data"), data);
+    EXPECT_EQ(segmentBytes(b->session.program(), "data"), data);
+
+    Addr dir = kept->symbol("directory");
+    a->session.setWatch(WatchSpec::scalar("d0", dir, 8));
+    ASSERT_EQ(a->session.cont().reason, StopReason::Event);
+    ASSERT_GE(a->session.setWatch(WatchSpec::scalar("d1", dir + 8, 8)), 0);
+    EXPECT_FALSE(a->session.detached());
+    EXPECT_EQ(segmentBytes(a->session.target().program, "data"), data);
+
+    uint64_t id = a->id;
+    a.reset();
+    std::string err;
+    ASSERT_TRUE(mgr.hibernate(id, &err)) << err;
+    ManagedSessionPtr back = mgr.find(id, false, &err);
+    ASSERT_TRUE(back) << err;
+    EXPECT_EQ(segmentBytes(back->session.target().program, "data"), data);
+    EXPECT_EQ(calls["demo"], 1);
+
+    // A name the factory rejects is not kept: the next request asks
+    // again, and once accepted the name is kept.
+    EXPECT_EQ(mgr.create("later", BackendKind::Dise, false, &err), nullptr);
+    EXPECT_EQ(mgr.program("later"), nullptr);
+    acceptLater = true;
+    EXPECT_TRUE(mgr.create("later", BackendKind::Dise));
+    EXPECT_TRUE(mgr.program("later"));
+    EXPECT_EQ(calls["later"], 3);
+}
+
+TEST(SessionManager, ConcurrentFirstRequestsMakeOneFactoryCall)
+{
+    std::atomic<int> calls{0};
+    SessionManager mgr({4, smallSessions()},
+                       [&](const std::string &name, Program &out) {
+                           ++calls;
+                           return defaultProgramFactory(name, out);
+                       });
+    std::vector<std::shared_ptr<const Program>> got(4);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back([&, i] { got[i] = mgr.program("mcf"); });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(calls.load(), 1);
+    for (const auto &p : got) {
+        ASSERT_TRUE(p);
+        EXPECT_EQ(p, got[0]);
+    }
 }
 
 TEST(SessionManagerDurable, HibernateRefusalsKeepSessionIntact)

@@ -466,13 +466,48 @@ TEST(DebugSession, PostAttachAdditionReplaysLoggedPokes)
     bool saw = false;
     for (const auto &ev : session.events().drain())
         if (ev.kind == SessionEventKind::Watch) {
-            // newValue 200 = 2 * the replayed poke; oldValue is the
-            // watch's last *observed* value (shadows don't see pokes).
-            EXPECT_EQ(ev.oldValue, 6u);
+            // newValue 200 = 2 * the replayed poke, and oldValue is
+            // the poke itself: a debugger write refreshes the shadows
+            // of the watches it overlaps.
+            EXPECT_EQ(ev.oldValue, 100u);
             EXPECT_EQ(ev.newValue, 200u);
             saw = true;
         }
     EXPECT_TRUE(saw);
+}
+
+TEST(DebugSession, PokeRefreshesInApplicationShadows)
+{
+    // The program doubles x at every iteration. After the first hit
+    // (3 -> 6), poke x back to 3: the next iteration stores 6 again, a
+    // change from the poked value. DISE and binary rewriting check in
+    // the application, so a prev quad still holding 6 would prune that
+    // store as silent; every backend must stop on it, old value 3.
+    for (BackendKind kind :
+         {BackendKind::Dise, BackendKind::SingleStep,
+          BackendKind::VirtualMemory, BackendKind::HardwareReg,
+          BackendKind::Rewrite}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        Program prog = doublerProgram();
+        DebugSession s(prog, sessionOptions(kind));
+        s.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
+        ASSERT_EQ(s.cont().reason, StopReason::Event);
+        s.stepi(1);
+        ASSERT_TRUE(s.writeMemory(prog.symbol("x"), 8, 3));
+        s.events().clear();
+        ASSERT_EQ(s.cont().reason, StopReason::Event);
+        // Single-step stops at the statement boundary after the store,
+        // so its stepi already loaded 6: that iteration stores 12.
+        uint64_t stored = kind == BackendKind::SingleStep ? 12 : 6;
+        int hits = 0;
+        for (const auto &ev : s.events().drain())
+            if (ev.kind == SessionEventKind::Watch) {
+                EXPECT_EQ(ev.oldValue, 3u);
+                EXPECT_EQ(ev.newValue, stored);
+                ++hits;
+            }
+        EXPECT_EQ(hits, 1);
+    }
 }
 
 TEST(DebugSession, PostAttachAdditionDisambiguatesSameInstructionEvents)
@@ -1091,6 +1126,81 @@ TEST(DebugSession, StatsReportTraceCoverage)
                   static_cast<double>(resp.stats.time),
               0.9);
     EXPECT_GT(resp.stats.jitExits, 0u);
+}
+
+/** The bytes of @p prog's text segment. */
+std::vector<uint8_t>
+textOf(const Program &prog)
+{
+    for (const Program::Segment &seg : prog.segments)
+        if (seg.name == "text")
+            return seg.bytes.copy();
+    return {};
+}
+
+const uint8_t *
+textPtr(const Program &prog)
+{
+    for (const Program::Segment &seg : prog.segments)
+        if (seg.name == "text")
+            return seg.bytes.data();
+    return nullptr;
+}
+
+/** Stop positions of breaking at "loop" and continuing to the halt. */
+std::vector<uint64_t>
+loopStops(DebugSession &s, const Program &prog)
+{
+    BreakSpec bp;
+    bp.pc = prog.symbol("loop");
+    EXPECT_GE(s.setBreak(bp), 0);
+    std::vector<uint64_t> at;
+    for (StopInfo st = s.cont(); st.reason == StopReason::Event;
+         st = s.cont())
+        at.push_back(st.appInsts);
+    return at;
+}
+
+TEST(DebugSession, CodewordBreakpointsPatchOnlyTheirOwnText)
+{
+    // Program copies share their segment bytes: a DISE session that
+    // patches codeword breakpoints into its text patches a private
+    // copy, so the shared program and a second session of it are
+    // untouched.
+    const Program prog = doublerProgram();
+    const std::vector<uint8_t> text = textOf(prog);
+    SessionOptions cw = sessionOptions();
+    cw.debugger.dise.breakpointsByCodeword = true;
+    // Each flavor's stops on a program of its own.
+    DebugSession ownCw(doublerProgram(), cw);
+    std::vector<uint64_t> wantCw = loopStops(ownCw, prog);
+    DebugSession ownPc(doublerProgram(), sessionOptions());
+    std::vector<uint64_t> wantPc = loopStops(ownPc, prog);
+    ASSERT_EQ(wantCw.size(), 5u);
+    ASSERT_EQ(wantPc.size(), 5u);
+
+    DebugSession patched(prog, cw);
+    EXPECT_EQ(loopStops(patched, prog), wantCw);
+    EXPECT_NE(textPtr(patched.target().program), textPtr(prog));
+    EXPECT_NE(textOf(patched.target().program), text);
+    EXPECT_EQ(textOf(prog), text);
+
+    DebugSession second(prog, sessionOptions());
+    EXPECT_EQ(loopStops(second, prog), wantPc);
+    EXPECT_EQ(textPtr(second.target().program), textPtr(prog));
+}
+
+TEST(DebugSession, RewriteSessionLeavesTheSharedProgramUnchanged)
+{
+    const Program prog = doublerProgram();
+    const std::vector<uint8_t> text = textOf(prog);
+    const size_t segments = prog.segments.size();
+    DebugSession s(prog, sessionOptions(BackendKind::Rewrite));
+    s.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
+    EXPECT_EQ(s.runToEnd().reason, StopReason::Halted);
+    EXPECT_NE(textOf(s.target().program), text);
+    EXPECT_EQ(textOf(prog), text);
+    EXPECT_EQ(prog.segments.size(), segments);
 }
 
 TEST(DebugSession, DescribePrintersAreReadable)

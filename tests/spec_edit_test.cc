@@ -70,12 +70,12 @@ removeWatch(int index)
 }
 
 Request
-poke(Addr addr, uint64_t value)
+poke(Addr addr, uint64_t value, unsigned size = 8)
 {
     Request r;
     r.kind = RequestKind::WriteMemory;
     r.addr = addr;
-    r.size = 8;
+    r.size = size;
     r.value = value;
     return r;
 }
@@ -96,6 +96,17 @@ visibleState(DebugSession &s, Addr dir)
     std::vector<uint64_t> v = s.readRegisters();
     std::vector<uint8_t> bytes = s.readMemory(dir, 32);
     v.insert(v.end(), bytes.begin(), bytes.end());
+    return v;
+}
+
+/** The little-endian quad at @p addr. */
+uint64_t
+quadAt(DebugSession &s, Addr addr)
+{
+    std::vector<uint8_t> b = s.readMemory(addr, 8);
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = (v << 8) | b[i];
     return v;
 }
 
@@ -415,6 +426,91 @@ TEST_P(SpecEditRow, PokeAfterAttachBeforeResume)
         }
     EXPECT_TRUE(saw);
     expectRebuildsAgree();
+}
+
+// A debugger write is never a watch event: a poke of the watched cell
+// refreshes the watch, so every backend stops at the program's next
+// store to it and reports the poked value as the old one, live, after
+// travelling back across the poke and forward again, and on every
+// rebuild.
+TEST_P(SpecEditRow, PokeOfWatchedCellIsNeverAHit)
+{
+    run(setWatch(WatchSpec::scalar("d0", dir_, 8)));
+    contToHit();
+    run(verb(RequestKind::Stepi, 1));
+    EXPECT_TRUE(run(poke(dir_, 0x777)).ok());
+    // DISE, VM and hardware stop right after the store; binary
+    // rewriting counts its inline checks as instructions; single-step
+    // detects at the statement boundary after the store.
+    uint64_t want = 711;
+    if (GetParam() == BackendKind::Rewrite)
+        want = 1049;
+    else if (GetParam() == BackendKind::SingleStep)
+        want = 712;
+    auto expectHit = [&](const char *when) {
+        s_.events().clear();
+        Response res = run(verb(RequestKind::Cont));
+        ASSERT_EQ(res.stop.reason, StopReason::Event) << when << res.stop;
+        EXPECT_EQ(res.stop.appInsts, want) << when;
+        int hits = 0;
+        for (const SessionEvent &ev : s_.events().drain()) {
+            if (ev.kind != SessionEventKind::Watch)
+                continue;
+            ++hits;
+            EXPECT_EQ(ev.oldValue, 0x777u) << when;
+            EXPECT_NE(ev.newValue, 0x777u) << when;
+        }
+        EXPECT_EQ(hits, 1) << when;
+    };
+    expectHit("live: ");
+    Response back = run(verb(RequestKind::ReverseContinue));
+    EXPECT_EQ(back.stop.reason, StopReason::Event) << back.stop;
+    EXPECT_LT(back.stop.appInsts, want);
+    expectHit("after reverse-continue: ");
+    expectRebuildsAgree();
+}
+
+// Single-stepping detects at statement boundaries, so a poke can land
+// between a program store and its report. A partial poke of an
+// indirect watch's target takes only the poked byte: the program's
+// store to the other bytes is still reported at the boundary.
+TEST(SpecEditSingleStep, PartialPokeOfIndirectTargetKeepsPendingStore)
+{
+    Program prog = buildHeisenbugDemo();
+    Addr dir = prog.symbol("directory");
+    DebugSession s(prog, options(BackendKind::SingleStep));
+    // directory[5] is never written: make it a pointer to directory[0].
+    Addr ptr = dir + 40;
+    ASSERT_TRUE(s.handle(poke(ptr, dir)).ok());
+    ASSERT_TRUE(
+        s.handle(setWatch(WatchSpec::indirect("*p", ptr, 8))).ok());
+    Response res = s.handle(verb(RequestKind::Cont));
+    ASSERT_EQ(res.stop.reason, StopReason::Event) << res.stop;
+    uint64_t before = quadAt(s, dir);
+    // The program's next store to directory[0] retires at 711; its
+    // statement ends at 712.
+    s.handle(verb(RequestKind::Stepi, 711 - res.stop.appInsts));
+    ASSERT_EQ(s.stats().appInsts, 711u);
+    uint64_t stored = quadAt(s, dir);
+    ASSERT_NE(stored, before);
+    ASSERT_TRUE(s.handle(poke(dir + 1, 0x5a, 1)).ok());
+    auto withPoke = [](uint64_t v) {
+        return (v & ~uint64_t{0xff00}) | uint64_t{0x5a00};
+    };
+    s.events().clear();
+    res = s.handle(verb(RequestKind::Cont));
+    ASSERT_EQ(res.stop.reason, StopReason::Event) << res.stop;
+    EXPECT_EQ(res.stop.appInsts, 712u);
+    int hits = 0;
+    for (const SessionEvent &ev : s.events().drain()) {
+        if (ev.kind != SessionEventKind::Watch)
+            continue;
+        ++hits;
+        EXPECT_EQ(ev.oldValue, withPoke(before));
+        EXPECT_EQ(ev.newValue, withPoke(stored));
+    }
+    EXPECT_EQ(hits, 1);
+    EXPECT_EQ(rebuildsDisagree(s, prog), "");
 }
 
 // Satellite: binary rewriting retires its inline checks as application
