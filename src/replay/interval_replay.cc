@@ -14,19 +14,16 @@ namespace dise {
 IntervalReplay::IntervalReplay(TimeTravel &tt, DebugTarget &live,
                                DebugBackend &liveBackend,
                                const ReplayLog &log,
-                               ReplicaFactory factory, Options opts)
+                               ReplicaFactory factory)
     : tt_(tt), live_(live), liveBackend_(liveBackend), log_(log),
-      factory_(std::move(factory)), opts_(opts)
+      factory_(std::move(factory))
 {
     DISE_ASSERT(factory_, "IntervalReplay needs a replica factory");
     const auto &cps = tt_.checkpoints();
     DISE_ASSERT(!cps.empty(), "no checkpoints to replay from");
-    // Cut the checkpoint list into `pieces` contiguous ranges of
+    // Cut the checkpoint list into Pieces contiguous ranges of
     // near-equal length; the last range runs to the live position.
-    // With stealing on this is only the seed cut — idle workers
-    // re-split in-flight ranges at checkpoint granularity.
-    size_t pieces =
-        std::max<size_t>(1, std::min<size_t>(opts_.pieces, cps.size()));
+    size_t pieces = std::min<size_t>(Pieces, cps.size());
     for (size_t p = 0; p < pieces; ++p) {
         size_t lo = p * cps.size() / pieces;
         size_t hi = (p + 1) * cps.size() / pieces;
@@ -48,110 +45,60 @@ IntervalReplay::makePool() const
 
 // ----------------------------------------------------------------- pool
 
-IntervalReplay::Pool::Pool(const IntervalReplay &owner) : owner_(owner)
+bool
+IntervalReplay::Pool::slice(std::unique_ptr<Worker> &w,
+                            uint64_t maxAppInsts)
 {
-    for (const Interval &iv : owner_.plan_)
-        pending_.push_back(iv);
-}
-
-std::unique_ptr<IntervalReplay::Worker>
-IntervalReplay::Pool::claim()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    Interval iv;
-    if (!pending_.empty()) {
-        iv = pending_.front();
-        pending_.pop_front();
-    } else if (owner_.opts_.steal) {
-        // Split the largest in-flight range: take its far half, from
-        // the midpoint of what the victim has not yet reached. The
-        // victim re-reads its end under this lock at every checkpoint
-        // boundary, so it stops exactly at the handoff.
-        auto victim = active_.end();
-        size_t best = 1; // a single checkpoint interval is not worth it
-        for (auto it = active_.begin(); it != active_.end(); ++it) {
-            size_t remaining = it->second.end - it->second.progress;
-            if (remaining > best) {
-                best = remaining;
-                victim = it;
-            }
-        }
-        if (victim == active_.end())
-            return nullptr; // nothing splittable left in flight
-        const auto &cps = owner_.tt_.checkpoints();
-        size_t mid = victim->second.progress + (best + 1) / 2;
-        iv.cpFrom = mid;
-        iv.cpTo = victim->second.end;
-        iv.fromTime = cps[mid].time;
-        iv.fromInsts = cps[mid].appInsts;
-        iv.toTime = iv.cpTo < cps.size() ? cps[iv.cpTo].time
-                                         : owner_.tt_.time();
-        iv.stolen = true;
-        victim->second.end = mid;
-        ++steals_;
-    } else {
-        return nullptr;
+    bool claimed = !w;
+    if (claimed) {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (next_ == owner_.plan_.size())
+            return true;
+        w.reset(new Worker(owner_, owner_.plan_[next_++]));
     }
-    iv.index = nextIndex_++;
-    iv.slot = nextSlot_++;
-    active_[iv.slot] = Active{iv.cpFrom, iv.cpTo};
-    return std::unique_ptr<Worker>(new Worker(owner_, iv, this));
+    try {
+        // Materializing the start state is a slice of its own.
+        if (claimed) {
+            w->prepare();
+            return false;
+        }
+        if (!w->step(maxAppInsts))
+            return false;
+        std::lock_guard<std::mutex> lk(mu_);
+        done_.push_back(w->result());
+    } catch (const std::exception &e) {
+        // The earliest failed range names the error, whichever runner
+        // failed first.
+        const Interval &iv = w->result();
+        std::lock_guard<std::mutex> lk(mu_);
+        if (error_.empty() || iv.cpFrom < errorFrom_) {
+            errorFrom_ = iv.cpFrom;
+            error_ = "range [" + std::to_string(iv.cpFrom) + "," +
+                     std::to_string(iv.cpTo) + "): " + e.what();
+        }
+    }
+    w.reset();
+    return false;
 }
 
-size_t
-IntervalReplay::Pool::checkpointReached(unsigned slot, size_t cp)
+IntervalReplay::Report
+IntervalReplay::Pool::report()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = active_.find(slot);
-    DISE_ASSERT(it != active_.end(), "boundary publish on a retired "
-                                     "pool slot");
-    it->second.progress = cp;
-    return it->second.end;
-}
-
-void
-IntervalReplay::Pool::complete(const Worker &w)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    active_.erase(w.interval_.slot);
-    done_.push_back(w.interval_);
-}
-
-void
-IntervalReplay::Pool::abandon(const Worker &w, const std::string &error)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    active_.erase(w.interval_.slot);
-    if (error_.empty())
-        error_ = "range [" + std::to_string(w.interval_.cpFrom) + "," +
-                 std::to_string(w.interval_.cpTo) + "): " + error;
-}
-
-std::vector<IntervalReplay::Interval>
-IntervalReplay::Pool::take()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return std::move(done_);
-}
-
-uint64_t
-IntervalReplay::Pool::steals() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return steals_;
-}
-
-const std::string &
-IntervalReplay::Pool::error() const
-{
-    return error_;
+    Report r = owner_.stitch(std::move(done_));
+    // A failed range is the cause; the stitch only sees its symptom.
+    if (!error_.empty()) {
+        r.ok = false;
+        r.error = error_;
+    }
+    return r;
 }
 
 // --------------------------------------------------------------- worker
 
-IntervalReplay::Worker::Worker(const IntervalReplay &owner, Interval iv,
-                               Pool *pool)
-    : owner_(owner), interval_(iv), pool_(pool)
+IntervalReplay::Worker::Worker(const IntervalReplay &owner,
+                               const Interval &iv)
+    : owner_(owner), interval_(iv)
 {
 }
 
@@ -201,7 +148,6 @@ IntervalReplay::Worker::prepare()
                                        owner_.tt_.config());
     tt_->travel(TravelVerb::Seek, cp.time);
     interval_.startDigest = tt_->digest();
-    nextCp_ = interval_.cpFrom + 1;
 }
 
 bool
@@ -209,40 +155,20 @@ IntervalReplay::Worker::step(uint64_t maxAppInsts)
 {
     TRACE_SPAN("replay", "ireplay.step");
     DISE_ASSERT(tt_, "step() before prepare()");
-    const auto &cps = owner_.tt_.checkpoints();
-    uint64_t budgetEnd = maxAppInsts ? tt_->appInsts() + maxAppInsts : 0;
+    // One Seek to the range's end, begun by the first call.
     bool done = false;
-    for (;;) {
-        if (tt_->travelActive()) {
-            if (budgetEnd && tt_->appInsts() >= budgetEnd)
-                return false; // budget expired; call step() again
-            tt_->travelStep(budgetEnd ? budgetEnd - tt_->appInsts() : 0,
-                            done);
-        } else {
-            // One Seek per boundary: the next live checkpoint inside
-            // the range, or the range's end.
-            uint64_t goal = nextCp_ < interval_.cpTo ? cps[nextCp_].time
-                                                     : interval_.toTime;
-            tt_->travelBegin(TravelVerb::Seek, goal, done);
-        }
-        if (!done)
-            continue;
-        if (nextCp_ >= interval_.cpTo)
-            break;
-        // Landed on a checkpoint boundary: publish progress and honor
-        // a steal that shrank this range. A thief only ever takes
-        // checkpoints beyond the published progress, so the shrunk end
-        // is always still ahead — or exactly here, where the next Seek
-        // lands at once and ends the range at the boundary it was cut
-        // at.
-        size_t end = pool_->checkpointReached(interval_.slot, nextCp_++);
-        if (end != interval_.cpTo) {
-            interval_.cpTo = end;
-            interval_.toTime = cps[end].time;
-        }
+    if (!tt_->travelActive())
+        tt_->travelBegin(TravelVerb::Seek, interval_.toTime, done);
+    uint64_t budgetEnd = maxAppInsts ? tt_->appInsts() + maxAppInsts : 0;
+    while (!done) {
+        if (budgetEnd && tt_->appInsts() >= budgetEnd)
+            return false; // budget expired; call step() again
+        tt_->travelStep(budgetEnd ? budgetEnd - tt_->appInsts() : 0,
+                        done);
     }
 
-    const BackendSnapshot &from = cps[interval_.cpFrom].host;
+    const BackendSnapshot &from =
+        owner_.tt_.checkpoints()[interval_.cpFrom].host;
     interval_.uopsReplayed = tt_->time() - interval_.fromTime;
     interval_.marksVerified = tt_->eventsSoFar() - from.watchEvents -
                               from.breakEvents - from.protectionEvents;
@@ -255,50 +181,27 @@ IntervalReplay::Worker::step(uint64_t maxAppInsts)
 IntervalReplay::Report
 IntervalReplay::run(unsigned workers) const
 {
-    Pool pool(*this);
+    std::unique_ptr<Pool> pool = makePool();
     auto work = [&] {
-        for (;;) {
-            std::unique_ptr<Worker> w = pool.claim();
-            if (!w)
-                return;
-            try {
-                // Plain threads have nothing to preempt: run the
-                // whole range in one step.
-                w->prepare();
-                w->step(0);
-                pool.complete(*w);
-            } catch (const std::exception &e) {
-                pool.abandon(*w, e.what());
-            }
+        // Plain threads have nothing to preempt: replay each range in
+        // one step.
+        std::unique_ptr<Worker> w;
+        while (!pool->slice(w, 0)) {
         }
     };
-
-    // More threads than checkpoints can never all find work; beyond
-    // that, stealing lets any worker count profit from any cut.
+    // More threads than ranges can never all find work.
     unsigned n = std::max<size_t>(
-        1, std::min<size_t>(workers ? workers : 1,
-                            tt_.checkpoints().size()));
+        1, std::min<size_t>(workers ? workers : 1, plan_.size()));
     if (n == 1) {
         work();
     } else {
-        std::vector<std::thread> pool_threads;
+        std::vector<std::thread> threads;
         for (unsigned i = 0; i < n; ++i)
-            pool_threads.emplace_back(work);
-        for (auto &t : pool_threads)
+            threads.emplace_back(work);
+        for (auto &t : threads)
             t.join();
     }
-
-    uint64_t steals = pool.steals();
-    std::string err = pool.error();
-    Report r = stitch(pool.take());
-    r.workers = n;
-    r.steals = steals;
-    // A failed worker is the cause; the stitch only sees its symptom.
-    if (!err.empty()) {
-        r.ok = false;
-        r.error = err;
-    }
-    return r;
+    return pool->report();
 }
 
 IntervalReplay::Report
@@ -317,9 +220,8 @@ IntervalReplay::stitch(std::vector<Interval> results) const
         const Interval &iv = r.intervals[i];
         r.uopsReplayed += iv.uopsReplayed;
         r.marksVerified += iv.marksVerified;
-        // Full coverage: the sorted chunks must tile the checkpoint
-        // list exactly, whatever mix of planned and stolen ranges
-        // executed them.
+        // Full coverage: the sorted ranges must tile the checkpoint
+        // list exactly.
         size_t wantFrom = i == 0 ? 0 : r.intervals[i - 1].cpTo;
         if (iv.cpFrom != wantFrom) {
             r.ok = false;
@@ -327,13 +229,13 @@ IntervalReplay::stitch(std::vector<Interval> results) const
                 r.error = "coverage gap before checkpoint " +
                           std::to_string(iv.cpFrom);
         }
-        // Deterministic stitch: each chunk must end exactly where
+        // Deterministic stitch: each range must end exactly where
         // the next one starts.
         if (i + 1 < r.intervals.size() &&
             iv.endDigest != r.intervals[i + 1].startDigest) {
             r.ok = false;
             if (r.error.empty())
-                r.error = "stitch mismatch between chunks " +
+                r.error = "stitch mismatch between ranges " +
                           std::to_string(i) + " and " +
                           std::to_string(i + 1);
         }

@@ -412,11 +412,13 @@ RspConnection::handleWriteMem(const std::string &p)
     if (!parseHexNum(addrStr, addr) || !parseHexNum(lenStr, len) ||
         !fromHex(hex, bytes) || bytes.size() != len || len > MaxTransfer)
         return "E01";
-    // The session pokes in ≤8-byte units (each a loggable intervention).
+    // The session pokes in 8-, 4-, 2- and 1-byte units (each a
+    // loggable intervention).
     size_t off = 0;
     while (off < bytes.size()) {
-        unsigned n = static_cast<unsigned>(
-            std::min<size_t>(8, bytes.size() - off));
+        unsigned n = 8;
+        while (n > bytes.size() - off)
+            n /= 2;
         uint64_t v = 0;
         for (unsigned i = 0; i < n; ++i)
             v |= static_cast<uint64_t>(bytes[off + i]) << (8 * i);

@@ -234,11 +234,9 @@ DebugServer::serveRsp(int fd)
 
 /**
  * Interval-parallel replay as sibling jobs: one preemptible job per
- * scheduler worker, each repeatedly claiming checkpoint ranges from a
- * shared work-stealing pool (share-nothing replicas, read-only
- * against the live session), then stitched deterministically by
- * digest. An idle job splits the largest in-flight range, so every
- * scheduler worker stays busy regardless of the seed cut.
+ * scheduler worker, each draining whole checkpoint ranges from the
+ * shared pool (share-nothing replicas, read-only against the live
+ * session), then stitched deterministically by digest.
  */
 Response
 DebugServer::driveReplayVerify(ManagedSession &s, const Request &req)
@@ -259,42 +257,18 @@ DebugServer::driveReplayVerify(ManagedSession &s, const Request &req)
         return errorOut(e.what());
     }
     if (!ir)
-        return errorOut("no replayable timeline (attach and run "
-                        "first, and batch runs cannot be "
-                        "reconstructed)");
+        return errorOut(DebugSession::NoReplayableTimeline);
 
-    struct PoolJob
-    {
-        std::unique_ptr<IntervalReplay::Worker> w;
-        bool prepared = false;
-    };
     std::shared_ptr<IntervalReplay::Pool> pool = ir->makePool();
     size_t n = std::max<size_t>(
         1, std::min<size_t>(sched_.workers(), ir->intervalCount()));
     std::vector<JobScheduler::TicketPtr> tickets;
     for (size_t i = 0; i < n; ++i) {
-        auto pj = std::make_shared<PoolJob>();
-        tickets.push_back(sched_.submit([pj, pool, &s](uint64_t slice) {
+        auto w = std::make_shared<std::unique_ptr<IntervalReplay::Worker>>();
+        tickets.push_back(sched_.submit([w, pool, &s](uint64_t slice) {
             if (s.closing.load(std::memory_order_acquire))
                 throw std::runtime_error("session destroyed");
-            if (!pj->w) {
-                pj->w = pool->claim();
-                if (!pj->w)
-                    return true; // pool drained; job done
-                pj->prepared = false;
-                return false;
-            }
-            if (!pj->prepared) {
-                // Materializing the start state is its own slice.
-                pj->w->prepare();
-                pj->prepared = true;
-                return false;
-            }
-            if (!pj->w->step(slice))
-                return false;
-            pool->complete(*pj->w);
-            pj->w.reset();
-            return false; // claim the next range next slice
+            return pool->slice(*w, slice);
         }));
     }
     bool ok = true;
@@ -310,16 +284,7 @@ DebugServer::driveReplayVerify(ManagedSession &s, const Request &req)
     s.jobs.fetch_add(tickets.size(), std::memory_order_relaxed);
     if (!ok)
         return errorOut(err);
-    IntervalReplay::Report rep = ir->stitch(pool->take());
-    if (!rep.ok)
-        return errorOut(rep.error.empty()
-                            ? "replay verification failed"
-                            : rep.error);
-    resp.value = rep.finalDigest;
-    resp.index = static_cast<int64_t>(pool->steals());
-    for (const IntervalReplay::Interval &iv : rep.intervals)
-        resp.regs.push_back(iv.endDigest);
-    return resp;
+    return DebugSession::replayVerifyReply(resp, pool->report());
 }
 
 Response

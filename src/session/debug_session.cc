@@ -991,7 +991,7 @@ DebugSession::runStop(RequestKind kind, uint64_t count)
 }
 
 std::unique_ptr<IntervalReplay>
-DebugSession::beginIntervalReplay(unsigned pieces, bool steal)
+DebugSession::beginIntervalReplay()
 {
     if (!attached() || !debugger_->timeTraveling() || batchRan_)
         return nullptr;
@@ -1009,28 +1009,37 @@ DebugSession::beginIntervalReplay(unsigned pieces, bool steal)
             d = std::move(m.debugger);
             return true;
         };
-    IntervalReplay::Options opts;
-    if (pieces)
-        opts.pieces = pieces;
-    opts.steal = steal;
     return std::make_unique<IntervalReplay>(
         debugger_->timeTravel(), *target_, debugger_->backend(),
-        debugger_->replayLog(), std::move(factory), opts);
+        debugger_->replayLog(), std::move(factory));
 }
 
 IntervalReplay::Report
-DebugSession::verifyReplay(unsigned workers, unsigned pieces,
-                           bool steal)
+DebugSession::verifyReplay(unsigned workers)
 {
-    std::unique_ptr<IntervalReplay> ir =
-        beginIntervalReplay(pieces, steal);
+    std::unique_ptr<IntervalReplay> ir = beginIntervalReplay();
     if (!ir) {
         IntervalReplay::Report r;
-        r.error = "no replayable timeline (attach and run first, and "
-                  "batch runs cannot be reconstructed)";
+        r.error = NoReplayableTimeline;
         return r;
     }
     return ir->run(workers);
+}
+
+Response
+DebugSession::replayVerifyReply(Response resp,
+                                const IntervalReplay::Report &rep)
+{
+    if (!rep.ok) {
+        resp.status = ResponseStatus::Error;
+        resp.error =
+            rep.error.empty() ? "replay verification failed" : rep.error;
+        return resp;
+    }
+    resp.value = rep.finalDigest;
+    for (const IntervalReplay::Interval &iv : rep.intervals)
+        resp.regs.push_back(iv.endDigest);
+    return resp;
 }
 
 StopInfo
@@ -1153,7 +1162,9 @@ DebugSession::readMemory(Addr addr, size_t len)
 bool
 DebugSession::writeMemory(Addr addr, unsigned size, uint64_t value)
 {
-    if (size == 0 || size > 8)
+    // Refused before it reaches the pending pokes or the timeline:
+    // memory takes 1-, 2-, 4- and 8-byte writes only.
+    if (size != 1 && size != 2 && size != 4 && size != 8)
         return false;
     if (attached() && debugger_->timeTraveling()) {
         debugger_->timeTravel().pokeMemory(addr, size, value);
@@ -1577,7 +1588,7 @@ DebugSession::dispatch(const Request &req)
       }
       case RequestKind::WriteMemory:
         if (!writeMemory(req.addr, req.size, req.value))
-            return errorOut("bad write size (1..8 bytes)");
+            return errorOut("bad write size (1, 2, 4 or 8 bytes)");
         return resp;
       case RequestKind::Stats:
         resp.stats = stats();
@@ -1585,19 +1596,10 @@ DebugSession::dispatch(const Request &req)
       case RequestKind::Detach:
         detach();
         return resp;
-      case RequestKind::ReplayVerify: {
-        IntervalReplay::Report rep = verifyReplay(
-            static_cast<unsigned>(req.count ? req.count : 1));
-        if (!rep.ok)
-            return errorOut(rep.error.empty()
-                                ? "replay verification failed"
-                                : rep.error);
-        resp.value = rep.finalDigest;
-        resp.index = static_cast<int>(rep.steals);
-        for (const IntervalReplay::Interval &iv : rep.intervals)
-            resp.regs.push_back(iv.endDigest);
-        return resp;
-      }
+      case RequestKind::ReplayVerify:
+        return replayVerifyReply(
+            resp, verifyReplay(
+                      static_cast<unsigned>(req.count ? req.count : 1)));
       case RequestKind::ToolEnable: {
         if (!attach())
             return unsupportedOut(cantAttach);

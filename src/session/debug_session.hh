@@ -193,15 +193,19 @@ class DebugSession
      * equal digest() bit-for-bit — the determinism proof a client can
      * ask for over the wire (replay-verify).
      */
-    IntervalReplay::Report verifyReplay(unsigned workers,
-                                        unsigned pieces = 0,
-                                        bool steal = true);
+    IntervalReplay::Report verifyReplay(unsigned workers);
     /** The underlying plan, for callers that schedule the interval
-     *  workers themselves (the server fans them out as sibling jobs
-     *  over a shared work-stealing pool). pieces = 0 keeps the default
-     *  seed cut. Null when there is no replayable timeline. */
-    std::unique_ptr<IntervalReplay> beginIntervalReplay(
-        unsigned pieces = 0, bool steal = true);
+     *  workers themselves (the server drains its pool with sibling
+     *  jobs). Null when there is no replayable timeline. */
+    std::unique_ptr<IntervalReplay> beginIntervalReplay();
+    /** Why beginIntervalReplay() returned null. */
+    static constexpr const char *NoReplayableTimeline =
+        "no replayable timeline (attach and run first, and batch runs "
+        "cannot be reconstructed)";
+    /** The replay-verify reply to @p resp's request: the stitched
+     *  digest and the per-range end digests, or @p rep's error. */
+    static Response replayVerifyReply(Response resp,
+                                      const IntervalReplay::Report &rep);
 
     /** Position-only stop record for the current state (reports an
      *  interrupted job's landing point). */

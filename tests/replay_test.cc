@@ -612,12 +612,31 @@ class AllBackendsIntervalReplay
 {
 };
 
+/** Both reports replayed the same ranges to the same digests. */
+void
+expectSameRanges(const IntervalReplay::Report &a,
+                 const IntervalReplay::Report &b, unsigned workers)
+{
+    EXPECT_EQ(a.finalDigest, b.finalDigest) << workers << " workers";
+    EXPECT_EQ(a.marksVerified, b.marksVerified) << workers << " workers";
+    ASSERT_EQ(a.intervals.size(), b.intervals.size())
+        << workers << " workers";
+    for (size_t i = 0; i < a.intervals.size(); ++i) {
+        const IntervalReplay::Interval &x = a.intervals[i];
+        const IntervalReplay::Interval &y = b.intervals[i];
+        EXPECT_EQ(x.cpFrom, y.cpFrom) << "range " << i;
+        EXPECT_EQ(x.cpTo, y.cpTo) << "range " << i;
+        EXPECT_EQ(x.startDigest, y.startDigest) << "range " << i;
+        EXPECT_EQ(x.endDigest, y.endDigest) << "range " << i;
+    }
+}
+
 TEST_P(AllBackendsIntervalReplay, ParallelDigestsMatchSerialAndLive)
 {
     // Reconstruct the explored timeline as independent checkpoint
-    // intervals on share-nothing replicas: serial (1 worker) and
-    // parallel (2 and 4 workers) must produce bit-identical stitched
-    // digests, equal to the live session's own digest.
+    // ranges on share-nothing replicas: serial (1 worker) and parallel
+    // (2 and 4 workers) replay the same fixed cut, so they must agree
+    // range by range, and the stitched digest is the live session's.
     SessionOptions so;
     so.debugger.backend = GetParam();
     so.timeTravel.checkpointInterval = 300;
@@ -633,53 +652,21 @@ TEST_P(AllBackendsIntervalReplay, ParallelDigestsMatchSerialAndLive)
     IntervalReplay::Report serial = s.verifyReplay(1);
     ASSERT_TRUE(serial.ok) << serial.error;
     EXPECT_GT(serial.intervals.size(), 3u)
-        << "timeline should span several checkpoint intervals";
+        << "timeline should span several checkpoint ranges";
     EXPECT_EQ(serial.finalDigest, s.digest());
     EXPECT_GT(serial.marksVerified, 0u);
 
-    // Static assignment (stealing off) must reproduce the serial cut
-    // and its per-interval digests exactly.
-    for (unsigned workers : {2u, 4u}) {
-        IntervalReplay::Report par = s.verifyReplay(workers, 0, false);
-        ASSERT_TRUE(par.ok) << par.error;
-        EXPECT_EQ(par.finalDigest, serial.finalDigest);
-        EXPECT_EQ(par.marksVerified, serial.marksVerified);
-        ASSERT_EQ(par.intervals.size(), serial.intervals.size());
-        for (size_t i = 0; i < par.intervals.size(); ++i)
-            EXPECT_EQ(par.intervals[i].endDigest,
-                      serial.intervals[i].endDigest)
-                << "interval " << i;
-    }
-
-    // Work-stealing may cut the timeline finer (chunk boundaries
-    // depend on thread timing), but every boundary shared with the
-    // serial cut must carry the identical digest, and the stitched
-    // result is bit-identical regardless.
-    std::map<size_t, uint64_t> serialStarts;
-    for (const IntervalReplay::Interval &iv : serial.intervals)
-        serialStarts[iv.cpFrom] = iv.startDigest;
     for (unsigned workers : {2u, 4u}) {
         IntervalReplay::Report par = s.verifyReplay(workers);
         ASSERT_TRUE(par.ok) << par.error;
-        EXPECT_EQ(par.finalDigest, serial.finalDigest);
-        EXPECT_EQ(par.marksVerified, serial.marksVerified);
-        EXPECT_GE(par.intervals.size(), serial.intervals.size());
-        for (const IntervalReplay::Interval &iv : par.intervals) {
-            auto it = serialStarts.find(iv.cpFrom);
-            if (it != serialStarts.end()) {
-                EXPECT_EQ(iv.startDigest, it->second)
-                    << "chunk starting at checkpoint " << iv.cpFrom;
-            }
-        }
+        expectSameRanges(par, serial, workers);
     }
 }
 
-TEST_P(AllBackendsIntervalReplay, WorkStealingOddRatiosStitchClean)
+TEST_P(AllBackendsIntervalReplay, OddWorkerCountsStitchClean)
 {
-    // The PR 5 debt case: worker counts that do not divide the piece
-    // count — and worker counts *larger* than the piece count, where
-    // static assignment left cores idle. With stealing both must
-    // stitch bit-identically to the live digest.
+    // Worker counts that do not divide the cut drain the same ranges
+    // and stitch bit-identically to the live digest.
     SessionOptions so;
     so.debugger.backend = GetParam();
     so.timeTravel.checkpointInterval = 300;
@@ -691,22 +678,16 @@ TEST_P(AllBackendsIntervalReplay, WorkStealingOddRatiosStitchClean)
     ASSERT_EQ(hit.reason, StopReason::Event);
     StopInfo end = s.runToEnd();
     ASSERT_EQ(end.reason, StopReason::Halted);
-    uint64_t live = s.digest();
     IntervalReplay::Report serial = s.verifyReplay(1);
     ASSERT_TRUE(serial.ok) << serial.error;
+    ASSERT_EQ(serial.intervals.size(), IntervalReplay::Pieces);
 
-    // 3 workers over a 7-range seed cut.
-    IntervalReplay::Report odd = s.verifyReplay(3, 7, true);
-    ASSERT_TRUE(odd.ok) << odd.error;
-    EXPECT_EQ(odd.finalDigest, live);
-    EXPECT_EQ(odd.marksVerified, serial.marksVerified);
-
-    // 4 workers over a 2-range seed cut: only stealing can hand the
-    // extra workers anything to do.
-    IntervalReplay::Report wide = s.verifyReplay(4, 2, true);
-    ASSERT_TRUE(wide.ok) << wide.error;
-    EXPECT_EQ(wide.finalDigest, live);
-    EXPECT_EQ(wide.marksVerified, serial.marksVerified);
+    for (unsigned workers : {3u, 5u}) {
+        IntervalReplay::Report odd = s.verifyReplay(workers);
+        ASSERT_TRUE(odd.ok) << odd.error;
+        EXPECT_EQ(odd.finalDigest, s.digest());
+        expectSameRanges(odd, serial, workers);
+    }
 }
 
 TEST_P(AllBackendsIntervalReplay, InterventionAtARangeStartStitches)
@@ -719,40 +700,42 @@ TEST_P(AllBackendsIntervalReplay, InterventionAtARangeStartStitches)
     so.debugger.backend = GetParam();
     so.timeTravel.checkpointInterval = 300;
     Program demo = buildHeisenbugDemo();
+    WatchSpec watch =
+        WatchSpec::scalar("directory", demo.symbol("directory"), 8);
+
+    // A reference run supplies the checkpoint count, and with it the
+    // first boundary of the fixed cut.
+    size_t n = 0;
+    {
+        DebugSession ref(demo, so);
+        ref.setWatch(watch);
+        ASSERT_EQ(ref.runToEnd().reason, StopReason::Halted);
+        n = ref.timeTravel().checkpointCount();
+    }
+    const size_t k = n / std::min<size_t>(IntervalReplay::Pieces, n);
+    ASSERT_GT(k, 0u);
+
     DebugSession s(demo, so);
-    s.setWatch(WatchSpec::scalar("directory", demo.symbol("directory"),
-                                 8));
+    s.setWatch(watch);
     s.stepi(1);
     TimeTravel &tt = s.timeTravel();
-    for (int i = 0; i < 5000 && (tt.checkpointCount() < 2 ||
-                                 tt.checkpoints().back().time != tt.time());
+    for (int i = 0; i < 20000 && (tt.checkpointCount() < k + 1 ||
+                                  tt.checkpoints().back().time != tt.time());
          ++i)
         s.stepi(1);
+    ASSERT_EQ(tt.checkpointCount(), k + 1);
     ASSERT_EQ(tt.checkpoints().back().time, tt.time())
-        << "no stepi stop landed on a checkpoint";
-    const size_t k = tt.checkpointCount() - 1;
+        << "no stepi stop landed on checkpoint " << k;
     ASSERT_TRUE(s.writeMemory(demo.symbol("directory") + 72, 8, 0x5eed));
     StopInfo end = s.runToEnd();
     ASSERT_EQ(end.reason, StopReason::Halted);
+    ASSERT_EQ(tt.checkpointCount(), n);
     ASSERT_EQ(s.debugger().replayLog().interventions.back().time,
               tt.checkpoints()[k].time);
 
-    // The coarsest static cut with a range beginning at checkpoint k.
-    const size_t n = tt.checkpointCount();
-    auto startsAtK = [&](size_t pieces) {
-        for (size_t q = 0; q < pieces; ++q)
-            if (q * n / pieces == k)
-                return true;
-        return false;
-    };
-    unsigned pieces = 2;
-    while (!startsAtK(pieces))
-        ++pieces;
-
     uint64_t live = s.digest();
     for (unsigned workers : {1u, 2u, 4u}) {
-        IntervalReplay::Report rep =
-            s.verifyReplay(workers, pieces, false);
+        IntervalReplay::Report rep = s.verifyReplay(workers);
         ASSERT_TRUE(rep.ok) << rep.error << " (" << workers
                             << " workers)";
         EXPECT_EQ(rep.finalDigest, live);
@@ -784,7 +767,7 @@ TEST(IntervalReplay, DivergingReplicaFailsVerification)
             return d->attach();
         };
     IntervalReplay ir(s.tt(), s.target, s.dbg.backend(), s.dbg.replayLog(),
-                      factory, {});
+                      factory);
     IntervalReplay::Report rep = ir.run(1);
     EXPECT_FALSE(rep.ok);
     EXPECT_NE(rep.error.find("diverged from the recorded event timeline"),
@@ -835,80 +818,14 @@ TEST(IntervalReplay, FailedReplicaBuildIsTheReportedError)
                                        t->symbol("directory"), 8));
             return d->attach();
         };
-    IntervalReplay::Options opts;
-    opts.pieces = 4;
-    opts.steal = false;
     IntervalReplay ir(s.tt(), s.target, s.dbg.backend(), s.dbg.replayLog(),
-                      factory, opts);
+                      factory);
     IntervalReplay::Report rep = ir.run(1);
     EXPECT_FALSE(rep.ok);
     EXPECT_EQ(rep.error.rfind("range [", 0), 0u) << rep.error;
     EXPECT_NE(rep.error.find("): interval replay: machinery rebuild failed"),
               std::string::npos)
         << rep.error;
-}
-
-TEST(IntervalReplay, StealSplitsInFlightRangesAtCheckpointBoundaries)
-{
-    // Drive the pool by hand so the steal path is deterministic: with
-    // both seed ranges in flight, further claims must split them, the
-    // victims must stop exactly at the handoff boundaries, and the
-    // stolen chunks must stitch into the same digest chain.
-    SessionOptions so;
-    so.timeTravel.checkpointInterval = 250;
-    Program demo = buildHeisenbugDemo();
-    DebugSession s(demo, so);
-    s.setWatch(WatchSpec::scalar("directory", demo.symbol("directory"),
-                                 8));
-    StopInfo hit = s.cont();
-    ASSERT_EQ(hit.reason, StopReason::Event);
-    s.runToEnd();
-
-    std::unique_ptr<IntervalReplay> ir = s.beginIntervalReplay(2, true);
-    ASSERT_TRUE(ir);
-    ASSERT_EQ(ir->intervalCount(), 2u);
-    std::unique_ptr<IntervalReplay::Pool> pool = ir->makePool();
-
-    std::vector<std::unique_ptr<IntervalReplay::Worker>> workers;
-    workers.push_back(pool->claim());
-    workers.push_back(pool->claim());
-    ASSERT_TRUE(workers[0] && workers[1]);
-    EXPECT_FALSE(workers[0]->result().stolen);
-    EXPECT_FALSE(workers[1]->result().stolen);
-    // Pending is dry and both ranges are untouched in flight: the
-    // next two claims must be steals.
-    workers.push_back(pool->claim());
-    workers.push_back(pool->claim());
-    ASSERT_TRUE(workers[2] && workers[3]);
-    EXPECT_TRUE(workers[2]->result().stolen);
-    EXPECT_TRUE(workers[3]->result().stolen);
-    EXPECT_EQ(pool->steals(), 2u);
-
-    for (auto &w : workers)
-        w->prepare();
-    // Round-robin tiny budgets: the victims cross checkpoint
-    // boundaries while their ends have already been stolen down.
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto &w : workers) {
-            if (!w)
-                continue;
-            progress = true;
-            if (w->step(500)) {
-                pool->complete(*w);
-                w.reset();
-            }
-        }
-    }
-    // Drain anything still claimable (further steals are possible
-    // only from in-flight ranges, and none remain).
-    EXPECT_EQ(pool->claim(), nullptr);
-
-    IntervalReplay::Report rep = ir->stitch(pool->take());
-    ASSERT_TRUE(rep.ok) << rep.error;
-    EXPECT_EQ(rep.intervals.size(), 4u);
-    EXPECT_EQ(rep.finalDigest, s.digest());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -153,6 +153,37 @@ TEST(RspPacket, DecoderResyncsPastGarbage)
     EXPECT_GT(dec.strayBytes(), 0u);
 }
 
+TEST(RspConnection, OddLengthMemoryWritesSplitIntoPokes)
+{
+    // gdb writes 3-, 5- and 7-byte objects with one M packet, here at
+    // a stop reached by reverse-continue; each is split into 4-, 2-
+    // and 1-byte pokes and reads back whole.
+    Program prog = buildHeisenbugDemo();
+    Addr watchAddr = prog.symbol("directory");
+    SessionOptions so;
+    so.timeTravel.checkpointInterval = 500;
+    DebugSession session(prog, so);
+    RspConnection server(session);
+    char pkt[96];
+    std::snprintf(pkt, sizeof pkt, "Z2,%llx,8",
+                  static_cast<unsigned long long>(watchAddr));
+    ASSERT_EQ(server.handlePacket(pkt), "OK");
+    server.handlePacket("c");
+    server.handlePacket("c");
+    server.handlePacket("bc");
+    const std::string bytes = "01020304050607";
+    for (size_t len : {3u, 5u, 7u}) {
+        Addr at = watchAddr + 72 + 8 * len;
+        std::snprintf(pkt, sizeof pkt, "M%llx,%zx:%s",
+                      static_cast<unsigned long long>(at), len,
+                      bytes.substr(0, 2 * len).c_str());
+        EXPECT_EQ(server.handlePacket(pkt), "OK") << pkt;
+        std::snprintf(pkt, sizeof pkt, "m%llx,%zx",
+                      static_cast<unsigned long long>(at), len);
+        EXPECT_EQ(server.handlePacket(pkt), bytes.substr(0, 2 * len));
+    }
+}
+
 TEST(RspPacket, HexHelpers)
 {
     EXPECT_EQ(hexLe(0x1122334455667788ull, 8), "8877665544332211");

@@ -1172,18 +1172,21 @@ TEST(DebugServerTcp, SubscribePushesEventsWithoutPolling)
 
 TEST(DebugServerTcp, ReplayVerifyRunsAsSiblingJobs)
 {
-    // replay-verify over the wire: the timeline is reconstructed as
-    // one preemptible job per checkpoint interval, stitched digests
-    // must equal the session's — and an identical in-process session
-    // produces the identical digest.
+    // replay-verify over the wire: sibling jobs drain the fixed cut of
+    // checkpoint ranges, so the reply carries exactly the per-range
+    // digests an identical in-process session computes on another
+    // worker count.
     Program demo = buildHeisenbugDemo();
     Addr watchAddr = demo.symbol("directory");
     DebugSession ref(demo, smallSessions());
     ref.setWatch(WatchSpec::scalar("w", watchAddr, 8));
     ref.cont();
     ref.runToEnd();
-    IntervalReplay::Report refRep = ref.verifyReplay(2);
+    IntervalReplay::Report refRep = ref.verifyReplay(1);
     ASSERT_TRUE(refRep.ok) << refRep.error;
+    std::vector<uint64_t> refEnds;
+    for (const IntervalReplay::Interval &iv : refRep.intervals)
+        refEnds.push_back(iv.endDigest);
 
     DebugServerOptions opts;
     opts.maxSessions = 2;
@@ -1207,13 +1210,60 @@ TEST(DebugServerTcp, ReplayVerifyRunsAsSiblingJobs)
     uint64_t jobsBefore = srv.stats().jobs;
     ASSERT_TRUE(callOk(wire, "replay-verify seq=5 count=4", resp));
     EXPECT_EQ(resp.value, refRep.finalDigest);
-    // Chunk boundaries may differ between the two runs (stealing cuts
-    // by thread timing) but both cover the same timeline and agree on
-    // the stitched digest above.
-    EXPECT_GE(resp.regs.size(), 2u);
+    EXPECT_EQ(resp.regs, refEnds);
+    EXPECT_LT(resp.index, 0); // no index= on a replay-verify reply
     // One sibling pool job per scheduler worker was scheduled, each
     // draining checkpoint ranges until the pool ran dry.
     EXPECT_GE(srv.stats().jobs - jobsBefore, 2u);
+    srv.stop();
+}
+
+TEST(DebugServerTcp, ReplayVerifyNamesTheFailedRangeLikeInProcess)
+{
+    // Once armed, the prepare hook fails every build, so each replica
+    // fails to build. The wire reply and the in-process report name
+    // the same range with the same text.
+    auto armed = std::make_shared<std::atomic<bool>>(false);
+    SessionOptions so = smallSessions();
+    so.prepare = [armed](DebugTarget &) {
+        if (armed->load())
+            throw std::runtime_error("replica build refused");
+    };
+    Program demo = buildHeisenbugDemo();
+    Addr watchAddr = demo.symbol("directory");
+    WatchSpec watch = WatchSpec::scalar("w", watchAddr, 8);
+
+    DebugSession ref(demo, so);
+    ref.setWatch(watch);
+    ref.runToEnd();
+
+    DebugServerOptions opts;
+    opts.maxSessions = 2;
+    opts.slots = 2;
+    opts.session = so;
+    DebugServer srv(opts);
+    ASSERT_TRUE(srv.start());
+    WireClient wire;
+    ASSERT_TRUE(wire.connectTo(srv.port()));
+    Response resp;
+    ASSERT_TRUE(callOk(wire, "session-create seq=1 name=demo", resp));
+    Request setw;
+    setw.kind = RequestKind::SetWatch;
+    setw.seq = 2;
+    setw.watch = watch;
+    ASSERT_TRUE(callOk(wire, encodeRequest(setw), resp));
+    ASSERT_TRUE(callOk(wire, "run-to-end seq=3", resp));
+
+    armed->store(true);
+    IntervalReplay::Report refRep = ref.verifyReplay(1);
+    ASSERT_FALSE(refRep.ok);
+    EXPECT_EQ(refRep.error.rfind("range [0,", 0), 0u) << refRep.error;
+    EXPECT_NE(refRep.error.find("): replica build refused"),
+              std::string::npos)
+        << refRep.error;
+    ASSERT_TRUE(wire.call("replay-verify seq=4 count=2", resp));
+    EXPECT_EQ(resp.status, ResponseStatus::Error);
+    EXPECT_EQ(resp.error, refRep.error);
     srv.stop();
 }
 

@@ -1070,8 +1070,42 @@ TEST(DebugSession, ReplayVerifyWireVerb)
         session.handleEncoded("replay-verify seq=2 count=2"), resp));
     ASSERT_TRUE(resp.ok()) << resp.error;
     EXPECT_EQ(resp.value, session.digest());
-    EXPECT_GT(resp.regs.size(), 1u); // per-interval digests
-    EXPECT_GE(resp.index, 0);        // steals, as the server reports
+    EXPECT_GT(resp.regs.size(), 1u); // per-range digests
+}
+
+TEST(DebugSession, OddSizeWritesAreRefusedWithoutSideEffects)
+{
+    // Memory takes 1-, 2-, 4- and 8-byte writes. Any other size is
+    // refused before it reaches the pending pokes (where it used to
+    // fail every later resume) or the timeline (where it used to drop
+    // the explored future).
+    Program demo = buildHeisenbugDemo();
+    Addr dir = demo.symbol("directory");
+    SessionOptions so;
+    so.timeTravel.checkpointInterval = 500;
+    DebugSession before(demo, so);
+    before.setWatch(WatchSpec::scalar("directory", dir, 8));
+    EXPECT_FALSE(before.writeMemory(dir + 72, 3, 7));
+    EXPECT_EQ(before.cont().reason, StopReason::Event);
+
+    DebugSession s(demo, so);
+    s.setWatch(WatchSpec::scalar("directory", dir, 8));
+    ASSERT_EQ(s.runToEnd().reason, StopReason::Halted);
+    s.reverseContinue();
+    s.reverseContinue();
+    size_t events = s.stats().events;
+    uint64_t digest = s.digest();
+    Response resp;
+    ASSERT_TRUE(decodeResponse(
+        s.handleEncoded("write-memory seq=1 addr=" +
+                        std::to_string(dir + 72) + " size=3 value=7"),
+        resp));
+    EXPECT_EQ(resp.status, ResponseStatus::Error);
+    EXPECT_NE(resp.error.find("1, 2, 4 or 8"), std::string::npos)
+        << resp.error;
+    EXPECT_EQ(s.stats().events, events);
+    EXPECT_EQ(s.digest(), digest);
+    EXPECT_EQ(s.cont().reason, StopReason::Event);
 }
 
 TEST(DebugSession, StatsReportHistoryBytesHeld)

@@ -13,11 +13,11 @@
  *  - deep re-travel: reverse to the start of history and replay the
  *    whole explored timeline forward again (the O(trace) case the job
  *    scheduler slices);
- *  - interval-parallel reconstruction: replay every checkpoint
- *    interval on share-nothing replicas with 1 / 2 / 4 workers,
- *    verifying the stitched digests are bit-identical to the live
- *    session (serial 1-worker is the baseline the parallel runs are
- *    compared against).
+ *  - interval-parallel reconstruction: replay the fixed cut of
+ *    checkpoint ranges on share-nothing replicas with 1 / 2 / 4
+ *    workers, verifying the stitched digests are bit-identical to the
+ *    live session (serial 1-worker is the baseline the parallel runs
+ *    are compared against).
  *
  * Emits BENCH_replay.json:
  *   ./build/replay_bench --out BENCH_replay.json
@@ -146,8 +146,11 @@ main(int argc, char **argv)
                 "ms\n",
                 reverseToStartMs, retravelMs);
 
-    // Interval-parallel reconstruction, 1 / 2 / 4 workers.
+    // Interval-parallel reconstruction, 1 / 2 / 4 workers. The cut is
+    // fixed, so every worker count must produce the same per-range
+    // digests.
     std::vector<ParallelResult> runs;
+    std::vector<uint64_t> rangeDigests;
     for (unsigned workers : {1u, 2u, 4u}) {
         t0 = nowMs();
         IntervalReplay::Report rep = s.verifyReplay(workers);
@@ -155,6 +158,13 @@ main(int argc, char **argv)
         DISE_ASSERT(rep.ok, "interval replay failed: ", rep.error);
         DISE_ASSERT(rep.finalDigest == s.digest(),
                     "stitched digest diverged from the live session");
+        std::vector<uint64_t> ends;
+        for (const IntervalReplay::Interval &iv : rep.intervals)
+            ends.push_back(iv.endDigest);
+        if (runs.empty())
+            rangeDigests = ends;
+        DISE_ASSERT(ends == rangeDigests, "per-range digests at ",
+                    workers, " workers differ from the serial run's");
         ParallelResult r;
         r.workers = workers;
         r.wallMs = wall;
@@ -169,32 +179,6 @@ main(int argc, char **argv)
                         ? runs.front().wallMs / wall
                         : 0);
     }
-
-    // Static partition vs work-stealing at the same worker count: a
-    // fixed 4-piece cut (each worker married to one contiguous
-    // quarter) against a finer 16-piece cut with in-flight stealing,
-    // where a worker that drains its range splits the largest
-    // remaining one instead of idling.
-    double t1 = nowMs();
-    IntervalReplay::Report statRep =
-        s.verifyReplay(4, /*pieces=*/4, /*steal=*/false);
-    double staticMs = nowMs() - t1;
-    DISE_ASSERT(statRep.ok, "static replay failed: ", statRep.error);
-    DISE_ASSERT(statRep.finalDigest == s.digest(),
-                "static stitched digest diverged");
-    t1 = nowMs();
-    IntervalReplay::Report stealRep =
-        s.verifyReplay(4, /*pieces=*/16, /*steal=*/true);
-    double stealMs = nowMs() - t1;
-    DISE_ASSERT(stealRep.ok, "stealing replay failed: ",
-                stealRep.error);
-    DISE_ASSERT(stealRep.finalDigest == s.digest(),
-                "stealing stitched digest diverged");
-    std::printf("  4-worker partition: static x4 %8.1f ms; stealing "
-                "x16 %8.1f ms (%.2fx, %llu steals)\n",
-                staticMs, stealMs,
-                stealMs > 0 ? staticMs / stealMs : 0,
-                static_cast<unsigned long long>(stealRep.steals));
 
     FILE *f = std::fopen(out.c_str(), "w");
     if (!f)
@@ -233,16 +217,7 @@ main(int argc, char **argv)
                                     : 0,
             i + 1 < runs.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(
-        f,
-        "  \"work_stealing\": {\"workers\": 4, \"static_pieces\": 4, "
-        "\"static_wall_ms\": %g, \"steal_pieces\": %zu, "
-        "\"steal_wall_ms\": %g, \"steals\": %llu, "
-        "\"speedup_vs_static\": %g}\n",
-        staticMs, stealRep.intervals.size(), stealMs,
-        static_cast<unsigned long long>(stealRep.steals),
-        stealMs > 0 ? staticMs / stealMs : 0);
+    std::fprintf(f, "  ]\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out.c_str());
