@@ -406,14 +406,15 @@ Program
 Assembler::finish(const std::string &entryLabel)
 {
     unit_.entryLabel = entryLabel;
-    return assemble(unit_);
+    return assemble(std::move(unit_));
 }
 
 Program
-Assembler::assemble(const AsmUnit &unit)
+Assembler::assemble(AsmUnit src)
 {
     Program prog;
-    prog.source = std::make_shared<AsmUnit>(unit);
+    prog.source = std::make_shared<const AsmUnit>(std::move(src));
+    const AsmUnit &unit = *prog.source;
 
     // Pass 1: lay out addresses and collect symbols.
     Addr pc = unit.text.base;
@@ -455,8 +456,12 @@ Assembler::assemble(const AsmUnit &unit)
         }
     }
 
-    // Pass 2: emit text bytes with label fixups.
+    // Pass 2: emit text bytes with label fixups. Pass 1 sized both
+    // segments, so neither vector grows by copying.
     std::vector<uint8_t> text;
+    text.reserve(pc - unit.text.base);
+    std::vector<uint8_t> data;
+    data.reserve(dp - unit.data.base);
     pc = unit.text.base;
     for (const auto &item : unit.text.items) {
         switch (item.kind) {
@@ -500,7 +505,6 @@ Assembler::assemble(const AsmUnit &unit)
     }
 
     // Pass 2: emit data bytes.
-    std::vector<uint8_t> data;
     dp = unit.data.base;
     for (const auto &item : unit.data.items) {
         switch (item.kind) {

@@ -146,11 +146,13 @@ class Assembler
     /** Number of text items emitted so far (for test introspection). */
     size_t textItems() const { return unit_.text.items.size(); }
 
-    /** Assemble into a loadable Program. */
+    /** Assemble into a loadable Program; the Program takes the unit
+     *  as its source, so the assembler is empty afterwards. */
     Program finish(const std::string &entryLabel);
 
-    /** Assemble a pre-built IR unit (used by the binary rewriter). */
-    static Program assemble(const AsmUnit &unit);
+    /** Assemble a pre-built IR unit (used by the binary rewriter); the
+     *  Program keeps it as its source. */
+    static Program assemble(AsmUnit unit);
 
   private:
     AsmSection &cur();

@@ -16,6 +16,7 @@
 #ifndef DISE_DEBUG_BACKEND_HH
 #define DISE_DEBUG_BACKEND_HH
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,6 +202,44 @@ class DebugBackend : public DebugMonitor
      *  none. */
     virtual void refreshWatch(DebugTarget &target, size_t i) {}
 
+    /**
+     * Record the watches that changed at a trap raised by an
+     * in-application check (DISE's handler, binary rewriting's). A
+     * conditional check keeps the values of the changes its predicate
+     * prunes, so the host's last seen value of a conditional watch may
+     * be older than the check's. When @p trapPc is a check's trap site
+     * (checkTraps_), the conditional watches from its watch on take
+     * the values their checks hold: the trapping one its @p old value
+     * of the quad at @p quad, the later ones checkedValue(). A later
+     * one that changed is reported here and re-primed, so its own check
+     * in the same run of the handler stays quiet.
+     */
+    void
+    recordCheckedWatches(DebugTarget &target, Addr trapPc, Addr quad,
+                         uint64_t old, Addr pc)
+    {
+        auto site = checkTraps_.find(trapPc);
+        const size_t fired =
+            site == checkTraps_.end() ? watches_.size() : site->second;
+        for (size_t i = 0; i < watches_.size(); ++i) {
+            WatchState &w = watches_[i];
+            const bool adopt = w.spec().conditional && i >= fired;
+            if (adopt)
+                w.adoptCheck(target.mem, quad,
+                             i == fired ? old : checkedValue(i, quad));
+            auto ch = w.evaluate(target.mem);
+            if (ch && w.predicatePasses(ch->newValue))
+                recordWatch(static_cast<int>(i), *ch, seq_, pc);
+            if (ch && adopt && i > fired)
+                refreshWatch(target, i);
+        }
+    }
+
+    /** The value watch @p i's in-application check last saw: the
+     *  watched value, or a range watch's shadow of the quad at
+     *  @p quad. Backends that check in the host have none. */
+    virtual uint64_t checkedValue(size_t i, Addr quad) const { return 0; }
+
     void
     recordWatch(int idx, const WatchChange &ch, uint64_t seq,
                 Addr pc = 0)
@@ -231,6 +270,8 @@ class DebugBackend : public DebugMonitor
     // Host-side per-watchpoint shadow state and the event sequence
     // counter, shared by every backend implementation.
     std::vector<WatchState> watches_;
+    /** Trap sites of generated watch checks: trap PC -> watch index. */
+    std::map<Addr, size_t> checkTraps_;
     std::vector<BreakSpec> breaks_;
     uint64_t seq_ = 0;
     uint64_t eventsRecorded_ = 0;

@@ -466,7 +466,34 @@ DiseBackend::buildHandler(DebugTarget &target)
         return static_cast<int64_t>(EntriesOff + idx * EntryBytes + field);
     };
 
-    auto emitScalarCheck = [&](const WatchSpec &w, size_t ent,
+    // Trap for watch i, at a site onTrap can tell apart. At every site
+    // t1 holds the store's quad and t4 the value the check compared
+    // against; a conditional check keeps it there (comparing into t5 or
+    // t2 instead), since onTrap reports it as the old value.
+    std::vector<std::pair<std::string, size_t>> trapSites;
+    auto emitTrap = [&](size_t i) {
+        trapSites.emplace_back(a.genLabel("wptrap"), i);
+        a.label(trapSites.back().first);
+        a.trap(TrapWatchpoint);
+    };
+
+    // t3 holds the value the store left; t4 gets the value last seen.
+    auto emitValueCheck = [&](const WatchSpec &w, size_t i, size_t ent,
+                              const std::string &next) {
+        const RegId cmp = w.conditional ? t5 : t4;
+        a.ldq(t4, entOff(ent, EntPrev), t0);
+        a.cmpeq(t3, t4, cmp);
+        a.bne(cmp, next); // silent store: pruned in-application
+        a.stq(t3, entOff(ent, EntPrev), t0);
+        if (w.conditional) {
+            a.ldq(t5, entOff(ent, EntPred), t0);
+            a.cmpeq(t3, t5, t5);
+            a.beq(t5, next); // predicate false: pruned in-application
+        }
+        emitTrap(i);
+    };
+
+    auto emitScalarCheck = [&](const WatchSpec &w, size_t i, size_t ent,
                                const std::string &next) {
         a.ldq(t2, entOff(ent, EntAligned), t0);
         a.cmpeq(t1, t2, t3);
@@ -478,16 +505,7 @@ DiseBackend::buildHandler(DebugTarget &target)
           case 2: a.ldw(t3, 0, t2); break;
           case 1: a.ldb(t3, 0, t2); break;
         }
-        a.ldq(t4, entOff(ent, EntPrev), t0);
-        a.cmpeq(t3, t4, t4);
-        a.bne(t4, next); // silent store: pruned in-application
-        a.stq(t3, entOff(ent, EntPrev), t0);
-        if (w.conditional) {
-            a.ldq(t4, entOff(ent, EntPred), t0);
-            a.cmpeq(t3, t4, t4);
-            a.beq(t4, next); // predicate false: pruned in-application
-        }
-        a.trap(TrapWatchpoint);
+        emitValueCheck(w, i, ent, next);
     };
 
     for (size_t i = 0; i < watches_.size(); ++i) {
@@ -496,7 +514,7 @@ DiseBackend::buildHandler(DebugTarget &target)
         std::string next = a.genLabel("wpnext");
         switch (w.kind) {
           case WatchKind::Scalar:
-            emitScalarCheck(w, entryIdx, next);
+            emitScalarCheck(w, i, entryIdx, next);
             a.label(next);
             break;
 
@@ -554,20 +572,11 @@ DiseBackend::buildHandler(DebugTarget &target)
               case 2: a.ldw(t3, 0, t2); break;
               case 1: a.ldb(t3, 0, t2); break;
             }
-            a.ldq(t4, entOff(entT, EntPrev), t0);
-            a.cmpeq(t3, t4, t4);
-            a.bne(t4, next);
-            a.stq(t3, entOff(entT, EntPrev), t0);
-            if (w.conditional) {
-                a.ldq(t4, entOff(entT, EntPred), t0);
-                a.cmpeq(t3, t4, t4);
-                a.beq(t4, next);
-            }
-            a.trap(TrapWatchpoint);
+            emitValueCheck(w, i, entT, next);
             a.br(next);
             // The datum *p currently points at.
             a.label(tgtChk);
-            emitScalarCheck(w, entT, next);
+            emitScalarCheck(w, i, entT, next);
             a.label(next);
             break;
           }
@@ -584,15 +593,16 @@ DiseBackend::buildHandler(DebugTarget &target)
             a.subq(t1, t2, t2);
             a.addq(t5, t2, t5);
             a.ldq(t4, 0, t5); // shadow quad
-            a.cmpeq(t3, t4, t4);
-            a.bne(t4, next);
+            const RegId cmp = w.conditional ? t2 : t4;
+            a.cmpeq(t3, t4, cmp);
+            a.bne(cmp, next);
             a.stq(t3, 0, t5);
             if (w.conditional) {
-                a.ldq(t4, entOff(entryIdx, EntPred), t0);
-                a.cmpeq(t3, t4, t4);
-                a.beq(t4, next);
+                a.ldq(t2, entOff(entryIdx, EntPred), t0);
+                a.cmpeq(t3, t2, t2);
+                a.beq(t2, next);
             }
-            a.trap(TrapWatchpoint);
+            emitTrap(i);
             a.label(next);
             break;
           }
@@ -617,6 +627,8 @@ DiseBackend::buildHandler(DebugTarget &target)
         }
     }
     handlerBase_ = handlerProg.symbol("dise_handler");
+    for (const auto &[label, i] : trapSites)
+        checkTraps_[handlerProg.symbol(label)] = i;
 }
 
 void
@@ -806,6 +818,23 @@ DiseBackend::primeWatch(DebugTarget &target, size_t i)
     }
 }
 
+uint64_t
+DiseBackend::checkedValue(size_t i, Addr quad) const
+{
+    const WatchSpec &w = watches_[i].spec();
+    const MainMemory &mem = target_->mem;
+    if (w.kind == WatchKind::Range) {
+        Addr lo = alignDown(w.addr, 8);
+        Addr hi = alignDown(w.addr + w.length - 1, 8);
+        return quad >= lo && quad <= hi
+                   ? mem.read(slots_[i].shadow + (quad - lo), 8)
+                   : 0;
+    }
+    // An indirect watch's value lives in its target entry.
+    size_t ent = slots_[i].entry + (w.kind == WatchKind::Indirect);
+    return mem.read(dsegBase_ + EntriesOff + ent * EntryBytes + EntPrev, 8);
+}
+
 void
 DiseBackend::primeRegisters(DebugTarget &target)
 {
@@ -885,11 +914,9 @@ DiseBackend::onTrap(const MicroOp &op)
 
     // Watchpoint trap: the in-application logic already filtered silent
     // stores and false predicates, so this transition reaches the user.
-    for (size_t i = 0; i < watches_.size(); ++i) {
-        auto ch = watches_[i].evaluate(target_->mem);
-        if (ch && watches_[i].predicatePasses(ch->newValue))
-            recordWatch(static_cast<int>(i), *ch, seq_, pc);
-    }
+    const ArchState &arch = target_->arch;
+    recordCheckedWatches(*target_, op.pc, arch.read(reg::t1),
+                         arch.read(reg::t4), pc);
     if (opts_.variant != DiseVariant::MatchAddrEvalExpr) {
         // Inline variants keep dpv in dr4; the debugger refreshes it
         // during this (already user-bound) transition.

@@ -112,6 +112,7 @@ class DiseBackend : public DebugBackend
     void buildHandler(DebugTarget &target);
     void installBreakpoints(DebugTarget &target);
     void refreshWatch(DebugTarget &target, size_t i) override;
+    uint64_t checkedValue(size_t i, Addr quad) const override;
     /** Write watch @p i's dseg entries (and range shadow) from memory. */
     void primeWatch(DebugTarget &target, size_t i);
     /** Load the DISE register file from the specs and memory. */

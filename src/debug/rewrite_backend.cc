@@ -153,6 +153,8 @@ RewriteBackend::emitHandler(std::vector<AsmItem> &items)
     items.push_back(itemInst(makeMem(Opcode::STQ, t4, -48, sp)));
     items.push_back(itemInst(makeMem(Opcode::STQ, t5, -56, sp)));
 
+    // A conditional check keeps the value it compared against in t3
+    // until its trap (rw_trap_i): onTrap reports it as the old value.
     uint64_t shadowCursor = shadowBase_;
     for (size_t i = 0; i < watches_.size(); ++i) {
         const WatchSpec &w = watches_[i].spec();
@@ -176,19 +178,25 @@ RewriteBackend::emitHandler(std::vector<AsmItem> &items)
             items.push_back(itemInst(makeOp(Opcode::SUBQ, t0, t4, t5)));
             emitLi(items, t4, shadowCursor);
             items.push_back(itemInst(makeOp(Opcode::ADDQ, t4, t5, t4)));
-            items.push_back(itemInst(makeMem(Opcode::LDQ, t5, 0, t4)));
-            items.push_back(itemInst(makeMem(Opcode::LDQ, t3, 0, t0)));
-            items.push_back(itemInst(makeOp(Opcode::CMPEQ, t3, t5, t5)));
+            // Shadow quad (old) and current quad (new).
+            const RegId oldV = w.conditional ? t3 : t5;
+            const RegId newV = w.conditional ? t5 : t3;
+            const RegId cmp = w.conditional ? t1 : t5;
+            items.push_back(itemInst(makeMem(Opcode::LDQ, oldV, 0, t4)));
+            items.push_back(itemInst(makeMem(Opcode::LDQ, newV, 0, t0)));
             items.push_back(
-                itemBranch(makeBranch(Opcode::BNE, t5, 0), next));
-            items.push_back(itemInst(makeMem(Opcode::STQ, t3, 0, t4)));
+                itemInst(makeOp(Opcode::CMPEQ, newV, oldV, cmp)));
+            items.push_back(
+                itemBranch(makeBranch(Opcode::BNE, cmp, 0), next));
+            items.push_back(itemInst(makeMem(Opcode::STQ, newV, 0, t4)));
             if (w.conditional) {
                 emitLi(items, t4, w.predConst);
                 items.push_back(
-                    itemInst(makeOp(Opcode::CMPEQ, t3, t4, t4)));
+                    itemInst(makeOp(Opcode::CMPEQ, newV, t4, t4)));
                 items.push_back(
                     itemBranch(makeBranch(Opcode::BEQ, t4, 0), next));
             }
+            items.push_back(itemLabel("rw_trap_" + std::to_string(i)));
             items.push_back(itemInst(makeSystem(Opcode::TRAP, TrapWatch)));
             items.push_back(itemLabel(fix)); // label kept for symmetry
             shadowCursor += alignUp(w.length, 8) + 16;
@@ -201,8 +209,9 @@ RewriteBackend::emitHandler(std::vector<AsmItem> &items)
             items.push_back(
                 itemInst(makeMem(loadOpForSize(w.size), t5, 0, t4)));
             emitLi(items, t4, prevSlot);
-            items.push_back(itemInst(makeMem(Opcode::LDQ, t4, 0, t4)));
-            items.push_back(itemInst(makeOp(Opcode::CMPEQ, t5, t4, t4)));
+            const RegId oldV = w.conditional ? t3 : t4;
+            items.push_back(itemInst(makeMem(Opcode::LDQ, oldV, 0, t4)));
+            items.push_back(itemInst(makeOp(Opcode::CMPEQ, t5, oldV, t4)));
             items.push_back(
                 itemBranch(makeBranch(Opcode::BNE, t4, 0), next));
             emitLi(items, t4, prevSlot);
@@ -214,6 +223,7 @@ RewriteBackend::emitHandler(std::vector<AsmItem> &items)
                 items.push_back(
                     itemBranch(makeBranch(Opcode::BEQ, t4, 0), next));
             }
+            items.push_back(itemLabel("rw_trap_" + std::to_string(i)));
             items.push_back(itemInst(makeSystem(Opcode::TRAP, TrapWatch)));
         }
         items.push_back(itemLabel(next));
@@ -331,7 +341,9 @@ RewriteBackend::install(DebugTarget &target,
     if (!watches_.empty())
         emitHandler(unit.text.items);
 
-    Program rewritten = Assembler::assemble(unit);
+    Program rewritten = Assembler::assemble(std::move(unit));
+    for (size_t i = 0; i < watches_.size(); ++i)
+        checkTraps_[rewritten.symbol("rw_trap_" + std::to_string(i))] = i;
 
     // Append the rewriter's data region.
     rewritten.segments.push_back(
@@ -371,6 +383,14 @@ RewriteBackend::refreshWatch(DebugTarget &target, size_t i)
         target.mem.write(shadowBase_ + (q - lo), 8, target.mem.read(q, 8));
 }
 
+uint64_t
+RewriteBackend::checkedValue(size_t i, Addr quad) const
+{
+    // A range watch is installed only alone, so no watch's check runs
+    // before it: only scalars are asked.
+    return target_->mem.read(rwsegBase_ + 8 * i, 8);
+}
+
 DebugAction
 RewriteBackend::onTrap(const MicroOp &op)
 {
@@ -381,11 +401,9 @@ RewriteBackend::onTrap(const MicroOp &op)
                     seq_);
         return {TransitionKind::User};
     }
-    for (size_t i = 0; i < watches_.size(); ++i) {
-        auto ch = watches_[i].evaluate(target_->mem);
-        if (ch && watches_[i].predicatePasses(ch->newValue))
-            recordWatch(static_cast<int>(i), *ch, seq_, op.pc);
-    }
+    const ArchState &arch = target_->arch;
+    recordCheckedWatches(*target_, op.pc, arch.read(t0), arch.read(t3),
+                         op.pc);
     return {TransitionKind::User};
 }
 

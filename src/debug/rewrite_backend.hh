@@ -41,6 +41,7 @@ class RewriteBackend : public DebugBackend
     /** Write watch @p i's rwseg prev quad (or range shadow) from
      *  memory. */
     void refreshWatch(DebugTarget &target, size_t i) override;
+    uint64_t checkedValue(size_t i, Addr quad) const override;
     void emitStoreStub(std::vector<AsmItem> &items, const Inst &store,
                        uint64_t stubId);
     void emitHandler(std::vector<AsmItem> &items);

@@ -144,6 +144,25 @@ WatchState::refresh(const MainMemory &mem, Addr addr, unsigned bytes)
     return false;
 }
 
+void
+WatchState::adoptCheck(const MainMemory &mem, Addr quad, uint64_t old)
+{
+    prime(mem);
+    if (spec_.kind != WatchKind::Range) {
+        // The check loaded the value sign-extended; the host keeps it
+        // zero-extended.
+        prevValue_ = spec_.size < 8
+                         ? old & ((uint64_t{1} << (8 * spec_.size)) - 1)
+                         : old;
+        return;
+    }
+    for (unsigned j = 0; j < 8; ++j) {
+        Addr a = quad + j;
+        if (a >= spec_.addr && a < spec_.addr + spec_.length)
+            shadow_[a - spec_.addr] = static_cast<uint8_t>(old >> (8 * j));
+    }
+}
+
 std::vector<std::pair<Addr, uint64_t>>
 WatchState::staticRegions() const
 {

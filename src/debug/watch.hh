@@ -169,6 +169,15 @@ class WatchState
      */
     bool refresh(const MainMemory &mem, Addr addr, unsigned bytes);
 
+    /**
+     * An in-application check trapped on a store to the quad at
+     * @p quad, which it saw change from @p old: take memory as the last
+     * seen state, except @p old in that quad, so evaluate() reports the
+     * change the check saw. Its predicate-pruned changes never trapped,
+     * so the host's own last seen value may be older.
+     */
+    void adoptCheck(const MainMemory &mem, Addr quad, uint64_t old);
+
     /** All statically-known addresses this watchpoint monitors
      *  (empty for indirect targets beyond the pointer cell itself). */
     std::vector<std::pair<Addr, uint64_t>> staticRegions() const;

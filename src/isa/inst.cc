@@ -22,7 +22,7 @@ regName(RegId r)
       case 29: return "gp";
       case 30: return "sp";
       case 31: return "zero";
-      default: return "r" + std::to_string(r.idx);
+      default: return std::string("r").append(std::to_string(r.idx));
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "session/debug_session.hh"
+
 namespace dise::persist {
 
 namespace {
@@ -113,6 +115,13 @@ class Reader
             return {};
         }
         r.kind = static_cast<RegKind>(kind);
+        unsigned regs = r.kind == RegKind::Int    ? NumIntRegs
+                        : r.kind == RegKind::Dise ? NumDiseRegs
+                                                  : 1;
+        if (r.idx >= regs) {
+            fail("register index beyond its kind");
+            return {};
+        }
         return r;
     }
 
@@ -176,6 +185,13 @@ class Reader
     std::string what_;
 };
 
+/** Memory pokes write 1, 2, 4 or 8 bytes (MainMemory::write). */
+bool
+accessSize(uint32_t size)
+{
+    return size == 1 || size == 2 || size == 4 || size == 8;
+}
+
 void
 putPattern(Writer &w, const Pattern &p)
 {
@@ -195,11 +211,11 @@ bool
 getPattern(Reader &r, Pattern &p)
 {
     if (r.u8())
-        p.opclass = static_cast<OpClass>(r.u8());
+        p.opclass = r.enum8<OpClass>(NumOpClasses - 1, "pattern opclass");
     else
         r.u8();
     if (r.u8())
-        p.opcode = static_cast<Opcode>(r.u8());
+        p.opcode = r.enum8<Opcode>(NumOpcodes - 1, "pattern opcode");
     else
         r.u8();
     bool hasBase = r.u8();
@@ -245,7 +261,7 @@ getProduction(Reader &r, Production &p)
     p.replacement.resize(r.ok() ? n : 0);
     for (TemplateInst &ti : p.replacement) {
         ti.triggerCopy = r.u8() != 0;
-        ti.op = static_cast<Opcode>(r.u8());
+        ti.op = r.enum8<Opcode>(NumOpcodes - 1, "template opcode");
         for (TRegField *f : {&ti.ra, &ti.rb, &ti.rc}) {
             f->kind = r.enum8<TRegField::Kind>(
                 static_cast<uint8_t>(TRegField::Kind::TrigRc),
@@ -483,6 +499,10 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
         p.addr = r.u64();
         p.size = r.u32();
         p.value = r.u64();
+        if (r.ok() && p.isReg && p.reg >= DebugSession::NumSessionRegs)
+            r.fail("poke register out of range");
+        if (r.ok() && !accessSize(p.size))
+            r.fail("poke size not 1, 2, 4 or 8");
     }
 
     out.seed = r.u64();
@@ -500,6 +520,9 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
         iv.size = r.u32();
         iv.value = r.u64();
         iv.reg = r.regId();
+        if (r.ok() && iv.kind == InterventionKind::PokeMemory &&
+            !accessSize(iv.size))
+            r.fail("memory poke size not 1, 2, 4 or 8");
         if (!getProduction(r, iv.production))
             break;
         iv.engineId = r.u32();

@@ -314,13 +314,11 @@ RspConnection::handleInsert(const std::string &p, bool insert)
 {
     // Ztype,addr,kind — type 0/1: breakpoints, 2/4: write/access
     // watchpoints, 3: read watchpoints (not implementable here).
-    std::string head, rest, addrStr, kindStr;
+    std::string head, rest, addrStr, kindStr = "8";
     if (!splitOnce(p.substr(1), ',', head, rest))
         return "E01";
-    if (!splitOnce(rest, ',', addrStr, kindStr)) {
+    if (!splitOnce(rest, ',', addrStr, kindStr))
         addrStr = rest; // kind omitted: default to a quadword
-        kindStr = "8";
-    }
     // Strip a conditional suffix (";...") some clients append.
     size_t semi = kindStr.find(';');
     if (semi != std::string::npos)

@@ -2,6 +2,9 @@
 
 #include <sys/socket.h>
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <cstdio>
@@ -108,6 +111,19 @@ DebugServer::DebugServer(DebugServerOptions opts,
       manager_({opts.maxSessions, opts.session}, std::move(factory)),
       sched_({opts.slots, opts.sliceInsts, opts.faults})
 {
+#ifdef __GLIBC__
+    // Sessions free whole checkpoint arrays, undo logs and replica
+    // images on scheduler workers and connection threads. By default
+    // glibc raises its mmap threshold to the size of each mapped block
+    // it frees (up to 32 MiB) and its trim threshold to twice that, so
+    // after the first large free those blocks come from the per-thread
+    // heaps and stay parked there once freed: peak RSS climbs with
+    // every session. Pinning both at the default hands them back to
+    // the kernel. Both, because a free before the server existed may
+    // already have raised the trim threshold.
+    mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    mallopt(M_TRIM_THRESHOLD, 128 * 1024);
+#endif
     // Resurrection replays a whole history: run it as a scheduler job
     // like every other long op.
     manager_.setRunner([this](ManagedSession &s, std::string *err) {

@@ -62,8 +62,8 @@ Workload::multiWatch(unsigned n) const
     DISE_ASSERT(n <= pool.size(), "workload '", name, "' provides only ",
                 pool.size(), " multi-watch scalars");
     for (unsigned i = 0; i < n; ++i)
-        out.push_back(WatchSpec::scalar("W" + std::to_string(i), pool[i],
-                                        8));
+        out.push_back(WatchSpec::scalar(
+            std::string("W").append(std::to_string(i)), pool[i], 8));
     return out;
 }
 

@@ -345,7 +345,7 @@ TEST(HwBackend, FallsBackToVmPastFourRegisters)
     std::vector<WatchSpec> specs;
     for (int i = 0; i < 6; ++i)
         specs.push_back(WatchSpec::scalar(
-            "w" + std::to_string(i),
+            std::string("w").append(std::to_string(i)),
             t.symbol("var") + 16 * static_cast<Addr>(i), 8));
     ASSERT_TRUE(backend.install(t, specs, {}));
     EXPECT_EQ(backend.hwAssigned(), 4u);
@@ -496,8 +496,9 @@ TEST(DiseBackend, PropertyBloomNeverMisses)
         Debugger dbg(t, o);
         Addr base = t.symbol("slots");
         for (int slot : watched)
-            dbg.watch(WatchSpec::scalar("s" + std::to_string(slot),
-                                        base + slot * 8, 8));
+            dbg.watch(WatchSpec::scalar(
+                std::string("s").append(std::to_string(slot)),
+                base + slot * 8, 8));
         ASSERT_TRUE(dbg.attach());
         FuncResult r = dbg.runFunctional();
         EXPECT_EQ(r.halt, HaltReason::Exited) << r.faultMessage;

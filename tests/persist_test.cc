@@ -258,6 +258,90 @@ TEST(SessionImage, InstallRecordIsValidated)
     EXPECT_EQ(persist::decodeImage(v2, out), ImageErr::BadVersion);
 }
 
+TEST(SessionImage, OutOfRangeFieldsAreMalformed)
+{
+    // Resurrection hands these fields unchecked to ArchState's register
+    // array, MainMemory::write and the DISE engine's per-opcode tables,
+    // so decode admits only values inside their ranges. Each row is one
+    // field of an otherwise valid image.
+    auto withProduction = [](SessionImage &img) -> Production & {
+        Intervention iv;
+        iv.kind = InterventionKind::AddProduction;
+        iv.time = 150;
+        iv.appInsts = 37;
+        iv.production.name = "crafted";
+        iv.production.pattern = Pattern::forClass(OpClass::Store);
+        iv.production.replacement = {TemplateInst::trigInst()};
+        img.interventions.push_back(iv);
+        return img.interventions.back().production;
+    };
+    const std::vector<
+        std::pair<const char *, std::function<void(SessionImage &)>>>
+        rows = {
+            {"poke register",
+             [](SessionImage &img) {
+                 img.pokes[0].isReg = true;
+                 img.pokes[0].reg = 200;
+             }},
+            {"poke size", [](SessionImage &img) { img.pokes[0].size = 3; }},
+            {"memory-poke intervention size",
+             [](SessionImage &img) { img.interventions[0].size = 3; }},
+            {"register index",
+             [](SessionImage &img) {
+                 Intervention iv;
+                 iv.kind = InterventionKind::PokeRegister;
+                 iv.time = 150;
+                 iv.appInsts = 37;
+                 iv.reg = RegId{RegKind::Int, 200};
+                 img.interventions.push_back(iv);
+             }},
+            {"pattern opclass",
+             [&](SessionImage &img) {
+                 withProduction(img).pattern.opclass =
+                     static_cast<OpClass>(200);
+             }},
+            {"pattern opcode",
+             [&](SessionImage &img) {
+                 withProduction(img).pattern =
+                     Pattern::forOpcode(static_cast<Opcode>(200));
+             }},
+            {"template opcode",
+             [&](SessionImage &img) {
+                 withProduction(img).replacement[0].op =
+                     static_cast<Opcode>(200);
+             }},
+        };
+    for (const auto &[what, craft] : rows) {
+        SessionImage img = sampleImage(11);
+        craft(img);
+        SessionImage out;
+        std::string detail;
+        EXPECT_EQ(persist::decodeImage(persist::encodeImage(img), out,
+                                       &detail),
+                  ImageErr::Malformed)
+            << what << ": " << detail;
+    }
+
+    // The limits themselves are admitted: a pc poke, the last register
+    // of each kind, a production on the last class and opcode.
+    SessionImage img = sampleImage(11);
+    img.pokes[0].isReg = true;
+    img.pokes[0].reg = DebugSession::PcRegIndex;
+    Intervention iv;
+    iv.kind = InterventionKind::PokeRegister;
+    iv.reg = dr(NumDiseRegs - 1);
+    img.interventions.push_back(iv);
+    Production &p = withProduction(img);
+    p.pattern.opclass = static_cast<OpClass>(NumOpClasses - 1);
+    p.pattern.opcode = static_cast<Opcode>(NumOpcodes - 1);
+    p.pattern.baseReg = ir(NumIntRegs - 1);
+    SessionImage out;
+    std::string detail;
+    EXPECT_EQ(persist::decodeImage(persist::encodeImage(img), out, &detail),
+              ImageErr::None)
+        << detail;
+}
+
 // ------------------------------------------------------------ the store
 
 TEST(SessionStore, PutLoadEraseReopen)

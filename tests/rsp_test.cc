@@ -356,7 +356,7 @@ class RawRspClient
     std::string
     exchange(const std::string &payload)
     {
-        if (!sendRaw("+" + frame(payload)))
+        if (!sendRaw(std::string("+").append(frame(payload))))
             return "<write-error>";
         return readReply();
     }

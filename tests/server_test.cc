@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <functional>
 #include <future>
 #include <map>
@@ -1996,6 +2001,39 @@ TEST(DebugServerTcp, TraceVerbsAndMetricsExposition)
     EXPECT_NE(resp.text.find("dise_slice_duration_us_count"),
               std::string::npos);
     srv.stop();
+}
+
+// ---------------------------------------------------------- heap policy
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DISE_SANITIZER_HEAP 1
+#endif
+
+TEST(DebugServerHeap, FreedBlocksDoNotRaiseTheMmapThreshold)
+{
+#if !defined(__GLIBC__) || defined(DISE_SANITIZER_HEAP)
+    GTEST_SKIP() << "the heap policy is glibc's allocator's";
+#else
+    // glibc's dynamic policy would raise the mmap threshold to 8 MiB
+    // at this free, and the 1 MiB block after it would then be carved
+    // from a heap that keeps it once freed. The check runs in a freshly
+    // executed process: a block freed by an earlier test could
+    // otherwise serve the 1 MiB from a heap under either policy.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            DebugServerOptions opts;
+            DebugServer srv(opts);
+            void *volatile big = std::malloc(8u << 20);
+            std::free(big);
+            size_t mapped = mallinfo2().hblks;
+            void *volatile mid = std::malloc(1u << 20);
+            bool grew = mallinfo2().hblks > mapped;
+            std::free(mid);
+            std::_Exit(grew ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 } // namespace

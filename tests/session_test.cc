@@ -510,6 +510,64 @@ TEST(DebugSession, PokeRefreshesInApplicationShadows)
     }
 }
 
+TEST(DebugSession, ConditionalWatchReportsTheValueBeforeTheFiringStore)
+{
+    // x goes 3 -> 6 -> 12 -> 24; the watch fires only on 24. DISE and
+    // binary rewriting prune 6 and 12 inside the application, but the
+    // old value they report is still the one just before the firing
+    // store, as on the backends that check every store in the host.
+    for (BackendKind kind :
+         {BackendKind::Dise, BackendKind::SingleStep,
+          BackendKind::VirtualMemory, BackendKind::HardwareReg,
+          BackendKind::Rewrite}) {
+        SCOPED_TRACE(backendName(kind));
+        Program prog = doublerProgram();
+        DebugSession s(prog, sessionOptions(kind));
+        s.setWatch(
+            WatchSpec::scalar("x", prog.symbol("x"), 8).withCondition(24));
+        ASSERT_EQ(s.cont().reason, StopReason::Event);
+        int hits = 0;
+        for (const auto &ev : s.events().drain())
+            if (ev.kind == SessionEventKind::Watch) {
+                EXPECT_EQ(ev.oldValue, 12u);
+                EXPECT_EQ(ev.newValue, 24u);
+                ++hits;
+            }
+        EXPECT_EQ(hits, 1);
+        // 48 is no match: the run ends without another stop.
+        EXPECT_NE(s.cont().reason, StopReason::Event);
+    }
+}
+
+TEST(DebugSession, CoincidentConditionalWatchesReportTogether)
+{
+    // Both watches match the store of 24. DISE and binary rewriting
+    // check them in order within one run of their handler; the first
+    // trap reports both, each with the value before the store, and the
+    // second check stays quiet.
+    for (BackendKind kind :
+         {BackendKind::Dise, BackendKind::SingleStep,
+          BackendKind::VirtualMemory, BackendKind::HardwareReg,
+          BackendKind::Rewrite}) {
+        SCOPED_TRACE(backendName(kind));
+        Program prog = doublerProgram();
+        Addr x = prog.symbol("x");
+        DebugSession s(prog, sessionOptions(kind));
+        s.setWatch(WatchSpec::scalar("x", x, 8).withCondition(24));
+        s.setWatch(WatchSpec::scalar("x.lo", x, 4).withCondition(24));
+        ASSERT_EQ(s.cont().reason, StopReason::Event);
+        std::vector<int> watches;
+        for (const auto &ev : s.events().drain())
+            if (ev.kind == SessionEventKind::Watch) {
+                EXPECT_EQ(ev.oldValue, 12u);
+                EXPECT_EQ(ev.newValue, 24u);
+                watches.push_back(ev.index);
+            }
+        EXPECT_EQ(watches, (std::vector<int>{0, 1}));
+        EXPECT_NE(s.cont().reason, StopReason::Event);
+    }
+}
+
 TEST(DebugSession, PostAttachAdditionDisambiguatesSameInstructionEvents)
 {
     // The added spec overlaps the park event's own instruction: the
