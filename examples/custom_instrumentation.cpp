@@ -13,7 +13,7 @@
 
 #include "asm/assembler.hh"
 #include "cpu/loader.hh"
-#include "session/debug_session.hh"
+#include "debug/debugger.hh"
 
 using namespace dise;
 
@@ -39,16 +39,16 @@ main()
     a.syscall(SysExit);
     Program prog = a.finish("main");
 
-    // DISE sessions are not debugging-specific: the prepare hook
-    // installs raw productions on the fresh target before the backend
-    // installs and the program loads.
+    // DISE is not debugging-specific: raw productions go into the
+    // fresh target's engine before the debugger installs and the
+    // program loads.
     //
     // Production 1: every store bumps the running counter in dr0.
     // DISE can't indirect registers, so we keep one counter and
     // snapshot it at phase boundaries instead — all still invisible to
     // the application's registers, code, and data.
-    SessionOptions opts;
-    opts.prepare = [](DebugTarget &target) {
+    DebugTarget target(prog);
+    {
         Production count;
         count.name = "count-stores";
         count.pattern = Pattern::forClass(OpClass::Store);
@@ -72,20 +72,20 @@ main()
             };
             target.engine.addProduction(snap);
         }
-    };
+    }
 
-    DebugSession session(prog, opts);
-    if (!session.attach()) {
+    Debugger dbg(target);
+    if (!dbg.attach()) {
         std::fprintf(stderr, "attach failed\n");
         return 1;
     }
-    FuncResult r = session.runFunctional();
+    FuncResult r = dbg.runFunctional();
     if (r.halt != HaltReason::Exited) {
         std::fprintf(stderr, "run failed\n");
         return 1;
     }
 
-    const ArchState &arch = session.target().arch;
+    const ArchState &arch = target.arch;
     uint64_t total = arch.readDise(0);
     uint64_t atPhase1 = arch.readDise(2);
     uint64_t atPhase2 = arch.readDise(3);

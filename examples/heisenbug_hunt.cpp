@@ -1,7 +1,8 @@
 /**
  * @file
  * Hunting a memory-corruption heisenbug with a RANGE watchpoint —
- * forward with DISE, then backward with the time-travel debugger.
+ * forward with DISE under the cycle-level timing model, then backward
+ * with a time-travel debug session.
  *
  * The program keeps a "directory" structure that an unrelated,
  * out-of-bounds array write occasionally tramples. Trap-based
@@ -22,6 +23,7 @@
 
 #include <cstdio>
 
+#include "debug/debugger.hh"
 #include "session/debug_session.hh"
 #include "workloads/workload.hh"
 
@@ -32,50 +34,46 @@ main()
 {
     Program prog = buildHeisenbugDemo();
 
-    SessionOptions opts;
-    opts.debugger.backend = BackendKind::Dise;
-    opts.debugger.dise.protectDebuggerData = true; // Fig. 2f shielding
-    DebugSession session(prog, opts);
-    session.setWatch(
-        WatchSpec::range("directory", prog.symbol("directory"), 64));
-    if (!session.attach()) {
+    DebuggerOptions dopts;
+    dopts.backend = BackendKind::Dise;
+    dopts.dise.protectDebuggerData = true; // Fig. 2f shielding
+    DebugTarget target(prog);
+    Debugger dbg(target, dopts);
+    dbg.watch(WatchSpec::range("directory", prog.symbol("directory"), 64));
+    if (!dbg.attach()) {
         std::fprintf(stderr, "attach failed\n");
         return 1;
     }
 
-    RunStats stats = session.runCycles();
-    size_t corruptions = 0, protections = 0;
-    std::vector<SessionEvent> events = session.events().drain();
-    for (const SessionEvent &ev : events) {
-        corruptions += ev.kind == SessionEventKind::Watch;
-        protections += ev.kind == SessionEventKind::Protection;
-    }
+    RunStats stats = dbg.run();
+    const std::vector<WatchEvent> &corruptions =
+        dbg.backend().watchEvents();
     std::printf("ran %llu instructions; directory was corrupted %zu "
                 "time(s)\n",
                 static_cast<unsigned long long>(stats.appInsts),
-                corruptions);
-    for (const SessionEvent &ev : events)
-        if (ev.kind == SessionEventKind::Watch)
-            std::printf("  corruption at directory+%llu: 0x%llx -> "
-                        "0x%llx (culprit store pc 0x%llx)\n",
-                        static_cast<unsigned long long>(
-                            ev.addr - prog.symbol("directory")),
-                        static_cast<unsigned long long>(ev.oldValue),
-                        static_cast<unsigned long long>(ev.newValue),
-                        static_cast<unsigned long long>(ev.pc));
+                corruptions.size());
+    for (const WatchEvent &ev : corruptions)
+        std::printf("  corruption at directory+%llu: 0x%llx -> "
+                    "0x%llx (culprit store pc 0x%llx)\n",
+                    static_cast<unsigned long long>(
+                        ev.addr - prog.symbol("directory")),
+                    static_cast<unsigned long long>(ev.oldValue),
+                    static_cast<unsigned long long>(ev.newValue),
+                    static_cast<unsigned long long>(ev.pc));
     std::printf("the culprit is the store at label 'the_store' "
                 "(0x%llx)\n",
                 static_cast<unsigned long long>(
                     prog.symbol("the_store")));
     std::printf("debugger dseg protection violations: %zu\n",
-                protections);
+                dbg.backend().protectionEvents().size());
 
     // ------------------------------------------------------ act two
     // The same hunt, backward: a fresh session runs to completion
     // first (as if the corruption were only noticed post-mortem), then
     // travels back to the moment of the crime.
     std::printf("\n-- time travel: how did we get here? --\n");
-    SessionOptions ttOpts = opts;
+    SessionOptions ttOpts;
+    ttOpts.debugger = dopts;
     ttOpts.timeTravel.checkpointInterval = 1024;
     DebugSession tt(buildHeisenbugDemo(), ttOpts);
     tt.setWatch(WatchSpec::range("directory",

@@ -1,9 +1,9 @@
 /**
  * @file
- * Quickstart: assemble a tiny program, open a DebugSession with a DISE
+ * Quickstart: assemble a tiny program, attach a Debugger with a DISE
  * watchpoint on one of its variables, run under the cycle-level
- * simulator, and print every user-visible event from the session's
- * ordered queue plus the measured overhead.
+ * simulator, and print every watchpoint hit plus the measured
+ * overhead.
  *
  * Build & run:  ./build/example_quickstart
  */
@@ -12,7 +12,7 @@
 
 #include "asm/assembler.hh"
 #include "cpu/loader.hh"
-#include "session/debug_session.hh"
+#include "debug/debugger.hh"
 
 using namespace dise;
 
@@ -40,26 +40,38 @@ main()
     a.syscall(SysExit);
     Program prog = a.finish("main");
 
-    // 2. Open a DISE-backed debug session and watch x.
-    SessionOptions opts;
-    opts.debugger.backend = BackendKind::Dise;
-    DebugSession session(prog, opts);
-    session.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
-    if (!session.attach()) {
+    // 2. Attach a DISE-backed debugger that watches x. The backend
+    //    installs its productions before the program loads.
+    DebugTarget target(prog);
+    DebuggerOptions opts;
+    opts.backend = BackendKind::Dise;
+    Debugger dbg(target, opts);
+    dbg.watch(WatchSpec::scalar("x", prog.symbol("x"), 8));
+    if (!dbg.attach()) {
         std::fprintf(stderr, "attach failed\n");
         return 1;
     }
+    std::printf("attached; target loaded at pc=0x%llx\n",
+                static_cast<unsigned long long>(target.arch.pc));
 
-    // 3. Run under the timing model and report from the event queue.
-    RunStats stats = session.runCycles();
+    // 3. Run under the timing model and report the backend's hits.
+    RunStats stats = dbg.run();
     std::printf("program ran %llu instructions in %llu cycles "
                 "(IPC %.2f)\n",
                 static_cast<unsigned long long>(stats.appInsts),
                 static_cast<unsigned long long>(stats.cycles),
                 stats.ipc());
-    std::printf("session events:\n");
-    for (const SessionEvent &ev : session.events().drain())
-        std::printf("  %s\n", ev.describe().c_str());
+    std::printf("watchpoint hits:\n");
+    for (const WatchEvent &ev : dbg.backend().watchEvents())
+        std::printf("  watchpoint %d hit: *0x%llx = 0x%llx -> 0x%llx "
+                    "(store pc 0x%llx)\n",
+                    ev.wpIndex, static_cast<unsigned long long>(ev.addr),
+                    static_cast<unsigned long long>(ev.oldValue),
+                    static_cast<unsigned long long>(ev.newValue),
+                    static_cast<unsigned long long>(ev.pc));
+    std::printf("target %s after %llu instructions\n",
+                stats.halt == HaltReason::Exited ? "exited" : "stopped",
+                static_cast<unsigned long long>(stats.appInsts));
     std::printf("spurious debugger transitions: %llu (DISE prunes them "
                 "inside the application)\n",
                 static_cast<unsigned long long>(

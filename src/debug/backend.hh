@@ -41,6 +41,34 @@ struct BreakSpec
 };
 
 /**
+ * The limits every backend implements a spec within: a scalar or
+ * indirect watch reads 1, 2, 4 or 8 bytes; a range watch covers 1 to
+ * 65,536 bytes (its length sizes host and in-application shadows) and
+ * ends without wrapping the address space; a breakpoint condition
+ * reads 1, 2, 4 or 8 bytes. Returns why the spec lies outside them, or
+ * nullptr.
+ */
+inline const char *
+specLimitError(const WatchSpec &w)
+{
+    if (w.kind != WatchKind::Range)
+        return isAccessSize(w.size) ? nullptr
+                                    : "watch size must be 1, 2, 4 or 8 bytes";
+    if (w.length == 0 || w.length > 65536)
+        return "range watch length must be 1 to 65536 bytes";
+    return w.length > ~w.addr ? "range watch wraps the address space"
+                              : nullptr;
+}
+
+inline const char *
+specLimitError(const BreakSpec &b)
+{
+    return isAccessSize(b.condSize)
+               ? nullptr
+               : "break condition size must be 1, 2, 4 or 8 bytes";
+}
+
+/**
  * Everything host-side a backend mutates while the target runs:
  * watchpoint shadow state, the recorded event lists, and the event
  * sequence counter. A checkpoint captures this alongside the target's

@@ -79,8 +79,6 @@ RunStats
 Debugger::run(TimingConfig cfg, RunLimits limits)
 {
     DISE_ASSERT(attached_, "attach() before run()");
-    DISE_ASSERT(!tt_, "run() would advance the target behind the active "
-                      "time-travel session's back; use the session");
     StreamEnv env = backend_->streamEnv(target_);
     TimingCpu cpu(target_.arch, target_.mem, &target_.engine, env, cfg);
     return cpu.run(limits);
@@ -90,53 +88,9 @@ FuncResult
 Debugger::runFunctional(uint64_t maxAppInsts)
 {
     DISE_ASSERT(attached_, "attach() before run()");
-    DISE_ASSERT(!tt_, "runFunctional() would advance the target behind "
-                      "the active time-travel session's back; use the "
-                      "session");
     StreamEnv env = backend_->streamEnv(target_);
     FuncCpu cpu(target_.arch, target_.mem, &target_.engine, env);
     return cpu.run(maxAppInsts);
-}
-
-TimeTravel &
-Debugger::timeTravel(TimeTravelConfig cfg)
-{
-    DISE_ASSERT(attached_, "attach() before timeTravel()");
-    if (!tt_) {
-        ttCfg_ = cfg;
-        tt_ = std::make_unique<TimeTravel>(target_, *backend_, log_, cfg);
-        return *tt_;
-    }
-    // Re-entry returns the existing session. Passing a different
-    // explicit config here would be silently ignored — reject it.
-    // (The default config is accepted so the convenience forwards and
-    // plain timeTravel() lookups keep working.)
-    TimeTravelConfig def{};
-    bool isDefault = cfg.checkpointInterval == def.checkpointInterval &&
-                     cfg.maxAppInsts == def.maxAppInsts;
-    DISE_ASSERT(isDefault ||
-                    (cfg.checkpointInterval == ttCfg_.checkpointInterval &&
-                     cfg.maxAppInsts == ttCfg_.maxAppInsts),
-                "timeTravel() config differs from the active session's");
-    return *tt_;
-}
-
-const std::vector<WatchEvent> &
-Debugger::watchEvents() const
-{
-    return backend_->watchEvents();
-}
-
-const std::vector<BreakEvent> &
-Debugger::breakEvents() const
-{
-    return backend_->breakEvents();
-}
-
-const std::vector<ProtectionEvent> &
-Debugger::protectionEvents() const
-{
-    return backend_->protectionEvents();
 }
 
 } // namespace dise

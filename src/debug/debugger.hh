@@ -1,19 +1,17 @@
 /**
  * @file
  * The debugger engine room: one backend (watchpoint technique) bound
- * to one target, plus the time-travel session (src/replay/).
+ * to one target.
  *
- * This is no longer the public front end. New code should drive a
- * DebugSession (src/session/), which owns a Debugger and exposes every
- * capability — watch/break, forward and reverse execution,
- * register/memory peek-poke, backend selection, statistics — as typed
- * Request/Response messages with a stable wire encoding and an ordered
- * event queue, locally or over the GDB-RSP bridge (src/rsp/). The
- * convenience forwards below (cont()/reverseContinue()/watchEvents()
- * and friends) remain as thin deprecated shims for in-process callers
- * and the existing tests.
+ * A Debugger installs its backend's machinery before the program loads
+ * and owns the backend's event lists. The harness and the benchmarks
+ * drive it directly for batch runs: run() under the cycle-level timing
+ * model, runFunctional() without timing. Interactive debugging goes
+ * through a DebugSession (src/session/), which builds a Debugger next
+ * to its target and timeline at every install and moves the target
+ * only along that timeline.
  *
- * The same session code runs over the DISE backend or any of the four
+ * The same code runs over the DISE backend or any of the four
  * incumbent implementations the paper compares against — the debugger
  * auto-generates productions/machinery from user requests; users never
  * write productions themselves.
@@ -29,8 +27,6 @@
 #include "cpu/timing_cpu.hh"
 #include "debug/backend.hh"
 #include "debug/dise_backend.hh"
-#include "replay/replay_log.hh"
-#include "replay/time_travel.hh"
 
 namespace dise {
 
@@ -88,37 +84,7 @@ class Debugger
     /** Timing-free functional run (tests, calibration). */
     FuncResult runFunctional(uint64_t maxAppInsts = 0);
 
-    /** @name Time-travel session (checkpointed functional execution) */
-    ///@{
-    /**
-     * Start (or return the existing) time-travel session. Created on
-     * first use after attach(); the session owns the checkpoint
-     * timeline and the replay log for this debugger.
-     */
-    TimeTravel &timeTravel(TimeTravelConfig cfg = {});
-    bool timeTraveling() const { return tt_ != nullptr; }
-
-    /** Convenience forwards into the session.
-     *  @deprecated Thin shims; prefer DebugSession's verbs, which also
-     *  deliver events on the ordered queue. */
-    StopInfo cont() { return timeTravel().cont(); }
-    StopInfo reverseContinue() { return timeTravel().reverseContinue(); }
-    StopInfo
-    reverseStep(uint64_t n = 1)
-    {
-        return timeTravel().reverseStep(n);
-    }
-    StopInfo runToEvent(size_t n) { return timeTravel().runToEvent(n); }
-
-    ReplayLog &replayLog() { return log_; }
-    ///@}
-
-    /** @deprecated Pull-style event lists; prefer DebugSession's
-     *  ordered EventQueue. */
-    const std::vector<WatchEvent> &watchEvents() const;
-    const std::vector<BreakEvent> &breakEvents() const;
-    const std::vector<ProtectionEvent> &protectionEvents() const;
-
+    /** The backend: its event lists, tools and host state. */
     DebugBackend &backend() { return *backend_; }
     DebugTarget &target() { return target_; }
 
@@ -129,10 +95,6 @@ class Debugger
     std::vector<WatchSpec> watches_;
     std::vector<BreakSpec> breaks_;
     bool attached_ = false;
-
-    ReplayLog log_;
-    std::unique_ptr<TimeTravel> tt_;
-    TimeTravelConfig ttCfg_{};
 };
 
 } // namespace dise

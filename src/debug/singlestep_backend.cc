@@ -1,5 +1,8 @@
 #include "debug/singlestep_backend.hh"
 
+#include "cpu/inst_stream.hh"
+#include "isa/encoding.hh"
+
 namespace dise {
 
 bool
@@ -13,6 +16,22 @@ SingleStepBackend::install(DebugTarget &target,
     breaks_ = breaks;
     stmtSet_.insert(target.program.stmtBoundaries.begin(),
                     target.program.stmtBoundaries.end());
+    // The debugger also gets control at every instruction that halts
+    // the program: no statement boundary follows the last statement,
+    // so a store there is checked before the target exits.
+    for (const Program::Segment &seg : target.program.segments) {
+        if (!seg.executable)
+            continue;
+        for (size_t off = 0; off + 4 <= seg.bytes.size(); off += 4) {
+            uint32_t word = 0;
+            for (size_t b = 0; b < 4; ++b)
+                word |= static_cast<uint32_t>(seg.bytes[off + b]) << (8 * b);
+            std::optional<Inst> in = decode(word);
+            if (in && (in->op == Opcode::HALT ||
+                       (in->op == Opcode::SYSCALL && in->imm == SysExit)))
+                stmtSet_.insert(seg.base + off);
+        }
+    }
     // Single-stepping supports everything (that is its sole virtue).
     return true;
 }

@@ -103,30 +103,26 @@ ExperimentRunner::debugged(const std::string &name,
     const Workload &w = workload(name);
     const RunStats &base = baseline(name);
 
-    SessionOptions sopts;
-    sopts.debugger = dopts;
-    DebugSession session(w.program, sopts);
+    DebugTarget target(w.program);
+    Debugger dbg(target, dopts);
     for (const auto &spec : watches)
-        session.setWatch(spec);
+        dbg.watch(spec);
     for (const auto &bp : breaks)
-        session.setBreak(bp);
+        dbg.breakAt(bp);
 
     RunOutcome outcome;
-    if (!session.attach()) {
+    if (!dbg.attach()) {
         outcome.supported = false;
         return outcome;
     }
-    outcome.stats = session.runCycles(timingConfig(mtHandlers), {});
+    outcome.stats = dbg.run(timingConfig(mtHandlers), {});
     if (outcome.stats.halt != HaltReason::Exited &&
         outcome.stats.halt != HaltReason::Halted)
         fatal("debugged run of '", name, "' under ",
               backendName(dopts.backend), " did not complete: ",
               outcome.stats.faultMessage);
-    // User-visible events arrive on the session's ordered queue.
-    for (const SessionEvent &ev : session.events().drain()) {
-        outcome.watchEvents += ev.kind == SessionEventKind::Watch;
-        outcome.breakEvents += ev.kind == SessionEventKind::Break;
-    }
+    outcome.watchEvents = dbg.backend().watchEvents().size();
+    outcome.breakEvents = dbg.backend().breakEvents().size();
     outcome.slowdown = static_cast<double>(outcome.stats.cycles) /
                        static_cast<double>(base.cycles);
     return outcome;
@@ -153,8 +149,6 @@ ExperimentRunner::checkpointedRun(const std::string &name,
         outcome.supported = false;
         return outcome;
     }
-    session.debugger().replayLog().seed = opts_.seed;
-    session.debugger().replayLog().programName = name;
 
     auto t0 = std::chrono::steady_clock::now();
     StopInfo end = session.runToEnd();

@@ -41,6 +41,13 @@ namespace dise {
 /** Page size used by both the functional memory and the VM debugger. */
 constexpr uint64_t PageBytes = 4096;
 
+/** MainMemory::read and write move 1, 2, 4 or 8 bytes. */
+constexpr bool
+isAccessSize(uint64_t bytes)
+{
+    return bytes == 1 || bytes == 2 || bytes == 4 || bytes == 8;
+}
+
 /**
  * Observer of writes to pages marked via MainMemory::markCodePage.
  * Implemented by components that cache decoded instructions.

@@ -185,13 +185,6 @@ class Reader
     std::string what_;
 };
 
-/** Memory pokes write 1, 2, 4 or 8 bytes (MainMemory::write). */
-bool
-accessSize(uint32_t size)
-{
-    return size == 1 || size == 2 || size == 4 || size == 8;
-}
-
 void
 putPattern(Writer &w, const Pattern &p)
 {
@@ -459,6 +452,8 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
         s.length = r.u64();
         s.conditional = r.u8() != 0;
         s.predConst = r.u64();
+        if (const char *why = specLimitError(s))
+            r.fail(why);
     }
     uint32_t nb = r.count(33, "break list");
     out.breaks.resize(r.ok() ? nb : 0);
@@ -469,6 +464,8 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
         s.condAddr = r.u64();
         s.condSize = r.u32();
         s.condConst = r.u64();
+        if (const char *why = specLimitError(s))
+            r.fail(why);
     }
     uint32_t nmw = r.count(4, "muted watch list");
     out.mutedWatches.resize(r.ok() ? nmw : 0);
@@ -501,7 +498,7 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
         p.value = r.u64();
         if (r.ok() && p.isReg && p.reg >= DebugSession::NumSessionRegs)
             r.fail("poke register out of range");
-        if (r.ok() && !accessSize(p.size))
+        if (r.ok() && !isAccessSize(p.size))
             r.fail("poke size not 1, 2, 4 or 8");
     }
 
@@ -521,7 +518,7 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
         iv.value = r.u64();
         iv.reg = r.regId();
         if (r.ok() && iv.kind == InterventionKind::PokeMemory &&
-            !accessSize(iv.size))
+            !isAccessSize(iv.size))
             r.fail("memory poke size not 1, 2, 4 or 8");
         if (!getProduction(r, iv.production))
             break;
@@ -575,6 +572,12 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
         return fail(ImageErr::Malformed,
                     std::to_string(r.remaining()) +
                         " trailing bytes after the payload");
+    if (out.attached && !out.hasTravel) {
+        // Attached, never resumed: the session sits at time zero.
+        out.hasTravel = true;
+        out.time = out.appInsts = 0;
+        out.checkpoints = {{0, 0}};
+    }
     return ImageErr::None;
 }
 

@@ -68,8 +68,9 @@ struct SessionImage
     BackendKind backend = BackendKind::Dise;
     /** The session had attached (machinery installed, target loaded). */
     bool attached = false;
-    /** The session had a time-travel timeline (ran at least one
-     *  checkpointed verb). */
+    /** The session had a timeline. Every attached session has one;
+     *  decode gives an attached image written without one (a session
+     *  attached but never resumed) its timeline at time zero. */
     bool hasTravel = false;
 
     // Spec set (shapes the instrumented stream; install order matters).

@@ -139,12 +139,9 @@ IntervalReplay::Worker::prepare()
         owner_.live_.sink.marks.begin(),
         owner_.live_.sink.marks.begin() + cp.sinkMarks);
 
-    // The replica replays a copy of the live log: replay writes engine
-    // ids and tool slots into the log it runs on. A Seek to the start
-    // applies the interventions stamped there.
-    debugger_->replayLog() = owner_.log_;
-    tt_ = std::make_unique<TimeTravel>(*target_, backend,
-                                       debugger_->replayLog(), cp,
+    // A Seek to the start applies the interventions stamped there.
+    log_ = owner_.log_;
+    tt_ = std::make_unique<TimeTravel>(*target_, backend, log_, cp,
                                        owner_.tt_.config());
     tt_->travel(TravelVerb::Seek, cp.time);
     interval_.startDigest = tt_->digest();

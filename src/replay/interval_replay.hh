@@ -135,6 +135,9 @@ class IntervalReplay
 
         std::unique_ptr<DebugTarget> target_;
         std::unique_ptr<Debugger> debugger_;
+        /** The replica's copy of the live log: replay writes engine
+         *  ids and tool slots into the log it runs on. */
+        ReplayLog log_;
         /** The replica's timeline, started at cpFrom (declared last:
          *  it detaches from target_ first). */
         std::unique_ptr<TimeTravel> tt_;

@@ -324,9 +324,11 @@ RspConnection::handleInsert(const std::string &p, bool insert)
     if (semi != std::string::npos)
         kindStr = kindStr.substr(0, semi);
 
+    // A kind wider than a spec's size field is refused, not truncated
+    // into a size the session would accept.
     uint64_t type = 0, addr = 0, kind = 0;
     if (!parseHexNum(head, type) || !parseHexNum(addrStr, addr) ||
-        !parseHexNum(kindStr, kind))
+        !parseHexNum(kindStr, kind) || kind > 0xffffffffu)
         return "E01";
     if (type == 3)
         return ""; // read watchpoints unsupported: gdb falls back

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -556,11 +555,7 @@ DebugServer::serveWire(int fd)
         std::string err;
         Response resp;
         if (!decodeRequest(line, req, &err)) {
-            resp.status = ResponseStatus::Error;
-            resp.error = "decode: " + err;
-            size_t pos = line.find("seq=");
-            if (pos != std::string::npos)
-                resp.seq = std::strtoull(line.c_str() + pos + 4, nullptr, 0);
+            resp = decodeErrorReply(line, err);
         } else {
             TRACE_SPAN("server", "server.verb");
             resp = handleWire(req, conn);

@@ -1,7 +1,6 @@
 #include "session/debug_session.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.hh"
@@ -167,9 +166,9 @@ DebugSession::buildMachinery(Machinery &m, const InstallSet &set)
         m.debugger->breakAt(pendingBreaks_[i]);
     // Configuration-phase pokes fold into the initial state between
     // load and prime, so watchpoint shadows snapshot the poked image
-    // (and they precede the time-travel session's time-zero
-    // checkpoint). Kept across rebuilds: every re-attach re-applies
-    // the same initial state.
+    // (and they precede the timeline's time-zero checkpoint). Kept
+    // across rebuilds: every re-attach re-applies the same initial
+    // state.
     auto applyPokes = [this](DebugTarget &t) {
         for (const Poke &p : pendingPokes_)
             applyPoke(t, p);
@@ -180,12 +179,17 @@ DebugSession::buildMachinery(Machinery &m, const InstallSet &set)
 void
 DebugSession::commitMachinery(Machinery &m)
 {
-    // Order matters: the outgoing debugger references the outgoing
-    // target, so it must die first.
+    // Order matters: the outgoing timeline references the outgoing
+    // backend and target, and the outgoing debugger the target, so
+    // they die in that order. The fresh timeline starts at time zero.
+    tt_.reset();
     debugger_ = std::move(m.debugger);
     target_ = std::move(m.target);
     installed_ = std::move(m.installed);
     preview_.reset();
+    log_ = ReplayLog{};
+    tt_ = std::make_unique<TimeTravel>(*target_, debugger_->backend(), log_,
+                                       opts_.timeTravel);
 
     // The fresh backend has empty event lists; everything re-crossed
     // during a replay is re-announced (the queue narrates traversal).
@@ -286,47 +290,42 @@ DebugSession::rebuildBegin()
 {
     refusal_.clear();
     rebuild_ = RebuildPlan{};
-    rebuild_.hadTravel = debugger_->timeTraveling();
-    if (rebuild_.hadTravel) {
-        TimeTravel &tt = debugger_->timeTravel();
-        const ReplayLog &log = debugger_->replayLog();
-        rebuild_.targetInsts = tt.appInsts();
-        rebuild_.parkedAtHalt = tt.halted();
-        // The park on the last mark of the µop at @p time: the mark's
-        // identity plus its absolute occurrence among identical earlier
-        // marks. A park sits mid-instruction (inside the detecting
-        // expansion), below app-instruction resolution, so the replay
-        // navigates to it by this identity.
-        auto parkAt = [&](uint64_t time) {
-            if (!rebuild_.parks.empty() &&
-                rebuild_.parks.back().mark.time == time)
-                return static_cast<int>(rebuild_.parks.size()) - 1;
-            size_t mi = log.marks.size();
-            for (size_t i = 0; i < log.marks.size(); ++i)
-                if (log.marks[i].time == time)
-                    mi = i;
-            DISE_ASSERT(mi < log.marks.size(), "event park at t=", time,
-                        " has no event mark");
-            ParkGoal g;
-            g.mark = log.marks[mi];
-            markDetail(g.mark, g.sessIdx, g.addr);
-            for (size_t i = 0; i < mi; ++i)
-                g.occurrence += isParkMark(g, log.marks[i]);
-            rebuild_.parks.push_back(g);
+    rebuild_.targetInsts = tt_->appInsts();
+    rebuild_.parkedAtHalt = tt_->halted();
+    // The park on the last mark of the µop at @p time: the mark's
+    // identity plus its absolute occurrence among identical earlier
+    // marks. A park sits mid-instruction (inside the detecting
+    // expansion), below app-instruction resolution, so the replay
+    // navigates to it by this identity.
+    auto parkAt = [&](uint64_t time) {
+        if (!rebuild_.parks.empty() &&
+            rebuild_.parks.back().mark.time == time)
             return static_cast<int>(rebuild_.parks.size()) - 1;
-        };
-        for (const Intervention &iv : log.interventions) {
-            if (iv.time > tt.time())
-                break; // truncated future
-            rebuild_.journal.push_back(iv);
-            rebuild_.journalPark.push_back(iv.atEventPark ? parkAt(iv.time)
-                                                          : -1);
-        }
-        size_t cur = tt.eventsSoFar();
-        if (!rebuild_.parkedAtHalt && cur > 0 &&
-            log.marks[cur - 1].time == tt.time())
-            rebuild_.finalPark = parkAt(tt.time());
+        size_t mi = log_.marks.size();
+        for (size_t i = 0; i < log_.marks.size(); ++i)
+            if (log_.marks[i].time == time)
+                mi = i;
+        DISE_ASSERT(mi < log_.marks.size(), "event park at t=", time,
+                    " has no event mark");
+        ParkGoal g;
+        g.mark = log_.marks[mi];
+        markDetail(g.mark, g.sessIdx, g.addr);
+        for (size_t i = 0; i < mi; ++i)
+            g.occurrence += isParkMark(g, log_.marks[i]);
+        rebuild_.parks.push_back(g);
+        return static_cast<int>(rebuild_.parks.size()) - 1;
+    };
+    for (const Intervention &iv : log_.interventions) {
+        if (iv.time > tt_->time())
+            break; // truncated future
+        rebuild_.journal.push_back(iv);
+        rebuild_.journalPark.push_back(iv.atEventPark ? parkAt(iv.time)
+                                                      : -1);
     }
+    size_t cur = tt_->eventsSoFar();
+    if (!rebuild_.parkedAtHalt && cur > 0 &&
+        log_.marks[cur - 1].time == tt_->time())
+        rebuild_.finalPark = parkAt(tt_->time());
 
     if (!install(specsToInstall(rebuild_.parks))) {
         refusal_ = std::string("rebuild refused: the ") +
@@ -334,8 +333,6 @@ DebugSession::rebuildBegin()
                    " backend cannot implement the enlarged spec set";
         return false;
     }
-    if (rebuild_.hadTravel)
-        debugger_->timeTravel(opts_.timeTravel);
     return true;
 }
 
@@ -355,7 +352,7 @@ DebugSession::rebuildBegin()
 bool
 DebugSession::replayRebuild(uint64_t maxInsts)
 {
-    TimeTravel &tt = debugger_->timeTravel();
+    TimeTravel &tt = *tt_;
     uint64_t used = 0;
     auto budgetLeft = [&]() -> uint64_t {
         if (!maxInsts)
@@ -386,7 +383,7 @@ DebugSession::replayRebuild(uint64_t maxInsts)
     // an identity (two parks on the same instruction) count each mark
     // exactly once between them.
     auto scanMarks = [&]() {
-        const auto &marks = debugger_->replayLog().marks;
+        const auto &marks = log_.marks;
         for (; rebuild_.scanned < tt.eventsSoFar(); ++rebuild_.scanned)
             for (ParkGoal &g : rebuild_.parks)
                 if (!g.reached && isParkMark(g, marks[rebuild_.scanned]) &&
@@ -459,22 +456,12 @@ DebugSession::replayRebuild(uint64_t maxInsts)
     return true;
 }
 
-TimeTravel &
-DebugSession::ensureTravel()
-{
-    DISE_ASSERT(attach(), "the ", backendName(backendKind()),
-                " backend cannot implement this session's requests");
-    return debugger_->timeTravel(opts_.timeTravel);
-}
-
 // ------------------------------------------------------ event delivery
 
 const TimeTravel::Stats *
 DebugSession::travelStats() const
 {
-    if (!debugger_ || !debugger_->timeTraveling())
-        return nullptr;
-    return &const_cast<Debugger &>(*debugger_).timeTravel().stats();
+    return tt_ ? &tt_->stats() : nullptr;
 }
 
 /**
@@ -486,28 +473,22 @@ DebugSession::travelStats() const
 void
 DebugSession::pumpEvents()
 {
-    if (!debugger_)
+    if (!tt_)
         return;
     DebugBackend &backend = debugger_->backend();
-    const TimeTravel::Stats *ts = travelStats();
-    uint64_t now = 0, insts = 0;
-    bool halted = false;
-    if (debugger_->timeTraveling()) {
-        TimeTravel &tt = debugger_->timeTravel();
-        now = tt.time();
-        insts = tt.appInsts();
-        halted = tt.halted();
-    }
+    const TimeTravel::Stats &ts = tt_->stats();
+    const uint64_t now = tt_->time(), insts = tt_->appInsts();
+    const bool halted = tt_->halted();
 
-    if (ts && ts->restores > announcedRestores_) {
+    if (ts.restores > announcedRestores_) {
         SessionEvent ev;
         ev.kind = SessionEventKind::Restore;
         ev.time = now;
         ev.appInsts = insts;
-        ev.value = ts->pagesRestored - announcedPagesRestored_;
+        ev.value = ts.pagesRestored - announcedPagesRestored_;
         events_.push(ev);
-        announcedRestores_ = ts->restores;
-        announcedPagesRestored_ = ts->pagesRestored;
+        announcedRestores_ = ts.restores;
+        announcedPagesRestored_ = ts.pagesRestored;
     }
 
     const auto &ws = backend.watchEvents();
@@ -522,17 +503,12 @@ DebugSession::pumpEvents()
     // Each announced event carries its OWN timeline position (the
     // recorded mark), not the position the announcement happens to be
     // made at — a runToEnd() that crosses five hits must deliver five
-    // distinct stamps. Without a time-travel session there is no
-    // stream position; the backend's detection sequence is the best
-    // per-event stamp.
-    bool hasTravel = debugger_->timeTraveling();
-    auto stamp = [&](SessionEventKind kind, EventKind mk, size_t i,
-                     uint64_t seq) {
-        const EventMark *mark =
-            hasTravel ? findMark(mk, static_cast<int>(i)) : nullptr;
+    // distinct stamps.
+    auto stamp = [&](SessionEventKind kind, EventKind mk, size_t i) {
+        const EventMark *mark = findMark(mk, static_cast<int>(i));
         SessionEvent ev;
         ev.kind = kind;
-        ev.time = mark ? mark->time : (hasTravel ? now : seq);
+        ev.time = mark ? mark->time : now;
         ev.appInsts = mark ? mark->appInsts : insts;
         return ev;
     };
@@ -542,7 +518,7 @@ DebugSession::pumpEvents()
         if (mutedWatches_.count(idx))
             continue; // muted: consume the position, deliver nothing
         SessionEvent ev = stamp(SessionEventKind::Watch, EventKind::Watch,
-                                announcedWatch_, we.seq);
+                                announcedWatch_);
         ev.pc = we.pc;
         ev.index = idx;
         ev.addr = we.addr;
@@ -556,14 +532,14 @@ DebugSession::pumpEvents()
         if (mutedBreaks_.count(idx))
             continue;
         SessionEvent ev = stamp(SessionEventKind::Break, EventKind::Break,
-                                announcedBreak_, be.seq);
+                                announcedBreak_);
         ev.pc = be.pc;
         ev.index = idx;
         events_.push(ev);
     }
     for (; announcedProt_ < ps.size(); ++announcedProt_) {
         SessionEvent ev = stamp(SessionEventKind::Protection,
-                                EventKind::Protection, announcedProt_, now);
+                                EventKind::Protection, announcedProt_);
         ev.pc = ps[announcedProt_].pc;
         ev.addr = ps[announcedProt_].addr;
         events_.push(ev);
@@ -590,14 +566,14 @@ DebugSession::pumpEvents()
         events_.push(ev);
     }
 
-    if (ts && ts->checkpointsTaken > announcedCheckpoints_) {
+    if (ts.checkpointsTaken > announcedCheckpoints_) {
         SessionEvent ev;
         ev.kind = SessionEventKind::Checkpoint;
         ev.time = now;
         ev.appInsts = insts;
-        ev.value = ts->checkpointsTaken - announcedCheckpoints_;
+        ev.value = ts.checkpointsTaken - announcedCheckpoints_;
         events_.push(ev);
-        announcedCheckpoints_ = ts->checkpointsTaken;
+        announcedCheckpoints_ = ts.checkpointsTaken;
     }
 
     if (halted && !announcedHalt_) {
@@ -620,7 +596,7 @@ DebugSession::pumpEvents()
 const EventMark *
 DebugSession::findMark(EventKind kind, int index)
 {
-    const auto &marks = debugger_->replayLog().marks;
+    const auto &marks = log_.marks;
     if (marks.empty())
         return nullptr;
     if (markCursor_ >= marks.size())
@@ -638,11 +614,10 @@ DebugSession::findMark(EventKind kind, int index)
 bool
 DebugSession::stopIsMuted(StopInfo &stop) const
 {
-    if (stop.reason != StopReason::Event || !debugger_)
+    if (stop.reason != StopReason::Event || !tt_)
         return false;
     // One µop can fire several marks (overlapping watchpoints).
-    const auto &marks =
-        const_cast<Debugger &>(*debugger_).replayLog().marks;
+    const auto &marks = log_.marks;
     for (int i = stop.eventIndex; i >= 0 && marks[i].time == stop.mark.time;
          --i) {
         int idx = -1;
@@ -753,6 +728,9 @@ bool
 DebugSession::beginSpec(const Request &req)
 {
     bool isWatch = req.kind == RequestKind::SetWatch;
+    if (const char *why =
+            isWatch ? specLimitError(req.watch) : specLimitError(req.brk))
+        return opFail(ResponseStatus::Error, why);
     int found = findSpec(req);
     std::set<int> &muted = isWatch ? mutedWatches_ : mutedBreaks_;
     const std::vector<int> &installed =
@@ -763,16 +741,7 @@ DebugSession::beginSpec(const Request &req)
         muted.erase(found);
     } else if (!attached()) {
         found = registerSpec(req);
-    } else if (batchRan_) {
-        // A batch cycle-level/functional run advanced the target
-        // outside the replayable timeline: no position to rebuild to.
-        refusal_ = "rebuild refused: a batch cycle-level/functional "
-                   "run advanced the target outside the replayable "
-                   "timeline";
-        return opFail(ResponseStatus::Unsupported, refusal_);
-    } else if (backendKind() == BackendKind::Rewrite &&
-               debugger_->timeTraveling() &&
-               debugger_->timeTravel().time() > 0) {
+    } else if (backendKind() == BackendKind::Rewrite && tt_->time() > 0) {
         // Inline checks retire as application instructions, so a
         // larger spec set moves every instruction stamp the rebuild
         // would navigate by.
@@ -825,8 +794,7 @@ DebugSession::startRebuild()
         return opFail(ResponseStatus::Unsupported, refusal_);
     }
     op_.resp.index = idx;
-    op_.done = !rebuild_.hadTravel; // nothing to replay
-    return op_.done;
+    return false;
 }
 
 bool
@@ -878,7 +846,7 @@ DebugSession::advance(uint64_t budget, bool first)
 bool
 DebugSession::stepTravel(uint64_t budget, bool first)
 {
-    TimeTravel &tt = ensureTravel();
+    TimeTravel &tt = *tt_;
     StopInfo stop;
     bool done = false;
     switch (op_.req.kind) {
@@ -993,7 +961,7 @@ DebugSession::runStop(RequestKind kind, uint64_t count)
 std::unique_ptr<IntervalReplay>
 DebugSession::beginIntervalReplay()
 {
-    if (!attached() || !debugger_->timeTraveling() || batchRan_)
+    if (!attached())
         return nullptr;
     // Each interval worker gets machinery built exactly the way this
     // session's was (the live install record, the same initial-state
@@ -1009,9 +977,9 @@ DebugSession::beginIntervalReplay()
             d = std::move(m.debugger);
             return true;
         };
-    return std::make_unique<IntervalReplay>(
-        debugger_->timeTravel(), *target_, debugger_->backend(),
-        debugger_->replayLog(), std::move(factory));
+    return std::make_unique<IntervalReplay>(*tt_, *target_,
+                                            debugger_->backend(), log_,
+                                            std::move(factory));
 }
 
 IntervalReplay::Report
@@ -1047,42 +1015,12 @@ DebugSession::currentStop()
 {
     StopInfo s;
     s.reason = StopReason::Step;
-    if (debugger_ && debugger_->timeTraveling()) {
-        TimeTravel &tt = debugger_->timeTravel();
-        s.time = tt.time();
-        s.appInsts = tt.appInsts();
+    if (tt_) {
+        s.time = tt_->time();
+        s.appInsts = tt_->appInsts();
         s.pc = target_->arch.pc;
     }
     return s;
-}
-
-RunStats
-DebugSession::runCycles(TimingConfig cfg, RunLimits limits)
-{
-    DISE_ASSERT(attach(), "the ", backendName(backendKind()),
-                " backend cannot implement this session's requests");
-    batchRan_ = true;
-    RunStats stats = debugger_->run(cfg, limits);
-    pumpEvents();
-    if (stats.halt != HaltReason::None && !announcedHalt_) {
-        SessionEvent ev;
-        ev.kind = SessionEventKind::Halted;
-        ev.appInsts = stats.appInsts;
-        events_.push(ev);
-        announcedHalt_ = true;
-    }
-    return stats;
-}
-
-FuncResult
-DebugSession::runFunctional(uint64_t maxAppInsts)
-{
-    DISE_ASSERT(attach(), "the ", backendName(backendKind()),
-                " backend cannot implement this session's requests");
-    batchRan_ = true;
-    FuncResult res = debugger_->runFunctional(maxAppInsts);
-    pumpEvents();
-    return res;
 }
 
 // --------------------------------------------------------- peek / poke
@@ -1114,10 +1052,10 @@ DebugSession::writeRegister(unsigned index, uint64_t value)
 {
     if (index >= NumSessionRegs)
         return false;
-    if (attached() && debugger_->timeTraveling()) {
+    if (attached()) {
         if (index == PcRegIndex)
             return false; // the PC is not a loggable intervention
-        debugger_->timeTravel().pokeRegister(ir(index), value);
+        tt_->pokeRegister(ir(index), value);
         return true;
     }
     Poke p;
@@ -1129,24 +1067,15 @@ DebugSession::writeRegister(unsigned index, uint64_t value)
 }
 
 /**
- * Before the first resume the target sits at its initial state, so a
- * poke is part of that initial state: it joins the configuration-phase
- * pokes, which attach and every machinery rebuild (post-attach spec
- * addition) re-apply instead of silently reverting the write. An
- * attached backend already primed its shadows from the unpoked image,
- * so the machinery is rebuilt from the install record; nothing has run
- * yet, so there is nothing to replay.
+ * Before attach a poke is part of the initial state: it joins the
+ * configuration-phase pokes, which attach and every machinery rebuild
+ * re-apply between load and prime.
  */
 void
 DebugSession::recordPoke(const Poke &p)
 {
     pendingPokes_.push_back(p);
-    if (batchRan_)
-        applyPoke(*target_, p); // no initial state left to rebuild
-    else if (attached())
-        DISE_ASSERT(install(installed_), "the ", backendName(backendKind()),
-                    " backend refused its own install record");
-    else if (preview_)
+    if (preview_)
         applyPoke(*preview_, p);
 }
 
@@ -1164,10 +1093,10 @@ DebugSession::writeMemory(Addr addr, unsigned size, uint64_t value)
 {
     // Refused before it reaches the pending pokes or the timeline:
     // memory takes 1-, 2-, 4- and 8-byte writes only.
-    if (size != 1 && size != 2 && size != 4 && size != 8)
+    if (!isAccessSize(size))
         return false;
-    if (attached() && debugger_->timeTraveling()) {
-        debugger_->timeTravel().pokeMemory(addr, size, value);
+    if (attached()) {
+        tt_->pokeMemory(addr, size, value);
         return true;
     }
     Poke p;
@@ -1184,20 +1113,16 @@ SessionStats
 DebugSession::stats() const
 {
     SessionStats s;
-    if (const TimeTravel::Stats *ts = travelStats()) {
-        TimeTravel &tt = const_cast<Debugger &>(*debugger_).timeTravel();
-        s.time = tt.time();
-        s.appInsts = tt.appInsts();
-        s.events = tt.eventCount();
-        s.checkpoints = tt.checkpointCount();
-        s.pagesCopied = ts->pagesCopied;
-        s.restores = ts->restores;
-        s.replayedUops = ts->replayedUops;
-        s.historyBytes = tt.historyBytes();
-    } else if (debugger_) {
-        s.events = debugger_->backend().totalEvents();
-    }
     if (attached()) {
+        const TimeTravel::Stats &ts = tt_->stats();
+        s.time = tt_->time();
+        s.appInsts = tt_->appInsts();
+        s.events = tt_->eventCount();
+        s.checkpoints = tt_->checkpointCount();
+        s.pagesCopied = ts.pagesCopied;
+        s.restores = ts.restores;
+        s.replayedUops = ts.replayedUops;
+        s.historyBytes = tt_->historyBytes();
         const TraceCacheStats &js = target_->jit()->stats();
         s.jitUops = js.tracedUops;
         s.jitExits = js.sideExits;
@@ -1209,18 +1134,13 @@ uint64_t
 DebugSession::digest()
 {
     DISE_ASSERT(attached(), "digest() requires an attached session");
-    if (debugger_->timeTraveling())
-        return debugger_->timeTravel().digest();
-    return stateDigest(*target_, debugger_->backend());
+    return tt_->digest();
 }
 
 size_t
 DebugSession::eventCount() const
 {
-    if (debugger_ && debugger_->timeTraveling())
-        return const_cast<Debugger &>(*debugger_).timeTravel()
-            .eventCount();
-    return debugger_ ? debugger_->backend().totalEvents() : 0;
+    return tt_ ? tt_->eventCount() : 0;
 }
 
 DebugTarget &
@@ -1239,13 +1159,16 @@ DebugSession::debugger()
 TimeTravel &
 DebugSession::timeTravel()
 {
-    return ensureTravel();
+    DISE_ASSERT(attach(), "the ", backendName(backendKind()),
+                " backend cannot implement this session's requests");
+    return *tt_;
 }
 
 bool
 DebugSession::detach()
 {
-    debugger_.reset(); // tears down the time-travel session first
+    tt_.reset();
+    debugger_.reset();
     target_.reset();
     preview_.reset();
     detached_ = true;
@@ -1271,8 +1194,7 @@ DebugSession::toolEnable(
                    " backend cannot attach this session";
         return false;
     }
-    TimeTravel &tt = ensureTravel();
-    if (!tt.enableTool(name, cfg, err))
+    if (!tt_->enableTool(name, cfg, err))
         return false;
     pumpEvents();
     return true;
@@ -1286,8 +1208,7 @@ DebugSession::toolDisable(const std::string &name, std::string *err)
             *err = "tool '" + name + "' is not enabled";
         return false;
     }
-    TimeTravel &tt = ensureTravel();
-    if (!tt.disableTool(name, err))
+    if (!tt_->disableTool(name, err))
         return false;
     pumpEvents();
     return true;
@@ -1339,10 +1260,6 @@ DebugSession::exportImage(persist::SessionImage &img, std::string *err)
     };
     if (detached_)
         return fail("a detached session has no state to persist");
-    if (batchRan_)
-        return fail("a batch cycle-level/functional run advanced the "
-                    "target outside the replayable timeline; the "
-                    "session cannot be reconstructed from its log");
     if (opPinned())
         return fail(op_.resurrect
                         ? "a resurrection replay is in flight"
@@ -1364,26 +1281,20 @@ DebugSession::exportImage(persist::SessionImage &img, std::string *err)
     out.installedBreaks.assign(installed_.breaks.begin(),
                                installed_.breaks.end());
 
-    out.hasTravel = attached() && debugger_->timeTraveling();
-    if (out.hasTravel) {
-        TimeTravel &tt = debugger_->timeTravel();
-        if (tt.travelActive())
+    out.hasTravel = attached();
+    if (attached()) {
+        if (tt_->travelActive())
             return fail("a sliced travel is in flight; drive it to "
                         "completion before persisting");
-        const ReplayLog &log = debugger_->replayLog();
-        out.seed = log.seed;
-        out.programName = log.programName;
-        out.interventions = log.interventions;
-        out.marks = log.marks;
-        out.time = tt.time();
-        out.appInsts = tt.appInsts();
-        out.digest = tt.digest();
-        for (const Checkpoint &cp : tt.checkpoints())
+        out.seed = log_.seed;
+        out.programName = log_.programName;
+        out.interventions = log_.interventions;
+        out.marks = log_.marks;
+        out.time = tt_->time();
+        out.appInsts = tt_->appInsts();
+        out.digest = tt_->digest();
+        for (const Checkpoint &cp : tt_->checkpoints())
             out.checkpoints.push_back({cp.time, cp.appInsts});
-    } else if (attached()) {
-        out.digest = digest();
-    }
-    if (attached()) {
         const tools::ToolSet &ts = debugger_->backend().tools();
         for (const std::string &n : ts.enabledNames())
             out.toolDigests.push_back({n, ts.digest(n)});
@@ -1419,30 +1330,15 @@ DebugSession::startResurrect()
         return opFail(ResponseStatus::Error,
                       std::string("the ") + backendName(img.backend) +
                           " backend refused the persisted spec set");
-    if (!img.hasTravel) {
-        uint64_t live = digest();
-        if (live != img.digest) {
-            detach();
-            return opFail(ResponseStatus::Error,
-                          "re-attach digest mismatch: live " +
-                              std::to_string(live) + ", image says " +
-                              std::to_string(img.digest));
-        }
-        op_.done = true;
-        return true;
-    }
-    // Create the controller FIRST (it holds a reference to the
-    // debugger's log), then inject the recorded log underneath it: the
-    // seek replays the interventions at their stamps and verifies
-    // every recorded mark as it crosses it.
-    TimeTravel &tt = ensureTravel();
-    ReplayLog &log = debugger_->replayLog();
-    log.seed = img.seed;
-    log.programName = img.programName;
-    log.interventions = std::move(img.interventions);
-    log.marks = std::move(img.marks);
+    // The install started a fresh timeline; inject the recorded log
+    // underneath it. The seek replays the interventions at their
+    // stamps and verifies every recorded mark as it crosses it.
+    log_.seed = img.seed;
+    log_.programName = img.programName;
+    log_.interventions = std::move(img.interventions);
+    log_.marks = std::move(img.marks);
     bool done = false;
-    tt.travelBegin(TravelVerb::Seek, img.time, done);
+    tt_->travelBegin(TravelVerb::Seek, img.time, done);
     pumpEvents();
     return done && resurrectFinish();
 }
@@ -1458,7 +1354,7 @@ DebugSession::stepResurrect(uint64_t budget, bool first)
         if (first)
             return startResurrect();
         bool done = false;
-        debugger_->timeTravel().travelStep(budget, done);
+        tt_->travelStep(budget, done);
         pumpEvents();
         return done && resurrectFinish();
     } catch (const std::exception &e) {
@@ -1480,7 +1376,7 @@ DebugSession::resurrectFinish()
         detach();
         return opFail(ResponseStatus::Error, why);
     };
-    TimeTravel &tt = debugger_->timeTravel();
+    const TimeTravel &tt = *tt_;
     if (tt.time() != plan.time || tt.appInsts() != plan.appInsts)
         return fail("resurrection landed at t=" +
                     std::to_string(tt.time()) + ", " +
@@ -1649,18 +1545,8 @@ DebugSession::handleEncoded(const std::string &line)
 {
     Request req;
     std::string err;
-    if (!decodeRequest(line, req, &err)) {
-        Response resp;
-        resp.status = ResponseStatus::Error;
-        resp.error = "decode: " + err;
-        // Best-effort correlation: even a malformed line usually has a
-        // parseable seq token, and the client needs it to match the
-        // error to its outstanding request.
-        size_t pos = line.find("seq=");
-        if (pos != std::string::npos)
-            resp.seq = std::strtoull(line.c_str() + pos + 4, nullptr, 0);
-        return encodeResponse(resp);
-    }
+    if (!decodeRequest(line, req, &err))
+        return encodeResponse(decodeErrorReply(line, err));
     return encodeResponse(handle(req));
 }
 

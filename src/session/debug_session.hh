@@ -4,22 +4,30 @@
  *
  * A DebugSession owns one debugged target — the Program, the
  * DebugTarget it is loaded into, the Debugger (backend machinery), and
- * the TimeTravel controller — and exposes every capability through the
- * typed Request/Response protocol (session/protocol.hh), so the same
- * session can be driven by linked-in C++ (examples, harness), by a
- * wire peer via handleEncoded(), or by a stock GDB through the RSP
- * bridge (src/rsp/).
+ * its timeline (a ReplayLog and the TimeTravel controller over it) —
+ * and exposes every capability through the typed Request/Response
+ * protocol (session/protocol.hh), so the same session can be driven by
+ * linked-in C++ (examples, tests), by a wire peer via handleEncoded(),
+ * or by a stock GDB through the RSP bridge (src/rsp/).
  *
- * Lifecycle: watchpoints, breakpoints, and the backend choice are
- * collected while the session is in its configuring phase; the backend
- * installs its machinery at the first resume request (or an explicit
- * Attach), honoring the install-before-load contract every technique
- * in the paper requires, while still letting a remote client connect,
- * inspect registers/memory, and place watchpoints before anything
- * runs. Post-attach watch/break removal mutes delivery (the machinery
- * stays installed); re-adding an identical spec unmutes it, which is
- * exactly the insert/remove cycle stock GDB performs around every
- * continue.
+ * Lifecycle: watchpoints, breakpoints, pokes, and the backend choice
+ * are collected while the session is in its configuring phase. The
+ * backend installs its machinery at the first resume request (or an
+ * explicit Attach), honoring the install-before-load contract every
+ * technique in the paper requires, while still letting a remote client
+ * connect, inspect registers/memory, and place watchpoints before
+ * anything runs. The timeline is part of the machinery: every install
+ * (attach, a rebuild after a spec addition, resurrection) builds a
+ * fresh log and controller next to the target and debugger, anchored
+ * by a checkpoint at time zero, so an attached session always has
+ * exactly one timeline and moves the target only along it. A write
+ * after attach is a logged intervention on that timeline. Batch
+ * cycle-level and functional runs belong to Debugger, which the
+ * experiment harness drives directly.
+ *
+ * Post-attach watch/break removal mutes delivery (the machinery stays
+ * installed); re-adding an identical spec unmutes it, which is exactly
+ * the insert/remove cycle stock GDB performs around every continue.
  *
  * Every build of the machinery installs exactly one install record
  * (InstallSet: the session indices of the specs it installs), and the
@@ -58,6 +66,8 @@
 #include "debug/target.hh"
 #include "persist/image.hh"
 #include "replay/interval_replay.hh"
+#include "replay/replay_log.hh"
+#include "replay/time_travel.hh"
 #include "session/event_queue.hh"
 #include "session/protocol.hh"
 
@@ -100,9 +110,9 @@ class DebugSession
      *  rebuilds the machinery from the initial state and replays the
      *  timeline (logged pokes included) back to the current position,
      *  so a gdb `Z` packet after `c` just works. Returns the watch
-     *  index, or -1 when the backend cannot implement the enlarged set
-     *  (the original session is left untouched), the target advanced
-     *  through a non-replayable batch run, or binary rewriting (whose
+     *  index, or -1 when the spec is outside specLimitError()'s
+     *  limits, the backend cannot implement the enlarged set (the
+     *  original session is left untouched), or binary rewriting (whose
      *  inline checks count as application instructions) has run past
      *  time zero. */
     int setWatch(const WatchSpec &spec);
@@ -196,12 +206,11 @@ class DebugSession
     IntervalReplay::Report verifyReplay(unsigned workers);
     /** The underlying plan, for callers that schedule the interval
      *  workers themselves (the server drains its pool with sibling
-     *  jobs). Null when there is no replayable timeline. */
+     *  jobs). Null before attach. */
     std::unique_ptr<IntervalReplay> beginIntervalReplay();
     /** Why beginIntervalReplay() returned null. */
     static constexpr const char *NoReplayableTimeline =
-        "no replayable timeline (attach and run first, and batch runs "
-        "cannot be reconstructed)";
+        "no replayable timeline (attach first)";
     /** The replay-verify reply to @p resp's request: the stitched
      *  digest and the per-range end digests, or @p rep's error. */
     static Response replayVerifyReply(Response resp,
@@ -225,8 +234,7 @@ class DebugSession
     ///@{
     /** Fill @p img from the live session (id/workload left to the
      *  caller). Refuses — with a reason in @p err — while a rebuild,
-     *  resurrection, or sliced travel is in flight, or after a
-     *  non-replayable batch run. */
+     *  resurrection, or sliced travel is in flight. */
     bool exportImage(persist::SessionImage &img,
                      std::string *err = nullptr);
     ///@}
@@ -236,15 +244,6 @@ class DebugSession
      *  journal entry when a rebuild has no instrumentation-invariant
      *  replay. Empty when nothing was refused. */
     const std::string &lastRefusal() const { return refusal_; }
-
-    /** @name One-shot batch runs (no time-travel session)
-     * The harness' cycle-level measurement path. Mutually exclusive
-     * with the checkpointed verbs above: once a TimeTravel session
-     * exists the target may only advance through it. */
-    ///@{
-    RunStats runCycles(TimingConfig cfg = {}, RunLimits limits = {});
-    FuncResult runFunctional(uint64_t maxAppInsts = 0);
-    ///@}
 
     /** @name Debug tools (src/tools/)
      * Enable/disable are logged interventions: replay re-arms the tool
@@ -266,8 +265,9 @@ class DebugSession
     /** @name State access
      * Reads work before attach (against a loaded preview of the
      * unmodified image); writes before attach are recorded and
-     * re-applied when the real target comes up. Register index 32
-     * addresses the PC. */
+     * re-applied when the real target comes up, and writes after
+     * attach are logged interventions on the timeline. Register index
+     * 32 addresses the PC, which only a write before attach may set. */
     ///@{
     std::vector<uint64_t> readRegisters();
     uint64_t readRegister(unsigned index);
@@ -291,6 +291,7 @@ class DebugSession
     uint64_t digest();
     /** Timeline events discovered so far. */
     size_t eventCount() const;
+    /** The timeline's cost counters; non-null whenever attached. */
     const TimeTravel::Stats *travelStats() const;
     ///@}
 
@@ -340,7 +341,6 @@ class DebugSession
     /** Resumable state of a post-attach rebuild-replay. */
     struct RebuildPlan
     {
-        bool hadTravel = false;
         bool parkedAtHalt = false;
         uint64_t targetInsts = 0;
         /** Event parks holding journal entries or the session's
@@ -393,7 +393,6 @@ class DebugSession
     static void applyPoke(DebugTarget &t, const Poke &p);
     void recordPoke(const Poke &p);
     bool resurrectFinish();
-    TimeTravel &ensureTravel();
     InstallSet specsToInstall(const std::vector<ParkGoal> &parks) const;
     bool buildMachinery(Machinery &m, const InstallSet &set);
     void commitMachinery(Machinery &m);
@@ -419,15 +418,16 @@ class DebugSession
     std::vector<BreakSpec> pendingBreaks_;
     std::vector<Poke> pendingPokes_;
 
-    // Live-phase state.
+    // Live-phase state, one install's machinery. Declared in
+    // dependency order, so the timeline goes first, then the debugger,
+    // then the target it runs on.
     std::unique_ptr<DebugTarget> target_;
     std::unique_ptr<Debugger> debugger_;
+    ReplayLog log_;
+    std::unique_ptr<TimeTravel> tt_;
     /** Loaded-but-undebugged image for pre-attach peeks. */
     std::unique_ptr<DebugTarget> preview_;
     bool detached_ = false;
-    /** A cycle-level / functional batch run advanced the target
-     *  outside the replayable timeline: no post-attach rebuild. */
-    bool batchRan_ = false;
 
     std::set<int> mutedWatches_;
     std::set<int> mutedBreaks_;

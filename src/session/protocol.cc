@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdlib>
 #include <initializer_list>
 #include <limits>
 #include <ostream>
@@ -388,6 +389,10 @@ constexpr Row<Q> kHeadRows[] = {at<Q, &Q::kind>("", Required),
                                 at<Q, &Q::seq>("seq")};
 constexpr Row<Q> kSelectBackendRows[] = {
     at<Q, &Q::backend>("backend", Required)};
+// Decode admits any spec value that fits its field. The session then
+// refuses one outside specLimitError()'s limits with a typed error:
+// size= and csize= of 1, 2, 4 or 8, a range length= of 1 to 65,536
+// bytes whose end does not wrap.
 constexpr Row<Q> kSetWatchRows[] = {
     at<Q, W, &WS::kind>("wkind", Required),
     at<Q, W, &WS::name>("name"),
@@ -754,6 +759,18 @@ decodeResponse(const std::string &line, Response &resp, std::string *err)
     resp.stop.mark.time = resp.stop.time;
     resp.stop.mark.appInsts = resp.stop.appInsts;
     return true;
+}
+
+Response
+decodeErrorReply(const std::string &line, const std::string &err)
+{
+    Response resp;
+    resp.status = ResponseStatus::Error;
+    resp.error = "decode: " + err;
+    size_t pos = line.find("seq=");
+    if (pos != std::string::npos)
+        resp.seq = std::strtoull(line.c_str() + pos + 4, nullptr, 0);
+    return resp;
 }
 
 std::string

@@ -260,9 +260,7 @@ struct SessionEvent
 {
     SessionEventKind kind = SessionEventKind::Watch;
     uint64_t seq = 0;      ///< queue order, assigned by the queue
-    /** Stream position; when no time-travel session is active (batch
-     *  runCycles/runFunctional), the backend detection sequence. */
-    uint64_t time = 0;
+    uint64_t time = 0;     ///< stream position (µops executed)
     uint64_t appInsts = 0;
     Addr pc = 0;
     int index = -1;        ///< watch/break index
@@ -290,6 +288,10 @@ bool decodeRequest(const std::string &line, Request &req,
 std::string encodeResponse(const Response &resp);
 bool decodeResponse(const std::string &line, Response &resp,
                     std::string *err = nullptr);
+/** The error reply to @p line, a request decodeRequest() refused with
+ *  @p err. It carries the line's seq= token when one parses, so the
+ *  client can match the error to its outstanding request. */
+Response decodeErrorReply(const std::string &line, const std::string &err);
 std::string encodeEvent(const SessionEvent &ev);
 bool decodeEvent(const std::string &line, SessionEvent &ev,
                  std::string *err = nullptr);

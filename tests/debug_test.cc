@@ -170,7 +170,7 @@ runBackend(BackendKind kind, WatchSpec spec, DiseOptions dopts = {})
     }
     FuncResult r = dbg.runFunctional();
     EXPECT_EQ(r.halt, HaltReason::Exited) << r.faultMessage;
-    for (const auto &e : dbg.watchEvents())
+    for (const auto &e : dbg.backend().watchEvents())
         sum.oldNew.emplace_back(e.oldValue, e.newValue);
     return sum;
 }
@@ -414,8 +414,8 @@ TEST(DiseBackend, ProtectionCatchesWildStore)
     dbg.watch(WatchSpec::scalar("var", t.symbol("var"), 8));
     ASSERT_TRUE(dbg.attach());
     dbg.runFunctional();
-    ASSERT_EQ(dbg.protectionEvents().size(), 1u);
-    EXPECT_EQ(dbg.protectionEvents()[0].addr,
+    ASSERT_EQ(dbg.backend().protectionEvents().size(), 1u);
+    EXPECT_EQ(dbg.backend().protectionEvents()[0].addr,
               layout::DebuggerDataBase + 64);
 }
 
@@ -453,10 +453,10 @@ TEST(DiseBackend, IndirectRetargetsViaHandler)
     ASSERT_TRUE(dbg.attach());
     FuncResult r = dbg.runFunctional();
     EXPECT_EQ(r.halt, HaltReason::Exited);
-    ASSERT_EQ(dbg.watchEvents().size(), 3u);
-    EXPECT_EQ(dbg.watchEvents()[0].newValue, 10u);
-    EXPECT_EQ(dbg.watchEvents()[1].newValue, 2u);
-    EXPECT_EQ(dbg.watchEvents()[2].newValue, 40u);
+    ASSERT_EQ(dbg.backend().watchEvents().size(), 3u);
+    EXPECT_EQ(dbg.backend().watchEvents()[0].newValue, 10u);
+    EXPECT_EQ(dbg.backend().watchEvents()[1].newValue, 2u);
+    EXPECT_EQ(dbg.backend().watchEvents()[2].newValue, 40u);
 }
 
 /** Property: Bloom-filter strategies never miss a real change. */
@@ -502,7 +502,7 @@ TEST(DiseBackend, PropertyBloomNeverMisses)
         ASSERT_TRUE(dbg.attach());
         FuncResult r = dbg.runFunctional();
         EXPECT_EQ(r.halt, HaltReason::Exited) << r.faultMessage;
-        EXPECT_EQ(dbg.watchEvents().size(), expectHits.size());
+        EXPECT_EQ(dbg.backend().watchEvents().size(), expectHits.size());
     }
 }
 
@@ -518,8 +518,8 @@ TEST(Breakpoints, DiseByPcPattern)
     dbg.breakAt(pc);
     ASSERT_TRUE(dbg.attach());
     dbg.runFunctional();
-    ASSERT_EQ(dbg.breakEvents().size(), 1u);
-    EXPECT_EQ(dbg.breakEvents()[0].pc, pc);
+    ASSERT_EQ(dbg.backend().breakEvents().size(), 1u);
+    EXPECT_EQ(dbg.backend().breakEvents()[0].pc, pc);
 }
 
 TEST(Breakpoints, DiseByCodeword)
@@ -534,7 +534,7 @@ TEST(Breakpoints, DiseByCodeword)
     ASSERT_TRUE(dbg.attach());
     FuncResult r = dbg.runFunctional();
     EXPECT_EQ(r.halt, HaltReason::Exited);
-    ASSERT_EQ(dbg.breakEvents().size(), 1u);
+    ASSERT_EQ(dbg.backend().breakEvents().size(), 1u);
 }
 
 TEST(Breakpoints, ConditionalOnlyFiresWhenTrue)
@@ -570,7 +570,7 @@ TEST(Breakpoints, ConditionalOnlyFiresWhenTrue)
     dbg.breakAt(bp);
     ASSERT_TRUE(dbg.attach());
     dbg.runFunctional();
-    ASSERT_EQ(dbg.breakEvents().size(), 1u);
+    ASSERT_EQ(dbg.backend().breakEvents().size(), 1u);
 }
 
 TEST(Breakpoints, RewriteBackendTrapPatch)
@@ -586,7 +586,7 @@ TEST(Breakpoints, RewriteBackendTrapPatch)
     ASSERT_TRUE(dbg.attach());
     FuncResult r = dbg.runFunctional();
     EXPECT_EQ(r.halt, HaltReason::Exited);
-    EXPECT_EQ(dbg.breakEvents().size(), 1u);
+    EXPECT_EQ(dbg.backend().breakEvents().size(), 1u);
 }
 
 // -------------------------------------------------- rewriter property
@@ -688,7 +688,7 @@ TEST(DiseBackend, StackExclusionSkipsStackStores)
     dbg.watch(WatchSpec::scalar("var", t.symbol("var"), 8));
     ASSERT_TRUE(dbg.attach());
     FuncResult r = dbg.runFunctional();
-    EXPECT_EQ(dbg.watchEvents().size(), 1u);
+    EXPECT_EQ(dbg.backend().watchEvents().size(), 1u);
     // Only the heap store was expanded: expansion ops for one store.
     EXPECT_LE(r.expansionOps, 8u);
 }

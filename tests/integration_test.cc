@@ -27,7 +27,7 @@ eventsFor(const Workload &w, WatchSpec spec, BackendKind kind,
     if (!dbg.attach())
         return {{~0ull, ~0ull}}; // unsupported sentinel
     dbg.runFunctional(cap);
-    for (const auto &e : dbg.watchEvents())
+    for (const auto &e : dbg.backend().watchEvents())
         out.emplace_back(e.oldValue, e.newValue);
     return out;
 }

@@ -342,6 +342,44 @@ TEST(SessionImage, OutOfRangeFieldsAreMalformed)
         << detail;
 }
 
+TEST(SessionImage, SpecsOutsideTheLimitsAreMalformed)
+{
+    // Resurrection installs the image's specs unchecked, and a backend
+    // sizes its accesses and shadows by them: decode admits only specs
+    // a session would have accepted.
+    const std::vector<
+        std::pair<const char *, std::function<void(SessionImage &)>>>
+        rows = {
+            {"watch size", [](SessionImage &img) { img.watches[0].size = 3; }},
+            {"range length 0",
+             [](SessionImage &img) { img.watches[1].length = 0; }},
+            {"range length 65537",
+             [](SessionImage &img) { img.watches[1].length = 65537; }},
+            {"range end wraps",
+             [](SessionImage &img) { img.watches[1].addr = ~Addr{0} - 7; }},
+            {"break condition size",
+             [](SessionImage &img) { img.breaks[0].condSize = 3; }},
+        };
+    for (const auto &[what, craft] : rows) {
+        SessionImage img = sampleImage(12);
+        craft(img);
+        SessionImage out;
+        std::string detail;
+        EXPECT_EQ(persist::decodeImage(persist::encodeImage(img), out,
+                                       &detail),
+                  ImageErr::Malformed)
+            << what << ": " << detail;
+    }
+
+    SessionImage img = sampleImage(12);
+    img.watches[1].length = 65536;
+    SessionImage out;
+    std::string detail;
+    EXPECT_EQ(persist::decodeImage(persist::encodeImage(img), out, &detail),
+              ImageErr::None)
+        << detail;
+}
+
 // ------------------------------------------------------------ the store
 
 TEST(SessionStore, PutLoadEraseReopen)
@@ -877,20 +915,52 @@ TEST(SessionResurrect, ConfigOnlyImageNeedsNoReplay)
     EXPECT_EQ(live.digest(), res.digest());
 }
 
+TEST(SessionResurrect, AttachedImageWithoutATimelineStartsAtTimeZero)
+{
+    // An attached session that never resumed may have been written
+    // without a timeline (hasTravel 0, no checkpoints). Decode places
+    // it at its time-zero checkpoint, so it resurrects with its digest
+    // checked there.
+    Program prog = doublerProgram();
+    DebugSession live(prog, sessionOptions(BackendKind::Dise));
+    live.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
+    ASSERT_TRUE(live.writeMemory(prog.symbol("x"), 8, 5)); // pre-attach
+    ASSERT_TRUE(live.attach());
+    SessionImage img;
+    std::string err;
+    ASSERT_TRUE(live.exportImage(img, &err)) << err;
+    img.hasTravel = false;
+    img.checkpoints.clear();
+
+    SessionImage back;
+    ASSERT_EQ(persist::decodeImage(persist::encodeImage(img), back),
+              ImageErr::None);
+    EXPECT_TRUE(back.hasTravel);
+    EXPECT_EQ(back.time, 0u);
+    ASSERT_EQ(back.checkpoints.size(), 1u);
+    EXPECT_EQ(back.checkpoints[0], (persist::CheckpointMeta{0, 0}));
+
+    DebugSession res(prog, sessionOptions(BackendKind::Dise));
+    ASSERT_TRUE(resurrectAll(res, back, &err)) << err;
+    EXPECT_EQ(res.digest(), live.digest());
+    StopInfo a = live.cont();
+    StopInfo b = res.cont();
+    EXPECT_EQ(a.reason, StopReason::Event);
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(live.digest(), res.digest());
+
+    // A wrong digest is still caught.
+    back.digest ^= 1;
+    DebugSession vessel(prog, sessionOptions(BackendKind::Dise));
+    EXPECT_FALSE(resurrectAll(vessel, back, &err));
+    EXPECT_NE(err.find("digest"), std::string::npos) << err;
+    EXPECT_FALSE(vessel.attached());
+}
+
 TEST(SessionResurrect, RefusalsAreTypedAndStateSafe)
 {
     Program prog = doublerProgram();
-
-    // A batch (cycle-level) run is outside the replayable timeline:
-    // export must refuse, not emit a lying image.
-    DebugSession batch(prog, sessionOptions(BackendKind::Dise));
-    batch.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
-    ASSERT_TRUE(batch.attach());
-    batch.runCycles();
-    SessionImage img;
     std::string err;
-    EXPECT_FALSE(batch.exportImage(img, &err));
-    EXPECT_NE(err.find("batch"), std::string::npos) << err;
 
     // Resurrection demands a fresh vessel.
     DebugSession used(prog, sessionOptions(BackendKind::Dise));

@@ -269,7 +269,7 @@ TEST(ConfigSweep, TinyReplacementTableStillCorrect)
     ASSERT_TRUE(dbg.attach());
     FuncResult r = dbg.runFunctional(100000);
     EXPECT_NE(r.halt, HaltReason::Fault);
-    EXPECT_GT(dbg.watchEvents().size(), 0u);
+    EXPECT_GT(dbg.backend().watchEvents().size(), 0u);
 }
 
 } // namespace

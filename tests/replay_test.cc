@@ -206,6 +206,8 @@ struct Session
 {
     DebugTarget target;
     Debugger dbg;
+    ReplayLog log;
+    std::unique_ptr<TimeTravel> travel;
 
     explicit Session(BackendKind kind, uint64_t cpInterval = 500)
         : target(buildHeisenbugDemo()), dbg(target, options(kind))
@@ -215,7 +217,8 @@ struct Session
         EXPECT_TRUE(dbg.attach());
         TimeTravelConfig cfg;
         cfg.checkpointInterval = cpInterval;
-        dbg.timeTravel(cfg);
+        travel = std::make_unique<TimeTravel>(target, dbg.backend(), log,
+                                              cfg);
     }
 
     static DebuggerOptions
@@ -226,7 +229,7 @@ struct Session
         return o;
     }
 
-    TimeTravel &tt() { return dbg.timeTravel(); }
+    TimeTravel &tt() { return *travel; }
 };
 
 // -------------------------------------------------------- determinism
@@ -289,11 +292,11 @@ TEST_P(AllBackendsReverse, ReverseContinueLandsOnCorruptingStore)
     Session s(GetParam());
     StopInfo end = s.tt().runToEnd();
     ASSERT_EQ(end.reason, StopReason::Halted);
-    ASSERT_GE(s.dbg.watchEvents().size(), 2u)
+    ASSERT_GE(s.dbg.backend().watchEvents().size(), 2u)
         << "scenario should corrupt the directory at least twice";
     size_t events = s.tt().eventCount();
     uint64_t endDigest = s.tt().digest();
-    Addr lastHitPc = s.dbg.watchEvents().back().pc;
+    Addr lastHitPc = s.dbg.backend().watchEvents().back().pc;
 
     // Reverse-continue from the end lands on the last watchpoint hit.
     StopInfo hit = s.tt().reverseContinue();
@@ -303,7 +306,7 @@ TEST_P(AllBackendsReverse, ReverseContinueLandsOnCorruptingStore)
     EXPECT_EQ(hit.mark.pc, lastHitPc);
     EXPECT_LT(hit.time, end.time);
     // The event list is rolled back to exactly this hit.
-    EXPECT_EQ(s.dbg.watchEvents().size(),
+    EXPECT_EQ(s.dbg.backend().watchEvents().size(),
               static_cast<size_t>(hit.mark.index) + 1);
     // Backends that detect at the store itself pinpoint the culprit.
     if (GetParam() == BackendKind::Dise ||
@@ -364,7 +367,8 @@ TEST(Replay, ReverseContinueTerminatesOnCoincidentEvents)
     ASSERT_TRUE(dbg.attach());
     TimeTravelConfig cfg;
     cfg.checkpointInterval = 500;
-    TimeTravel &tt = dbg.timeTravel(cfg);
+    ReplayLog log;
+    TimeTravel tt(target, dbg.backend(), log, cfg);
     tt.runToEnd();
     ASSERT_GE(tt.eventCount(), 4u);
 
@@ -493,7 +497,7 @@ TEST(Replay, RestoreInvalidatesStaleDecodes)
     EXPECT_EQ(end2.reason, StopReason::Halted);
     // No store ever executes again: the directory is never corrupted.
     EXPECT_EQ(s.tt().eventCount(), 0u);
-    EXPECT_EQ(s.dbg.watchEvents().size(), 0u);
+    EXPECT_EQ(s.dbg.backend().watchEvents().size(), 0u);
     EXPECT_NE(s.tt().digest(), 0u);
     (void)end;
 
@@ -730,8 +734,9 @@ TEST_P(AllBackendsIntervalReplay, InterventionAtARangeStartStitches)
     StopInfo end = s.runToEnd();
     ASSERT_EQ(end.reason, StopReason::Halted);
     ASSERT_EQ(tt.checkpointCount(), n);
-    ASSERT_EQ(s.debugger().replayLog().interventions.back().time,
-              tt.checkpoints()[k].time);
+    persist::SessionImage img;
+    ASSERT_TRUE(s.exportImage(img));
+    ASSERT_EQ(img.interventions.back().time, tt.checkpoints()[k].time);
 
     uint64_t live = s.digest();
     for (unsigned workers : {1u, 2u, 4u}) {
@@ -766,8 +771,7 @@ TEST(IntervalReplay, DivergingReplicaFailsVerification)
             d->watch(WatchSpec::scalar("directory[1]", directory + 8, 8));
             return d->attach();
         };
-    IntervalReplay ir(s.tt(), s.target, s.dbg.backend(), s.dbg.replayLog(),
-                      factory);
+    IntervalReplay ir(s.tt(), s.target, s.dbg.backend(), s.log, factory);
     IntervalReplay::Report rep = ir.run(1);
     EXPECT_FALSE(rep.ok);
     EXPECT_NE(rep.error.find("diverged from the recorded event timeline"),
@@ -787,8 +791,8 @@ TEST(IntervalReplay, ACheckpointStartKeepsNoHistory)
     Debugger d(t, Session::options(BackendKind::Dise));
     d.watch(WatchSpec::scalar("directory[0]", t.symbol("directory"), 8));
     ASSERT_TRUE(d.attach());
-    d.replayLog() = s.dbg.replayLog();
-    TimeTravel rt(t, d.backend(), d.replayLog(), s.tt().checkpoints()[0],
+    ReplayLog log = s.log;
+    TimeTravel rt(t, d.backend(), log, s.tt().checkpoints()[0],
                   s.tt().config());
     StopInfo end = rt.travel(TravelVerb::Seek, s.tt().time());
     EXPECT_EQ(end.time, s.tt().time());
@@ -818,8 +822,7 @@ TEST(IntervalReplay, FailedReplicaBuildIsTheReportedError)
                                        t->symbol("directory"), 8));
             return d->attach();
         };
-    IntervalReplay ir(s.tt(), s.target, s.dbg.backend(), s.dbg.replayLog(),
-                      factory);
+    IntervalReplay ir(s.tt(), s.target, s.dbg.backend(), s.log, factory);
     IntervalReplay::Report rep = ir.run(1);
     EXPECT_FALSE(rep.ok);
     EXPECT_EQ(rep.error.rfind("range [", 0), 0u) << rep.error;

@@ -499,6 +499,9 @@ TEST(RspFuzz, OversizedAndPathologicalFramesSingleConnection)
         {"m0,zz", "E01"},       {"m0,ffffffff", "E01"},
         {"M0,4:zzzz", "E01"},   {"M0,8:00", "E01"},
         {"Zx,0,0", "E01"},      {"Z2,,", "E01"},
+        // A watch size outside the session's limits, and a kind that
+        // only a truncation to 32 bits would bring inside them.
+        {"Z2,2000100,3", "E02"}, {"Z2,2000100,100000004", "E01"},
         {"z2,beef,8", "E03"},   {"p999", "E01"},
         {"P=deadbeef", "E01"},  {"Pzz=00", "E01"},
         // qRcmd now answers: bad hex is E01, a decodable non-tool

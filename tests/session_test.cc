@@ -627,18 +627,6 @@ TEST(DebugSession, PreResumePokesSurviveRebuild)
     EXPECT_TRUE(saw);
 }
 
-TEST(DebugSession, PostAttachAdditionRefusedAfterBatchRun)
-{
-    // A cycle-level batch run advances the target outside the
-    // replayable timeline: the rebuild must refuse, not corrupt.
-    Program prog = doublerProgram();
-    DebugSession session(prog, sessionOptions());
-    session.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
-    ASSERT_TRUE(session.attach());
-    session.runCycles();
-    EXPECT_LT(session.setWatch(WatchSpec::scalar("y", 0x99999, 8)), 0);
-}
-
 TEST(DebugSession, BatchAnnouncementsCarryMarkPositions)
 {
     // ROADMAP PR 3 follow-up: a runToEnd() crossing five hits must
@@ -840,20 +828,19 @@ TEST(DebugSession, UnsupportedBackendReportsCleanly)
     EXPECT_FALSE(session.attached());
 }
 
-TEST(DebugSession, CycleRunsStillWork)
+TEST(Debugger, CycleRunsReportEveryWatchHit)
 {
-    // The harness' cycle-level path through the session front end.
+    // The harness' cycle-level path: a Debugger run under the timing
+    // model, its hits read from the backend.
     Program prog = doublerProgram();
-    DebugSession session(prog, sessionOptions());
-    session.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
-    ASSERT_TRUE(session.attach());
-    RunStats stats = session.runCycles();
+    DebugTarget target(prog);
+    Debugger dbg(target, sessionOptions().debugger);
+    dbg.watch(WatchSpec::scalar("x", prog.symbol("x"), 8));
+    ASSERT_TRUE(dbg.attach());
+    RunStats stats = dbg.run();
     EXPECT_GT(stats.cycles, 0u);
     EXPECT_EQ(stats.halt, HaltReason::Exited);
-    size_t watches = 0;
-    for (const auto &ev : session.events().drain())
-        watches += ev.kind == SessionEventKind::Watch;
-    EXPECT_EQ(watches, 5u);
+    EXPECT_EQ(dbg.backend().watchEvents().size(), 5u);
 }
 
 TEST(DebugSession, PokeAtWatchStopWithoutStepping)
@@ -1319,6 +1306,186 @@ TEST(DebugSession, DescribePrintersAreReadable)
     EXPECT_NE(text.find("attach"), std::string::npos) << text;
     EXPECT_NE(text.find("no experiment"), std::string::npos) << text;
 }
+
+// ---------------------------------------- one timeline per attach
+
+TEST(DebugSession, AttachedSessionHasATimelineBeforeItRuns)
+{
+    // Attach builds the timeline with the machinery: a session that
+    // never resumed sits at its time-zero checkpoint.
+    Program prog = doublerProgram();
+    DebugSession session(prog, sessionOptions());
+    session.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
+    ASSERT_TRUE(session.attach());
+    ASSERT_NE(session.travelStats(), nullptr);
+    SessionStats st = session.stats();
+    EXPECT_EQ(st.checkpoints, 1u);
+    EXPECT_EQ(st.time, 0u);
+
+    // replay-verify reconstructs the one empty range.
+    Response resp;
+    ASSERT_TRUE(decodeResponse(
+        session.handleEncoded("replay-verify seq=1 count=2"), resp));
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_EQ(resp.value, session.digest());
+    ASSERT_EQ(resp.regs.size(), 1u);
+    EXPECT_EQ(resp.regs[0], session.digest());
+
+    // Writes are interventions on that timeline, and the PC is not a
+    // loggable one.
+    EXPECT_FALSE(session.writeRegister(DebugSession::PcRegIndex,
+                                       prog.entry + 4));
+    EXPECT_EQ(session.readRegister(DebugSession::PcRegIndex), prog.entry);
+    EXPECT_TRUE(session.writeRegister(1, 7));
+    EXPECT_EQ(session.readRegister(1), 7u);
+}
+
+TEST(DebugSession, WriteAfterAttachSurvivesTravelAndRebuild)
+{
+    // A write between an explicit attach and the first resume is
+    // stamped at time zero: reverse-continue back to the start lands
+    // with it applied, and a later rebuild replays it.
+    Program prog = doublerProgram();
+    Addr x = prog.symbol("x");
+    Addr scratch = x + 32;
+    DebugSession session(prog, sessionOptions());
+    session.setWatch(WatchSpec::scalar("x", x, 8));
+    ASSERT_TRUE(session.attach());
+    ASSERT_TRUE(session.writeMemory(x, 8, 0x10));
+    ASSERT_TRUE(session.writeMemory(scratch, 8, 0x5a));
+
+    ASSERT_EQ(session.runToEnd().reason, StopReason::Halted);
+    EXPECT_EQ(session.readMemory(x, 2)[1], 0x02); // 0x10 doubled 5x
+    StopInfo back;
+    do {
+        back = session.reverseContinue();
+    } while (back.reason == StopReason::Event);
+    ASSERT_EQ(back.reason, StopReason::Start);
+    EXPECT_EQ(session.readMemory(x, 1)[0], 0x10);
+    EXPECT_EQ(session.readMemory(scratch, 1)[0], 0x5a);
+
+    session.events().clear();
+    StopInfo hit = session.cont();
+    ASSERT_EQ(hit.reason, StopReason::Event);
+    auto expectFirstHit = [&] {
+        bool saw = false;
+        for (const SessionEvent &ev : session.events().drain())
+            if (ev.kind == SessionEventKind::Watch && !saw) {
+                EXPECT_EQ(ev.oldValue, 0x10u);
+                EXPECT_EQ(ev.newValue, 0x20u);
+                saw = true;
+            }
+        EXPECT_TRUE(saw);
+    };
+    expectFirstHit();
+
+    // The rebuild for a new spec re-crosses the first hit.
+    ASSERT_GE(session.setWatch(WatchSpec::scalar("s", scratch, 8)), 0)
+        << session.lastRefusal();
+    EXPECT_EQ(session.stats().appInsts, hit.appInsts);
+    EXPECT_EQ(session.readMemory(scratch, 1)[0], 0x5a);
+    expectFirstHit();
+    ASSERT_EQ(session.runToEnd().reason, StopReason::Halted);
+    EXPECT_EQ(session.readMemory(x, 2)[1], 0x02);
+}
+
+// -------------------------------------------------- every backend
+
+class EveryBackend : public ::testing::TestWithParam<BackendKind>
+{
+};
+
+TEST_P(EveryBackend, ContStopsOnTheStoreBeforeExit)
+{
+    // The doubler's last store sits in the last statement, and no
+    // statement boundary follows it before the program exits.
+    Program prog = doublerProgram();
+    DebugSession session(prog, sessionOptions(GetParam()));
+    session.setWatch(WatchSpec::scalar("x", prog.symbol("x"), 8));
+    int stops = 0;
+    StopInfo stop;
+    while ((stop = session.cont()).reason == StopReason::Event)
+        ++stops;
+    EXPECT_EQ(stop.reason, StopReason::Halted) << stop;
+    EXPECT_EQ(stops, 5);
+    std::vector<SessionEvent> watches;
+    for (const SessionEvent &ev : session.events().drain())
+        if (ev.kind == SessionEventKind::Watch)
+            watches.push_back(ev);
+    ASSERT_EQ(watches.size(), 5u);
+    EXPECT_EQ(watches.back().oldValue, 48u);
+    EXPECT_EQ(watches.back().newValue, 96u);
+}
+
+TEST_P(EveryBackend, SpecsOutsideTheLimitsAreRefused)
+{
+    // Every field a backend sizes an access or a shadow by: each row
+    // gets a typed error before attach and after running, and the
+    // session runs on as if it had never been sent.
+    Program prog = doublerProgram();
+    Addr x = prog.symbol("x");
+    auto watch = [](const WatchSpec &w) {
+        Request r;
+        r.kind = RequestKind::SetWatch;
+        r.watch = w;
+        return r;
+    };
+    Request brk;
+    brk.kind = RequestKind::SetBreak;
+    brk.brk.pc = prog.symbol("the_store");
+    brk.brk.conditional = true;
+    brk.brk.condAddr = x;
+    brk.brk.condSize = 3;
+    const std::vector<std::pair<const char *, Request>> rows = {
+        {"scalar size 3", watch(WatchSpec::scalar("x3", x, 3))},
+        {"scalar size 0", watch(WatchSpec::scalar("x0", x, 0))},
+        {"scalar size 16", watch(WatchSpec::scalar("x16", x, 16))},
+        {"indirect size 3", watch(WatchSpec::indirect("p3", x, 3))},
+        {"range length 0", watch(WatchSpec::range("r0", x, 0))},
+        {"range length 65537", watch(WatchSpec::range("r1", x, 65537))},
+        {"range end wraps",
+         watch(WatchSpec::range("r2", ~Addr{0} - 7, 16))},
+        {"break condition size 3", brk},
+    };
+    for (const auto &[what, req] : rows) {
+        SCOPED_TRACE(what);
+        DebugSession s(prog, sessionOptions(GetParam()));
+        s.setWatch(WatchSpec::scalar("x", x, 8));
+        Response before = s.handle(req);
+        EXPECT_EQ(before.status, ResponseStatus::Error);
+        EXPECT_FALSE(before.error.empty());
+        ASSERT_EQ(s.cont().reason, StopReason::Event);
+        Response after = s.handle(req);
+        EXPECT_EQ(after.status, ResponseStatus::Error);
+        EXPECT_EQ(after.error, before.error);
+        int stops = 1;
+        while (s.cont().reason == StopReason::Event)
+            ++stops;
+        EXPECT_EQ(stops, 5);
+    }
+
+    // The limits themselves are admitted.
+    DebugSession s(prog, sessionOptions(GetParam()));
+    EXPECT_TRUE(s.handle(watch(WatchSpec::range("r", x, 65536))).ok());
+    brk.brk.condSize = 8;
+    EXPECT_TRUE(s.handle(brk).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, EveryBackend,
+    ::testing::Values(BackendKind::Dise, BackendKind::SingleStep,
+                      BackendKind::VirtualMemory, BackendKind::HardwareReg,
+                      BackendKind::Rewrite),
+    [](const ::testing::TestParamInfo<BackendKind> &info) {
+        switch (info.param) {
+          case BackendKind::Dise: return "dise";
+          case BackendKind::SingleStep: return "singlestep";
+          case BackendKind::VirtualMemory: return "vm";
+          case BackendKind::HardwareReg: return "hwreg";
+          case BackendKind::Rewrite: return "rewrite";
+        }
+        return "unknown";
+    });
 
 } // namespace
 } // namespace dise
